@@ -7,8 +7,8 @@ Subcommands:
     validate  symbolically validate a plan-skeleton file against a scenario
     export    write the built-in scenario definitions as JSON files
 
-Exit codes: 0 success, 1 task failure, 2 input error, 3 no feasible sub-goal
-pose. All outputs land under --out.
+Exit codes: 0 success, 1 task failure, 2 input error or infeasible scenario,
+3 no feasible sub-goal pose. All outputs land under --out.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .domain import SkeletonParseError, parse_skeleton, validate_skeleton
 from .harness import (
+    RandomizationFailure,
     benchmark_csv,
     episode_trace_json,
     observe,
@@ -296,7 +297,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args = _apply_config_file(args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RandomizationFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

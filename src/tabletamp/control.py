@@ -25,7 +25,6 @@ from .geometry import (
     Vec3,
     clip_convex,
     contact_normals,
-    convex_hull,
     farthest_point_sample,
     geodesic_angle,
     point_in_polygon,
@@ -35,6 +34,7 @@ from .geometry import (
     ring_area,
     se2_error,
     wrap_angle,
+    yaw_free_angle,
 )
 from .twin import (
     PlacementCollision,
@@ -44,11 +44,13 @@ from .twin import (
     ToolSpec,
     TwinScene,
     apply_push,
-    obbs_overlap,
+    box_hits_solids,
+    overlapping_object,
     pivot_rotate,
     place_at,
     settle,
     support_cells,
+    support_height_at,
     terrain_solids,
 )
 
@@ -207,15 +209,7 @@ def _min_footprint_width(footprint: Polygon2) -> float:
 
 
 def _support_height_below(scene: TwinScene, obj_id: str, p: Vec2) -> float | None:
-    best = None
-    for cell in support_cells(scene, exclude_id=obj_id):
-        if len(cell.ring) < 3:
-            continue
-        if point_in_polygon(p, Polygon2(tuple(cell.ring))):
-            h = cell.height_at(p)
-            if best is None or h > best:
-                best = h
-    return best
+    return support_height_at(support_cells(scene, exclude_id=obj_id), p)
 
 
 def _overhang_edges(scene: TwinScene, obj: RigidObject, cfg: GraspConfig,
@@ -632,7 +626,7 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
     best_gap = math.inf
     for edge in edges:
         q_flip, _ = flip_orientation_about(obj.pose, edge)
-        gap = _yaw_free_gap(q_flip, subgoal.orientation)
+        gap = yaw_free_angle(q_flip, subgoal.orientation)
         if gap < best_gap - 1e-9:
             best_gap = gap
             best_edge = edge
@@ -684,15 +678,6 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
         ErrorKind.CONVERGENCE_TIMEOUT,
         "balance point was never crossed within the increment budget",
     )
-
-
-def _yaw_free_gap(q, target) -> float:
-    """Minimal geodesic angle to the target over all in-plane yaw corrections."""
-    best = math.inf
-    for yaw_deg in range(0, 360, 3):
-        qz = quat_from_axis_angle((0.0, 0.0, 1.0), math.radians(yaw_deg))
-        best = min(best, geodesic_angle(quat_mul(qz, q), target))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -779,23 +764,13 @@ def exec_moveto(scene: TwinScene, subgoal: Pose6D,
         y = start.y + (subgoal.y - start.y) * t
         hover_pose = Pose6D((x, y, hover_z), subgoal.orientation)
         hover_box = obj.at_pose(hover_pose).world_obb()
-        hull = convex_hull([(c[0], c[1]) for c in hover_box.corners()])
-        for solid in terrain_solids(scene):
-            if solid.z1 <= hover_box.bottom_z() + 1e-6:
-                continue  # solid entirely below the carried object
-            if hover_box.top_z() <= solid.z0 + 1e-6:
-                continue  # solid entirely above (ceilings cleared underneath)
-            if ring_area(clip_convex(hull, list(solid.ring))) > 1e-8:
-                return fail(
-                    ErrorKind.COLLISION,
-                    f"transport path crosses {solid.label or 'terrain'}",
-                )
-        for other in scene.objects:
-            if other.id == object_id:
-                continue
-            if obbs_overlap(hover_box, other.world_obb(), tol=1e-7):
-                return fail(ErrorKind.COLLISION,
-                            f"transport path crosses {other.id}")
+        solid = box_hits_solids(scene, hover_box, include_slopes=False)
+        if solid is not None:
+            return fail(ErrorKind.COLLISION,
+                        f"transport path crosses {solid.label or 'terrain'}")
+        other = overlapping_object(scene, hover_box, object_id)
+        if other is not None:
+            return fail(ErrorKind.COLLISION, f"transport path crosses {other.id}")
         trace.log(next(snaps), "transport", (dist * (1 - t), 0.0))
 
     try:

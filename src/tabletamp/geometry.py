@@ -39,13 +39,6 @@ def quat_norm(q: Quat) -> float:
     return math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
 
 
-def quat_normalize(q: Quat) -> Quat:
-    n = quat_norm(q)
-    if n < 1e-12:
-        raise ValueError("cannot normalize a near-zero quaternion")
-    return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
-
-
 def quat_conjugate(q: Quat) -> Quat:
     return (q[0], -q[1], -q[2], -q[3])
 
@@ -131,6 +124,15 @@ def geodesic_angle(a: Quat, b: Quat) -> float:
     d = abs(a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
     d = min(1.0, d)
     return math.degrees(2.0 * math.acos(d))
+
+
+def yaw_free_angle(q: Quat, target: Quat) -> float:
+    """Min over psi of geodesic_angle(quat_from_yaw(psi) * q, target), degrees.
+
+    Closed form: 2*acos(sqrt(w^2 + z^2)) of r = target * q^-1.
+    """
+    w, _, _, z = quat_mul(target, quat_conjugate(q))
+    return math.degrees(2.0 * math.acos(min(1.0, math.sqrt(w * w + z * z))))
 
 
 # ---------------------------------------------------------------------------
@@ -509,18 +511,6 @@ def ring_area(ring: list[Vec2]) -> float:
     if len(ring) < 3:
         return 0.0
     return abs(_signed_area(ring))
-
-
-def segment_intersects_polygon(p0: Vec2, p1: Vec2, poly: Polygon2) -> bool:
-    """True iff the closed segment touches or crosses the polygon."""
-    if point_in_polygon(p0, poly) or point_in_polygon(p1, poly):
-        return True
-    for a, b in poly.edges():
-        if _segments_properly_intersect(p0, p1, a, b):
-            return True
-        if _point_segment_distance(a, p0, p1) <= _BOUNDARY_TOL:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -55,11 +55,9 @@ from .subgoal import (
     select_subgoal,
 )
 from .twin import (
-    PlacementCollision,
     TwinScene,
     flat_pose_on_support,
-    place_at,
-    raised_support,
+    rest_on_support,
     settle,
 )
 from .control import flip_orientation_about
@@ -138,19 +136,9 @@ def randomize(scenario: Scenario, seed: int) -> TwinScene:
             scene, obj, base_pose.x + dx, base_pose.y + dy,
             base_pose.yaw + dyaw, base_orientation=base_pose.orientation,
         )
-        try:
-            candidate = place_at(scene, scenario.primary_object, pose)
-        except PlacementCollision:
-            continue
-        outcome = settle(candidate, scenario.primary_object)
-        if outcome.status != "stable":
-            continue
-        rested = candidate.replace_object(
-            candidate.object(scenario.primary_object).at_pose(outcome.final_pose)
-        )
-        if not raised_support(rested, scenario.primary_object):
-            continue
-        return rested
+        rest = rest_on_support(scene, scenario.primary_object, pose)
+        if rest is not None:
+            return rest[0]
     raise RandomizationFailure(
         f"no feasible initial pose for {scenario.id} seed {seed} in 100 draws"
     )
@@ -177,20 +165,12 @@ def randomized_goal(scenario: Scenario, seed: int) -> Goal:
             scene, obj, target.x + dx, target.y + dy, target.yaw + dyaw,
             base_orientation=target.orientation,
         )
-        try:
-            placed = place_at(scene, scenario.primary_object, pose)
-        except PlacementCollision:
+        rest = rest_on_support(scene, scenario.primary_object, pose)
+        if rest is None:
             continue
-        outcome = settle(placed, scenario.primary_object)
-        if outcome.status != "stable":
-            continue
+        _, outcome = rest
         if abs(outcome.final_pose.z - pose.z) > 1e-6:
             continue  # goal must rest exactly where stated
-        rested = placed.replace_object(
-            placed.object(scenario.primary_object).at_pose(outcome.final_pose)
-        )
-        if not raised_support(rested, scenario.primary_object):
-            continue
         return Goal("pose", target=outcome.final_pose)
     raise RandomizationFailure(
         f"no feasible goal pose for {scenario.id} seed {seed} in 100 draws"

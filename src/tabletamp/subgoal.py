@@ -23,21 +23,18 @@ from .geometry import (
     Pose6D,
     Vec3,
     geodesic_angle,
-    quat_mul,
     wrap_angle,
+    yaw_free_angle,
     yaw_of,
 )
 from .render import render_scene
 from .twin import (
-    PlacementCollision,
     SettleOutcome,
     SweptCollision,
     TwinScene,
     flat_pose_on_support,
     pivot_rotate,
-    place_at,
-    raised_support,
-    settle,
+    rest_on_support,
     stability_margin,
 )
 
@@ -350,18 +347,10 @@ def filter_and_rank(
     robot = twin.robot
     survivors: list[Candidate] = []
     for i, pose in enumerate(candidates):
-        try:
-            placed = place_at(twin, object_id, pose)
-        except PlacementCollision:
-            continue
-        outcome = settle(placed, object_id)
-        if outcome.status != "stable":
-            continue
-        rested = placed.replace_object(
-            placed.object(object_id).at_pose(outcome.final_pose)
-        )
-        if not raised_support(rested, object_id):
-            continue  # resting on the bare ground counts as off the table
+        rest = rest_on_support(twin, object_id, pose)
+        if rest is None:
+            continue  # collides, topples, or rests on the bare ground
+        rested, outcome = rest
         d = math.hypot(
             outcome.final_pose.x - robot.base_position[0],
             outcome.final_pose.y - robot.base_position[1],
@@ -479,7 +468,7 @@ def select_subgoal(
         if current.kind is PrimitiveKind.ROTATE:
             return min(
                 cset.candidates,
-                key=lambda c: (round(_yaw_free_orientation_gap(
+                key=lambda c: (round(yaw_free_angle(
                     c.pose.orientation, hint.orientation), 1), c.source_index),
             )
         return min(
@@ -502,13 +491,3 @@ def select_subgoal(
             ),
         )
     return cset.candidates[0]
-
-
-def _yaw_free_orientation_gap(q, target) -> float:
-    """Minimal geodesic to the target over in-plane yaw corrections (deg)."""
-    best = math.inf
-    for yaw_deg in range(0, 360, 3):
-        h = math.radians(yaw_deg) / 2.0
-        qz = (math.cos(h), 0.0, 0.0, math.sin(h))
-        best = min(best, geodesic_angle(quat_mul(qz, q), target))
-    return best

@@ -331,17 +331,23 @@ def _punch_slots(surface: TerrainFeature, slots: list[TerrainFeature]):
     return rings
 
 
+def _slotted_rings(scene: TwinScene, surface: TerrainFeature):
+    """The surface footprint split around the slots that overlap it."""
+    ring = list(surface.footprint.vertices)
+    overlapping = [
+        t for t in scene.terrain
+        if t.kind == "slot"
+        and ring_area(clip_convex(ring, list(t.footprint.vertices))) > _AREA_TOL
+    ]
+    return _punch_slots(surface, overlapping)
+
+
 def support_cells(scene: TwinScene, exclude_id: str | None = None,
                   include_objects: bool = True) -> list[SupportCell]:
     cells: list[SupportCell] = []
-    slots = [t for t in scene.terrain if t.kind == "slot"]
     for t in scene.terrain:
         if t.kind in ("table_surface", "ground", "shelf"):
-            overlapping = [
-                s for s in slots
-                if ring_area(clip_convex(list(t.footprint.vertices), list(s.footprint.vertices))) > _AREA_TOL
-            ]
-            for ring in _punch_slots(t, overlapping):
+            for ring in _slotted_rings(scene, t):
                 cells.append(SupportCell(tuple(ring), t.kind, t.height, feature=t))
         elif t.kind == "slot":
             cells.append(
@@ -395,14 +401,9 @@ class Solid:
 
 def terrain_solids(scene: TwinScene) -> list[Solid]:
     solids: list[Solid] = []
-    slots = [t for t in scene.terrain if t.kind == "slot"]
     for t in scene.terrain:
         if t.kind == "table_surface":
-            overlapping = [
-                s for s in slots
-                if ring_area(clip_convex(list(t.footprint.vertices), list(s.footprint.vertices))) > _AREA_TOL
-            ]
-            for ring in _punch_slots(t, overlapping):
+            for ring in _slotted_rings(scene, t):
                 solids.append(Solid(tuple(ring), 0.0, t.height, label=t.name or "table"))
         elif t.kind == "wall":
             solids.append(
@@ -457,8 +458,10 @@ def _slope_penetration(scene: TwinScene, box: Obb, tol: float,
     return False
 
 
-def _box_hits_solids(scene: TwinScene, box: Obb, tol: float = 1e-6,
-                     climb_tol: float = 0.0, include_slopes: bool = True) -> Solid | None:
+def box_hits_solids(scene: TwinScene, box: Obb, tol: float = 1e-6,
+                    climb_tol: float = 0.0, include_slopes: bool = True) -> Solid | None:
+    """First terrain solid (or slope) the box enters by more than ``tol``, or
+    None; ``climb_tol`` lifts the box bottom over low steps."""
     bottom, top = box.bottom_z(), box.top_z()
     hull = convex_hull([(c[0], c[1]) for c in box.corners()])
     if len(hull) < 3:
@@ -470,6 +473,17 @@ def _box_hits_solids(scene: TwinScene, box: Obb, tol: float = 1e-6,
             return solid
     if include_slopes and _slope_penetration(scene, box, tol, climb_tol):
         return Solid(tuple(hull), 0.0, 0.0, label="slope")
+    return None
+
+
+def overlapping_object(scene: TwinScene, box: Obb, object_id: str) -> RigidObject | None:
+    """First object whose box overlaps ``box``, skipping ``object_id`` and
+    the held object."""
+    for other in scene.objects:
+        if other.id == object_id or other.id == scene.held_id:
+            continue
+        if obbs_overlap(box, other.world_obb(), tol=1e-7):
+            return other
     return None
 
 
@@ -538,18 +552,11 @@ def flat_pose_on_support(scene: TwinScene, obj: RigidObject, x: float, y: float,
     flat = _snap_face_down(base)
     delta = wrap_angle(yaw - yaw_of(flat))
     q = quat_mul(quat_from_yaw(delta), flat)
-    probe = replace(obj, pose=Pose6D((x, y, 1.0), q))
-    cells = support_cells(scene, exclude_id=obj.id,
-                          include_objects=objects_as_support)
-    hull = [(c[0], c[1]) for c in probe.world_obb().corners()]
-    hull = convex_hull(hull)
+    probe = obj.at_pose(Pose6D((x, y, 1.0), q))
+    hull = convex_hull([(c[0], c[1]) for c in probe.world_obb().corners()])
     best_cell = None
     best_h = -math.inf
-    for cell in cells:
-        piece = clip_convex(hull, list(cell.ring))
-        if ring_area(piece) <= _AREA_TOL:
-            continue
-        h = max(cell.height_at(p) for p in piece)
+    for h, cell, _ in _support_pieces(scene, obj.id, hull, objects_as_support):
         if h > best_h + 1e-9:
             best_h = h
             best_cell = cell
@@ -581,14 +588,12 @@ def place_at(scene: TwinScene, object_id: str, pose: Pose6D) -> TwinScene:
     obj = scene.object(object_id)
     moved = obj.at_pose(pose)
     box = moved.world_obb()
-    for other in scene.objects:
-        if other.id == object_id or other.id == scene.held_id:
-            continue
-        if obbs_overlap(box, other.world_obb(), tol=1e-7):
-            raise PlacementCollision(
-                f"{object_id} at {pose.position} interpenetrates {other.id}"
-            )
-    solid = _box_hits_solids(scene, box, tol=1e-3)
+    other = overlapping_object(scene, box, object_id)
+    if other is not None:
+        raise PlacementCollision(
+            f"{object_id} at {pose.position} interpenetrates {other.id}"
+        )
+    solid = box_hits_solids(scene, box, tol=1e-3)
     if solid is not None:
         raise PlacementCollision(
             f"{object_id} at {pose.position} interpenetrates terrain ({solid.label})"
@@ -596,13 +601,31 @@ def place_at(scene: TwinScene, object_id: str, pose: Pose6D) -> TwinScene:
     return scene.replace_object(moved)
 
 
-def _support_pieces(scene: TwinScene, obj: RigidObject, pose: Pose6D):
-    """Contact pieces of the resting face against the highest support."""
-    probe = obj.at_pose(pose)
-    box = probe.world_obb()
-    face = box.resting_face_polygon()
-    hull = list(face.vertices)
-    cells = support_cells(scene, exclude_id=obj.id)
+def rest_on_support(scene: TwinScene, object_id: str,
+                    pose: Pose6D) -> tuple[TwinScene, SettleOutcome] | None:
+    """Place and settle an object: (rested scene, outcome), or None when the
+    placement collides, the rest is unstable, or it is on the bare ground."""
+    try:
+        placed = place_at(scene, object_id, pose)
+    except PlacementCollision:
+        return None
+    outcome = settle(placed, object_id)
+    if outcome.status != "stable":
+        return None
+    rested = placed.replace_object(placed.object(object_id).at_pose(outcome.final_pose))
+    if not raised_support(rested, object_id):
+        return None
+    return rested, outcome
+
+
+def _resting_face(obj: RigidObject, pose: Pose6D) -> list[Vec2]:
+    return list(obj.at_pose(pose).world_obb().resting_face_polygon().vertices)
+
+
+def _support_pieces(scene: TwinScene, object_id: str, hull: list[Vec2],
+                    include_objects: bool = True):
+    """(height, cell, piece) for every support cell the hull overlaps."""
+    cells = support_cells(scene, exclude_id=object_id, include_objects=include_objects)
     scored: list[tuple[float, SupportCell, list[Vec2]]] = []
     for cell in cells:
         piece = clip_convex(hull, list(cell.ring))
@@ -630,14 +653,10 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     for hop in range(3):
         flat_q = _snap_face_down(pose.orientation)
         pose = Pose6D(pose.position, flat_q)
-        scored = _support_pieces(scene, obj, pose)
+        scored = _support_pieces(scene, obj.id, _resting_face(obj, pose))
         raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
         if not raised:
-            ground_h = 0.0
-            grounds = [c for c in support_cells(scene, exclude_id=obj.id) if c.kind == "ground"]
-            if grounds:
-                ground_h = grounds[0].height
-            z = ground_h + _half_height(obj, flat_q)
+            z = _ground_height(scene) + _half_height(obj, flat_q)
             final = Pose6D((pose.x, pose.y, z), flat_q)
             # fell_off marks the transition; an object already at rest on the
             # ground is simply stable (keeps settle idempotent)
@@ -692,7 +711,8 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     return _ground_rest(scene, obj, pose, "fell_off")
 
 
-def _support_at_point(cells: list[SupportCell], p: Vec2) -> float | None:
+def support_height_at(cells: list[SupportCell], p: Vec2) -> float | None:
+    """Highest support height at a point over the given cells; None over the void."""
     best = None
     for cell in cells:
         if len(cell.ring) < 3:
@@ -712,7 +732,7 @@ def _rest_z(scene: TwinScene, obj: RigidObject, x: float, y: float,
     offsets = [
         h - (c[2] - 1.0)
         for c in probe.world_obb().corners()
-        for h in [_support_at_point(cells, (c[0], c[1]))]
+        for h in [support_height_at(cells, (c[0], c[1]))]
         if h is not None
     ]
     if not offsets:
@@ -768,7 +788,7 @@ def _slide_clear(scene: TwinScene, obj: RigidObject, pose: Pose6D,
     x, y = pose.x, pose.y
     for _ in range(80):
         probe = Pose6D((x, y, pose.z), pose.orientation)
-        scored = _support_pieces(scene, obj, probe)
+        scored = _support_pieces(scene, obj.id, _resting_face(obj, probe))
         if not any(c.kind != "ground" for _, c, _ in scored):
             break
         x += dx * 0.01
@@ -779,10 +799,13 @@ def _slide_clear(scene: TwinScene, obj: RigidObject, pose: Pose6D,
 def _ground_rest(scene: TwinScene, obj: RigidObject, pose: Pose6D,
                  status: str) -> SettleOutcome:
     flat_q = _snap_face_down(pose.orientation)
-    grounds = [c for c in support_cells(scene, exclude_id=obj.id) if c.kind == "ground"]
-    ground_h = grounds[0].height if grounds else 0.0
-    z = ground_h + _half_height(obj, flat_q)
+    z = _ground_height(scene) + _half_height(obj, flat_q)
     return SettleOutcome(status, Pose6D((pose.x, pose.y, z), flat_q))
+
+
+def _ground_height(scene: TwinScene) -> float:
+    grounds = [c for c in support_cells(scene, include_objects=False) if c.kind == "ground"]
+    return grounds[0].height if grounds else 0.0
 
 
 def _topple_once(obj: RigidObject, pose: Pose6D, support_hull: list[Vec2],
@@ -859,7 +882,7 @@ def _edge_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
 def stability_margin(scene: TwinScene, object_id: str) -> float:
     """Signed COM-inside-support-polygon margin at the object's current pose."""
     obj = scene.object(object_id)
-    scored = _support_pieces(scene, obj, obj.pose)
+    scored = _support_pieces(scene, obj.id, _resting_face(obj, obj.pose))
     raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
     if not raised:
         raised = scored  # resting on bare ground
@@ -879,7 +902,7 @@ def stability_margin(scene: TwinScene, object_id: str) -> float:
 def raised_support(scene: TwinScene, object_id: str) -> bool:
     """True when the object rests on something other than the bare ground."""
     obj = scene.object(object_id)
-    scored = _support_pieces(scene, obj, obj.pose)
+    scored = _support_pieces(scene, obj.id, _resting_face(obj, obj.pose))
     return any(c.kind != "ground" for _, c, _ in scored)
 
 
@@ -912,15 +935,10 @@ def _motion_blocked(scene: TwinScene, obj: RigidObject, pose: Pose6D,
     # inclines never block planar motion: objects ride up and settle re-tilts
     # them; steps taller than the climb tolerance (pads, rails, walls) do
     box = obj.at_pose(pose).world_obb()
-    if _box_hits_solids(scene, box, tol=1e-6, climb_tol=climb_tol,
-                        include_slopes=False) is not None:
+    if box_hits_solids(scene, box, tol=1e-6, climb_tol=climb_tol,
+                       include_slopes=False) is not None:
         return True
-    for other in scene.objects:
-        if other.id == obj.id or other.id == scene.held_id:
-            continue
-        if obbs_overlap(box, other.world_obb(), tol=1e-7):
-            return True
-    return False
+    return overlapping_object(scene, box, obj.id) is not None
 
 
 def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
@@ -1053,17 +1071,15 @@ def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3]
         a = angle * i / steps
         pose_i = _rotate_pose_about_line(obj.pose, p0, axis, a)
         box_i = obj.at_pose(pose_i).world_obb()
-        solid = _box_hits_solids(scene, box_i, tol=2e-3)
+        solid = box_hits_solids(scene, box_i, tol=2e-3)
         if solid is not None:
             raise SweptCollision(
                 f"pivot sweep of {object_id} hits {solid.label or 'terrain'} at "
                 f"{math.degrees(a):.0f} deg"
             )
-        for other in scene.objects:
-            if other.id == object_id or other.id == scene.held_id:
-                continue
-            if obbs_overlap(box_i, other.world_obb(), tol=1e-7):
-                raise SweptCollision(f"pivot sweep of {object_id} hits {other.id}")
+        other = overlapping_object(scene, box_i, object_id)
+        if other is not None:
+            raise SweptCollision(f"pivot sweep of {object_id} hits {other.id}")
 
     balance = _balance_angle(obj, p0, axis)
     if abs(angle) + 1e-9 < balance:

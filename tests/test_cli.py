@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tabletamp.cli import main
 
 
@@ -146,6 +148,27 @@ class TestCmdValidate:
         code = main(["validate", "--scenario", "edge", "--skeleton", str(path),
                      "--out", str(tmp_path)])
         assert code == 2
+
+
+class TestRandomizationFailure:
+    @pytest.mark.parametrize("command", [
+        ["run"], ["bench", "--trials", "1", "--scenarios"], ["sample", "--step", "1"],
+    ])
+    def test_infeasible_initial_pose_is_input_error(self, tmp_path, capsys, command):
+        # the box starts far off the table, so no draw of the initial-pose
+        # jitter can rest on raised support
+        from tabletamp.scenarios import build_scenario, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario("box"))
+        data["scene"]["objects"][0]["pose"]["xyz"] = [3.0, 3.0, 0.045]
+        bad = tmp_path / "off_table.json"
+        bad.write_text(json.dumps(data))
+        scenario_flag = [] if command[0] == "bench" else ["--scenario"]
+        code = main([*command, *scenario_flag, str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: no feasible initial pose")
+        assert "\n" not in err
 
 
 class TestConfigFile:

@@ -22,6 +22,7 @@ from tabletamp.geometry import (
     rect_polygon,
     se2_error,
     wrap_angle,
+    yaw_free_angle,
 )
 
 
@@ -87,6 +88,47 @@ class TestGeodesicAngle:
     def test_non_unit_input_rejected(self):
         with pytest.raises(ValueError):
             geodesic_angle((1.01, 0.0, 0.0, 0.0), quat_identity())
+
+
+# ---------------------------------------------------------------------------
+# yaw_free_angle
+# ---------------------------------------------------------------------------
+
+def brute_yaw_free_angle(q, target, samples=3600):
+    # min over world yaw psi of the geodesic between qz(psi) * q and target
+    h = np.linspace(0.0, math.pi, samples, endpoint=False)  # psi / 2
+    c, s = np.cos(h), np.sin(h)
+    w, x, y, z = q
+    yawed = np.stack([c * w - s * z, c * x - s * y, c * y + s * x, c * z + s * w], axis=1)
+    d = np.minimum(1.0, np.abs(yawed @ np.asarray(target)))
+    return math.degrees(2.0 * math.acos(d.max()))
+
+
+class TestYawFreeAngle:
+    def test_matches_brute_force_yaw_search(self):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            q = random_unit_quat(rng)
+            target = random_unit_quat(rng)
+            closed = yaw_free_angle(q, target)
+            brute = brute_yaw_free_angle(q, target)
+            assert closed <= brute + 1e-9
+            assert brute - closed < 0.1
+
+    def test_pure_yaw_offset_is_zero(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            q0 = random_unit_quat(rng)
+            a, b = rng.uniform(-math.pi, math.pi, size=2)
+            q = quat_mul(quat_from_yaw(a), q0)
+            target = quat_mul(quat_from_yaw(b), q0)
+            assert yaw_free_angle(q, target) == pytest.approx(0.0, abs=1e-5)
+
+    def test_quarter_tilt_is_ninety(self):
+        tilt = quat_from_axis_angle((1.0, 0.0, 0.0), math.pi / 2)
+        assert yaw_free_angle(quat_identity(), tilt) == pytest.approx(90.0, abs=1e-9)
+        yawed_tilt = quat_mul(quat_from_yaw(0.7), tilt)
+        assert yaw_free_angle(quat_identity(), yawed_tilt) == pytest.approx(90.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

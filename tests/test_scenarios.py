@@ -95,11 +95,12 @@ class TestScenarioDefinitions:
         sc = build_scenario("book")
         scene = randomize(sc, 0)
         goal = randomized_goal(sc, 0)
-        from tabletamp.subgoal import _rotate_candidates, _yaw_free_orientation_gap
+        from tabletamp.geometry import yaw_free_angle
+        from tabletamp.subgoal import _rotate_candidates
 
         twin = scene.as_twin()
         gaps = [
-            _yaw_free_orientation_gap(c.orientation, goal.target.orientation)
+            yaw_free_angle(c.orientation, goal.target.orientation)
             for c in _rotate_candidates(twin, "book")
         ]
         assert min(gaps) < 5.0

@@ -21,8 +21,10 @@ from tabletamp.twin import (
     TwinScene,
     apply_push,
     flat_pose_on_support,
+    overlapping_object,
     pivot_rotate,
     place_at,
+    rest_on_support,
     scene_from_json,
     scene_to_json,
     settle,
@@ -111,6 +113,49 @@ class TestPlaceAt:
         scene = base_scene([make_box()], terrain_extra=[wall])
         with pytest.raises(PlacementCollision):
             place_at(scene, "box", Pose6D((0.0, 0.2, TABLE_H + 0.05)))
+
+
+class TestRestOnSupport:
+    def test_collision_is_none(self):
+        scene = base_scene([make_box("a", x=0.0), make_box("b", x=0.3)])
+        assert rest_on_support(scene, "b", Pose6D((0.02, 0.0, TABLE_H + 0.05))) is None
+
+    def test_topple_is_none(self):
+        scene = base_scene([make_box()])
+        pose = Pose6D((TABLE_HALF + 0.01, 0.0, TABLE_H + 0.05))
+        assert settle(place_at(scene, "box", pose), "box").status != "stable"
+        assert rest_on_support(scene, "box", pose) is None
+
+    def test_bare_ground_rest_is_none(self):
+        scene = base_scene([make_box()])
+        pose = Pose6D((1.0, 1.0, 0.05))
+        assert settle(place_at(scene, "box", pose), "box").status == "stable"
+        assert rest_on_support(scene, "box", pose) is None
+
+    def test_stable_rest_returns_rested_scene(self):
+        scene = base_scene([make_box()])
+        rest = rest_on_support(scene, "box", Pose6D((0.1, -0.1, TABLE_H + 0.2)))
+        assert rest is not None
+        rested, outcome = rest
+        assert outcome.status == "stable"
+        assert outcome.final_pose.z == pytest.approx(TABLE_H + 0.05)
+        assert rested.object("box").pose == outcome.final_pose
+
+
+class TestOverlappingObject:
+    def test_skips_the_object_itself(self):
+        a = make_box("a")
+        scene = base_scene([a])
+        assert overlapping_object(scene, a.world_obb(), "a") is None
+        assert overlapping_object(scene, a.world_obb(), "other").id == "a"
+
+    def test_skips_the_held_object(self):
+        a = make_box("a", x=-0.2)
+        b = make_box("b", x=0.2)
+        scene = base_scene([a, b])
+        probe = a.at_pose(b.pose).world_obb()
+        assert overlapping_object(scene, probe, "a").id == "b"
+        assert overlapping_object(scene.with_held("b"), probe, "a") is None
 
 
 class TestSettle:
