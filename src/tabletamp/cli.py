@@ -40,14 +40,21 @@ EXIT_INPUT_ERROR = 2
 EXIT_NO_FEASIBLE_POSE = 3
 
 
+class InputError(Exception):
+    """A scenario or skeleton argument that cannot be read; exit code 2."""
+
+
 def _load_scenario_arg(value: str):
     if value in SCENARIO_IDS:
         return build_scenario(value)
     path = Path(value)
     if not path.exists():
-        raise FileNotFoundError(f"no such scenario: {value!r} (not a built-in "
-                                f"name or readable file)")
-    return load_scenario(str(path))
+        raise InputError(f"no such scenario: {value!r} (not a built-in "
+                         f"name or readable file)")
+    try:
+        return load_scenario(str(path))
+    except (OSError, KeyError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _planner_config(args) -> PlannerConfig:
@@ -60,26 +67,8 @@ def _planner_config(args) -> PlannerConfig:
     )
 
 
-def _apply_config_file(args):
-    """Config file supplies defaults; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config, encoding="utf-8") as fh:
-        defaults = json.load(fh)
-    for key, value in defaults.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) in (None, "", argparse.SUPPRESS):
-            setattr(args, key, value)
-    return args
-
-
 def cmd_run(args) -> int:
-    try:
-        scenario = _load_scenario_arg(args.scenario)
-    except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    scenario = _load_scenario_arg(args.scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_episode(scenario, args.seed, _planner_config(args),
@@ -113,20 +102,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        if args.scenarios:
-            scenarios = [_load_scenario_arg(s) for s in args.scenarios]
-        else:
-            scenarios = all_scenarios()
-    except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    if args.scenarios:
+        scenarios = [_load_scenario_arg(s) for s in args.scenarios]
+    else:
+        scenarios = all_scenarios()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows, results = run_benchmark(
-        scenarios, args.trials, _planner_config(args),
-        ablation=args.ablation, workers=args.workers,
-    )
+    rows, results = run_benchmark(scenarios, args.trials, _planner_config(args),
+                                  ablation=args.ablation)
     csv_text = benchmark_csv(rows)
     (out_dir / "benchmark.csv").write_text(csv_text, encoding="utf-8")
     if args.traces:
@@ -141,11 +124,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    try:
-        scenario = _load_scenario_arg(args.scenario)
-    except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    scenario = _load_scenario_arg(args.scenario)
     scene = randomize(scenario, args.seed)
     goal = randomized_goal(scenario, args.seed)
     from .planner import make_planner
@@ -197,12 +176,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    scenario = _load_scenario_arg(args.scenario)
     try:
-        scenario = _load_scenario_arg(args.scenario)
         document = Path(args.skeleton).read_text(encoding="utf-8")
-    except (FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
     try:
         skeleton = parse_skeleton(document)
     except SkeletonParseError as exc:
@@ -239,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_planner=True):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--config", default=None,
-                       help="JSON config file supplying flag defaults")
         if with_planner:
             p.add_argument("--planner", choices=("scripted", "http"),
                            default="scripted")
@@ -266,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=int, default=10)
     p_bench.add_argument("--ablation", choices=("full", "no_pose", "no_reflection"),
                          default="full")
-    p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--traces", action="store_true",
                          help="also write per-episode trace JSON")
     common(p_bench)
@@ -296,10 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args = _apply_config_file(args)
     try:
         return args.func(args)
-    except RandomizationFailure as exc:
+    except (InputError, RandomizationFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -119,7 +119,6 @@ class ExecTrace:
 @dataclass(frozen=True)
 class PushConfig:
     kp: float = 1.0
-    ki: float = 0.0
     kd: float = 0.2
     pos_tol: float = 0.01
     yaw_tol_deg: float = 5.0
@@ -212,8 +211,7 @@ def _support_height_below(scene: TwinScene, obj_id: str, p: Vec2) -> float | Non
     return support_height_at(support_cells(scene, exclude_id=obj_id), p)
 
 
-def _overhang_edges(scene: TwinScene, obj: RigidObject, cfg: GraspConfig,
-                    robot: RobotModel):
+def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
     """Overhanging face edges with finger clearance below them.
 
     Returns (depth, clearance, grasp_point, edge_normal) candidates sorted by
@@ -302,7 +300,7 @@ def assess_grasp(scene: TwinScene, object_id: str,
         return GraspAssessment(True, "top", gp, 0.0, math.inf, ())
 
     thickness = height  # side grasps pinch vertically across the slab
-    overhangs = _overhang_edges(scene, obj, cfg, robot)
+    overhangs = _overhang_edges(scene, obj, robot)
     viable = [o for o in overhangs if o[0] >= cfg.min_overhang]
     if thickness > robot.gripper_aperture:
         failures.append(

@@ -489,26 +489,13 @@ def run_benchmark(
     trials_per_task: int,
     planner_cfg: PlannerConfig | None = None,
     ablation: str = "full",
-    workers: int = 1,
 ) -> tuple[list[TaskRow], list[EpisodeResult]]:
     """Seeded trials for every scenario; deterministic with the scripted
-    planner regardless of worker count (results sort by scenario, seed)."""
+    planner (results sort by scenario, seed)."""
     if trials_per_task < 1:
         raise ValueError("need at least one trial per task")
-    jobs = [(sc, seed) for sc in scenarios for seed in range(trials_per_task)]
-
-    def run(job):
-        sc, seed = job
-        return run_episode(sc, seed, planner_cfg, ablation)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
+    results = [run_episode(sc, seed, planner_cfg, ablation)
+               for sc in scenarios for seed in range(trials_per_task)]
     results.sort(key=lambda r: (r.scenario_id, r.seed))
     rows = []
     for sc in scenarios:

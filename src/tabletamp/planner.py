@@ -87,7 +87,6 @@ class PlannerConfig:
     model: str = ""
     timeout_s: float = 30.0
     max_retries: int = 2
-    temperature: float = 0.0
     prompts_dir: str = ""
 
     def __post_init__(self):
@@ -249,7 +248,7 @@ class HttpPlanner:
         payload = {
             "model": self.cfg.model,
             "messages": [{"role": "user", "content": content}],
-            "temperature": self.cfg.temperature,
+            "temperature": 0.0,
         }
         resp = self._session.post(
             self.cfg.endpoint, json=payload, headers=self._headers(),

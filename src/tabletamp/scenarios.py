@@ -722,7 +722,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                         tuple(goal_raw["target"]["quat_wxyz"]))
     if "zone" in goal_raw:
         zone = Polygon2(tuple((v[0], v[1]) for v in goal_raw["zone"]))
-    return Scenario(
+    scenario = Scenario(
         id=data["id"],
         instruction=data["instruction"],
         primary_object=data["primary_object"],
@@ -734,6 +734,32 @@ def scenario_from_dict(data: dict) -> Scenario:
         yaw_jitter_deg=data.get("randomization", {}).get("yaw_jitter_deg", 30.0),
         special=dict(data.get("special", {})),
     )
+    _check_fallback_plans(scenario)
+    return scenario
+
+
+def _check_fallback_plans(scenario: Scenario):
+    """Reject a fallback step that would fail mid-episode: an unknown
+    primitive or hint binding, or a region the scene cannot resolve."""
+    kinds = {k.value for k in PrimitiveKind}
+    registry = scenario.region_registry()
+    for i, template in enumerate(scenario.fallback_templates):
+        for j, raw in enumerate(template):
+            where = f"fallback plan {i} step {j}"
+            if raw.get("kind") not in kinds:
+                raise ValueError(f"{where}: unknown primitive {raw.get('kind')!r}")
+            if raw.get("hint") not in (None, "goal", "tool_approach"):
+                raise ValueError(f"{where}: unknown hint binding {raw['hint']!r}")
+            region = raw.get("region")
+            if not region:
+                continue
+            if region not in registry:
+                raise ValueError(f"{where}: unknown region {region!r}")
+            try:
+                registry[region](scenario.scene_template, raw["object_id"])
+            except (KeyError, StopIteration) as exc:
+                raise ValueError(f"{where}: region {region!r} cannot be resolved "
+                                 f"in the scene ({exc!r})") from exc
 
 
 def load_scenario(path: str) -> Scenario:

@@ -196,7 +196,7 @@ def sample_candidates(
                     anchor[1] + r * math.sin(th), yaw,
                 )
             )
-        return out[:max(n, len(out))]
+        return out
 
     if primitive.kind is PrimitiveKind.MOVETO:
         base_q = hint.orientation if hint is not None else obj.pose.orientation

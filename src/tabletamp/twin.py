@@ -37,6 +37,7 @@ from .geometry import (
     Quat,
     Vec2,
     Vec3,
+    _point_segment_distance,
     clip_convex,
     convex_hull,
     geodesic_angle,
@@ -494,24 +495,7 @@ def overlapping_object(scene: TwinScene, box: Obb, object_id: str) -> RigidObjec
 def _snap_face_down(q: Quat) -> Quat:
     """Minimal world rotation making the current down face exactly horizontal."""
     box = Obb(Pose6D((0.0, 0.0, 0.0), q), (1.0, 1.0, 1.0))
-    axis, sign = box.down_face()
-    local = [0.0, 0.0, 0.0]
-    local[axis] = sign
-    n = quat_rotate(q, tuple(local))
-    target = (0.0, 0.0, -1.0)
-    dot = max(-1.0, min(1.0, n[0] * target[0] + n[1] * target[1] + n[2] * target[2]))
-    angle = math.acos(dot)
-    if angle < 1e-12:
-        return q
-    ax = (n[1] * target[2] - n[2] * target[1],
-          n[2] * target[0] - n[0] * target[2],
-          n[0] * target[1] - n[1] * target[0])
-    norm = math.sqrt(ax[0] ** 2 + ax[1] ** 2 + ax[2] ** 2)
-    if norm < 1e-12:
-        ax = (1.0, 0.0, 0.0)
-        norm = 1.0
-    correction = quat_from_axis_angle((ax[0] / norm, ax[1] / norm, ax[2] / norm), angle)
-    return quat_mul(correction, q)
+    return _face_down_orientation(q, *box.down_face())
 
 
 def _face_down_orientation(q: Quat, axis: int, sign: float) -> Quat:
@@ -524,7 +508,7 @@ def _face_down_orientation(q: Quat, axis: int, sign: float) -> Quat:
     if angle < 1e-12:
         return q
     ax = (-n[1], n[0], 0.0)  # cross(n, (0, 0, -1))
-    norm = math.hypot(ax[0], ax[1])
+    norm = math.sqrt(ax[0] ** 2 + ax[1] ** 2)
     if norm < 1e-12:
         ax, norm = (1.0, 0.0, 0.0), 1.0
     correction = quat_from_axis_angle((ax[0] / norm, ax[1] / norm, 0.0), angle)
@@ -817,7 +801,7 @@ def _topple_once(obj: RigidObject, pose: Pose6D, support_hull: list[Vec2],
         for i in range(n if n > 2 else 1):
             a = support_hull[i]
             b = support_hull[(i + 1) % n]
-            d = _edge_distance(com, a, b)
+            d = _point_segment_distance(com, a, b)
             if d < best_d:
                 best_d = d
                 best_a, best_b = a, b
@@ -866,17 +850,6 @@ def _flip_sign(pose: Pose6D, edge_dir: Vec2, outward: Vec2) -> float:
     # rotating +90 deg about the edge axis should carry the top toward outward
     cx = edge_dir[0] * outward[1] - edge_dir[1] * outward[0]
     return math.pi / 2 if cx < 0 else -math.pi / 2
-
-
-def _edge_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    if L2 < 1e-30:
-        return math.hypot(p[0] - ax, p[1] - ay)
-    t = max(0.0, min(1.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / L2))
-    return math.hypot(p[0] - (ax + t * dx), p[1] - (ay + t * dy))
 
 
 def stability_margin(scene: TwinScene, object_id: str) -> float:

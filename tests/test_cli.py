@@ -22,6 +22,17 @@ class TestCmdRun:
         code = main(["run", "--scenario", "nope.json", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--scenario", "{dir}"],
+        ["validate", "--scenario", "box", "--skeleton", "{dir}"],
+    ], ids=["scenario", "skeleton"])
+    def test_directory_argument_exit_two(self, tmp_path, capsys, command):
+        argv = [arg.format(dir=tmp_path) for arg in command]
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+
     def test_render_writes_svg(self, tmp_path):
         main(["run", "--scenario", "box", "--seed", "1", "--render",
               "--out", str(tmp_path)])
@@ -150,6 +161,44 @@ class TestCmdValidate:
         assert code == 2
 
 
+class TestScenarioFileSteps:
+    def test_unresolvable_region_is_input_error(self, tmp_path, capsys):
+        # renaming the table leaves table_edge_nearest nothing to resolve
+        from tabletamp.scenarios import build_scenario, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario("edge"))
+        for feature in data["scene"]["terrain"]:
+            if feature["name"] == "table":
+                feature["name"] = "desk"
+        bad = tmp_path / "desk.json"
+        bad.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: fallback plan ")
+        assert "'table_edge_nearest'" in err
+        assert "\n" not in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("region", "moon", "unknown region 'moon'"),
+        ("kind", "slide", "unknown primitive 'slide'"),
+        ("hint", "elsewhere", "unknown hint binding 'elsewhere'"),
+    ], ids=["region", "kind", "hint"])
+    def test_unknown_step_field_is_input_error(self, tmp_path, capsys, key, value,
+                                               message):
+        from tabletamp.scenarios import build_scenario, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario("box"))
+        data["fallback_plans"][0][0][key] = value
+        bad = tmp_path / "bad_step.json"
+        bad.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(bad), "--ablation", "no_pose",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: fallback plan 0 step 0: {message}"
+
+
 class TestRandomizationFailure:
     @pytest.mark.parametrize("command", [
         ["run"], ["bench", "--trials", "1", "--scenarios"], ["sample", "--step", "1"],
@@ -169,13 +218,3 @@ class TestRandomizationFailure:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: no feasible initial pose")
         assert "\n" not in err
-
-
-class TestConfigFile:
-    def test_flags_win_over_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 7}))
-        code = main(["run", "--scenario", "box", "--seed", "1",
-                     "--config", str(cfg), "--out", str(tmp_path)])
-        assert code == 0
-        assert (tmp_path / "box_seed1.json").exists()

@@ -185,13 +185,6 @@ class TestRunBenchmark:
             b.pop("wall_ms")
             assert a == b
 
-    def test_workers_do_not_change_results(self):
-        scenarios = [build_scenario("box")]
-        rows1, _ = run_benchmark(scenarios, 4, workers=1)
-        rows4, _ = run_benchmark(scenarios, 4, workers=4)
-        assert rows1[0].successes == rows4[0].successes
-        assert rows1[0].mean_replans == rows4[0].mean_replans
-
     def test_csv_format(self):
         rows, _ = run_benchmark([build_scenario("box")], 2)
         text = benchmark_csv(rows)
