@@ -8,7 +8,7 @@ Subcommands:
     export    write the built-in scenario definitions as JSON files
 
 Exit codes: 0 success, 1 task failure, 2 input error or infeasible scenario,
-3 no feasible sub-goal pose. All outputs land under --out.
+3 no feasible sub-goal pose. Every subcommand but validate writes under --out.
 """
 
 from __future__ import annotations
@@ -29,9 +29,16 @@ from .harness import (
     run_benchmark,
     run_episode,
 )
-from .planner import PlannerConfig
+from .planner import PlannerConfig, make_planner
 from .render import render_scene
-from .scenarios import SCENARIO_IDS, all_scenarios, build_scenario, dump_scenario, load_scenario
+from .scenarios import (
+    SCENARIO_IDS,
+    all_scenarios,
+    build_scenario,
+    dump_scenario,
+    fallback_builders,
+    load_scenario,
+)
 from .subgoal import NoFeasiblePose, filter_and_rank, resolve_anchor, sample_candidates
 
 EXIT_OK = 0
@@ -127,9 +134,6 @@ def cmd_sample(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     scene = randomize(scenario, args.seed)
     goal = randomized_goal(scenario, args.seed)
-    from .planner import make_planner
-    from .scenarios import fallback_builders
-
     planner = make_planner(_planner_config(args), fallbacks=fallback_builders(scenario))
     plan = planner.plan(observe(scene, goal, scenario, render=False))
     if not 0 <= args.step < len(plan.steps):
@@ -258,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="validate a skeleton file")
     p_val.add_argument("--scenario", required=True)
     p_val.add_argument("--skeleton", required=True, help="skeleton JSON path")
-    common(p_val, with_planner=False)
     p_val.set_defaults(func=cmd_validate)
 
     p_exp = sub.add_parser("export", help="write built-in scenarios as JSON")

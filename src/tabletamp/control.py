@@ -58,8 +58,6 @@ __all__ = [
     "ErrorKind",
     "ExecError",
     "ExecTrace",
-    "PushConfig",
-    "GraspConfig",
     "RobotModel",
     "assess_grasp",
     "GraspAssessment",
@@ -115,40 +113,40 @@ class ExecTrace:
     def log(self, snapshot_id: int, phase: str, err: tuple[float, float]):
         self.entries.append((snapshot_id, phase, (round(err[0], 6), round(err[1], 6))))
 
-
-@dataclass(frozen=True)
-class PushConfig:
-    kp: float = 1.0
-    kd: float = 0.2
-    pos_tol: float = 0.01
-    yaw_tol_deg: float = 5.0
-    fps_k: int = 8
-    max_iters: int = 300
-    stall_iters: int = 25
-    boundary_spacing: float = 0.01
-    approach_len: float = 0.06
-    # yaw pushes drift the object; keep them small and let position float
-    # inside a hysteresis band so the phases do not thrash
-    pos_band: float = 0.04
-    yaw_step_cap: float = 0.012
-    # align yaw while still far from the target (safe open ground) so the
-    # remaining approach is a straight shove that preserves heading
-    yaw_early_dist: float = 0.08
+    def fail(self, kind: ErrorKind, message: str) -> "ExecTrace":
+        """Record the failure; the episode loop attaches the failing step."""
+        self.result = ExecError(kind, message)
+        return self
 
 
-@dataclass(frozen=True)
-class GraspConfig:
-    min_top_height: float = 0.03
-    min_overhang: float = 0.02
-    lift: float = 0.06
-    hover: float = 0.06
+# push controller: PD gains on the position error, 1 cm / 5 degree tolerances
+_KP = 1.0
+_KD = 0.2
+_POS_TOL = 0.01
+_YAW_TOL_DEG = 5.0
+_FPS_K = 8
+_MAX_PUSH_ITERS = 300
+_STALL_ITERS = 25
+_BOUNDARY_SPACING = 0.01
+_APPROACH_LEN = 0.06
+# yaw pushes drift the object; keep them small and let position float
+# inside a hysteresis band so the phases do not thrash
+_POS_BAND = 0.04
+_YAW_STEP_CAP = 0.012
+# align yaw while still far from the target (safe open ground) so the
+# remaining approach is a straight shove that preserves heading
+_YAW_EARLY_DIST = 0.08
 
+# grasp rules and transport
+_MIN_TOP_HEIGHT = 0.03
+_MIN_OVERHANG = 0.02
+_LIFT = 0.06
+_HOVER = 0.06
 
-@dataclass(frozen=True)
-class RotateConfig:
-    increment_deg: float = 5.0
-    orient_tol_deg: float = 10.0
-    max_increments: int = 18
+# rotate controller
+_INCREMENT_DEG = 5.0
+_ORIENT_TOL_DEG = 10.0
+_MAX_INCREMENTS = 18
 
 
 def current_tool(scene: TwinScene) -> ToolSpec | None:
@@ -266,10 +264,8 @@ def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
     return results
 
 
-def assess_grasp(scene: TwinScene, object_id: str,
-                 cfg: GraspConfig | None = None) -> GraspAssessment:
+def assess_grasp(scene: TwinScene, object_id: str) -> GraspAssessment:
     """Rule-based graspability check at the object's current pose."""
-    cfg = cfg or GraspConfig()
     obj = scene.object(object_id)
     robot = scene.robot
     box = obj.world_obb()
@@ -286,22 +282,22 @@ def assess_grasp(scene: TwinScene, object_id: str,
 
     if not top_is_flat:
         failures.append("top grasp needs a level top face")
-    if height < cfg.min_top_height:
+    if height < _MIN_TOP_HEIGHT:
         failures.append(
-            f"top grasp needs height >= {cfg.min_top_height:.3f} m (got {height:.3f})"
+            f"top grasp needs height >= {_MIN_TOP_HEIGHT:.3f} m (got {height:.3f})"
         )
     if min_width > robot.gripper_aperture:
         failures.append(
             f"top grasp needs min width <= {robot.gripper_aperture:.3f} m "
             f"(got {min_width:.3f})"
         )
-    if top_is_flat and height >= cfg.min_top_height and min_width <= robot.gripper_aperture:
+    if top_is_flat and height >= _MIN_TOP_HEIGHT and min_width <= robot.gripper_aperture:
         gp = (obj.pose.x, obj.pose.y, box.top_z())
         return GraspAssessment(True, "top", gp, 0.0, math.inf, ())
 
     thickness = height  # side grasps pinch vertically across the slab
     overhangs = _overhang_edges(scene, obj, robot)
-    viable = [o for o in overhangs if o[0] >= cfg.min_overhang]
+    viable = [o for o in overhangs if o[0] >= _MIN_OVERHANG]
     if thickness > robot.gripper_aperture:
         failures.append(
             f"side grasp needs thickness <= {robot.gripper_aperture:.3f} m "
@@ -311,13 +307,13 @@ def assess_grasp(scene: TwinScene, object_id: str,
     if not viable:
         if not overhangs:
             failures.append(
-                f"side grasp needs an edge overhang >= {cfg.min_overhang:.3f} m "
+                f"side grasp needs an edge overhang >= {_MIN_OVERHANG:.3f} m "
                 f"with finger clearance"
             )
         else:
             failures.append(
                 f"side grasp overhang too small (best {overhangs[0][0]:.3f} m "
-                f"< {cfg.min_overhang:.3f} m)"
+                f"< {_MIN_OVERHANG:.3f} m)"
             )
         return GraspAssessment(False, None, None,
                                overhangs[0][0] if overhangs else 0.0,
@@ -364,10 +360,10 @@ def _surface_contact(obj: RigidObject, direction: Vec2) -> Vec3:
 
 
 def _approach_blocked(scene: TwinScene, obj_id: str, contact: Vec3,
-                      direction: Vec2, cfg: PushConfig) -> str | None:
+                      direction: Vec2) -> str | None:
     """Check the short straight hand approach onto the contact point."""
-    sx = contact[0] - direction[0] * cfg.approach_len
-    sy = contact[1] - direction[1] * cfg.approach_len
+    sx = contact[0] - direction[0] * _APPROACH_LEN
+    sy = contact[1] - direction[1] * _APPROACH_LEN
     seg_samples = [(sx + (contact[0] - sx) * t, sy + (contact[1] - sy) * t)
                    for t in (0.0, 0.5, 1.0)]
     for other in scene.objects:
@@ -391,8 +387,6 @@ def _approach_blocked(scene: TwinScene, obj_id: str, contact: Vec3,
 
 
 def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
-              cfg: PushConfig | None = None,
-              step: PrimitiveInstance | None = None,
               snapshots: "itertools.count | None" = None) -> tuple[TwinScene, ExecTrace]:
     """Two-phase planar push: translate toward the sub-goal, then align yaw.
 
@@ -404,7 +398,6 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
     while the object is still far from the target or once it is within the
     position band, never during the final approach.
     """
-    cfg = cfg or PushConfig()
     snaps = snapshots if snapshots is not None else itertools.count()
     trace = ExecTrace()
     obj = scene.object(object_id)
@@ -413,16 +406,12 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
     robot = scene.robot
     tool = current_tool(scene)
 
-    def fail(kind: ErrorKind, message: str) -> tuple[TwinScene, ExecTrace]:
-        trace.result = ExecError(kind, message, step)
-        return scene, trace
-
     # annulus precheck before any motion
     radius = max(obj.half_extents[0], obj.half_extents[1])
     goal_d = math.hypot(subgoal.x - robot.base_position[0],
                         subgoal.y - robot.base_position[1])
     if goal_d > effective_reach(robot, tool) + radius:
-        return fail(
+        return scene, trace.fail(
             ErrorKind.OUT_OF_REACH,
             f"push target at {goal_d:.2f} m exceeds reach "
             f"{effective_reach(robot, tool):.2f} m + object radius {radius:.2f} m",
@@ -432,15 +421,15 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
     prev_pos_err: float | None = None
     stall = 0
 
-    for it in range(cfg.max_iters):
+    for it in range(_MAX_PUSH_ITERS):
         obj = scene.object(object_id)
         pos_err, yaw_err = se2_error(obj.pose, subgoal)
         trace.iterations = it
-        if pos_err <= cfg.pos_tol and yaw_err <= cfg.yaw_tol_deg:
+        if pos_err <= _POS_TOL and yaw_err <= _YAW_TOL_DEG:
             break
 
-        yaw_phase = yaw_err > cfg.yaw_tol_deg and (
-            pos_err <= cfg.pos_band or pos_err >= cfg.yaw_early_dist
+        yaw_phase = yaw_err > _YAW_TOL_DEG and (
+            pos_err <= _POS_BAND or pos_err >= _YAW_EARLY_DIST
         )
         if not yaw_phase:
             phase = "translate"
@@ -449,46 +438,48 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
             direction = (vx / pos_err, vy / pos_err)
             contact = _surface_contact(obj, direction)
             derr = 0.0 if prev_pos_err is None else pos_err - prev_pos_err
-            raw = cfg.kp * pos_err + cfg.kd * derr
+            raw = _KP * pos_err + _KD * derr
             push_step = max(1e-4, min(scene.push_model.step_cap, raw))
             prev_pos_err = pos_err
         else:
             phase = "align_yaw"
             remaining = wrap_angle(target_yaw - obj.pose.yaw)
             to_goal = (subgoal.x - obj.pose.x, subgoal.y - obj.pose.y)
-            direction, contact, arm = _yaw_contact(obj, remaining, cfg, to_goal)
+            direction, contact, arm = _yaw_contact(obj, remaining, to_goal)
             if arm is None:
-                return fail(ErrorKind.CONVERGENCE_TIMEOUT,
-                            "no rotating contact available for yaw alignment")
+                return scene, trace.fail(
+                    ErrorKind.CONVERGENCE_TIMEOUT,
+                    "no rotating contact available for yaw alignment",
+                )
             push_step = max(1e-4, min(
                 scene.push_model.step_cap,
-                cfg.yaw_step_cap,
-                cfg.kp * abs(remaining) / (scene.push_model.kappa * max(abs(arm), 1e-4)),
+                _YAW_STEP_CAP,
+                _KP * abs(remaining) / (scene.push_model.kappa * max(abs(arm), 1e-4)),
             ))
 
         if not _reach_ok(robot, (contact[0], contact[1]), tool):
-            return fail(
+            return scene, trace.fail(
                 ErrorKind.OUT_OF_REACH,
                 f"push contact at ({contact[0]:.2f}, {contact[1]:.2f}) is outside "
                 f"the reach annulus",
             )
-        blocker = _approach_blocked(scene, object_id, contact, direction, cfg)
+        blocker = _approach_blocked(scene, object_id, contact, direction)
         if blocker is not None and blocker not in ("table", "ground"):
-            return fail(ErrorKind.COLLISION,
-                        f"push approach sweeps through {blocker}")
+            return scene, trace.fail(ErrorKind.COLLISION,
+                                     f"push approach sweeps through {blocker}")
 
         scene, delta = apply_push(scene, object_id, contact, direction, push_step)
         trace.log(next(snaps), phase, (pos_err, yaw_err))
         if delta.settle_status != "stable":
-            return fail(
+            return scene, trace.fail(
                 ErrorKind.OBJECT_LOST,
                 f"object {object_id} {delta.settle_status} during pushing",
             )
         moved = math.hypot(delta.dx, delta.dy) + abs(delta.dyaw) * 0.1
         if moved < 0.1 * push_step:
             stall += 1
-            if stall >= cfg.stall_iters:
-                return fail(
+            if stall >= _STALL_ITERS:
+                return scene, trace.fail(
                     ErrorKind.CONVERGENCE_TIMEOUT,
                     f"pushing made no progress for {stall} consecutive steps",
                 )
@@ -497,18 +488,18 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
     else:
         obj = scene.object(object_id)
         pos_err, yaw_err = se2_error(obj.pose, subgoal)
-        if pos_err > cfg.pos_tol or yaw_err > cfg.yaw_tol_deg:
-            return fail(
+        if pos_err > _POS_TOL or yaw_err > _YAW_TOL_DEG:
+            return scene, trace.fail(
                 ErrorKind.CONVERGENCE_TIMEOUT,
-                f"push did not converge in {cfg.max_iters} iterations "
+                f"push did not converge in {_MAX_PUSH_ITERS} iterations "
                 f"(err {pos_err:.3f} m, {yaw_err:.1f} deg)",
             )
 
     # success is re-derived from the final scene, never trusted from the loop
     obj = scene.object(object_id)
     pos_err, yaw_err = se2_error(obj.pose, subgoal)
-    if pos_err > cfg.pos_tol or yaw_err > cfg.yaw_tol_deg:
-        return fail(
+    if pos_err > _POS_TOL or yaw_err > _YAW_TOL_DEG:
+        return scene, trace.fail(
             ErrorKind.CONVERGENCE_TIMEOUT,
             f"final alignment error ({pos_err:.3f} m, {yaw_err:.1f} deg) "
             f"exceeds tolerance",
@@ -517,8 +508,7 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
     return scene, trace
 
 
-def _yaw_contact(obj: RigidObject, remaining: float, cfg: PushConfig,
-                 to_goal: Vec2):
+def _yaw_contact(obj: RigidObject, remaining: float, to_goal: Vec2):
     """Pick a boundary contact whose inward-normal push rotates toward the goal.
 
     Among contacts with the right rotation sense, prefer one whose incidental
@@ -526,8 +516,8 @@ def _yaw_contact(obj: RigidObject, remaining: float, cfg: PushConfig,
     alignment self-corrects instead of accumulating.
     """
     footprint = obj.world_obb().footprint()
-    pts = footprint.sample_boundary(cfg.boundary_spacing)
-    k = min(cfg.fps_k, len(pts))
+    pts = footprint.sample_boundary(_BOUNDARY_SPACING)
+    k = min(_FPS_K, len(pts))
     idx = farthest_point_sample(pts, k, 0)
     need = 1.0 if remaining > 0 else -1.0
 
@@ -593,8 +583,6 @@ def flip_orientation_about(pose: Pose6D, edge: tuple[Vec3, Vec3]):
 
 
 def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
-                cfg: RotateConfig | None = None,
-                step: PrimitiveInstance | None = None,
                 snapshots: "itertools.count | None" = None) -> tuple[TwinScene, ExecTrace]:
     """Out-of-plane reorientation by pivoting about a bottom box edge.
 
@@ -602,19 +590,14 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
     orientation, then rehearses growing tilt angles in 5-degree increments
     until the balance point is crossed and the flip completes.
     """
-    cfg = cfg or RotateConfig()
     snaps = snapshots if snapshots is not None else itertools.count()
     trace = ExecTrace()
     obj = scene.object(object_id)
     if scene.held_id == object_id:
         raise ValueError("cannot rotate a held object")
 
-    def fail(kind: ErrorKind, message: str) -> tuple[TwinScene, ExecTrace]:
-        trace.result = ExecError(kind, message, step)
-        return scene, trace
-
     start_gap = geodesic_angle(obj.pose.orientation, subgoal.orientation)
-    if start_gap <= cfg.orient_tol_deg:
+    if start_gap <= _ORIENT_TOL_DEG:
         trace.log(next(snaps), "done", (0.0, start_gap))
         return scene, trace
 
@@ -642,29 +625,30 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
         contact_xy = (obj.pose.x, obj.pose.y)
     contact = (contact_xy[0], contact_xy[1], box.top_z() - 0.01)
     if not _reach_ok(scene.robot, contact_xy):
-        return fail(
+        return scene, trace.fail(
             ErrorKind.OUT_OF_REACH,
             f"pivot contact at ({contact_xy[0]:.2f}, {contact_xy[1]:.2f}) is "
             f"outside the reach annulus",
         )
 
-    inc = math.radians(cfg.increment_deg)
-    for i in range(1, cfg.max_increments + 1):
+    inc = math.radians(_INCREMENT_DEG)
+    for i in range(1, _MAX_INCREMENTS + 1):
         angle = min(i * inc, math.pi / 2)
         try:
             new_scene, outcome = pivot_rotate(scene, object_id, best_edge, angle)
         except SweptCollision as exc:
-            return fail(ErrorKind.COLLISION, str(exc))
+            return scene, trace.fail(ErrorKind.COLLISION, str(exc))
         except ValueError as exc:
-            return fail(ErrorKind.CONVERGENCE_TIMEOUT, f"pivot rejected: {exc}")
+            return scene, trace.fail(ErrorKind.CONVERGENCE_TIMEOUT,
+                                     f"pivot rejected: {exc}")
         trace.log(next(snaps), "pivot", (math.degrees(angle), 0.0))
         flipped = geodesic_angle(outcome.final_pose.orientation,
                                  obj.pose.orientation) > 45.0
         if flipped:
             final_gap = geodesic_angle(outcome.final_pose.orientation,
                                        subgoal.orientation)
-            if final_gap > cfg.orient_tol_deg:
-                return fail(
+            if final_gap > _ORIENT_TOL_DEG:
+                return scene, trace.fail(
                     ErrorKind.CONVERGENCE_TIMEOUT,
                     f"flip landed {final_gap:.1f} deg from the sub-goal orientation",
                 )
@@ -672,7 +656,7 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
             return new_scene, trace
         if angle >= math.pi / 2 - 1e-9:
             break
-    return fail(
+    return scene, trace.fail(
         ErrorKind.CONVERGENCE_TIMEOUT,
         "balance point was never crossed within the increment budget",
     )
@@ -683,58 +667,53 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
 # ---------------------------------------------------------------------------
 
 def exec_grasp(scene: TwinScene, object_id: str,
-               cfg: GraspConfig | None = None,
-               step: PrimitiveInstance | None = None,
                snapshots: "itertools.count | None" = None) -> tuple[TwinScene, ExecTrace]:
     """Rule-based grasp: top pinch on a graspable prism, or a side pinch on an
     overhanging edge with finger clearance below it."""
-    cfg = cfg or GraspConfig()
     snaps = snapshots if snapshots is not None else itertools.count()
     trace = ExecTrace()
     if scene.held_id is not None:
         raise ValueError("gripper is not free")
     obj = scene.object(object_id)
 
-    def fail(kind: ErrorKind, message: str) -> tuple[TwinScene, ExecTrace]:
-        trace.result = ExecError(kind, message, step)
-        return scene, trace
-
-    assessment = assess_grasp(scene, object_id, cfg)
+    assessment = assess_grasp(scene, object_id)
     if not assessment.ok:
-        return fail(ErrorKind.NO_GRASP_FOUND,
-                    "no grasp pose found: " + "; ".join(assessment.failures))
+        return scene, trace.fail(
+            ErrorKind.NO_GRASP_FOUND,
+            "no grasp pose found: " + "; ".join(assessment.failures),
+        )
     gp = assessment.point
     assert gp is not None
     if not _reach_ok(scene.robot, (gp[0], gp[1])):
-        return fail(
+        return scene, trace.fail(
             ErrorKind.OUT_OF_REACH,
             f"grasp point at ({gp[0]:.2f}, {gp[1]:.2f}) is outside the reach annulus",
         )
     if assessment.rule == "top":
         blocker = _vertical_approach_blocked(scene, obj)
         if blocker is not None:
-            return fail(ErrorKind.COLLISION,
-                        f"grasp approach from above sweeps through {blocker}")
+            return scene, trace.fail(
+                ErrorKind.COLLISION,
+                f"grasp approach from above sweeps through {blocker}",
+            )
 
     lifted_pose = Pose6D(
-        (obj.pose.x, obj.pose.y, obj.pose.z + cfg.lift), obj.pose.orientation
+        (obj.pose.x, obj.pose.y, obj.pose.z + _LIFT), obj.pose.orientation
     )
     held_scene = scene.with_held(object_id)
     try:
         held_scene = place_at(held_scene, object_id, lifted_pose)
     except PlacementCollision as exc:
-        return fail(ErrorKind.COLLISION, f"lift after grasp collides: {exc}")
+        return scene, trace.fail(ErrorKind.COLLISION,
+                                 f"lift after grasp collides: {exc}")
     trace.log(next(snaps), "grasp", (0.0, 0.0))
     return held_scene, trace
 
 
 def exec_moveto(scene: TwinScene, subgoal: Pose6D,
-                cfg: GraspConfig | None = None,
-                step: PrimitiveInstance | None = None,
                 snapshots: "itertools.count | None" = None) -> tuple[TwinScene, ExecTrace]:
     """Transport the held object on a straight line at hover height, then
     lower it onto the sub-goal pose (still held)."""
-    cfg = cfg or GraspConfig()
     snaps = snapshots if snapshots is not None else itertools.count()
     trace = ExecTrace()
     if scene.held_id is None:
@@ -743,17 +722,13 @@ def exec_moveto(scene: TwinScene, subgoal: Pose6D,
     obj = scene.object(object_id)
     tool = current_tool(scene)
 
-    def fail(kind: ErrorKind, message: str) -> tuple[TwinScene, ExecTrace]:
-        trace.result = ExecError(kind, message, step)
-        return scene, trace
-
     grip = _grip_point_for(subgoal, tool)
     if not _reach_ok(scene.robot, grip):
-        return fail(ErrorKind.IK_FAILURE, IK_FAILURE_MESSAGE)
+        return scene, trace.fail(ErrorKind.IK_FAILURE, IK_FAILURE_MESSAGE)
 
     # hover sweep along the straight line against walls and other objects
     start = obj.pose
-    hover_z = max(start.z, subgoal.z) + cfg.hover
+    hover_z = max(start.z, subgoal.z) + _HOVER
     dist = math.hypot(subgoal.x - start.x, subgoal.y - start.y)
     steps = max(2, int(dist / 0.02))
     for i in range(steps + 1):
@@ -764,23 +739,26 @@ def exec_moveto(scene: TwinScene, subgoal: Pose6D,
         hover_box = obj.at_pose(hover_pose).world_obb()
         solid = box_hits_solids(scene, hover_box, include_slopes=False)
         if solid is not None:
-            return fail(ErrorKind.COLLISION,
-                        f"transport path crosses {solid.label or 'terrain'}")
+            return scene, trace.fail(
+                ErrorKind.COLLISION,
+                f"transport path crosses {solid.label or 'terrain'}",
+            )
         other = overlapping_object(scene, hover_box, object_id)
         if other is not None:
-            return fail(ErrorKind.COLLISION, f"transport path crosses {other.id}")
+            return scene, trace.fail(ErrorKind.COLLISION,
+                                     f"transport path crosses {other.id}")
         trace.log(next(snaps), "transport", (dist * (1 - t), 0.0))
 
     try:
         lowered = place_at(scene, object_id, subgoal)
     except PlacementCollision as exc:
-        return fail(ErrorKind.COLLISION, f"lowering onto the sub-goal collides: {exc}")
+        return scene, trace.fail(ErrorKind.COLLISION,
+                                 f"lowering onto the sub-goal collides: {exc}")
     trace.log(next(snaps), "done", (0.0, 0.0))
     return lowered, trace
 
 
 def exec_release(scene: TwinScene,
-                 step: PrimitiveInstance | None = None,
                  snapshots: "itertools.count | None" = None) -> tuple[TwinScene, ExecTrace]:
     """Open the gripper and settle the released object where it is."""
     snaps = snapshots if snapshots is not None else itertools.count()

@@ -41,7 +41,6 @@ class PrimitiveKind(enum.Enum):
     RELEASE = "release"
 
 
-NON_PREHENSILE = (PrimitiveKind.PUSH, PrimitiveKind.ROTATE)
 NEEDS_TARGET = (PrimitiveKind.PUSH, PrimitiveKind.ROTATE, PrimitiveKind.MOVETO)
 
 

@@ -180,12 +180,6 @@ class Pose6D:
         r = quat_rotate(self.orientation, local)
         return (r[0] + self.x, r[1] + self.y, r[2] + self.z)
 
-    def with_position(self, position: Vec3) -> "Pose6D":
-        return Pose6D(position, self.orientation)
-
-    def with_orientation(self, orientation: Quat) -> "Pose6D":
-        return Pose6D(self.position, orientation)
-
 
 @dataclass(frozen=True)
 class PoseSE2:

@@ -19,21 +19,20 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .control import (
     ErrorKind,
     ExecError,
-    GraspConfig,
-    PushConfig,
-    RotateConfig,
+    assess_grasp,
     exec_grasp,
     exec_moveto,
     exec_push,
     exec_release,
     exec_rotate,
+    flip_orientation_about,
 )
 from .domain import PlanSkeleton, PrimitiveInstance, PrimitiveKind, skeleton_to_dict
 from .geometry import Pose6D, geodesic_angle, point_in_polygon, quat_from_axis_angle
@@ -59,8 +58,8 @@ from .twin import (
     flat_pose_on_support,
     rest_on_support,
     settle,
+    surface_under,
 )
-from .control import flip_orientation_about
 
 REPLAN_BUDGET = 3
 ABLATIONS = ("full", "no_pose", "no_reflection")
@@ -198,9 +197,6 @@ def check_success(scene: TwinScene, goal: Goal, primary_object: str) -> bool:
 
 def observe(scene: TwinScene, goal: Goal, scenario: Scenario,
             render: bool = True) -> Observation:
-    from .control import assess_grasp
-    from .twin import surface_under
-
     objects = {}
     for obj in scene.objects:
         under = surface_under(scene, (obj.pose.x, obj.pose.y))
@@ -321,9 +317,6 @@ def _execute_plan(
     records: list[_StepRecord],
     render: bool = False,
 ) -> tuple[TwinScene, ExecError | None]:
-    push_cfg = PushConfig()
-    grasp_cfg = GraspConfig()
-    rotate_cfg = RotateConfig()
     for i, step in enumerate(plan.steps):
         record = _StepRecord(step=step.describe())
         records.append(record)
@@ -366,19 +359,16 @@ def _execute_plan(
                 )
                 if step.kind is PrimitiveKind.PUSH:
                     scene, trace = exec_push(scene, step.object_id, subgoal,
-                                             push_cfg, step=step, snapshots=snapshots)
+                                             snapshots=snapshots)
                 elif step.kind is PrimitiveKind.ROTATE:
                     scene, trace = exec_rotate(scene, step.object_id, subgoal,
-                                               rotate_cfg, step=step,
                                                snapshots=snapshots)
                 else:
-                    scene, trace = exec_moveto(scene, subgoal, grasp_cfg,
-                                               step=step, snapshots=snapshots)
+                    scene, trace = exec_moveto(scene, subgoal, snapshots=snapshots)
             elif step.kind is PrimitiveKind.GRASP:
-                scene, trace = exec_grasp(scene, step.object_id, grasp_cfg,
-                                          step=step, snapshots=snapshots)
+                scene, trace = exec_grasp(scene, step.object_id, snapshots=snapshots)
             else:
-                scene, trace = exec_release(scene, step=step, snapshots=snapshots)
+                scene, trace = exec_release(scene, snapshots=snapshots)
         except NoFeasiblePose as exc:
             # rehearsal lost the object in every candidate; reflect on it
             error = ExecError(ErrorKind.OBJECT_LOST, str(exc), step)
@@ -388,8 +378,9 @@ def _execute_plan(
         if trace.entries:
             record.snapshots = [trace.entries[0][0], trace.entries[-1][0]]
         if not trace.ok:
-            record.error = trace.result.to_dict()
-            return scene, trace.result
+            error = replace(trace.result, step=step)
+            record.error = error.to_dict()
+            return scene, error
     return scene, None
 
 

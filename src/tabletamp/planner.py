@@ -87,7 +87,6 @@ class PlannerConfig:
     model: str = ""
     timeout_s: float = 30.0
     max_retries: int = 2
-    prompts_dir: str = ""
 
     def __post_init__(self):
         if self.backend not in ("scripted", "http"):
@@ -205,9 +204,8 @@ def extract_fenced_block(text: str) -> str:
     return blocks[0].strip()
 
 
-def _load_template(name: str, prompts_dir: str = "") -> str:
-    base = Path(prompts_dir) if prompts_dir else _PROMPTS_DIR
-    return (base / f"{name}.txt").read_text(encoding="utf-8")
+def _load_template(name: str) -> str:
+    return (_PROMPTS_DIR / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def _svg_data_uri(svg: str) -> str:
@@ -279,7 +277,7 @@ class HttpPlanner:
         )
 
     def plan(self, obs: Observation) -> PlanSkeleton:
-        prompt = _load_template("planner", self.cfg.prompts_dir)
+        prompt = _load_template("planner")
         prompt = (
             prompt.replace("{PRIMITIVES}", primitive_definitions_text())
             .replace("{OBSERVATION}", json.dumps(obs.summary, sort_keys=True))
@@ -288,7 +286,7 @@ class HttpPlanner:
         return self._request_skeleton(prompt, [obs.rendering], obs, revision=0)
 
     def reflect(self, inp: ReflectionInput) -> tuple[str, PlanSkeleton]:
-        prompt = _load_template("reflector", self.cfg.prompts_dir)
+        prompt = _load_template("reflector")
         obs = inp.observation
         prompt = (
             prompt.replace("{PRIMITIVES}", primitive_definitions_text())
@@ -311,7 +309,7 @@ def selector_llm(cfg: PlannerConfig, instruction: str):
     planner = HttpPlanner(cfg)
 
     def ask(images: list[str], context: dict) -> str:
-        prompt = _load_template("selector", cfg.prompts_dir)
+        prompt = _load_template("selector")
         current = context.get("current")
         nxt = context.get("next")
         prompt = (

@@ -45,6 +45,7 @@ from .twin import (
     TwinScene,
     scene_from_dict,
     scene_to_dict,
+    terrain_solids,
 )
 
 TABLE_HEIGHT = 0.4
@@ -472,8 +473,6 @@ def _table_of(scene: TwinScene) -> TerrainFeature:
 
 def _push_path_clear(scene: TwinScene, object_id: str, target) -> bool:
     """Rough straight-line clearance check for a planar push route."""
-    from .twin import terrain_solids
-
     obj = scene.object(object_id)
     margin = max(obj.half_extents[0], obj.half_extents[1]) + 0.005
     table_h = _table_of(scene).height
@@ -739,13 +738,31 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def _check_fallback_plans(scenario: Scenario):
-    """Reject a fallback step that would fail mid-episode: an unknown
-    primitive or hint binding, or a region the scene cannot resolve."""
+    """Reject a scenario file that would fail mid-episode: a primary object
+    missing from the scene, negative jitter, no fallback plan or an empty
+    one, or a step with an unknown primitive, object or hint binding, or a
+    region the scene cannot resolve."""
+    object_ids = {o.id for o in scenario.scene_template.objects}
+    if scenario.primary_object not in object_ids:
+        raise ValueError(f"primary object {scenario.primary_object!r} is not "
+                         f"in the scene")
+    for name, value in (("pos_jitter", scenario.pos_jitter),
+                        ("yaw_jitter_deg", scenario.yaw_jitter_deg),
+                        ("goal_jitter", scenario.special.get("goal_jitter", 0.0))):
+        if not isinstance(value, (int, float)) or value < 0:
+            raise ValueError(f"{name} must be a number >= 0 (got {value!r})")
+    if not scenario.fallback_templates:
+        raise ValueError("fallback_plans needs at least one plan")
     kinds = {k.value for k in PrimitiveKind}
     registry = scenario.region_registry()
     for i, template in enumerate(scenario.fallback_templates):
+        if not template:
+            raise ValueError(f"fallback plan {i} has no steps")
         for j, raw in enumerate(template):
             where = f"fallback plan {i} step {j}"
+            if raw.get("object_id") not in object_ids:
+                raise ValueError(f"{where}: no object {raw.get('object_id')!r} "
+                                 f"in the scene")
             if raw.get("kind") not in kinds:
                 raise ValueError(f"{where}: unknown primitive {raw.get('kind')!r}")
             if raw.get("hint") not in (None, "goal", "tool_approach"):

@@ -17,12 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .control import _support_height_below, assess_grasp
+from .control import _MIN_OVERHANG, _support_height_below, assess_grasp
 from .domain import PrimitiveInstance, PrimitiveKind, RegionDescriptor
 from .geometry import (
     Pose6D,
     Vec3,
     geodesic_angle,
+    quat_to_matrix,
     wrap_angle,
     yaw_free_angle,
     yaw_of,
@@ -54,16 +55,14 @@ class SelectionError(Exception):
     """The selector's reply could not be mapped to a candidate index."""
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    n_samples: int = 16
-    disc_radius: float = 0.06  # candidate position spread around the anchor
-    yaw_spread_deg: float = 45.0
-    max_keep: int = 4
-    # steps that carry an exact target pose have ~zero region uncertainty;
-    # sample tightly so every retained candidate still serves the goal
-    hint_disc_radius: float = 0.015
-    hint_yaw_spread_deg: float = 4.0
+_N_SAMPLES = 16
+_DISC_RADIUS = 0.06  # candidate position spread around the anchor
+_YAW_SPREAD_DEG = 45.0
+_MAX_KEEP = 4
+# steps that carry an exact target pose have ~zero region uncertainty;
+# sample tightly so every retained candidate still serves the goal
+_HINT_DISC_RADIUS = 0.015
+_HINT_YAW_SPREAD_DEG = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +81,6 @@ class CameraModel:
             raise ValueError("intrinsics must be an invertible 3x3 matrix")
 
     def _rotation(self) -> np.ndarray:
-        from .geometry import quat_to_matrix
-
         return np.asarray(quat_to_matrix(self.extrinsics.orientation), dtype=float)
 
     def project(self, world: Vec3) -> tuple[float, float]:
@@ -151,9 +148,7 @@ def sample_candidates(
     primitive: PrimitiveInstance,
     anchor: Vec3,
     scene: TwinScene,
-    n: int | None = None,
     rng_seed: int = 0,
-    cfg: SamplerConfig | None = None,
 ) -> list[Pose6D]:
     """Sample candidate 6D poses under the primitive's allowed DOF.
 
@@ -164,10 +159,6 @@ def sample_candidates(
     hint itself is always included so rehearsal can validate the requested
     pose directly. Deterministic in rng_seed.
     """
-    cfg = cfg or SamplerConfig()
-    n = cfg.n_samples if n is None else n
-    if n < 4:
-        raise ValueError("need at least 4 samples")
     rng = np.random.default_rng(rng_seed)
     obj = scene.object(primitive.object_id)
     hint = primitive.target_pose_hint
@@ -175,8 +166,8 @@ def sample_candidates(
     if primitive.kind is PrimitiveKind.ROTATE:
         return _rotate_candidates(scene, primitive.object_id)
 
-    disc = cfg.hint_disc_radius if hint is not None else cfg.disc_radius
-    yaw_spread = cfg.hint_yaw_spread_deg if hint is not None else cfg.yaw_spread_deg
+    disc = _HINT_DISC_RADIUS if hint is not None else _DISC_RADIUS
+    yaw_spread = _HINT_YAW_SPREAD_DEG if hint is not None else _YAW_SPREAD_DEG
 
     out: list[Pose6D] = []
     if primitive.kind is PrimitiveKind.PUSH:
@@ -186,7 +177,7 @@ def sample_candidates(
         else:
             out.append(flat_pose_on_support(scene, obj, anchor[0], anchor[1], base_yaw))
             out.extend(_overhang_probes(scene, obj, anchor))
-        while len(out) < n:
+        while len(out) < _N_SAMPLES:
             r = disc * math.sqrt(rng.uniform())
             th = rng.uniform(0.0, 2.0 * math.pi)
             yaw = base_yaw + math.radians(rng.uniform(-yaw_spread, yaw_spread))
@@ -208,7 +199,7 @@ def sample_candidates(
                 flat_pose_on_support(scene, obj, anchor[0], anchor[1], base_yaw,
                                      base_orientation=base_q)
             )
-        while len(out) < n:
+        while len(out) < _N_SAMPLES:
             r = disc * math.sqrt(rng.uniform())
             th = rng.uniform(0.0, 2.0 * math.pi)
             if hint is not None:
@@ -317,8 +308,8 @@ class CandidateSet:
     candidates: tuple[Candidate, ...]
 
     def __post_init__(self):
-        if not 1 <= len(self.candidates) <= 4:
-            raise ValueError("candidate set must hold 1..4 candidates")
+        if not 1 <= len(self.candidates) <= _MAX_KEEP:
+            raise ValueError(f"candidate set must hold 1..{_MAX_KEEP} candidates")
         scores = [c.reachability_score for c in self.candidates]
         if any(scores[i] < scores[i + 1] - 1e-12 for i in range(len(scores) - 1)):
             raise ValueError("candidates must be sorted by reachability descending")
@@ -330,7 +321,6 @@ def filter_and_rank(
     candidates: list[Pose6D],
     object_id: str,
     scene: TwinScene,
-    cfg: SamplerConfig | None = None,
     render: bool = True,
 ) -> CandidateSet:
     """Place, settle, and rank candidates; keep the stable top four.
@@ -342,7 +332,6 @@ def filter_and_rank(
     """
     if not candidates:
         raise ValueError("candidate list must be non-empty")
-    cfg = cfg or SamplerConfig()
     twin = scene.as_twin()
     robot = twin.robot
     survivors: list[Candidate] = []
@@ -384,7 +373,7 @@ def filter_and_rank(
         for c in survivors
     ]
     survivors.sort(key=lambda c: (-c.reachability_score, c.source_index))
-    return CandidateSet(tuple(survivors[: cfg.max_keep]))
+    return CandidateSet(tuple(survivors[:_MAX_KEEP]))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +395,7 @@ def _grasp_score(scene: TwinScene, object_id: str, candidate: Candidate):
         scene.object(object_id).at_pose(candidate.pose)
     )
     a = assess_grasp(probe, object_id)
-    robust = a.ok and (a.rule == "top" or a.overhang >= 0.02 + _EXEC_SLOP)
+    robust = a.ok and (a.rule == "top" or a.overhang >= _MIN_OVERHANG + _EXEC_SLOP)
     margin = min(candidate.stability_margin, 0.02)
     current = scene.object(object_id).pose
     yaw_cost = abs(math.degrees(wrap_angle(candidate.pose.yaw - current.yaw)))

@@ -23,12 +23,11 @@ class TestCmdRun:
         assert code == 2
 
     @pytest.mark.parametrize("command", [
-        ["run", "--scenario", "{dir}"],
+        ["run", "--scenario", "{dir}", "--out", "{dir}/out"],
         ["validate", "--scenario", "box", "--skeleton", "{dir}"],
     ], ids=["scenario", "skeleton"])
     def test_directory_argument_exit_two(self, tmp_path, capsys, command):
-        argv = [arg.format(dir=tmp_path) for arg in command]
-        code = main([*argv, "--out", str(tmp_path / "out")])
+        code = main([arg.format(dir=tmp_path) for arg in command])
         assert code == 2
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and "\n" not in err
@@ -137,8 +136,7 @@ class TestCmdValidate:
 
     def test_valid_plan_ok(self, tmp_path, capsys):
         path = self.good_skeleton(tmp_path)
-        code = main(["validate", "--scenario", "edge", "--skeleton", str(path),
-                     "--out", str(tmp_path)])
+        code = main(["validate", "--scenario", "edge", "--skeleton", str(path)])
         assert code == 0
         assert "ok" in capsys.readouterr().out
 
@@ -147,8 +145,7 @@ class TestCmdValidate:
                           "region": {"name": "target_zone"}}]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code = main(["validate", "--scenario", "edge", "--skeleton", str(path),
-                     "--out", str(tmp_path)])
+        code = main(["validate", "--scenario", "edge", "--skeleton", str(path)])
         assert code == 1
         assert "step 0" in capsys.readouterr().out
 
@@ -156,9 +153,17 @@ class TestCmdValidate:
         doc = {"steps": [{"kind": "slide", "object_id": "card"}]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code = main(["validate", "--scenario", "edge", "--skeleton", str(path),
-                     "--out", str(tmp_path)])
+        code = main(["validate", "--scenario", "edge", "--skeleton", str(path)])
         assert code == 2
+
+    def test_out_is_usage_error(self, tmp_path):
+        # validate writes nothing, so it takes no output directory
+        path = self.good_skeleton(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--scenario", "edge", "--skeleton", str(path),
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestScenarioFileSteps:
@@ -197,6 +202,36 @@ class TestScenarioFileSteps:
         assert code == 2
         err = capsys.readouterr().err.strip()
         assert err == f"error: fallback plan 0 step 0: {message}"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(primary_object="nope"),
+         "primary object 'nope' is not in the scene"),
+        (lambda d: d.update(fallback_plans=[]),
+         "fallback_plans needs at least one plan"),
+        (lambda d: d["fallback_plans"].insert(1, []),
+         "fallback plan 1 has no steps"),
+        (lambda d: d["fallback_plans"][0][0].update(object_id="nope"),
+         "fallback plan 0 step 0: no object 'nope' in the scene"),
+        (lambda d: d["randomization"].update(pos_jitter=-0.01),
+         "pos_jitter must be a number >= 0 (got -0.01)"),
+        (lambda d: d["randomization"].update(yaw_jitter_deg=-5.0),
+         "yaw_jitter_deg must be a number >= 0 (got -5.0)"),
+        (lambda d: d["special"].update(goal_jitter="0.01"),
+         "goal_jitter must be a number >= 0 (got '0.01')"),
+    ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
+            "yaw-jitter", "goal-jitter"])
+    def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
+                                               message):
+        from tabletamp.scenarios import build_scenario, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario("box"))
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: {message}"
 
 
 class TestRandomizationFailure:

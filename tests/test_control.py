@@ -5,7 +5,6 @@ import pytest
 
 from tabletamp.control import (
     ErrorKind,
-    PushConfig,
     assess_grasp,
     current_tool,
     effective_reach,
@@ -83,9 +82,10 @@ class TestExecPush:
         box = make_box(x=0.0, y=-0.1)
         scene = base_scene([box], terrain_extra=[pad])
         goal = flat_pose(0.2, -0.1, z_base=TABLE_H + 0.05)
-        out, trace = exec_push(scene, "box", goal, PushConfig(stall_iters=8))
+        out, trace = exec_push(scene, "box", goal)
         assert not trace.ok
         assert trace.result.kind is ErrorKind.CONVERGENCE_TIMEOUT
+        assert "no progress for 25 consecutive steps" in trace.result.message
 
     def test_push_off_edge_loses_object(self):
         card = make_box("card", half=(0.05, 0.03, 0.004), x=0.30, y=0.0,

@@ -7,6 +7,7 @@ from tabletamp.geometry import (
     Obb,
     Polygon2,
     Pose6D,
+    clip_convex,
     contact_normals,
     convex_hull,
     farthest_point_sample,
@@ -20,6 +21,7 @@ from tabletamp.geometry import (
     quat_mul,
     quat_rotate,
     rect_polygon,
+    ring_area,
     se2_error,
     wrap_angle,
     yaw_free_angle,
@@ -358,6 +360,64 @@ class TestPolygonsIntersect:
                     continue
             assert polygons_intersect(a, b) == mc_overlap(a, b)
             checked += 1
+
+
+class TestClipConvex:
+    @staticmethod
+    def random_convex(rng, cx, cy):
+        pts = rng.uniform(-0.5, 0.5, size=(8, 2)) + (cx, cy)
+        return convex_hull([tuple(p) for p in pts])
+
+    @staticmethod
+    def inside_convex(ring, x, y):
+        """Vectorised membership in a convex CCW ring."""
+        inside = np.ones_like(x, dtype=bool)
+        for (x0, y0), (x1, y1) in zip(ring, ring[1:] + ring[:1]):
+            inside &= (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) >= 0.0
+        return inside
+
+    def test_monte_carlo_area_oracle(self):
+        # oracle: the share of uniform points in a's bounding box that fall
+        # in both rings, times the box area; pairs range from disjoint to
+        # nested because b's center is drawn anywhere around a's
+        rng = np.random.default_rng(29)
+        n = 100_000
+        checked = 0
+        while checked < 100:
+            a = self.random_convex(rng, 0.0, 0.0)
+            b = self.random_convex(rng, *rng.uniform(-0.6, 0.6, size=2))
+            if len(a) < 3 or len(b) < 3:
+                continue
+            (x0, y0), (x1, y1) = np.min(a, axis=0), np.max(a, axis=0)
+            x = rng.uniform(x0, x1, size=n)
+            y = rng.uniform(y0, y1, size=n)
+            share = np.mean(self.inside_convex(a, x, y) & self.inside_convex(b, x, y))
+            box = (x1 - x0) * (y1 - y0)
+            sigma = box * math.sqrt(max(share * (1.0 - share), 1.0 / n) / n)
+            area = ring_area(clip_convex(a, b))
+            assert abs(area - box * share) <= 4.0 * sigma, (checked, area, box * share)
+            checked += 1
+
+    def test_symmetric_and_inside_both(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            a = self.random_convex(rng, 0.0, 0.0)
+            b = self.random_convex(rng, *rng.uniform(-0.6, 0.6, size=2))
+            if len(a) < 3 or len(b) < 3:
+                continue
+            ab = clip_convex(a, b)
+            assert abs(ring_area(ab) - ring_area(clip_convex(b, a))) <= 1e-12
+            pa, pb = Polygon2(tuple(a)), Polygon2(tuple(b))
+            for v in ab:
+                assert point_in_polygon(v, pa) and point_in_polygon(v, pb)
+
+    def test_disjoint_pairs_have_zero_area(self):
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            a = self.random_convex(rng, 0.0, 0.0)
+            b = self.random_convex(rng, 4.0, 4.0)
+            assert ring_area(clip_convex(a, b)) == 0.0
+            assert ring_area(clip_convex(b, a)) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ class TestSampleCandidates:
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
         poses = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene,
-                                  n=16, rng_seed=3)
+                                  rng_seed=3)
         assert len(poses) == 16
         for p in poses:
             # roll and pitch exactly zero: orientation is a pure yaw
@@ -151,8 +151,8 @@ class TestSampleCandidates:
     def test_same_seed_identical(self):
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
-        a = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, 16, 7)
-        b = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, 16, 7)
+        a = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, rng_seed=7)
+        b = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, rng_seed=7)
         assert a == b
 
     def test_rotate_candidates_are_adjacent_flips_or_identity(self):
@@ -160,7 +160,7 @@ class TestSampleCandidates:
         scene = base_scene([plank])
         rot = PrimitiveInstance(PrimitiveKind.ROTATE, "plank",
                                 region=RegionDescriptor("target_zone"))
-        poses = sample_candidates(rot, (0.0, -0.2, TABLE_H), scene, 16, 0)
+        poses = sample_candidates(rot, (0.0, -0.2, TABLE_H), scene, rng_seed=0)
         # oracle: enumerate expected face classes; flat plank has 4 adjacent
         # side faces plus the identity
         assert 2 <= len(poses) <= 5
@@ -174,7 +174,7 @@ class TestSampleCandidates:
         scene = base_scene([card])
         hint = Pose6D((0.1, -0.25, TABLE_H + 0.004), quat_from_yaw(0.4))
         poses = sample_candidates(push_step(hint=hint), (0.1, -0.25, TABLE_H),
-                                  scene, 16, 0)
+                                  scene, rng_seed=0)
         assert poses[0].x == pytest.approx(0.1)
         assert poses[0].y == pytest.approx(-0.25)
         assert poses[0].yaw == pytest.approx(0.4)
@@ -228,7 +228,7 @@ class TestFilterAndRank:
         # sampler output is already at rest, so filtering must not move it
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
-        poses = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, 16, 11)
+        poses = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, rng_seed=11)
         cset = filter_and_rank(poses, "card", scene, render=False)
         for cand in cset.candidates:
             assert any(
