@@ -379,9 +379,8 @@ def _approach_blocked(scene: TwinScene, obj_id: str, contact: Vec3,
     for solid in terrain_solids(scene):
         if solid.z1 < contact[2] - 0.01 or solid.z0 > contact[2] + 0.05:
             continue
-        ring = Polygon2(tuple(solid.ring))
         for p in seg_samples:
-            if point_in_polygon(p, ring):
+            if point_in_polygon(p, solid.polygon):
                 return solid.label or "terrain"
     return None
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
@@ -266,6 +267,13 @@ class Polygon2:
     def area(self) -> float:
         return _signed_area(self.vertices)
 
+    @cached_property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """Axis-aligned bounding box as (xmin, xmax, ymin, ymax)."""
+        xs = [v[0] for v in self.vertices]
+        ys = [v[1] for v in self.vertices]
+        return (min(xs), max(xs), min(ys), max(ys))
+
     @property
     def centroid(self) -> Vec2:
         a = 0.0
@@ -336,10 +344,19 @@ class Polygon2:
 
 def point_in_polygon(p: Vec2, poly: Polygon2, tol: float = _BOUNDARY_TOL) -> bool:
     """True iff p is strictly inside or on the boundary (within tol)."""
+    # Exact early return: a point more than tol outside the bounding box is
+    # farther than tol from every edge, and a ray to its right crosses no
+    # edge or every edge spanning its height, an even number, so the tests
+    # below return False for it too. The extra 1e-9 covers their rounding
+    # for coordinates up to ~1e6.
+    x, y = p
+    xmin, xmax, ymin, ymax = poly.bounds
+    slack = max(tol, 0.0) + 1e-9
+    if x < xmin - slack or x > xmax + slack or y < ymin - slack or y > ymax + slack:
+        return False
     if poly.boundary_distance(p) <= tol:
         return True
     # crossing number; boundary grazing already handled above
-    x, y = p
     inside = False
     for (x0, y0), (x1, y1) in poly.edges():
         if (y0 > y) != (y1 > y):

@@ -43,6 +43,7 @@ from .twin import (
     TerrainFeature,
     ToolSpec,
     TwinScene,
+    _terrain_geometry,
     scene_from_dict,
     scene_to_dict,
     terrain_solids,
@@ -483,14 +484,14 @@ def _push_path_clear(scene: TwinScene, object_id: str, target) -> bool:
         s for s in terrain_solids(scene)
         if s.z1 > table_h + 0.005 and s.z0 < table_h + 0.05
     ]
-    slopes = [t for t in scene.terrain if t.kind == "slope"]
+    slopes = _terrain_geometry(scene.terrain).slopes
     for i in range(steps + 1):
         t = i / steps
         if t * dist < 0.08:
             continue  # escaping from contact with a blocker is fine
         px, py = sx + (target[0] - sx) * t, sy + (target[1] - sy) * t
         for solid in blockers:
-            ring = Polygon2(tuple(solid.ring))
+            ring = solid.polygon
             if ring.boundary_distance((px, py)) < margin or point_in_polygon((px, py), ring):
                 return False
         for sl in slopes:
@@ -728,13 +729,27 @@ def scenario_from_dict(data: dict) -> Scenario:
         scene_template=scene_from_dict(data["scene"]),
         goal_template=Goal(goal_raw["kind"], target=target, zone=zone),
         nominal_zone=Polygon2(tuple((v[0], v[1]) for v in data["nominal_zone"])),
-        fallback_templates=tuple(tuple(t) for t in data["fallback_plans"]),
+        fallback_templates=_fallback_templates(data["fallback_plans"]),
         pos_jitter=data.get("randomization", {}).get("pos_jitter", 0.05),
         yaw_jitter_deg=data.get("randomization", {}).get("yaw_jitter_deg", 30.0),
         special=dict(data.get("special", {})),
     )
     _check_fallback_plans(scenario)
     return scenario
+
+
+def _fallback_templates(plans) -> tuple[tuple[dict, ...], ...]:
+    """The file's fallback_plans, which must be a list of lists of step objects."""
+    if not isinstance(plans, list):
+        raise ValueError(f"fallback_plans must be a list of plans (got {plans!r})")
+    for i, plan in enumerate(plans):
+        if not isinstance(plan, list):
+            raise ValueError(f"fallback plan {i} must be a list of steps (got {plan!r})")
+        for j, raw in enumerate(plan):
+            if not isinstance(raw, dict):
+                raise ValueError(f"fallback plan {i} step {j} must be an object "
+                                 f"(got {raw!r})")
+    return tuple(tuple(t) for t in plans)
 
 
 def _check_fallback_plans(scenario: Scenario):

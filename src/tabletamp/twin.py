@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .geometry import (
     Obb,
@@ -219,6 +221,9 @@ class TwinScene:
     held_id: str | None = None
 
     def __post_init__(self):
+        # the terrain-derived geometry is cached per tuple, so the terrain
+        # must not be a list that could change after the cache is filled
+        object.__setattr__(self, "terrain", tuple(self.terrain))
         if self.role not in ("twin", "execution"):
             raise ValueError("role must be 'twin' or 'execution'")
         ids = [o.id for o in self.objects]
@@ -278,6 +283,26 @@ class SupportCell:
             return self.feature.top_height_at(p)
         return self.height
 
+    @cached_property
+    def polygon(self) -> Polygon2:
+        """The ring as a validated polygon, built on first use."""
+        return Polygon2(self.ring)
+
+
+@dataclass(frozen=True)
+class Solid:
+    """An axis-extruded blocked volume (walls, shelf sides, raised slabs)."""
+
+    ring: tuple[Vec2, ...]
+    z0: float
+    z1: float
+    label: str = ""
+
+    @cached_property
+    def polygon(self) -> Polygon2:
+        """The ring as a validated polygon, built on first use."""
+        return Polygon2(self.ring)
+
 
 def _axis_rect_bounds(poly: Polygon2):
     xs = [v[0] for v in poly.vertices]
@@ -332,34 +357,119 @@ def _punch_slots(surface: TerrainFeature, slots: list[TerrainFeature]):
     return rings
 
 
-def _slotted_rings(scene: TwinScene, surface: TerrainFeature):
+def _slotted_rings(terrain: tuple[TerrainFeature, ...], surface: TerrainFeature):
     """The surface footprint split around the slots that overlap it."""
     ring = list(surface.footprint.vertices)
     overlapping = [
-        t for t in scene.terrain
+        t for t in terrain
         if t.kind == "slot"
         and ring_area(clip_convex(ring, list(t.footprint.vertices))) > _AREA_TOL
     ]
     return _punch_slots(surface, overlapping)
 
 
+class _TerrainGeometry:
+    """What a terrain tuple fixes for every scene that shares it.
+
+    Each part is derived on first use, so a terrain that only one query
+    rejects (a rotated shelf has no solids) fails only that query.
+    """
+
+    def __init__(self, terrain: tuple[TerrainFeature, ...]):
+        self.terrain = terrain  # held, so its id cannot be reused
+
+    @cached_property
+    def cells(self) -> tuple[SupportCell, ...]:
+        cells: list[SupportCell] = []
+        for t in self.terrain:
+            if t.kind in ("table_surface", "ground", "shelf"):
+                for ring in _slotted_rings(self.terrain, t):
+                    cells.append(SupportCell(tuple(ring), t.kind, t.height, feature=t))
+            elif t.kind == "slot":
+                cells.append(
+                    SupportCell(tuple(t.footprint.vertices), "slot", t.height - t.extra["depth"], feature=t)
+                )
+            elif t.kind == "wall":
+                cells.append(
+                    SupportCell(tuple(t.footprint.vertices), "wall", t.height + t.extra["height"], feature=t)
+                )
+            elif t.kind == "slope":
+                cells.append(SupportCell(tuple(t.footprint.vertices), "slope", t.height, feature=t))
+        return tuple(cells)
+
+    @cached_property
+    def solids(self) -> tuple[Solid, ...]:
+        solids: list[Solid] = []
+        for t in self.terrain:
+            if t.kind == "table_surface":
+                for ring in _slotted_rings(self.terrain, t):
+                    solids.append(Solid(tuple(ring), 0.0, t.height, label=t.name or "table"))
+            elif t.kind == "wall":
+                solids.append(
+                    Solid(tuple(t.footprint.vertices), t.height, t.height + t.extra["height"],
+                          label=t.name or "wall")
+                )
+            elif t.kind == "shelf":
+                # an open-sided cubby: a back wall opposite the open face plus a
+                # ceiling slab; the sides stay open so objects can swing out
+                bounds = _axis_rect_bounds(t.footprint)
+                if bounds is None:
+                    raise ValueError("shelf footprints must be axis-aligned rectangles")
+                x0, x1, y0, y1 = bounds
+                open_face = t.extra.get("open_face", (0.0, -1.0))
+                clearance = t.extra["clearance"]
+                top = t.height + clearance + _CEILING_SLAB
+                w = _WALL_THICKNESS
+                dirs = {"+x": (1, 0), "-x": (-1, 0), "+y": (0, 1), "-y": (0, -1)}
+                sides = {
+                    "+x": ((x1, y0), (x1 + w, y0), (x1 + w, y1), (x1, y1)),
+                    "-x": ((x0 - w, y0), (x0, y0), (x0, y1), (x0 - w, y1)),
+                    "+y": ((x0, y1), (x1, y1), (x1, y1 + w), (x0, y1 + w)),
+                    "-y": ((x0, y0 - w), (x1, y0 - w), (x1, y0), (x0, y0)),
+                }
+                open_key = max(
+                    dirs, key=lambda k: dirs[k][0] * open_face[0] + dirs[k][1] * open_face[1]
+                )
+                back_key = {"+x": "-x", "-x": "+x", "+y": "-y", "-y": "+y"}[open_key]
+                solids.append(Solid(sides[back_key], t.height, top,
+                                    label=f"{t.name or 'shelf'} wall"))
+                ceiling = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+                solids.append(
+                    Solid(ceiling, t.height + clearance, top,
+                          label=f"{t.name or 'shelf'} ceiling")
+                )
+        return tuple(solids)
+
+    @cached_property
+    def slopes(self) -> tuple[TerrainFeature, ...]:
+        return tuple(t for t in self.terrain if t.kind == "slope")
+
+
+# Keyed on the tuple's id, because TerrainFeature holds a dict and so cannot
+# be hashed. Scenes copied with dataclasses.replace share their terrain
+# tuple, so one scenario fills one entry however many episodes it runs; 16
+# entries hold the eight built-in scenarios twice over.
+_TERRAIN_CACHE_SIZE = 16
+_terrain_cache: dict[int, _TerrainGeometry] = {}
+_terrain_cache_lock = threading.Lock()
+
+
+def _terrain_geometry(terrain: tuple[TerrainFeature, ...]) -> _TerrainGeometry:
+    """The shared derivation for a terrain tuple; the oldest entry goes first."""
+    geo = _terrain_cache.get(id(terrain))
+    if geo is None:
+        with _terrain_cache_lock:
+            geo = _terrain_cache.get(id(terrain))
+            if geo is None:
+                if len(_terrain_cache) >= _TERRAIN_CACHE_SIZE:
+                    del _terrain_cache[next(iter(_terrain_cache))]
+                geo = _terrain_cache[id(terrain)] = _TerrainGeometry(terrain)
+    return geo
+
+
 def support_cells(scene: TwinScene, exclude_id: str | None = None,
                   include_objects: bool = True) -> list[SupportCell]:
-    cells: list[SupportCell] = []
-    for t in scene.terrain:
-        if t.kind in ("table_surface", "ground", "shelf"):
-            for ring in _slotted_rings(scene, t):
-                cells.append(SupportCell(tuple(ring), t.kind, t.height, feature=t))
-        elif t.kind == "slot":
-            cells.append(
-                SupportCell(tuple(t.footprint.vertices), "slot", t.height - t.extra["depth"], feature=t)
-            )
-        elif t.kind == "wall":
-            cells.append(
-                SupportCell(tuple(t.footprint.vertices), "wall", t.height + t.extra["height"], feature=t)
-            )
-        elif t.kind == "slope":
-            cells.append(SupportCell(tuple(t.footprint.vertices), "slope", t.height, feature=t))
+    cells = list(_terrain_geometry(scene.terrain).cells)
     if include_objects:
         for o in scene.objects:
             if o.id == exclude_id or o.id == scene.held_id:
@@ -390,57 +500,8 @@ def surface_under(scene: TwinScene, point: Vec2):
     return best, best.top_height_at(point)
 
 
-@dataclass(frozen=True)
-class Solid:
-    """An axis-extruded blocked volume (walls, shelf sides, raised slabs)."""
-
-    ring: tuple[Vec2, ...]
-    z0: float
-    z1: float
-    label: str = ""
-
-
 def terrain_solids(scene: TwinScene) -> list[Solid]:
-    solids: list[Solid] = []
-    for t in scene.terrain:
-        if t.kind == "table_surface":
-            for ring in _slotted_rings(scene, t):
-                solids.append(Solid(tuple(ring), 0.0, t.height, label=t.name or "table"))
-        elif t.kind == "wall":
-            solids.append(
-                Solid(tuple(t.footprint.vertices), t.height, t.height + t.extra["height"],
-                      label=t.name or "wall")
-            )
-        elif t.kind == "shelf":
-            # an open-sided cubby: a back wall opposite the open face plus a
-            # ceiling slab; the sides stay open so objects can swing out
-            bounds = _axis_rect_bounds(t.footprint)
-            if bounds is None:
-                raise ValueError("shelf footprints must be axis-aligned rectangles")
-            x0, x1, y0, y1 = bounds
-            open_face = t.extra.get("open_face", (0.0, -1.0))
-            clearance = t.extra["clearance"]
-            top = t.height + clearance + _CEILING_SLAB
-            w = _WALL_THICKNESS
-            dirs = {"+x": (1, 0), "-x": (-1, 0), "+y": (0, 1), "-y": (0, -1)}
-            sides = {
-                "+x": ((x1, y0), (x1 + w, y0), (x1 + w, y1), (x1, y1)),
-                "-x": ((x0 - w, y0), (x0, y0), (x0, y1), (x0 - w, y1)),
-                "+y": ((x0, y1), (x1, y1), (x1, y1 + w), (x0, y1 + w)),
-                "-y": ((x0, y0 - w), (x1, y0 - w), (x1, y0), (x0, y0)),
-            }
-            open_key = max(
-                dirs, key=lambda k: dirs[k][0] * open_face[0] + dirs[k][1] * open_face[1]
-            )
-            back_key = {"+x": "-x", "-x": "+x", "+y": "-y", "-y": "+y"}[open_key]
-            solids.append(Solid(sides[back_key], t.height, top,
-                                label=f"{t.name or 'shelf'} wall"))
-            ceiling = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-            solids.append(
-                Solid(ceiling, t.height + clearance, top,
-                      label=f"{t.name or 'shelf'} ceiling")
-            )
-    return solids
+    return list(_terrain_geometry(scene.terrain).solids)
 
 
 def _slope_penetration(scene: TwinScene, box: Obb, tol: float,
@@ -448,10 +509,7 @@ def _slope_penetration(scene: TwinScene, box: Obb, tol: float,
     # Pointwise at the corners: correct for plane-aligned tilted boxes, which
     # a single bottom-z scalar would misclassify. Objects spanning a whole
     # slope feature are not modeled.
-    slopes = [t for t in scene.terrain if t.kind == "slope"]
-    if not slopes:
-        return False
-    for t in slopes:
+    for t in _terrain_geometry(scene.terrain).slopes:
         for c in box.corners():
             p = (c[0], c[1])
             if point_in_polygon(p, t.footprint) and c[2] + climb_tol < t.top_height_at(p) - tol:
@@ -658,7 +716,7 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
         # incline; around the foot line the flat contacts carry the object
         # (it leans on the rising sliver) so the transition cannot flicker
         for cell in slope_cells:
-            if signed_interior_margin(com, Polygon2(tuple(cell.ring))) > 0.01:
+            if signed_interior_margin(com, cell.polygon) > 0.01:
                 return _settle_on_slope(scene, obj, pose, cell, status)
 
         flat = [(h, c, p) for h, c, p in raised if c.kind != "slope"]
@@ -701,7 +759,7 @@ def support_height_at(cells: list[SupportCell], p: Vec2) -> float | None:
     for cell in cells:
         if len(cell.ring) < 3:
             continue
-        if point_in_polygon(p, Polygon2(tuple(cell.ring))):
+        if point_in_polygon(p, cell.polygon):
             h = cell.height_at(p)
             if best is None or h > best:
                 best = h

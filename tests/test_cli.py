@@ -218,8 +218,14 @@ class TestScenarioFileSteps:
          "yaw_jitter_deg must be a number >= 0 (got -5.0)"),
         (lambda d: d["special"].update(goal_jitter="0.01"),
          "goal_jitter must be a number >= 0 (got '0.01')"),
+        (lambda d: d.update(fallback_plans=5),
+         "fallback_plans must be a list of plans (got 5)"),
+        (lambda d: d["fallback_plans"].append("push"),
+         "fallback plan 2 must be a list of steps (got 'push')"),
+        (lambda d: d.update(fallback_plans=[["push"]]),
+         "fallback plan 0 step 0 must be an object (got 'push')"),
     ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
-            "yaw-jitter", "goal-jitter"])
+            "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict

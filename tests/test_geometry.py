@@ -23,6 +23,7 @@ from tabletamp.geometry import (
     rect_polygon,
     ring_area,
     se2_error,
+    signed_interior_margin,
     wrap_angle,
     yaw_free_angle,
 )
@@ -297,6 +298,83 @@ class TestPointInPolygon:
     def test_edge_midpoint_inclusive(self):
         tri = Polygon2(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)))
         assert point_in_polygon((0.5, 0.0), tri)
+
+    @staticmethod
+    def unfiltered(p, poly, tol):
+        """The membership rule without the bounding-box pre-reject."""
+        if poly.boundary_distance(p) <= tol:
+            return True
+        x, y = p
+        inside = False
+        for (x0, y0), (x1, y1) in poly.edges():
+            if (y0 > y) != (y1 > y):
+                xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+                if xi > x:
+                    inside = not inside
+        return inside
+
+    @staticmethod
+    def random_polygons(rng, n):
+        """Convex hulls and star-shaped (mostly non-convex) simple polygons."""
+        out = []
+        while len(out) < n:
+            if len(out) % 2 == 0:
+                hull = convex_hull([tuple(p) for p in rng.uniform(-0.5, 0.5, size=(9, 2))])
+                if len(hull) >= 3:
+                    out.append(Polygon2(tuple(hull)))
+            else:
+                k = int(rng.integers(4, 12))
+                angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=k))
+                radii = rng.uniform(0.1, 0.6, size=k)
+                ring = tuple((float(r * math.cos(a)), float(r * math.sin(a)))
+                             for r, a in zip(radii, angles))
+                try:
+                    out.append(Polygon2(ring))
+                except ValueError:  # near-duplicate angles can pinch the ring
+                    continue
+        return out
+
+    @staticmethod
+    def band_points(rng, poly, n):
+        """Points around the bounding box, many within 1e-6 of it; a third
+        are level with a vertex that attains the box side they lie beyond."""
+        xmin, xmax, ymin, ymax = poly.bounds
+        gaps = np.concatenate([
+            [0.0, 1e-12, 5e-10, 1e-9, 2e-9],
+            10.0 ** rng.uniform(-9.0, -6.0, size=n // 2),
+            1e-3 + rng.uniform(-2e-9, 2e-9, size=n // 8),
+            rng.uniform(-0.2, 0.2, size=n),
+        ])
+        pts = []
+        for g in gaps:
+            side = int(rng.integers(4))  # beyond xmax, xmin, ymax, ymin
+            axis, sign = side // 2, (1.0, -1.0)[side % 2]
+            extreme = max(poly.vertices, key=lambda v: sign * v[axis])
+            along = (extreme[1 - axis] if rng.uniform() < 1 / 3
+                     else rng.uniform(-0.7, 0.7))
+            edge = (xmax + g, xmin - g, ymax + g, ymin - g)[side]
+            pts.append((edge, along) if side < 2 else (along, edge))
+        return pts
+
+    def test_bounding_box_reject_is_exact(self):
+        rng = np.random.default_rng(41)
+        rejected = 0
+        checked = 0
+        for poly in self.random_polygons(rng, 40):
+            xmin, xmax, ymin, ymax = poly.bounds
+            for p in self.band_points(rng, poly, 100):
+                for tol in (0.0, 1e-9, 1e-3):
+                    assert point_in_polygon(p, poly, tol) == self.unfiltered(p, poly, tol), (
+                        poly.vertices, p, tol)
+                    outside = max(xmin - p[0], p[0] - xmax, ymin - p[1], p[1] - ymax)
+                    rejected += outside > tol + 1e-9
+                    checked += 1
+                d = poly.boundary_distance(p)
+                inside = self.unfiltered(p, poly, 0.0)
+                expected = d if inside or d <= 1e-9 else -d
+                assert signed_interior_margin(p, poly) == expected
+        # the sample exercises the early return and the full rule alike
+        assert 0.2 * checked < rejected < 0.8 * checked
 
 
 class TestPolygonsIntersect:

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from tabletamp import twin
 from tabletamp.geometry import (
     Obb,
     Pose6D,
     geodesic_angle,
+    obbs_overlap,
     quat_from_axis_angle,
     quat_from_yaw,
     quat_rotate,
@@ -22,6 +25,7 @@ from tabletamp.twin import (
     TwinScene,
     _face_down_orientation,
     apply_push,
+    box_hits_solids,
     flat_pose_on_support,
     overlapping_object,
     pivot_rotate,
@@ -31,7 +35,9 @@ from tabletamp.twin import (
     scene_to_json,
     settle,
     stability_margin,
+    support_cells,
     surface_under,
+    terrain_solids,
 )
 
 TABLE_H = 0.4
@@ -60,6 +66,215 @@ def base_scene(objects=(), terrain_extra=(), role="twin"):
     ) + tuple(terrain_extra)
     return TwinScene(terrain=terrain, objects=tuple(objects), robot=RobotModel(),
                      role=role)
+
+
+class TestTerrainCache:
+    def test_replaced_scenes_share_one_entry(self):
+        from tabletamp.harness import randomize
+        from tabletamp.scenarios import build_scenario
+
+        scenario = build_scenario("slot")
+        template = scenario.scene_template
+        episode = randomize(scenario, 3)
+        copies = (episode, template.as_twin(), template.with_held("card"),
+                  dataclasses.replace(template, objects=()))
+        assert all(c.terrain is template.terrain for c in copies)
+        geo = twin._terrain_geometry(template.terrain)
+        assert geo.terrain is template.terrain
+        for scene in copies:
+            assert twin._terrain_geometry(scene.terrain) is geo
+            cells, solids = support_cells(scene, include_objects=False), terrain_solids(scene)
+            assert len(cells) == len(geo.cells) and len(solids) == len(geo.solids)
+            assert all(a is b for a, b in zip(cells, geo.cells))
+            assert all(a is b for a, b in zip(solids, geo.solids))
+
+    def test_new_terrain_tuple_gets_its_own_cells(self):
+        # CPython hands a freed tuple's id to the next tuple of its size, so
+        # a cache that did not hold its keys would serve stale cells here
+        for i in range(3 * twin._TERRAIN_CACHE_SIZE):
+            half = 0.2 + 0.005 * i
+            table = TerrainFeature("table_surface", rect_polygon(0, 0, half, half),
+                                   TABLE_H, name="table")
+            scene = TwinScene(terrain=(table,), objects=(), robot=RobotModel())
+            (cell,) = support_cells(scene)
+            assert cell.ring == table.footprint.vertices
+            (solid,) = terrain_solids(scene)
+            assert solid.ring == table.footprint.vertices
+            del scene, table, cell, solid
+        assert len(twin._terrain_cache) <= twin._TERRAIN_CACHE_SIZE
+
+    def test_list_terrain_is_frozen_into_a_tuple(self):
+        terrain = list(base_scene().terrain)
+        scene = TwinScene(terrain=terrain, objects=(), robot=RobotModel())
+        terrain.pop()
+        assert [c.kind for c in support_cells(scene)] == ["ground", "table_surface"]
+
+    @pytest.mark.parametrize("name", [
+        "box", "book", "edge", "wall", "slope", "slot", "tool_hook", "tool_pusher",
+    ])
+    def test_cached_equals_uncached_derivation(self, name):
+        from tabletamp.scenarios import build_scenario
+
+        scene = build_scenario(name).scene_template
+        fresh = twin._TerrainGeometry(scene.terrain)  # bypasses the cache
+        cells = support_cells(scene)
+        n = len(fresh.cells)
+        assert cells[:n] == list(fresh.cells)
+        assert [c.object_id for c in cells[n:]] == [o.id for o in scene.objects]
+        assert support_cells(scene, include_objects=False) == list(fresh.cells)
+        assert terrain_solids(scene) == list(fresh.solids)
+        assert twin._terrain_geometry(scene.terrain).slopes == tuple(
+            t for t in scene.terrain if t.kind == "slope")
+
+    def test_returned_lists_are_fresh(self):
+        from tabletamp.scenarios import build_scenario
+
+        scene = build_scenario("slot").scene_template
+        cells, solids = support_cells(scene), terrain_solids(scene)
+        expected_cells, expected_solids = list(cells), list(solids)
+        cells.clear()
+        solids.append(solids[0])
+        assert support_cells(scene) == expected_cells
+        assert terrain_solids(scene) == expected_solids
+
+    def test_cell_polygon_is_built_once(self):
+        scene = base_scene(objects=[make_box()])
+        for cell in support_cells(scene):
+            assert cell.polygon is cell.polygon
+            assert cell.polygon.vertices == cell.ring
+
+
+def rotation_matrix(q):
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def box_local(box, pts):
+    """Points in the box frame, with the box's half extents."""
+    c = np.array(box.center_pose.position)
+    return (pts - c) @ rotation_matrix(box.center_pose.orientation), np.array(box.half_extents)
+
+
+def box_samples(rng, box, n):
+    """n points drawn uniformly from the box volume."""
+    h = np.array(box.half_extents)
+    local = rng.uniform(-1.0, 1.0, size=(n, 3)) * h
+    return np.array(box.center_pose.position) + local @ rotation_matrix(box.center_pose.orientation).T
+
+
+def box_grid(box, spacing):
+    """A grid over the box volume: every point of the box lies within
+    spacing * sqrt(3) / 2 of a grid point."""
+    axes = [np.linspace(-h, h, int(math.ceil(2.0 * h / spacing)) + 1)
+            for h in box.half_extents]
+    local = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    return np.array(box.center_pose.position) + local @ rotation_matrix(box.center_pose.orientation).T
+
+
+def box_depth(box, pts):
+    """Distance to the nearest face, positive inside."""
+    local, h = box_local(box, pts)
+    return np.min(h - np.abs(local), axis=1)
+
+
+def box_distance(box, pts):
+    local, h = box_local(box, pts)
+    return np.linalg.norm(np.maximum(np.abs(local) - h, 0.0), axis=1)
+
+
+def ring_depth_and_distance(ring, xy):
+    """Per point: depth inside a convex CCW ring (negative outside) and
+    distance to it (0 inside)."""
+    a = np.array(ring)
+    d = np.roll(a, -1, axis=0) - a
+    ap = xy[:, None, :] - a[None, :, :]
+    length = np.linalg.norm(d, axis=1)
+    depth = np.min((d[:, 0] * ap[..., 1] - d[:, 1] * ap[..., 0]) / length, axis=1)
+    t = np.clip(np.sum(ap * d, axis=2) / length ** 2, 0.0, 1.0)
+    seg = np.linalg.norm(ap - t[..., None] * d, axis=2).min(axis=1)
+    return depth, np.where(depth >= 0.0, 0.0, seg)
+
+
+def prism_depth(solid, pts):
+    depth, _ = ring_depth_and_distance(solid.ring, pts[:, :2])
+    return np.minimum(depth, np.minimum(pts[:, 2] - solid.z0, solid.z1 - pts[:, 2]))
+
+
+def prism_distance(solid, pts):
+    _, dxy = ring_depth_and_distance(solid.ring, pts[:, :2])
+    dz = np.maximum(np.maximum(solid.z0 - pts[:, 2], pts[:, 2] - solid.z1), 0.0)
+    return np.hypot(dxy, dz)
+
+
+# Monte-Carlo oracle for the two box predicates: a pair overlaps clearly when
+# a volume sample lies MARGIN deep in both bodies, and is clearly separated
+# when every point of a SPACING grid over the box is farther than MARGIN plus
+# the grid's covering radius from the other body. Pairs in between are not
+# judged. Both predicates test footprints and z intervals, which is exact
+# for yaw-only boxes (how objects rest on flat support); for tilted boxes it
+# is conservative, so they are held to the overlap half only.
+MARGIN = 0.005
+SPACING = 0.004
+COVER = SPACING * math.sqrt(3.0) / 2.0
+
+
+def random_box(rng, center, half_range, tilted=False):
+    q = random_unit_quat(rng) if tilted else quat_from_yaw(rng.uniform(-math.pi, math.pi))
+    return Obb(Pose6D(tuple(center), q), tuple(rng.uniform(*half_range, size=3)))
+
+
+def random_unit_quat(rng):
+    q = rng.normal(size=4)
+    return tuple(q / np.linalg.norm(q))
+
+
+class TestObbsOverlap:
+    def test_monte_carlo_oracle(self):
+        rng = np.random.default_rng(43)
+        overlaps = separations = 0
+        for i in range(300):
+            tilted = i % 3 == 0
+            a = random_box(rng, (0.0, 0.0, 0.0), (0.01, 0.06), tilted)
+            b = random_box(rng, rng.uniform(-0.09, 0.09, size=3), (0.01, 0.06), tilted)
+            pts = box_samples(rng, a, 2000)
+            if (np.minimum(box_depth(a, pts), box_depth(b, pts)) >= MARGIN).any():
+                assert obbs_overlap(a, b) and obbs_overlap(b, a), i
+                overlaps += 1
+            elif not tilted and box_distance(b, box_grid(a, SPACING)).min() - COVER > MARGIN:
+                assert not obbs_overlap(a, b) and not obbs_overlap(b, a), i
+                separations += 1
+        assert overlaps >= 60 and separations >= 60, (overlaps, separations)
+
+
+class TestBoxHitsSolids:
+    def test_monte_carlo_oracle(self):
+        from tabletamp.scenarios import SCENARIO_IDS, build_scenario
+
+        rng = np.random.default_rng(47)
+        hits = misses = 0
+        for name in SCENARIO_IDS:
+            scene = build_scenario(name).scene_template
+            solids = terrain_solids(scene)
+            for _ in range(30):
+                center = (*rng.uniform(-0.45, 0.45, size=2), TABLE_H + rng.uniform(-0.04, 0.12))
+                box = random_box(rng, center, (0.01, 0.05))
+                pts = box_samples(rng, box, 2000)
+                inside = box_depth(box, pts)
+                if any((np.minimum(inside, prism_depth(s, pts)) >= MARGIN).any() for s in solids):
+                    for tol in (1e-6, 1e-3):
+                        assert box_hits_solids(scene, box, tol=tol, include_slopes=False), name
+                    hits += 1
+                    continue
+                grid = box_grid(box, SPACING)
+                if min(prism_distance(s, grid).min() for s in solids) - COVER > MARGIN:
+                    for tol in (1e-6, 1e-3):
+                        assert box_hits_solids(scene, box, tol=tol, include_slopes=False) is None, name
+                    misses += 1
+        assert hits >= 40 and misses >= 40, (hits, misses)
 
 
 class TestSurfaceUnder:
