@@ -270,9 +270,7 @@ class Polygon2:
     @cached_property
     def bounds(self) -> tuple[float, float, float, float]:
         """Axis-aligned bounding box as (xmin, xmax, ymin, ymax)."""
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        return (min(xs), max(xs), min(ys), max(ys))
+        return ring_bounds(self.vertices)
 
     @property
     def centroid(self) -> Vec2:
@@ -524,6 +522,26 @@ def ring_area(ring: list[Vec2]) -> float:
     return abs(_signed_area(ring))
 
 
+def ring_bounds(ring) -> tuple[float, float, float, float]:
+    """Axis-aligned bounding box of a vertex ring as (xmin, xmax, ymin, ymax)."""
+    xs = [v[0] for v in ring]
+    ys = [v[1] for v in ring]
+    return (min(xs), max(xs), min(ys), max(ys))
+
+
+def bounds_disjoint(a: tuple[float, float, float, float],
+                    b: tuple[float, float, float, float]) -> bool:
+    """True iff two (xmin, xmax, ymin, ymax) boxes are strictly apart.
+
+    Callers use it to skip a ``clip_convex`` pair whose clipped area they
+    would discard anyway: the clip keeps subject points up to 1e-12 / |edge|
+    outside a clip edge, so rings whose bounds are strictly apart clip to a
+    sliver about that wide, with an area far under the 1e-9 to 1e-8
+    tolerances the callers compare it with.
+    """
+    return a[1] < b[0] or b[1] < a[0] or a[3] < b[2] or b[3] < a[2]
+
+
 # ---------------------------------------------------------------------------
 # oriented bounding boxes
 # ---------------------------------------------------------------------------
@@ -546,20 +564,40 @@ class Obb:
             raise ValueError(f"half extents must be strictly positive, got {h}")
         object.__setattr__(self, "half_extents", h)
 
-    def corners(self) -> list[Vec3]:
+    # The box is frozen, so its world corners and what derives from them
+    # are computed once per box, on first use.
+
+    @cached_property
+    def _corners(self) -> tuple[Vec3, ...]:
         hx, hy, hz = self.half_extents
-        out = []
-        for sx in (-1.0, 1.0):
-            for sy in (-1.0, 1.0):
-                for sz in (-1.0, 1.0):
-                    out.append(self.center_pose.transform_point((sx * hx, sy * hy, sz * hz)))
-        return out
+        return tuple(
+            self.center_pose.transform_point((sx * hx, sy * hy, sz * hz))
+            for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)
+        )
+
+    @cached_property
+    def _z_range(self) -> tuple[float, float]:
+        zs = [c[2] for c in self._corners]
+        return (min(zs), max(zs))
+
+    @cached_property
+    def xy_hull(self) -> tuple[Vec2, ...]:
+        """Convex hull of the corners projected to the xy-plane (CCW)."""
+        return tuple(convex_hull([(c[0], c[1]) for c in self._corners]))
+
+    @cached_property
+    def xy_bounds(self) -> tuple[float, float, float, float]:
+        """Bounding box of ``xy_hull`` as (xmin, xmax, ymin, ymax)."""
+        return ring_bounds(self.xy_hull)
+
+    def corners(self) -> list[Vec3]:
+        return list(self._corners)
 
     def bottom_z(self) -> float:
-        return min(c[2] for c in self.corners())
+        return self._z_range[0]
 
     def top_z(self) -> float:
-        return max(c[2] for c in self.corners())
+        return self._z_range[1]
 
     def down_face(self) -> tuple[int, float]:
         """Local face (axis index, sign) whose outward normal points most downward."""
@@ -589,8 +627,7 @@ class Obb:
 
     def footprint(self) -> Polygon2:
         """Convex hull of all corners projected to the xy-plane."""
-        hull = convex_hull([(c[0], c[1]) for c in self.corners()])
-        return Polygon2(tuple(hull))
+        return Polygon2(self.xy_hull)
 
     def resting_face_polygon(self) -> Polygon2:
         """Footprint of the face currently pointing down (contact patch)."""
@@ -616,14 +653,11 @@ def obbs_overlap(a: Obb, b: Obb, tol: float = 1e-9) -> bool:
     """Volume-overlap test via footprint SAT plus z-interval intersection."""
     if a.bottom_z() >= b.top_z() - tol or b.bottom_z() >= a.top_z() - tol:
         return False
-    fa = [(c[0], c[1]) for c in a.corners()]
-    fb = [(c[0], c[1]) for c in b.corners()]
-    ha = convex_hull(fa)
-    hb = convex_hull(fb)
-    if len(ha) < 3 or len(hb) < 3:
+    if bounds_disjoint(a.xy_bounds, b.xy_bounds):
         return False
-    inter = clip_convex(ha, hb)
-    return ring_area(inter) > tol
+    if len(a.xy_hull) < 3 or len(b.xy_hull) < 3:
+        return False
+    return ring_area(clip_convex(a.xy_hull, b.xy_hull)) > tol
 
 
 # ---------------------------------------------------------------------------

@@ -714,28 +714,46 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    goal_raw = data["goal"]
+    data = _json_object(data, "a scenario file")
+    goal_raw = _json_object(data["goal"], "goal")
     target = None
     zone = None
     if "target" in goal_raw:
-        target = Pose6D(tuple(goal_raw["target"]["xyz"]),
-                        tuple(goal_raw["target"]["quat_wxyz"]))
+        target_raw = _json_object(goal_raw["target"], "goal target")
+        target = Pose6D(tuple(target_raw["xyz"]), tuple(target_raw["quat_wxyz"]))
     if "zone" in goal_raw:
-        zone = Polygon2(tuple((v[0], v[1]) for v in goal_raw["zone"]))
+        zone = _json_polygon(goal_raw["zone"], "goal zone")
+    randomization = _json_object(data.get("randomization", {}), "randomization")
     scenario = Scenario(
         id=data["id"],
         instruction=data["instruction"],
         primary_object=data["primary_object"],
-        scene_template=scene_from_dict(data["scene"]),
+        scene_template=scene_from_dict(_json_object(data["scene"], "scene")),
         goal_template=Goal(goal_raw["kind"], target=target, zone=zone),
-        nominal_zone=Polygon2(tuple((v[0], v[1]) for v in data["nominal_zone"])),
+        nominal_zone=_json_polygon(data["nominal_zone"], "nominal_zone"),
         fallback_templates=_fallback_templates(data["fallback_plans"]),
-        pos_jitter=data.get("randomization", {}).get("pos_jitter", 0.05),
-        yaw_jitter_deg=data.get("randomization", {}).get("yaw_jitter_deg", 30.0),
-        special=dict(data.get("special", {})),
+        pos_jitter=randomization.get("pos_jitter", 0.05),
+        yaw_jitter_deg=randomization.get("yaw_jitter_deg", 30.0),
+        special=dict(_json_object(data.get("special", {}), "special")),
     )
     _check_fallback_plans(scenario)
     return scenario
+
+
+def _json_object(value, what: str) -> dict:
+    """The file's value for ``what``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object (got {value!r})")
+    return value
+
+
+def _json_polygon(value, what: str) -> Polygon2:
+    """The file's value for ``what``, which must be a list of [x, y] points."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, list) and len(v) == 2 for v in value
+    ):
+        raise ValueError(f"{what} must be a list of [x, y] points (got {value!r})")
+    return Polygon2(tuple((v[0], v[1]) for v in value))
 
 
 def _fallback_templates(plans) -> tuple[tuple[dict, ...], ...]:

@@ -40,6 +40,7 @@ from .geometry import (
     Vec2,
     Vec3,
     _point_segment_distance,
+    bounds_disjoint,
     clip_convex,
     convex_hull,
     geodesic_angle,
@@ -50,6 +51,7 @@ from .geometry import (
     quat_mul,
     quat_rotate,
     ring_area,
+    ring_bounds,
     signed_interior_margin,
     wrap_angle,
     yaw_of,
@@ -288,6 +290,12 @@ class SupportCell:
         """The ring as a validated polygon, built on first use."""
         return Polygon2(self.ring)
 
+    @cached_property
+    def bounds(self) -> tuple[float, float, float, float]:
+        """The ring's bounding box; object cells are built per query, so this
+        skips the ``Polygon2`` that ``polygon.bounds`` would validate."""
+        return ring_bounds(self.ring)
+
 
 @dataclass(frozen=True)
 class Solid:
@@ -475,9 +483,8 @@ def support_cells(scene: TwinScene, exclude_id: str | None = None,
             if o.id == exclude_id or o.id == scene.held_id:
                 continue
             box = o.world_obb()
-            hull = convex_hull([(c[0], c[1]) for c in box.corners()])
-            if len(hull) >= 3:
-                cells.append(SupportCell(tuple(hull), "object", box.top_z(), object_id=o.id))
+            if len(box.xy_hull) >= 3:
+                cells.append(SupportCell(box.xy_hull, "object", box.top_z(), object_id=o.id))
     return cells
 
 
@@ -522,16 +529,18 @@ def box_hits_solids(scene: TwinScene, box: Obb, tol: float = 1e-6,
     """First terrain solid (or slope) the box enters by more than ``tol``, or
     None; ``climb_tol`` lifts the box bottom over low steps."""
     bottom, top = box.bottom_z(), box.top_z()
-    hull = convex_hull([(c[0], c[1]) for c in box.corners()])
+    hull = box.xy_hull
     if len(hull) < 3:
         return None
     for solid in terrain_solids(scene):
         if bottom + climb_tol >= solid.z1 - tol or top <= solid.z0 + tol:
             continue
-        if ring_area(clip_convex(hull, list(solid.ring))) > _AREA_TOL:
+        if bounds_disjoint(box.xy_bounds, solid.polygon.bounds):
+            continue
+        if ring_area(clip_convex(hull, solid.ring)) > _AREA_TOL:
             return solid
     if include_slopes and _slope_penetration(scene, box, tol, climb_tol):
-        return Solid(tuple(hull), 0.0, 0.0, label="slope")
+        return Solid(hull, 0.0, 0.0, label="slope")
     return None
 
 
@@ -595,7 +604,7 @@ def flat_pose_on_support(scene: TwinScene, obj: RigidObject, x: float, y: float,
     delta = wrap_angle(yaw - yaw_of(flat))
     q = quat_mul(quat_from_yaw(delta), flat)
     probe = obj.at_pose(Pose6D((x, y, 1.0), q))
-    hull = convex_hull([(c[0], c[1]) for c in probe.world_obb().corners()])
+    hull = probe.world_obb().xy_hull
     best_cell = None
     best_h = -math.inf
     for h, cell, _ in _support_pieces(scene, obj.id, hull, objects_as_support):
@@ -669,8 +678,11 @@ def _support_pieces(scene: TwinScene, object_id: str, hull: list[Vec2],
     """(height, cell, piece) for every support cell the hull overlaps."""
     cells = support_cells(scene, exclude_id=object_id, include_objects=include_objects)
     scored: list[tuple[float, SupportCell, list[Vec2]]] = []
+    bounds = ring_bounds(hull)
     for cell in cells:
-        piece = clip_convex(hull, list(cell.ring))
+        if bounds_disjoint(bounds, cell.bounds):
+            continue
+        piece = clip_convex(hull, cell.ring)
         if ring_area(piece) <= _AREA_TOL:
             continue
         h = max(cell.height_at(p) for p in piece)
@@ -972,6 +984,35 @@ def _motion_blocked(scene: TwinScene, obj: RigidObject, pose: Pose6D,
     return overlapping_object(scene, box, obj.id) is not None
 
 
+def _clip_fraction(scene: TwinScene, obj: RigidObject, tx: float, ty: float,
+                   dyaw: float) -> tuple[float, bool]:
+    """(frac, blocked): the largest share of the planar motion, bisected to
+    14 steps, that the object can make without entering terrain or another
+    object, and whether the full motion was blocked."""
+    climb_tol = scene.push_model.climb_tol
+    if not _motion_blocked(scene, obj, _pose_after_planar_motion(obj.pose, tx, ty, dyaw),
+                           climb_tol):
+        return 1.0, False
+    lo, hi = 0.0, 1.0
+    for _ in range(14):
+        mid = 0.5 * (lo + hi)
+        pose_mid = _pose_after_planar_motion(obj.pose, tx * mid, ty * mid, dyaw * mid)
+        if _motion_blocked(scene, obj, pose_mid, climb_tol):
+            hi = mid
+        else:
+            lo = mid
+    return lo, True
+
+
+# The inputs of apply_push's last _clip_fraction call, and its result. A push
+# pinned against a wall repeats the same step, bit for bit, until the
+# controller's stall limit fires. The key holds every value the bisection
+# reads, so an equal key gives an equal result. The terrain is compared by
+# identity, as _terrain_geometry keys it, and the rest by value. The entry is
+# one tuple replaced whole, so it needs no lock.
+_last_clip: tuple[tuple, tuple[float, bool]] | None = None
+
+
 def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
                direction: Vec2, step: float) -> tuple[TwinScene, PushDelta]:
     """One quasi-static push step at a surface contact point.
@@ -1000,21 +1041,15 @@ def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
     arm = rx * direction[1] - ry * direction[0]
     dyaw = model.kappa * arm * step
 
-    lo, hi = 0.0, 1.0
-    if _motion_blocked(scene, obj, _pose_after_planar_motion(obj.pose, tx, ty, dyaw),
-                       model.climb_tol):
-        for _ in range(14):
-            mid = 0.5 * (lo + hi)
-            pose_mid = _pose_after_planar_motion(obj.pose, tx * mid, ty * mid, dyaw * mid)
-            if _motion_blocked(scene, obj, pose_mid, model.climb_tol):
-                hi = mid
-            else:
-                lo = mid
-        frac = lo
-        blocked = True
+    global _last_clip
+    key = (scene.terrain, scene.objects, scene.held_id, object_id, tx, ty, dyaw,
+           model.climb_tol)
+    last = _last_clip
+    if last is not None and last[0][0] is key[0] and last[0][1:] == key[1:]:
+        frac, blocked = last[1]
     else:
-        frac = 1.0
-        blocked = False
+        frac, blocked = _clip_fraction(scene, obj, tx, ty, dyaw)
+        _last_clip = (key, (frac, blocked))
 
     new_pose = _pose_after_planar_motion(obj.pose, tx * frac, ty * frac, dyaw * frac)
     moved = scene.replace_object(obj.at_pose(new_pose))

@@ -224,16 +224,27 @@ class TestScenarioFileSteps:
          "fallback plan 2 must be a list of steps (got 'push')"),
         (lambda d: d.update(fallback_plans=[["push"]]),
          "fallback plan 0 step 0 must be an object (got 'push')"),
+        (lambda d: [], "a scenario file must be an object (got [])"),
+        (lambda d: d.update(goal=5), "goal must be an object (got 5)"),
+        (lambda d: d.update(goal={"kind": "pose", "target": 5}),
+         "goal target must be an object (got 5)"),
+        (lambda d: d.update(scene=5), "scene must be an object (got 5)"),
+        (lambda d: d.update(randomization=5), "randomization must be an object (got 5)"),
+        (lambda d: d.update(special=5), "special must be an object (got 5)"),
+        (lambda d: d.update(nominal_zone=5),
+         "nominal_zone must be a list of [x, y] points (got 5)"),
     ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
-            "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape"])
+            "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape",
+            "file-shape", "goal-shape", "target-shape", "scene-shape",
+            "randomization-shape", "special-shape", "zone-shape"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict
 
         data = scenario_to_dict(build_scenario("box"))
-        edit(data)
+        replaced = edit(data)  # None when the edit changed data in place
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(json.dumps(data if replaced is None else replaced))
         code = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err.strip()

@@ -583,3 +583,45 @@ class TestObb:
         assert obbs_overlap(a, b)
         assert not obbs_overlap(a, c)
         assert not obbs_overlap(a, d)  # stacked, touching only
+
+    # An Obb computes its corners, z range, xy hull and xy bounds once.
+
+    @staticmethod
+    def seeded_boxes(count, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            pose = Pose6D(tuple(rng.uniform(-1.0, 1.0, size=3)), random_unit_quat(rng))
+            yield Obb(pose, tuple(rng.uniform(0.005, 0.2, size=3)))
+
+    def test_corners_returns_a_fresh_list(self):
+        box = Obb(Pose6D((0.1, 0.2, 0.3), quat_from_yaw(0.4)), (0.1, 0.2, 0.3))
+        first = box.corners()
+        expected = list(first)
+        first[0] = (9.0, 9.0, 9.0)
+        first.append((1.0, 1.0, 1.0))
+        assert box.corners() == expected
+        assert box.corners() is not box.corners()
+
+    def test_cached_values_equal_uncached_formulas(self):
+        for box in self.seeded_boxes(200, 83):
+            hx, hy, hz = box.half_extents
+            corners = [box.center_pose.transform_point((sx * hx, sy * hy, sz * hz))
+                       for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+            hull = convex_hull([(c[0], c[1]) for c in corners])
+            assert box.corners() == corners
+            assert box.bottom_z() == min(c[2] for c in corners)
+            assert box.top_z() == max(c[2] for c in corners)
+            assert box.footprint() == Polygon2(tuple(hull))
+            assert box.xy_bounds == Polygon2(tuple(hull)).bounds
+            # a second read gives the same values
+            assert box.footprint() == Polygon2(tuple(hull))
+            assert box.bottom_z() == min(c[2] for c in corners)
+
+    def test_filled_caches_keep_equality_and_hash(self):
+        for box in self.seeded_boxes(20, 89):
+            filled = Obb(box.center_pose, box.half_extents)
+            filled.footprint(), filled.bottom_z(), filled.top_z(), filled.xy_bounds
+            assert "xy_hull" in vars(filled) and "xy_hull" not in vars(box)
+            assert filled == box and box == filled
+            assert hash(filled) == hash(box)
+            assert len({filled, box}) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,12 +9,17 @@ from tabletamp import twin
 from tabletamp.geometry import (
     Obb,
     Pose6D,
+    bounds_disjoint,
+    clip_convex,
+    convex_hull,
     geodesic_angle,
     obbs_overlap,
     quat_from_axis_angle,
     quat_from_yaw,
+    quat_mul,
     quat_rotate,
     rect_polygon,
+    ring_area,
 )
 from tabletamp.twin import (
     PlacementCollision,
@@ -275,6 +281,132 @@ class TestBoxHitsSolids:
                         assert box_hits_solids(scene, box, tol=tol, include_slopes=False) is None, name
                     misses += 1
         assert hits >= 40 and misses >= 40, (hits, misses)
+
+
+# In-test copies of the three predicates without their bounding-box rejects.
+
+def unfiltered_box_hits_solids(scene, box, tol=1e-6, climb_tol=0.0):
+    bottom, top = box.bottom_z(), box.top_z()
+    hull = convex_hull([(c[0], c[1]) for c in box.corners()])
+    if len(hull) < 3:
+        return None
+    for solid in terrain_solids(scene):
+        if bottom + climb_tol >= solid.z1 - tol or top <= solid.z0 + tol:
+            continue
+        if ring_area(clip_convex(hull, list(solid.ring))) > twin._AREA_TOL:
+            return solid
+    return None
+
+
+def unfiltered_obbs_overlap(a, b, tol=1e-9):
+    if a.bottom_z() >= b.top_z() - tol or b.bottom_z() >= a.top_z() - tol:
+        return False
+    ha = convex_hull([(c[0], c[1]) for c in a.corners()])
+    hb = convex_hull([(c[0], c[1]) for c in b.corners()])
+    if len(ha) < 3 or len(hb) < 3:
+        return False
+    return ring_area(clip_convex(ha, hb)) > tol
+
+
+def unfiltered_support_pieces(scene, hull):
+    out = []
+    for cell in support_cells(scene):
+        piece = clip_convex(list(hull), list(cell.ring))
+        if ring_area(piece) <= twin._AREA_TOL:
+            continue
+        out.append((max(cell.height_at(p) for p in piece), cell, piece))
+    return out
+
+
+def seeded_box(rng, i, z):
+    """A box near the origin; a third are tilted, half of those slightly,
+    which gives their footprint hull very short edges."""
+    half = tuple(rng.uniform(0.01, 0.06, size=3))
+    if i % 3:
+        q = quat_from_yaw(rng.uniform(-math.pi, math.pi))
+    elif i % 2:
+        q = random_unit_quat(rng)
+    else:
+        axis = (*rng.normal(size=2), 0.0)
+        q = quat_mul(quat_from_axis_angle(axis, rng.uniform(1e-9, 1e-3)),
+                     quat_from_yaw(rng.uniform(-math.pi, math.pi)))
+    return Obb(Pose6D((0.0, 0.0, z), q), half)
+
+
+def beside(rng, box, target_bounds):
+    """The box moved next to target_bounds, its bounds 0 to 1e-9 away on a
+    random side (0 for a quarter of the boxes), or over it."""
+    xmin, xmax, ymin, ymax = box.xy_bounds
+    txmin, txmax, tymin, tymax = target_bounds
+    gap = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 1e-9)
+    dx = rng.uniform(txmin - xmax, txmax - xmin)
+    dy = rng.uniform(tymin - ymax, tymax - ymin)
+    side = rng.integers(5)
+    if side == 0:
+        dx = txmin - gap - xmax
+    elif side == 1:
+        dx = txmax + gap - xmin
+    elif side == 2:
+        dy = tymin - gap - ymax
+    elif side == 3:
+        dy = tymax + gap - ymin
+    p = box.center_pose
+    return Obb(Pose6D((p.x + dx, p.y + dy, p.z), p.orientation), box.half_extents)
+
+
+class TestBoundsRejects:
+    """box_hits_solids, obbs_overlap and _support_pieces skip pairs whose xy
+    bounds are strictly apart; they must answer what they answer without."""
+
+    SCENARIOS = ("box", "book", "edge", "wall", "slope", "slot", "tool_hook",
+                 "tool_pusher")
+
+    def test_box_hits_solids(self):
+        from tabletamp.scenarios import build_scenario
+
+        rng = np.random.default_rng(61)
+        skipped = checked = 0
+        for name in self.SCENARIOS:
+            scene = build_scenario(name).scene_template
+            for solid in terrain_solids(scene):
+                for i in range(24):
+                    z = rng.uniform(solid.z0, solid.z1)
+                    box = beside(rng, seeded_box(rng, i, z), solid.polygon.bounds)
+                    skipped += bounds_disjoint(box.xy_bounds, solid.polygon.bounds)
+                    for tol, climb in ((1e-6, 0.0), (1e-6, 0.012), (1e-3, 0.0)):
+                        got = box_hits_solids(scene, box, tol=tol, climb_tol=climb,
+                                              include_slopes=False)
+                        assert got is unfiltered_box_hits_solids(scene, box, tol, climb)
+                    checked += 1
+        assert checked >= 200 and 0.2 * checked < skipped < 0.9 * checked
+
+    def test_obbs_overlap(self):
+        rng = np.random.default_rng(67)
+        skipped = 0
+        for i in range(600):
+            a = seeded_box(rng, i, 0.0)
+            b = beside(rng, seeded_box(rng, i + 1, rng.uniform(-0.03, 0.03)), a.xy_bounds)
+            skipped += bounds_disjoint(a.xy_bounds, b.xy_bounds)
+            for tol in (1e-9, 1e-7):
+                assert obbs_overlap(a, b, tol) == unfiltered_obbs_overlap(a, b, tol), i
+                assert obbs_overlap(b, a, tol) == unfiltered_obbs_overlap(b, a, tol), i
+        assert 120 < skipped < 540
+
+    def test_support_pieces(self):
+        from tabletamp.scenarios import build_scenario
+
+        rng = np.random.default_rng(71)
+        skipped = checked = 0
+        for name in self.SCENARIOS:
+            scene = build_scenario(name).scene_template
+            for cell in support_cells(scene):
+                for i in range(12):
+                    box = beside(rng, seeded_box(rng, i, 0.5), cell.bounds)
+                    skipped += bounds_disjoint(box.xy_bounds, cell.bounds)
+                    expected = unfiltered_support_pieces(scene, box.xy_hull)
+                    assert twin._support_pieces(scene, None, list(box.xy_hull)) == expected
+                    checked += 1
+        assert checked >= 200 and 0.2 * checked < skipped < 0.9 * checked
 
 
 class TestSurfaceUnder:
@@ -571,6 +703,104 @@ class TestApplyPush:
         scene = base_scene([box])
         with pytest.raises(ValueError):
             apply_push(scene, "box", (-0.05, 0.0, TABLE_H + 0.05), (1.0, 0.0), 0.05)
+
+    # apply_push keeps the inputs and result of its last clip bisection and
+    # reuses them when every input is equal; these pin that reuse to exact.
+
+    PUSH = ((-0.05, 0.01, TABLE_H + 0.05), (1.0, 0.0), 0.02)
+
+    @staticmethod
+    def count_bisections(monkeypatch):
+        calls = []
+        original = twin._clip_fraction
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(twin, "_clip_fraction", counted)
+        return calls
+
+    @staticmethod
+    def fresh_push(monkeypatch, scene, *push):
+        monkeypatch.setattr(twin, "_last_clip", None)
+        return apply_push(scene, "box", *push)
+
+    def pinned_scene(self):
+        # the box is 1 cm from another box: a 2 cm step is clipped
+        return base_scene([make_box(), make_box("other", x=0.11)])
+
+    @pytest.mark.parametrize("blocked", [True, False])
+    def test_repeated_push_equals_fresh_call(self, monkeypatch, blocked):
+        scene = self.pinned_scene() if blocked else base_scene([make_box()])
+        calls = self.count_bisections(monkeypatch)
+        fresh = self.fresh_push(monkeypatch, scene, *self.PUSH)
+        assert fresh[1].blocked is blocked
+        first = apply_push(scene, "box", *self.PUSH)
+        second = apply_push(scene, "box", *self.PUSH)
+        assert first == fresh and second == fresh
+        assert len(calls) == 1  # both repeats reused the fresh call's bisection
+
+    @pytest.mark.parametrize("change", [
+        "other-moved", "held", "climb-tol", "terrain-copy",
+    ])
+    def test_changed_input_misses(self, monkeypatch, change):
+        scene = self.pinned_scene()
+        if change == "climb-tol":
+            # a 5 mm rail: ridden over with the default climb tolerance only
+            rail = TerrainFeature("wall", rect_polygon(0.06, 0.0, 0.005, 0.2), TABLE_H,
+                                  {"height": 0.005}, name="rail")
+            scene = base_scene([make_box()], terrain_extra=[rail])
+            changed = dataclasses.replace(scene, push_model=PushModel(climb_tol=0.0))
+        elif change == "other-moved":
+            other = scene.object("other")
+            changed = scene.replace_object(other.at_pose(
+                Pose6D((0.3, 0.0, other.pose.z), other.pose.orientation)))
+        elif change == "held":
+            changed = scene.with_held("other")
+        else:
+            changed = dataclasses.replace(scene, terrain=tuple(list(scene.terrain)))
+            assert changed.terrain == scene.terrain
+            assert changed.terrain is not scene.terrain
+        expected = self.fresh_push(monkeypatch, changed, *self.PUSH)
+        primed = self.fresh_push(monkeypatch, scene, *self.PUSH)
+        if change != "terrain-copy":
+            assert primed[1] != expected[1]  # the change matters to the result
+        calls = self.count_bisections(monkeypatch)
+        assert apply_push(changed, "box", *self.PUSH) == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["wall", "edge"])
+    def test_episodes_match_without_reuse(self, monkeypatch, name):
+        from tabletamp import control
+        from tabletamp.harness import episode_trace_json, run_episode
+        from tabletamp.scenarios import build_scenario
+
+        def traces():
+            out = []
+            for seed in (0, 1):
+                doc = json.loads(episode_trace_json(
+                    run_episode(scenario, seed, ablation="no_pose")))
+                doc.pop("wall_ms")
+                out.append(doc)
+            return out
+
+        scenario = build_scenario(name)
+        calls = self.count_bisections(monkeypatch)
+        monkeypatch.setattr(twin, "_last_clip", None)
+        with_reuse = traces()
+        bisections_with_reuse = len(calls)
+
+        original = control.apply_push
+
+        def without_reuse(*args):
+            twin._last_clip = None
+            return original(*args)
+
+        monkeypatch.setattr(control, "apply_push", without_reuse)
+        calls.clear()
+        assert traces() == with_reuse
+        assert bisections_with_reuse < len(calls)  # some push repeated its inputs
 
 
 class TestPivotRotate:
