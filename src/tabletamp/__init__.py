@@ -8,7 +8,7 @@ the plan from typed execution errors until the task succeeds or the replan
 budget runs out.
 """
 
-from .control import ErrorKind, ExecError, RobotModel, effective_reach
+from .control import ErrorKind, ExecError, effective_reach
 from .domain import (
     PlanSkeleton,
     PrimitiveInstance,
@@ -18,7 +18,7 @@ from .domain import (
     serialize_skeleton,
     validate_skeleton,
 )
-from .geometry import Obb, Polygon2, Pose6D, PoseSE2, geodesic_angle, se2_error
+from .geometry import Obb, Polygon2, Pose6D, geodesic_angle, se2_error
 from .harness import (
     EpisodeResult,
     check_success,
@@ -28,9 +28,10 @@ from .harness import (
 )
 from .planner import Observation, PlannerConfig, ReflectionInput
 from .scenarios import SCENARIO_IDS, Scenario, all_scenarios, build_scenario
-from .subgoal import CameraModel, Candidate, CandidateSet, NoFeasiblePose
+from .subgoal import Candidate, CandidateSet, NoFeasiblePose
 from .twin import (
     RigidObject,
+    RobotModel,
     SettleOutcome,
     TerrainFeature,
     ToolSpec,

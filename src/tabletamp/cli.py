@@ -7,8 +7,9 @@ Subcommands:
     validate  symbolically validate a plan-skeleton file against a scenario
     export    write the built-in scenario definitions as JSON files
 
-Exit codes: 0 success, 1 task failure, 2 input error or infeasible scenario,
-3 no feasible sub-goal pose. Every subcommand but validate writes under --out.
+Exit codes: 0 success, 1 task failure, 2 bad argument value, input error or
+infeasible scenario, 3 no feasible sub-goal pose. Every subcommand but
+validate writes under --out.
 """
 
 from __future__ import annotations
@@ -212,6 +213,19 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """An argparse type for an integer no smaller than ``low``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low} (got {value})")
+        return value
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tabletamp",
@@ -228,12 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="chat-completions URL for the http planner")
             p.add_argument("--model", default="", help="model name")
             p.add_argument("--timeout", type=float, default=30.0)
-            p.add_argument("--max-retries", dest="max_retries", type=int, default=2)
+            p.add_argument("--max-retries", dest="max_retries",
+                           type=_int_at_least(0), default=2)
 
     p_run = sub.add_parser("run", help="run one episode")
     p_run.add_argument("--scenario", required=True,
                        help="built-in name or scenario JSON path")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_int_at_least(0), default=0)
     p_run.add_argument("--ablation", choices=("full", "no_pose", "no_reflection"),
                        default="full")
     p_run.add_argument("--render", action="store_true")
@@ -243,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the seeded benchmark")
     p_bench.add_argument("--scenarios", nargs="*", default=None,
                          help="subset of scenarios (default: all eight)")
-    p_bench.add_argument("--trials", type=int, default=10)
+    p_bench.add_argument("--trials", type=_int_at_least(1), default=10)
     p_bench.add_argument("--ablation", choices=("full", "no_pose", "no_reflection"),
                          default="full")
     p_bench.add_argument("--traces", action="store_true",
@@ -253,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="inspect sub-goal candidates")
     p_sample.add_argument("--scenario", required=True)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sample.add_argument("--step", type=int, default=0,
                           help="plan step index to sample for")
     common(p_sample)
@@ -274,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "planner", None) == "http" and not args.endpoint:
+        parser.error("--planner http needs --endpoint")
     try:
         return args.func(args)
     except (InputError, RandomizationFailure) as exc:

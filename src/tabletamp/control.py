@@ -54,22 +54,6 @@ from .twin import (
     terrain_solids,
 )
 
-__all__ = [
-    "ErrorKind",
-    "ExecError",
-    "ExecTrace",
-    "RobotModel",
-    "assess_grasp",
-    "GraspAssessment",
-    "effective_reach",
-    "current_tool",
-    "exec_push",
-    "exec_rotate",
-    "exec_grasp",
-    "exec_moveto",
-    "exec_release",
-]
-
 IK_FAILURE_MESSAGE = "Unable to solve an IK solution"
 
 

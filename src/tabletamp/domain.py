@@ -159,11 +159,6 @@ PRIMITIVE_SCHEMAS: dict[PrimitiveKind, dict[str, tuple[str, ...]]] = {
 }
 
 
-def primitive_schema(kind: PrimitiveKind) -> dict[str, tuple[str, ...]]:
-    """Precondition/effect predicate lists for one primitive."""
-    return {k: tuple(v) for k, v in PRIMITIVE_SCHEMAS[kind].items()}
-
-
 def primitive_definitions_text() -> str:
     """Human-readable primitive catalog for planner prompts."""
     lines = []
@@ -207,19 +202,6 @@ def apply_effects(step: PrimitiveInstance, state: SymbolicState) -> SymbolicStat
     if step.kind is PrimitiveKind.RELEASE:
         objects[step.object_id] = replace(obj, held=False)
         return SymbolicState(objects, gripper_free=True)
-    return SymbolicState(objects, gripper_free=state.gripper_free)
-
-
-def invert_effects(step: PrimitiveInstance, state: SymbolicState) -> SymbolicState:
-    """Undo a step's symbolic effects (pose changes carry no symbolic state)."""
-    objects = dict(state.objects)
-    obj = objects[step.object_id]
-    if step.kind is PrimitiveKind.GRASP:
-        objects[step.object_id] = replace(obj, held=False)
-        return SymbolicState(objects, gripper_free=True)
-    if step.kind is PrimitiveKind.RELEASE:
-        objects[step.object_id] = replace(obj, held=True)
-        return SymbolicState(objects, gripper_free=False)
     return SymbolicState(objects, gripper_free=state.gripper_free)
 
 

@@ -32,10 +32,6 @@ _UNIT_TOL = 1e-6
 # quaternions
 # ---------------------------------------------------------------------------
 
-def quat_identity() -> Quat:
-    return (1.0, 0.0, 0.0, 0.0)
-
-
 def quat_norm(q: Quat) -> float:
     return math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
 
@@ -80,19 +76,6 @@ def quat_rotate(q: Quat, v: Vec3) -> Vec3:
         vx + w * tx + (y * tz - z * ty),
         vy + w * ty + (z * tx - x * tz),
         vz + w * tz + (x * ty - y * tx),
-    )
-
-
-def quat_to_matrix(q: Quat) -> tuple[Vec3, Vec3, Vec3]:
-    """Rows of the rotation matrix for a unit quaternion."""
-    w, x, y, z = q
-    xx, yy, zz = x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    return (
-        (1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)),
-        (2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)),
-        (2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)),
     )
 
 
@@ -180,18 +163,6 @@ class Pose6D:
     def transform_point(self, local: Vec3) -> Vec3:
         r = quat_rotate(self.orientation, local)
         return (r[0] + self.x, r[1] + self.y, r[2] + self.z)
-
-
-@dataclass(frozen=True)
-class PoseSE2:
-    """Planar pose: x, y in meters, yaw in radians wrapped to (-pi, pi]."""
-
-    x: float
-    y: float
-    yaw: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "yaw", wrap_angle(float(self.yaw)))
 
 
 def se2_error(current: Pose6D, target: Pose6D) -> tuple[float, float]:

@@ -304,24 +304,6 @@ class HttpPlanner:
         return insight_for(inp.error), skeleton
 
 
-def selector_llm(cfg: PlannerConfig, instruction: str):
-    """Adapter making the http backend usable as a sub-goal selector."""
-    planner = HttpPlanner(cfg)
-
-    def ask(images: list[str], context: dict) -> str:
-        prompt = _load_template("selector")
-        current = context.get("current")
-        nxt = context.get("next")
-        prompt = (
-            prompt.replace("{CURRENT}", current.describe() if current else "(none)")
-            .replace("{NEXT}", nxt.describe() if nxt else "(none)")
-            .replace("{INSTRUCTION}", instruction)
-        )
-        return planner._chat(prompt, images)
-
-    return ask
-
-
 def make_planner(cfg: PlannerConfig, fallbacks: list[FallbackBuilder] | None = None):
     if cfg.backend == "scripted":
         if not fallbacks:

@@ -43,7 +43,9 @@ from .twin import (
     TerrainFeature,
     ToolSpec,
     TwinScene,
-    _terrain_geometry,
+    _json_object,
+    _json_polygon,
+    _json_pose,
     scene_from_dict,
     scene_to_dict,
     terrain_solids,
@@ -484,7 +486,7 @@ def _push_path_clear(scene: TwinScene, object_id: str, target) -> bool:
         s for s in terrain_solids(scene)
         if s.z1 > table_h + 0.005 and s.z0 < table_h + 0.05
     ]
-    slopes = _terrain_geometry(scene.terrain).slopes
+    slopes = scene.terrain.slopes
     for i in range(steps + 1):
         t = i / steps
         if t * dist < 0.08:
@@ -719,8 +721,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     target = None
     zone = None
     if "target" in goal_raw:
-        target_raw = _json_object(goal_raw["target"], "goal target")
-        target = Pose6D(tuple(target_raw["xyz"]), tuple(target_raw["quat_wxyz"]))
+        target = _json_pose(goal_raw["target"], "goal target")
     if "zone" in goal_raw:
         zone = _json_polygon(goal_raw["zone"], "goal zone")
     randomization = _json_object(data.get("randomization", {}), "randomization")
@@ -738,22 +739,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
     _check_fallback_plans(scenario)
     return scenario
-
-
-def _json_object(value, what: str) -> dict:
-    """The file's value for ``what``, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be an object (got {value!r})")
-    return value
-
-
-def _json_polygon(value, what: str) -> Polygon2:
-    """The file's value for ``what``, which must be a list of [x, y] points."""
-    if not isinstance(value, list) or not all(
-        isinstance(v, list) and len(v) == 2 for v in value
-    ):
-        raise ValueError(f"{what} must be a list of [x, y] points (got {value!r})")
-    return Polygon2(tuple((v[0], v[1]) for v in value))
 
 
 def _fallback_templates(plans) -> tuple[tuple[dict, ...], ...]:

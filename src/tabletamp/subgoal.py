@@ -11,7 +11,6 @@ top four are rendered and one becomes the primitive's sub-goal pose.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +22,6 @@ from .geometry import (
     Pose6D,
     Vec3,
     geodesic_angle,
-    quat_to_matrix,
     wrap_angle,
     yaw_free_angle,
     yaw_of,
@@ -47,14 +45,6 @@ class NoFeasiblePose(Exception):
     """Every sampled candidate toppled, fell, or collided."""
 
 
-class DegenerateRay(ValueError):
-    """A back-projection ray runs parallel to the support plane."""
-
-
-class SelectionError(Exception):
-    """The selector's reply could not be mapped to a candidate index."""
-
-
 _N_SAMPLES = 16
 _DISC_RADIUS = 0.06  # candidate position spread around the anchor
 _YAW_SPREAD_DEG = 45.0
@@ -66,74 +56,17 @@ _HINT_YAW_SPREAD_DEG = 4.0
 
 
 # ---------------------------------------------------------------------------
-# camera model and grounding math
+# anchors
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CameraModel:
-    intrinsics: tuple[tuple[float, float, float], ...]  # 3x3 row-major
-    extrinsics: Pose6D  # world-from-camera
-    image_size: tuple[int, int]  # (width, height) pixels
-
-    def __post_init__(self):
-        k = np.asarray(self.intrinsics, dtype=float)
-        if k.shape != (3, 3) or abs(np.linalg.det(k)) < 1e-12:
-            raise ValueError("intrinsics must be an invertible 3x3 matrix")
-
-    def _rotation(self) -> np.ndarray:
-        return np.asarray(quat_to_matrix(self.extrinsics.orientation), dtype=float)
-
-    def project(self, world: Vec3) -> tuple[float, float]:
-        """World point to pixel coordinates."""
-        r = self._rotation()
-        t = np.asarray(self.extrinsics.position, dtype=float)
-        cam = r.T @ (np.asarray(world, dtype=float) - t)
-        if cam[2] <= 1e-9:
-            raise ValueError("point is behind the camera")
-        k = np.asarray(self.intrinsics, dtype=float)
-        uvw = k @ cam
-        return (uvw[0] / uvw[2], uvw[1] / uvw[2])
-
-    def backproject(self, pixel: tuple[float, float], plane_z: float) -> Vec3:
-        """Pixel ray intersected with the horizontal plane z = plane_z."""
-        w, h = self.image_size
-        if not (0 <= pixel[0] <= w and 0 <= pixel[1] <= h):
-            raise ValueError(f"pixel {pixel} outside the {w}x{h} image")
-        k_inv = np.linalg.inv(np.asarray(self.intrinsics, dtype=float))
-        ray_cam = k_inv @ np.array([pixel[0], pixel[1], 1.0])
-        r = self._rotation()
-        ray_world = r @ ray_cam
-        origin = np.asarray(self.extrinsics.position, dtype=float)
-        if abs(ray_world[2]) < 1e-9:
-            raise DegenerateRay("view ray is parallel to the support plane")
-        t = (plane_z - origin[2]) / ray_world[2]
-        if t <= 0:
-            raise DegenerateRay("support plane lies behind the camera")
-        hit = origin + t * ray_world
-        return (float(hit[0]), float(hit[1]), float(hit[2]))
-
 
 def resolve_anchor(
     region: RegionDescriptor,
     scene: TwinScene,
     registry: RegionRegistry,
-    mode: str = "scripted",
     object_id: str | None = None,
-    pixel: tuple[float, float] | None = None,
-    camera: CameraModel | None = None,
 ) -> Vec3:
-    """Resolve a region description to a 3D world anchor point.
-
-    Scripted mode computes the point geometrically via the scenario's
-    registry. Grounded mode back-projects a pixel through the camera onto
-    the plane of the highest table surface.
-    """
-    if mode == "grounded":
-        if pixel is None or camera is None:
-            raise ValueError("grounded mode needs a pixel and a camera")
-        tables = [t for t in scene.terrain if t.kind == "table_surface"]
-        plane_z = max((t.height for t in tables), default=0.0)
-        return camera.backproject(pixel, plane_z)
+    """Resolve a region description to a 3D world anchor point, computed
+    geometrically by the scenario's registry."""
     resolver = registry.get(region.name)
     if resolver is None:
         raise KeyError(f"unknown region {region.name!r}")
@@ -412,11 +345,8 @@ def _grasp_score(scene: TwinScene, object_id: str, candidate: Candidate):
 def select_subgoal(
     cset: CandidateSet,
     context: dict,
-    selector: str = "scripted",
     scene: TwinScene | None = None,
     object_id: str = "",
-    llm: Callable[[list[str], dict], str] | None = None,
-    trace: list | None = None,
 ) -> Candidate:
     """Choose the sub-goal pose from the retained candidates.
 
@@ -428,27 +358,7 @@ def select_subgoal(
       3. next step is a rotation: least yaw work (the flip ignores yaw and
          extra in-place rotation near obstacles is pure risk);
       4. otherwise: highest reachability.
-
-    The llm selector sends the rendered prompts and expects a candidate
-    index in the reply; malformed or out-of-range replies fall back to the
-    scripted rule and are recorded in the trace.
     """
-    if selector == "llm":
-        if llm is None:
-            raise ValueError("llm selector requires a callable")
-        try:
-            reply = llm([c.rendering for c in cset.candidates], context)
-            match = re.search(r"-?\d+", reply)
-            if match is None:
-                raise SelectionError(f"no index in selector reply: {reply!r}")
-            k = int(match.group())
-            if not 0 <= k < len(cset.candidates):
-                raise SelectionError(f"selector index {k} out of range")
-            return cset.candidates[k]
-        except SelectionError as exc:
-            if trace is not None:
-                trace.append({"event": "selector_fallback", "reason": str(exc)})
-
     current: PrimitiveInstance | None = context.get("current")
     nxt: PrimitiveInstance | None = context.get("next")
 

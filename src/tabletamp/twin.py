@@ -26,9 +26,7 @@ All scene values are immutable; operations return new scenes.
 
 from __future__ import annotations
 
-import json
 import math
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -214,7 +212,7 @@ class PushDelta:
 
 @dataclass(frozen=True)
 class TwinScene:
-    terrain: tuple[TerrainFeature, ...]
+    terrain: Terrain  # any sequence of features; frozen in __post_init__
     objects: tuple[RigidObject, ...]
     robot: RobotModel
     role: str = "twin"
@@ -223,9 +221,10 @@ class TwinScene:
     held_id: str | None = None
 
     def __post_init__(self):
-        # the terrain-derived geometry is cached per tuple, so the terrain
-        # must not be a list that could change after the cache is filled
-        object.__setattr__(self, "terrain", tuple(self.terrain))
+        # the terrain caches its derived geometry, so it is frozen once here
+        # and shared by every dataclasses.replace copy of the scene
+        if not isinstance(self.terrain, Terrain):
+            object.__setattr__(self, "terrain", Terrain(self.terrain))
         if self.role not in ("twin", "execution"):
             raise ValueError("role must be 'twin' or 'execution'")
         ids = [o.id for o in self.objects]
@@ -376,22 +375,21 @@ def _slotted_rings(terrain: tuple[TerrainFeature, ...], surface: TerrainFeature)
     return _punch_slots(surface, overlapping)
 
 
-class _TerrainGeometry:
-    """What a terrain tuple fixes for every scene that shares it.
+class Terrain(tuple):
+    """A scene's terrain features, with the geometry they fix for every scene
+    that shares them.
 
     Each part is derived on first use, so a terrain that only one query
-    rejects (a rotated shelf has no solids) fails only that query.
+    rejects (a rotated shelf has no solids) fails only that query. Two
+    threads that race on a part both derive it, to equal values.
     """
-
-    def __init__(self, terrain: tuple[TerrainFeature, ...]):
-        self.terrain = terrain  # held, so its id cannot be reused
 
     @cached_property
     def cells(self) -> tuple[SupportCell, ...]:
         cells: list[SupportCell] = []
-        for t in self.terrain:
+        for t in self:
             if t.kind in ("table_surface", "ground", "shelf"):
-                for ring in _slotted_rings(self.terrain, t):
+                for ring in _slotted_rings(self, t):
                     cells.append(SupportCell(tuple(ring), t.kind, t.height, feature=t))
             elif t.kind == "slot":
                 cells.append(
@@ -408,9 +406,9 @@ class _TerrainGeometry:
     @cached_property
     def solids(self) -> tuple[Solid, ...]:
         solids: list[Solid] = []
-        for t in self.terrain:
+        for t in self:
             if t.kind == "table_surface":
-                for ring in _slotted_rings(self.terrain, t):
+                for ring in _slotted_rings(self, t):
                     solids.append(Solid(tuple(ring), 0.0, t.height, label=t.name or "table"))
             elif t.kind == "wall":
                 solids.append(
@@ -450,34 +448,12 @@ class _TerrainGeometry:
 
     @cached_property
     def slopes(self) -> tuple[TerrainFeature, ...]:
-        return tuple(t for t in self.terrain if t.kind == "slope")
-
-
-# Keyed on the tuple's id, because TerrainFeature holds a dict and so cannot
-# be hashed. Scenes copied with dataclasses.replace share their terrain
-# tuple, so one scenario fills one entry however many episodes it runs; 16
-# entries hold the eight built-in scenarios twice over.
-_TERRAIN_CACHE_SIZE = 16
-_terrain_cache: dict[int, _TerrainGeometry] = {}
-_terrain_cache_lock = threading.Lock()
-
-
-def _terrain_geometry(terrain: tuple[TerrainFeature, ...]) -> _TerrainGeometry:
-    """The shared derivation for a terrain tuple; the oldest entry goes first."""
-    geo = _terrain_cache.get(id(terrain))
-    if geo is None:
-        with _terrain_cache_lock:
-            geo = _terrain_cache.get(id(terrain))
-            if geo is None:
-                if len(_terrain_cache) >= _TERRAIN_CACHE_SIZE:
-                    del _terrain_cache[next(iter(_terrain_cache))]
-                geo = _terrain_cache[id(terrain)] = _TerrainGeometry(terrain)
-    return geo
+        return tuple(t for t in self if t.kind == "slope")
 
 
 def support_cells(scene: TwinScene, exclude_id: str | None = None,
                   include_objects: bool = True) -> list[SupportCell]:
-    cells = list(_terrain_geometry(scene.terrain).cells)
+    cells = list(scene.terrain.cells)
     if include_objects:
         for o in scene.objects:
             if o.id == exclude_id or o.id == scene.held_id:
@@ -508,7 +484,7 @@ def surface_under(scene: TwinScene, point: Vec2):
 
 
 def terrain_solids(scene: TwinScene) -> list[Solid]:
-    return list(_terrain_geometry(scene.terrain).solids)
+    return list(scene.terrain.solids)
 
 
 def _slope_penetration(scene: TwinScene, box: Obb, tol: float,
@@ -516,7 +492,7 @@ def _slope_penetration(scene: TwinScene, box: Obb, tol: float,
     # Pointwise at the corners: correct for plane-aligned tilted boxes, which
     # a single bottom-z scalar would misclassify. Objects spanning a whole
     # slope feature are not modeled.
-    for t in _terrain_geometry(scene.terrain).slopes:
+    for t in scene.terrain.slopes:
         for c in box.corners():
             p = (c[0], c[1])
             if point_in_polygon(p, t.footprint) and c[2] + climb_tol < t.top_height_at(p) - tol:
@@ -1008,7 +984,7 @@ def _clip_fraction(scene: TwinScene, obj: RigidObject, tx: float, ty: float,
 # pinned against a wall repeats the same step, bit for bit, until the
 # controller's stall limit fires. The key holds every value the bisection
 # reads, so an equal key gives an equal result. The terrain is compared by
-# identity, as _terrain_geometry keys it, and the rest by value. The entry is
+# identity, which scene copies share, and the rest by value. The entry is
 # one tuple replaced whole, so it needs no lock.
 _last_clip: tuple[tuple, tuple[float, bool]] | None = None
 
@@ -1230,71 +1206,120 @@ def scene_to_dict(scene: TwinScene) -> dict:
     }
 
 
+def _json_object(value, what: str) -> dict:
+    """The file's value for ``what``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object (got {value!r})")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    """The file's value for ``what``, which must be a JSON list."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list (got {value!r})")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_number(value, what: str):
+    """The file's value for ``what``, which must be a JSON number."""
+    if not _is_number(value):
+        raise ValueError(f"{what} must be a number (got {value!r})")
+    return value
+
+
+def _json_vector(value, n: int, what: str) -> tuple:
+    """The file's value for ``what``, which must be a list of n numbers."""
+    if not (isinstance(value, list) and len(value) == n and all(map(_is_number, value))):
+        raise ValueError(f"{what} must be a list of {n} numbers (got {value!r})")
+    return tuple(value)
+
+
+def _json_polygon(value, what: str) -> Polygon2:
+    """The file's value for ``what``, which must be a list of [x, y] points."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) for v in value
+    ):
+        raise ValueError(f"{what} must be a list of [x, y] points (got {value!r})")
+    return Polygon2(tuple((v[0], v[1]) for v in value))
+
+
+def _json_pose(value, what: str) -> Pose6D:
+    """The file's value for ``what``: an object with ``xyz`` and ``quat_wxyz``."""
+    value = _json_object(value, what)
+    return Pose6D(_json_vector(value["xyz"], 3, f"{what} xyz"),
+                  _json_vector(value["quat_wxyz"], 4, f"{what} quat_wxyz"))
+
+
 def scene_from_dict(data: dict) -> TwinScene:
     if data.get("version") != SCENE_SCHEMA_VERSION:
         raise ValueError(f"unsupported scene schema version {data.get('version')!r}")
-    terrain = tuple(
-        TerrainFeature(
+    terrain = []
+    for i, t in enumerate(_json_list(data["terrain"], "scene terrain")):
+        where = f"terrain {i}"
+        t = _json_object(t, where)
+        terrain.append(TerrainFeature(
             kind=t["kind"],
-            footprint=Polygon2(tuple((v[0], v[1]) for v in t["footprint"])),
-            height=t["height"],
-            extra=dict(t.get("extra", {})),
+            footprint=_json_polygon(t["footprint"], f"{where} footprint"),
+            height=_json_number(t["height"], f"{where} height"),
+            extra=dict(_json_object(t.get("extra", {}), f"{where} extra")),
             name=t.get("name", ""),
-        )
-        for t in data["terrain"]
-    )
+        ))
     objects = []
-    for o in data["objects"]:
+    for i, o in enumerate(_json_list(data["objects"], "scene objects")):
+        where = f"object {i}"
+        o = _json_object(o, where)
+        shape_raw = _json_object(o["shape"], f"{where} shape")
         shape = Obb(
-            Pose6D(tuple(o["shape"].get("offset_xyz", (0, 0, 0))),
-                   tuple(o["shape"].get("offset_quat_wxyz", (1, 0, 0, 0)))),
-            tuple(o["shape"]["half_extents"]),
+            Pose6D(_json_vector(shape_raw.get("offset_xyz", [0, 0, 0]), 3,
+                                f"{where} shape offset_xyz"),
+                   _json_vector(shape_raw.get("offset_quat_wxyz", [1, 0, 0, 0]), 4,
+                                f"{where} shape offset_quat_wxyz")),
+            _json_vector(shape_raw["half_extents"], 3, f"{where} shape half_extents"),
         )
         ts = o.get("tool_spec")
+        if ts is not None:
+            ts = _json_object(ts, f"{where} tool_spec")
+            ts = ToolSpec(
+                ts["kind"],
+                _json_number(ts["effective_length"], f"{where} tool_spec effective_length"),
+                _json_vector(ts["tip_offset"], 3, f"{where} tool_spec tip_offset"),
+            )
         objects.append(
             RigidObject(
                 id=o["id"],
                 shape=shape,
-                pose=Pose6D(tuple(o["pose"]["xyz"]), tuple(o["pose"]["quat_wxyz"])),
-                mass=o.get("mass", 0.2),
-                friction=o.get("friction", 0.5),
-                tool_spec=None
-                if ts is None
-                else ToolSpec(ts["kind"], ts["effective_length"], tuple(ts["tip_offset"])),
+                pose=_json_pose(o["pose"], f"{where} pose"),
+                mass=_json_number(o.get("mass", 0.2), f"{where} mass"),
+                friction=_json_number(o.get("friction", 0.5), f"{where} friction"),
+                tool_spec=ts,
             )
         )
-    r = data["robot"]
+    r = _json_object(data["robot"], "scene robot")
     robot = RobotModel(
-        base_position=tuple(r["base_position"]),
-        reach_min=r["reach_min"],
-        reach_max=r["reach_max"],
-        gripper_aperture=r["gripper_aperture"],
-        finger_clearance=r["finger_clearance"],
+        base_position=_json_vector(r["base_position"], 2, "robot base_position"),
+        **{k: _json_number(r[k], f"robot {k}") for k in (
+            "reach_min", "reach_max", "gripper_aperture", "finger_clearance")},
     )
-    dp = data.get("dynamics_perturbation", {})
-    pm = data.get("push_model", {})
+    dp = _json_object(data.get("dynamics_perturbation", {}),
+                      "scene dynamics_perturbation")
+    pm = _json_object(data.get("push_model", {}), "scene push_model")
     return TwinScene(
         terrain=terrain,
         objects=tuple(objects),
         robot=robot,
         role=data.get("role", "twin"),
-        dynamics_perturbation=DynamicsPerturbation(
-            friction_scale=dp.get("friction_scale", 1.0),
-            push_gain_scale=dp.get("push_gain_scale", 0.85),
-        ),
-        push_model=PushModel(
-            gain=pm.get("gain", 1.0),
-            kappa=pm.get("kappa", 50.0),
-            step_cap=pm.get("step_cap", 0.02),
-            climb_tol=pm.get("climb_tol", 0.012),
-        ),
+        dynamics_perturbation=DynamicsPerturbation(**{
+            k: _json_number(dp.get(k, default), f"dynamics_perturbation {k}")
+            for k, default in (("friction_scale", 1.0), ("push_gain_scale", 0.85))
+        }),
+        push_model=PushModel(**{
+            k: _json_number(pm.get(k, default), f"push_model {k}")
+            for k, default in (("gain", 1.0), ("kappa", 50.0), ("step_cap", 0.02),
+                               ("climb_tol", 0.012))
+        }),
         held_id=data.get("held_id"),
     )
-
-
-def scene_to_json(scene: TwinScene, indent: int | None = None) -> str:
-    return json.dumps(scene_to_dict(scene), indent=indent, sort_keys=True)
-
-
-def scene_from_json(text: str) -> TwinScene:
-    return scene_from_dict(json.loads(text))

@@ -233,10 +233,28 @@ class TestScenarioFileSteps:
         (lambda d: d.update(special=5), "special must be an object (got 5)"),
         (lambda d: d.update(nominal_zone=5),
          "nominal_zone must be a list of [x, y] points (got 5)"),
+        (lambda d: d.update(goal={"kind": "pose", "target": {
+            "xyz": 5, "quat_wxyz": [1.0, 0.0, 0.0, 0.0]}}),
+         "goal target xyz must be a list of 3 numbers (got 5)"),
+        (lambda d: d["scene"].update(terrain=5), "scene terrain must be a list (got 5)"),
+        (lambda d: d["scene"].update(objects=5), "scene objects must be a list (got 5)"),
+        (lambda d: d["scene"].update(robot=5), "scene robot must be an object (got 5)"),
+        (lambda d: d["scene"].update(push_model=5),
+         "scene push_model must be an object (got 5)"),
+        (lambda d: d["scene"]["terrain"][0].update(footprint=5),
+         "terrain 0 footprint must be a list of [x, y] points (got 5)"),
+        (lambda d: d["scene"]["objects"][0].update(pose=5),
+         "object 0 pose must be an object (got 5)"),
+        (lambda d: d["scene"]["objects"][0].update(shape=5),
+         "object 0 shape must be an object (got 5)"),
+        (lambda d: d["scene"]["terrain"][0].update(height="0.4"),
+         "terrain 0 height must be a number (got '0.4')"),
     ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
             "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape",
             "file-shape", "goal-shape", "target-shape", "scene-shape",
-            "randomization-shape", "special-shape", "zone-shape"])
+            "randomization-shape", "special-shape", "zone-shape", "xyz-shape",
+            "terrain-shape", "objects-shape", "robot-shape", "push-model-shape",
+            "footprint-shape", "pose-shape", "shape-shape", "height-type"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict
@@ -270,3 +288,27 @@ class TestRandomizationFailure:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: no feasible initial pose")
         assert "\n" not in err
+
+
+class TestBadArgumentValues:
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--scenario", "box", "--seed", "-1"],
+         "argument --seed: must be >= 0 (got -1)"),
+        (["sample", "--scenario", "box", "--seed", "-1"],
+         "argument --seed: must be >= 0 (got -1)"),
+        (["run", "--scenario", "box", "--seed", "one"],
+         "argument --seed: invalid int value: 'one'"),
+        (["bench", "--trials", "0"], "argument --trials: must be >= 1 (got 0)"),
+        (["run", "--scenario", "box", "--max-retries", "-1"],
+         "argument --max-retries: must be >= 0 (got -1)"),
+        (["run", "--scenario", "box", "--planner", "http"],
+         "--planner http needs --endpoint"),
+    ], ids=["run-seed", "sample-seed", "seed-text", "trials", "max-retries",
+            "no-endpoint"])
+    def test_rejected_value_is_usage_error(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].endswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tabletamp.domain import (
+    PRIMITIVE_SCHEMAS,
     ObjectState,
     PlanSkeleton,
     PrimitiveInstance,
@@ -12,9 +13,7 @@ from tabletamp.domain import (
     SkeletonParseError,
     SymbolicState,
     apply_effects,
-    invert_effects,
     parse_skeleton,
-    primitive_schema,
     serialize_skeleton,
     validate_skeleton,
 )
@@ -40,7 +39,7 @@ def step(kind, obj="box", region="target_zone"):
 
 class TestPrimitiveSchema:
     def test_grasp_requires_free_gripper(self):
-        schema = primitive_schema(PrimitiveKind.GRASP)
+        schema = PRIMITIVE_SCHEMAS[PrimitiveKind.GRASP]
         assert "gripper_free" in schema["preconditions"]
         assert "held(o)" in schema["effects"]
 
@@ -124,15 +123,6 @@ class TestValidateSkeleton:
         release = step(PrimitiveKind.RELEASE)
         after = apply_effects(release, apply_effects(grasp, st))
         assert after == st
-
-    def test_invert_effects_roundtrip(self):
-        # inversion from a state satisfying the step's preconditions
-        for kind in PrimitiveKind:
-            held = "box" if kind in (PrimitiveKind.MOVETO, PrimitiveKind.RELEASE) else None
-            st = state(held=held)
-            s = step(kind)
-            forward = apply_effects(s, st)
-            assert invert_effects(s, forward) == st
 
 
 class TestWireFormat:

@@ -17,7 +17,6 @@ from tabletamp.geometry import (
     polygons_intersect,
     quat_from_axis_angle,
     quat_from_yaw,
-    quat_identity,
     quat_mul,
     quat_rotate,
     rect_polygon,
@@ -27,6 +26,9 @@ from tabletamp.geometry import (
     wrap_angle,
     yaw_free_angle,
 )
+
+
+IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
 def random_unit_quat(rng):
@@ -52,11 +54,11 @@ def quat_to_matrix_np(q):
 
 class TestGeodesicAngle:
     def test_identity_pair_is_zero(self):
-        assert geodesic_angle(quat_identity(), quat_identity()) == pytest.approx(0.0)
+        assert geodesic_angle(IDENTITY, IDENTITY) == pytest.approx(0.0)
 
     def test_quarter_turn_about_z(self):
         q = quat_from_yaw(math.pi / 2)
-        assert geodesic_angle(quat_identity(), q) == pytest.approx(90.0, abs=1e-9)
+        assert geodesic_angle(IDENTITY, q) == pytest.approx(90.0, abs=1e-9)
 
     def test_double_cover_sign_invariance(self):
         rng = np.random.default_rng(7)
@@ -90,7 +92,7 @@ class TestGeodesicAngle:
 
     def test_non_unit_input_rejected(self):
         with pytest.raises(ValueError):
-            geodesic_angle((1.01, 0.0, 0.0, 0.0), quat_identity())
+            geodesic_angle((1.01, 0.0, 0.0, 0.0), IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +131,9 @@ class TestYawFreeAngle:
 
     def test_quarter_tilt_is_ninety(self):
         tilt = quat_from_axis_angle((1.0, 0.0, 0.0), math.pi / 2)
-        assert yaw_free_angle(quat_identity(), tilt) == pytest.approx(90.0, abs=1e-9)
+        assert yaw_free_angle(IDENTITY, tilt) == pytest.approx(90.0, abs=1e-9)
         yawed_tilt = quat_mul(quat_from_yaw(0.7), tilt)
-        assert yaw_free_angle(quat_identity(), yawed_tilt) == pytest.approx(90.0, abs=1e-9)
+        assert yaw_free_angle(IDENTITY, yawed_tilt) == pytest.approx(90.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +540,14 @@ class TestPose6D:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-class TestPoseSE2:
-    def test_yaw_wrapped_to_half_open_interval(self):
-        from tabletamp.geometry import PoseSE2
-
-        assert PoseSE2(0.0, 0.0, 3.0 * math.pi).yaw == pytest.approx(math.pi)
-        assert PoseSE2(0.0, 0.0, -math.pi).yaw == pytest.approx(math.pi)
-        assert PoseSE2(0.0, 0.0, 0.5).yaw == pytest.approx(0.5)
+class TestWrapAngle:
+    def test_wraps_to_half_open_interval(self):
+        assert wrap_angle(3.0 * math.pi) == pytest.approx(math.pi)
+        assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+        assert wrap_angle(0.5) == pytest.approx(0.5)
         rng = np.random.default_rng(41)
         for _ in range(100):
-            yaw = PoseSE2(0.0, 0.0, rng.uniform(-20, 20)).yaw
+            yaw = wrap_angle(rng.uniform(-20, 20))
             assert -math.pi < yaw <= math.pi
 
 

@@ -274,24 +274,6 @@ class TestHttpPlanner:
             PlannerConfig(backend="http")
 
 
-class TestSelectorAdapter:
-    def test_selector_llm_returns_reply_text(self, stub_server):
-        from tabletamp.planner import selector_llm
-
-        url, handler = stub_server
-        handler.replies = ["2"]
-        cfg = PlannerConfig(backend="http", endpoint=url, model="stub")
-        ask = selector_llm(cfg, "move the card")
-        current = PrimitiveInstance(PrimitiveKind.PUSH, "card",
-                                    region=RegionDescriptor("target_zone"))
-        reply = ask(["<svg/>", "<svg/>", "<svg/>"], {"current": current, "next": None})
-        assert reply.strip() == "2"
-        sent = handler.requests_seen[0]
-        images = [p for p in sent["messages"][0]["content"]
-                  if p.get("type") == "image_url"]
-        assert len(images) == 3
-
-
 class TestMakePlanner:
     def test_scripted_needs_fallbacks(self):
         with pytest.raises(ValueError):

@@ -1,20 +1,16 @@
 import math
 
-import numpy as np
 import pytest
 
 from tabletamp.domain import PrimitiveInstance, PrimitiveKind, RegionDescriptor
 from tabletamp.geometry import (
     Pose6D,
     geodesic_angle,
-    quat_from_axis_angle,
     quat_from_yaw,
 )
 from tabletamp.subgoal import (
-    CameraModel,
     Candidate,
     CandidateSet,
-    DegenerateRay,
     NoFeasiblePose,
     filter_and_rank,
     resolve_anchor,
@@ -73,67 +69,6 @@ class TestResolveAnchor:
         scene = base_scene([make_box()])
         anchor = resolve_anchor(RegionDescriptor("target_zone"), scene, REGISTRY)
         assert anchor == (0.15, -0.05, TABLE_H)
-
-
-def nadir_camera(height=1.5):
-    # looking straight down: camera +z axis points at the table (-z world)
-    q = quat_from_axis_angle((1.0, 0.0, 0.0), math.pi)
-    return CameraModel(
-        intrinsics=((600.0, 0.0, 320.0), (0.0, 600.0, 240.0), (0.0, 0.0, 1.0)),
-        extrinsics=Pose6D((0.0, 0.0, height), q),
-        image_size=(640, 480),
-    )
-
-
-class TestCamera:
-    def test_nadir_center_pixel_hits_point_under_camera(self):
-        cam = nadir_camera()
-        scene = base_scene([])
-        anchor = resolve_anchor(
-            RegionDescriptor("any"), scene, {}, mode="grounded",
-            pixel=(320.0, 240.0), camera=cam,
-        )
-        assert anchor[0] == pytest.approx(0.0, abs=1e-9)
-        assert anchor[1] == pytest.approx(0.0, abs=1e-9)
-        assert anchor[2] == pytest.approx(TABLE_H)
-
-    def test_backproject_reproject_roundtrip(self):
-        from tabletamp.geometry import quat_mul
-
-        tilted_q = quat_mul(
-            quat_from_axis_angle((1.0, 0.0, 0.0), math.pi - 0.5),
-            quat_from_yaw(0.3),
-        )
-        cameras = [
-            nadir_camera(),
-            CameraModel(
-                intrinsics=((580.0, 0.0, 300.0), (0.0, 610.0, 250.0), (0.0, 0.0, 1.0)),
-                extrinsics=Pose6D((0.2, -0.9, 1.2), tilted_q),
-                image_size=(640, 480),
-            ),
-        ]
-        rng = np.random.default_rng(51)
-        for cam in cameras:
-            done = 0
-            while done < 100:
-                px = (rng.uniform(20, 620), rng.uniform(20, 460))
-                try:
-                    world = cam.backproject(px, TABLE_H)
-                except DegenerateRay:
-                    continue
-                back = cam.project(world)
-                assert math.hypot(back[0] - px[0], back[1] - px[1]) < 0.5
-                done += 1
-
-    def test_parallel_ray_degenerate(self):
-        q = quat_from_axis_angle((1.0, 0.0, 0.0), math.pi / 2)  # looking sideways
-        cam = CameraModel(
-            intrinsics=((600.0, 0.0, 320.0), (0.0, 600.0, 240.0), (0.0, 0.0, 1.0)),
-            extrinsics=Pose6D((0.0, -1.0, TABLE_H), q),
-            image_size=(640, 480),
-        )
-        with pytest.raises(DegenerateRay):
-            cam.backproject((320.0, 240.0), TABLE_H)
 
 
 class TestSampleCandidates:
@@ -280,24 +215,3 @@ class TestSelectSubgoal:
         cset = CandidateSet((far, near))
         out = select_subgoal(cset, {"current": cur, "next": None})
         assert out.pose.x == pytest.approx(0.11)
-
-    def test_llm_index_reply(self):
-        poses = [Pose6D((0.01 * i, -0.2, TABLE_H + 0.004)) for i in range(4)]
-        cset = CandidateSet(tuple(
-            make_candidate(p, 0.9 - 0.1 * i, idx=i) for i, p in enumerate(poses)
-        ))
-        out = select_subgoal(cset, {"current": None, "next": None},
-                             selector="llm", llm=lambda imgs, ctx: "2")
-        assert out.pose.x == pytest.approx(0.02)
-
-    def test_llm_garbage_falls_back_and_records(self):
-        poses = [Pose6D((0.01 * i, -0.2, TABLE_H + 0.004)) for i in range(3)]
-        cset = CandidateSet(tuple(
-            make_candidate(p, 0.9 - 0.1 * i, idx=i) for i, p in enumerate(poses)
-        ))
-        trace = []
-        out = select_subgoal(cset, {"current": None, "next": None},
-                             selector="llm", llm=lambda imgs, ctx: "pick the red one",
-                             trace=trace)
-        assert out.pose.x == pytest.approx(0.0)  # scripted fallback: top score
-        assert trace and trace[0]["event"] == "selector_fallback"

@@ -37,8 +37,8 @@ from tabletamp.twin import (
     pivot_rotate,
     place_at,
     rest_on_support,
-    scene_from_json,
-    scene_to_json,
+    scene_from_dict,
+    scene_to_dict,
     settle,
     stability_margin,
     support_cells,
@@ -85,19 +85,18 @@ class TestTerrainCache:
         copies = (episode, template.as_twin(), template.with_held("card"),
                   dataclasses.replace(template, objects=()))
         assert all(c.terrain is template.terrain for c in copies)
-        geo = twin._terrain_geometry(template.terrain)
-        assert geo.terrain is template.terrain
+        terrain = template.terrain
+        assert isinstance(terrain, twin.Terrain)
         for scene in copies:
-            assert twin._terrain_geometry(scene.terrain) is geo
             cells, solids = support_cells(scene, include_objects=False), terrain_solids(scene)
-            assert len(cells) == len(geo.cells) and len(solids) == len(geo.solids)
-            assert all(a is b for a, b in zip(cells, geo.cells))
-            assert all(a is b for a, b in zip(solids, geo.solids))
+            assert len(cells) == len(terrain.cells) and len(solids) == len(terrain.solids)
+            assert all(a is b for a, b in zip(cells, terrain.cells))
+            assert all(a is b for a, b in zip(solids, terrain.solids))
 
     def test_new_terrain_tuple_gets_its_own_cells(self):
         # CPython hands a freed tuple's id to the next tuple of its size, so
-        # a cache that did not hold its keys would serve stale cells here
-        for i in range(3 * twin._TERRAIN_CACHE_SIZE):
+        # derived geometry looked up by id could serve a dead terrain's cells
+        for i in range(48):
             half = 0.2 + 0.005 * i
             table = TerrainFeature("table_surface", rect_polygon(0, 0, half, half),
                                    TABLE_H, name="table")
@@ -107,7 +106,6 @@ class TestTerrainCache:
             (solid,) = terrain_solids(scene)
             assert solid.ring == table.footprint.vertices
             del scene, table, cell, solid
-        assert len(twin._terrain_cache) <= twin._TERRAIN_CACHE_SIZE
 
     def test_list_terrain_is_frozen_into_a_tuple(self):
         terrain = list(base_scene().terrain)
@@ -122,14 +120,14 @@ class TestTerrainCache:
         from tabletamp.scenarios import build_scenario
 
         scene = build_scenario(name).scene_template
-        fresh = twin._TerrainGeometry(scene.terrain)  # bypasses the cache
+        fresh = twin.Terrain(scene.terrain)  # nothing derived yet
         cells = support_cells(scene)
         n = len(fresh.cells)
         assert cells[:n] == list(fresh.cells)
         assert [c.object_id for c in cells[n:]] == [o.id for o in scene.objects]
         assert support_cells(scene, include_objects=False) == list(fresh.cells)
         assert terrain_solids(scene) == list(fresh.solids)
-        assert twin._terrain_geometry(scene.terrain).slopes == tuple(
+        assert scene.terrain.slopes == fresh.slopes == tuple(
             t for t in scene.terrain if t.kind == "slope")
 
     def test_returned_lists_are_fresh(self):
@@ -896,15 +894,15 @@ class TestSceneSerialization:
                         tool_spec=ToolSpec("hook", 0.3, (0.15, 0.0, 0.0)))
         scene = base_scene([make_box(), hook], terrain_extra=[slope],
                            role="execution")
-        text = scene_to_json(scene)
-        back = scene_from_json(text)
-        assert scene_to_json(back) == text
+        text = json.dumps(scene_to_dict(scene), sort_keys=True)
+        back = scene_from_dict(json.loads(text))
+        assert json.dumps(scene_to_dict(back), sort_keys=True) == text
         assert back.object("hook").tool_spec.kind == "hook"
         assert back.role == "execution"
 
     def test_version_checked(self):
         with pytest.raises(ValueError):
-            scene_from_json('{"version": 99}')
+            scene_from_dict(json.loads('{"version": 99}'))
 
 
 class TestFlatPoseOnSupport:
