@@ -35,6 +35,7 @@ from .render import render_scene
 from .scenarios import (
     SCENARIO_IDS,
     all_scenarios,
+    build_region_registry,
     build_scenario,
     dump_scenario,
     fallback_builders,
@@ -136,7 +137,8 @@ def cmd_sample(args) -> int:
     scene = randomize(scenario, args.seed)
     goal = randomized_goal(scenario, args.seed)
     planner = make_planner(_planner_config(args), fallbacks=fallback_builders(scenario))
-    plan = planner.plan(observe(scene, goal, scenario, render=False))
+    # the model planner reads the rendering; the scripted one never does
+    plan = planner.plan(observe(scene, goal, scenario, render=args.planner == "http"))
     if not 0 <= args.step < len(plan.steps):
         print(f"error: step index {args.step} out of range for "
               f"{len(plan.steps)} steps", file=sys.stderr)
@@ -146,7 +148,7 @@ def cmd_sample(args) -> int:
         print(f"error: step {args.step} is {step.kind.value}; only push, "
               f"rotate, and moveto take sub-goal poses", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    registry = scenario.region_registry(goal)
+    registry = build_region_registry(scenario, goal)
     if step.target_pose_hint is not None:
         anchor = step.target_pose_hint.position
     else:

@@ -13,14 +13,14 @@ cannot report success that the scene does not support.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .domain import PrimitiveInstance
 from .geometry import (
     Polygon2,
     Pose6D,
+    Quat,
     Vec2,
     Vec3,
     clip_convex,
@@ -51,7 +51,6 @@ from .twin import (
     settle,
     support_cells,
     support_height_at,
-    terrain_solids,
 )
 
 IK_FAILURE_MESSAGE = "Unable to solve an IK solution"
@@ -86,16 +85,13 @@ class ExecError:
 
 @dataclass
 class ExecTrace:
-    entries: list[tuple[int, str, tuple[float, float]]] = field(default_factory=list)
     result: ExecError | None = None  # None means success
     iterations: int = 0
+    snapshots: int = 0  # scene snapshots the controller made
 
     @property
     def ok(self) -> bool:
         return self.result is None
-
-    def log(self, snapshot_id: int, phase: str, err: tuple[float, float]):
-        self.entries.append((snapshot_id, phase, (round(err[0], 6), round(err[1], 6))))
 
     def fail(self, kind: ErrorKind, message: str) -> "ExecTrace":
         """Record the failure; the episode loop attaches the failing step."""
@@ -168,7 +164,6 @@ class GraspAssessment:
     rule: str | None  # "top" | "side"
     point: Vec3 | None
     overhang: float
-    clearance: float
     failures: tuple[str, ...]
 
 
@@ -196,8 +191,7 @@ def _support_height_below(scene: TwinScene, obj_id: str, p: Vec2) -> float | Non
 def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
     """Overhanging face edges with finger clearance below them.
 
-    Returns (depth, clearance, grasp_point, edge_normal) candidates sorted by
-    depth descending.
+    Returns (depth, grasp_point) candidates sorted by depth descending.
     """
     box = obj.world_obb()
     axis, sign = box.down_face()
@@ -215,7 +209,6 @@ def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
         # probe just beyond the edge: need a drop big enough for a finger
         fractions = (0.3, 0.5, 0.7)
         depths = []
-        clearances = []
         for f in fractions:
             px = a[0] + f * (b[0] - a[0]) + nx * 0.004
             py = a[1] + f * (b[1] - a[1]) + ny * 0.004
@@ -223,7 +216,6 @@ def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
             drop = edge_z if below is None else edge_z - below
             if drop < robot.finger_clearance:
                 depths.append(0.0)
-                clearances.append(drop)
                 continue
             # march inward until support rises back near the contact height;
             # the crossing lies within the last 2 mm step, so take its midpoint
@@ -237,13 +229,10 @@ def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
                     break
                 depth = 0.002 * k
             depths.append(depth)
-            clearances.append(drop)
         depth = min(depths)
-        clearance = min(clearances)
         if depth <= 0.0:
             continue
-        gp = (mx, my, 0.5 * (box.bottom_z() + box.top_z()))
-        results.append((depth, clearance, gp, (nx, ny)))
+        results.append((depth, (mx, my, 0.5 * (box.bottom_z() + box.top_z()))))
     results.sort(key=lambda r: -r[0])
     return results
 
@@ -277,7 +266,7 @@ def assess_grasp(scene: TwinScene, object_id: str) -> GraspAssessment:
         )
     if top_is_flat and height >= _MIN_TOP_HEIGHT and min_width <= robot.gripper_aperture:
         gp = (obj.pose.x, obj.pose.y, box.top_z())
-        return GraspAssessment(True, "top", gp, 0.0, math.inf, ())
+        return GraspAssessment(True, "top", gp, 0.0, ())
 
     thickness = height  # side grasps pinch vertically across the slab
     overhangs = _overhang_edges(scene, obj, robot)
@@ -301,10 +290,9 @@ def assess_grasp(scene: TwinScene, object_id: str) -> GraspAssessment:
             )
         return GraspAssessment(False, None, None,
                                overhangs[0][0] if overhangs else 0.0,
-                               overhangs[0][1] if overhangs else 0.0,
                                tuple(failures))
-    depth, clearance, gp, _normal = viable[0]
-    return GraspAssessment(True, "side", gp, depth, clearance, ())
+    depth, gp = viable[0]
+    return GraspAssessment(True, "side", gp, depth, ())
 
 
 def _vertical_approach_blocked(scene: TwinScene, obj: RigidObject) -> str | None:
@@ -312,7 +300,7 @@ def _vertical_approach_blocked(scene: TwinScene, obj: RigidObject) -> str | None
     box = obj.world_obb()
     hull = box.footprint()
     top = box.top_z()
-    for solid in terrain_solids(scene):
+    for solid in scene.terrain.solids:
         if solid.z1 <= top + 1e-6:
             continue
         if ring_area(clip_convex(list(hull.vertices), list(solid.ring))) > 1e-8:
@@ -360,7 +348,7 @@ def _approach_blocked(scene: TwinScene, obj_id: str, contact: Vec3,
         for p in seg_samples:
             if point_in_polygon(p, fp):
                 return other.id
-    for solid in terrain_solids(scene):
+    for solid in scene.terrain.solids:
         if solid.z1 < contact[2] - 0.01 or solid.z0 > contact[2] + 0.05:
             continue
         for p in seg_samples:
@@ -369,8 +357,8 @@ def _approach_blocked(scene: TwinScene, obj_id: str, contact: Vec3,
     return None
 
 
-def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
-              snapshots: "itertools.count | None" = None) -> tuple[TwinScene, ExecTrace]:
+def exec_push(scene: TwinScene, object_id: str,
+              subgoal: Pose6D) -> tuple[TwinScene, ExecTrace]:
     """Two-phase planar push: translate toward the sub-goal, then align yaw.
 
     The translate phase pushes through the COM from the antipodal boundary
@@ -381,7 +369,6 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
     while the object is still far from the target or once it is within the
     position band, never during the final approach.
     """
-    snaps = snapshots if snapshots is not None else itertools.count()
     trace = ExecTrace()
     obj = scene.object(object_id)
     if scene.held_id == object_id:
@@ -415,7 +402,6 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
             pos_err <= _POS_BAND or pos_err >= _YAW_EARLY_DIST
         )
         if not yaw_phase:
-            phase = "translate"
             vx = subgoal.x - obj.pose.x
             vy = subgoal.y - obj.pose.y
             direction = (vx / pos_err, vy / pos_err)
@@ -425,7 +411,6 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
             push_step = max(1e-4, min(scene.push_model.step_cap, raw))
             prev_pos_err = pos_err
         else:
-            phase = "align_yaw"
             remaining = wrap_angle(target_yaw - obj.pose.yaw)
             to_goal = (subgoal.x - obj.pose.x, subgoal.y - obj.pose.y)
             direction, contact, arm = _yaw_contact(obj, remaining, to_goal)
@@ -452,7 +437,7 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
                                      f"push approach sweeps through {blocker}")
 
         scene, delta = apply_push(scene, object_id, contact, direction, push_step)
-        trace.log(next(snaps), phase, (pos_err, yaw_err))
+        trace.snapshots += 1
         if delta.settle_status != "stable":
             return scene, trace.fail(
                 ErrorKind.OBJECT_LOST,
@@ -487,7 +472,7 @@ def exec_push(scene: TwinScene, object_id: str, subgoal: Pose6D,
             f"final alignment error ({pos_err:.3f} m, {yaw_err:.1f} deg) "
             f"exceeds tolerance",
         )
-    trace.log(next(snaps), "done", (pos_err, yaw_err))
+    trace.snapshots += 1
     return scene, trace
 
 
@@ -550,8 +535,8 @@ def _clamp_to_surface(obj: RigidObject, point: Vec3) -> Vec3:
 # rotate controller
 # ---------------------------------------------------------------------------
 
-def flip_orientation_about(pose: Pose6D, edge: tuple[Vec3, Vec3]):
-    """Orientation and sign of a completed 90-degree flip over a bottom edge."""
+def flip_orientation_about(pose: Pose6D, edge: tuple[Vec3, Vec3]) -> Quat:
+    """Orientation after a completed 90-degree flip over a bottom edge."""
     p0, p1 = edge
     axis = (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
     L = math.sqrt(sum(c * c for c in axis))
@@ -561,19 +546,18 @@ def flip_orientation_about(pose: Pose6D, edge: tuple[Vec3, Vec3]):
         rel = (pose.x - p0[0], pose.y - p0[1], pose.z - p0[2])
         rot = quat_rotate(q, rel)
         if p0[2] + rot[2] >= pose.z - 1e-9:
-            return quat_mul(q, pose.orientation), sign
-    return quat_mul(quat_from_axis_angle(axis, math.pi / 2), pose.orientation), 1.0
+            return quat_mul(q, pose.orientation)
+    return quat_mul(quat_from_axis_angle(axis, math.pi / 2), pose.orientation)
 
 
-def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
-                snapshots: "itertools.count | None" = None) -> tuple[TwinScene, ExecTrace]:
+def exec_rotate(scene: TwinScene, object_id: str,
+                subgoal: Pose6D) -> tuple[TwinScene, ExecTrace]:
     """Out-of-plane reorientation by pivoting about a bottom box edge.
 
     Chooses the bottom edge whose completed flip lands closest to the target
     orientation, then rehearses growing tilt angles in 5-degree increments
     until the balance point is crossed and the flip completes.
     """
-    snaps = snapshots if snapshots is not None else itertools.count()
     trace = ExecTrace()
     obj = scene.object(object_id)
     if scene.held_id == object_id:
@@ -581,7 +565,7 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
 
     start_gap = geodesic_angle(obj.pose.orientation, subgoal.orientation)
     if start_gap <= _ORIENT_TOL_DEG:
-        trace.log(next(snaps), "done", (0.0, start_gap))
+        trace.snapshots += 1
         return scene, trace
 
     box = obj.world_obb()
@@ -589,7 +573,7 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
     best_edge = None
     best_gap = math.inf
     for edge in edges:
-        q_flip, _ = flip_orientation_about(obj.pose, edge)
+        q_flip = flip_orientation_about(obj.pose, edge)
         gap = yaw_free_angle(q_flip, subgoal.orientation)
         if gap < best_gap - 1e-9:
             best_gap = gap
@@ -606,7 +590,6 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
         contact_xy = (obj.pose.x + away[0] * L, obj.pose.y + away[1] * L)
     else:
         contact_xy = (obj.pose.x, obj.pose.y)
-    contact = (contact_xy[0], contact_xy[1], box.top_z() - 0.01)
     if not _reach_ok(scene.robot, contact_xy):
         return scene, trace.fail(
             ErrorKind.OUT_OF_REACH,
@@ -624,7 +607,7 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
         except ValueError as exc:
             return scene, trace.fail(ErrorKind.CONVERGENCE_TIMEOUT,
                                      f"pivot rejected: {exc}")
-        trace.log(next(snaps), "pivot", (math.degrees(angle), 0.0))
+        trace.snapshots += 1
         flipped = geodesic_angle(outcome.final_pose.orientation,
                                  obj.pose.orientation) > 45.0
         if flipped:
@@ -635,7 +618,7 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
                     ErrorKind.CONVERGENCE_TIMEOUT,
                     f"flip landed {final_gap:.1f} deg from the sub-goal orientation",
                 )
-            trace.log(next(snaps), "done", (0.0, final_gap))
+            trace.snapshots += 1
             return new_scene, trace
         if angle >= math.pi / 2 - 1e-9:
             break
@@ -649,11 +632,9 @@ def exec_rotate(scene: TwinScene, object_id: str, subgoal: Pose6D,
 # prehensile controllers
 # ---------------------------------------------------------------------------
 
-def exec_grasp(scene: TwinScene, object_id: str,
-               snapshots: "itertools.count | None" = None) -> tuple[TwinScene, ExecTrace]:
+def exec_grasp(scene: TwinScene, object_id: str) -> tuple[TwinScene, ExecTrace]:
     """Rule-based grasp: top pinch on a graspable prism, or a side pinch on an
     overhanging edge with finger clearance below it."""
-    snaps = snapshots if snapshots is not None else itertools.count()
     trace = ExecTrace()
     if scene.held_id is not None:
         raise ValueError("gripper is not free")
@@ -689,15 +670,13 @@ def exec_grasp(scene: TwinScene, object_id: str,
     except PlacementCollision as exc:
         return scene, trace.fail(ErrorKind.COLLISION,
                                  f"lift after grasp collides: {exc}")
-    trace.log(next(snaps), "grasp", (0.0, 0.0))
+    trace.snapshots += 1
     return held_scene, trace
 
 
-def exec_moveto(scene: TwinScene, subgoal: Pose6D,
-                snapshots: "itertools.count | None" = None) -> tuple[TwinScene, ExecTrace]:
+def exec_moveto(scene: TwinScene, subgoal: Pose6D) -> tuple[TwinScene, ExecTrace]:
     """Transport the held object on a straight line at hover height, then
     lower it onto the sub-goal pose (still held)."""
-    snaps = snapshots if snapshots is not None else itertools.count()
     trace = ExecTrace()
     if scene.held_id is None:
         raise ValueError("no object is held")
@@ -730,21 +709,19 @@ def exec_moveto(scene: TwinScene, subgoal: Pose6D,
         if other is not None:
             return scene, trace.fail(ErrorKind.COLLISION,
                                      f"transport path crosses {other.id}")
-        trace.log(next(snaps), "transport", (dist * (1 - t), 0.0))
+        trace.snapshots += 1
 
     try:
         lowered = place_at(scene, object_id, subgoal)
     except PlacementCollision as exc:
         return scene, trace.fail(ErrorKind.COLLISION,
                                  f"lowering onto the sub-goal collides: {exc}")
-    trace.log(next(snaps), "done", (0.0, 0.0))
+    trace.snapshots += 1
     return lowered, trace
 
 
-def exec_release(scene: TwinScene,
-                 snapshots: "itertools.count | None" = None) -> tuple[TwinScene, ExecTrace]:
+def exec_release(scene: TwinScene) -> tuple[TwinScene, ExecTrace]:
     """Open the gripper and settle the released object where it is."""
-    snaps = snapshots if snapshots is not None else itertools.count()
     trace = ExecTrace()
     if scene.held_id is None:
         raise ValueError("no object is held")
@@ -754,5 +731,5 @@ def exec_release(scene: TwinScene,
     released = released.replace_object(
         released.object(object_id).at_pose(outcome.final_pose)
     )
-    trace.log(next(snaps), f"release:{outcome.status}", (0.0, 0.0))
+    trace.snapshots += 1
     return released, trace

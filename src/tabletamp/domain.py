@@ -1,7 +1,8 @@
 """Symbolic action domain: five primitives, plan skeletons, and validation.
 
-The symbolic layer tracks only what the gripper holds and what each object
-rests on; all geometric truth lives in the twin scene. Preconditions and
+The symbolic layer tracks what the gripper holds and which objects are
+tools, not what objects rest on; all geometric truth lives in the twin
+scene. Preconditions and
 effects are deliberately small:
 
     grasp(o):    pre gripper_free, not held(o)      eff held(o), not gripper_free
@@ -98,7 +99,6 @@ class PlanSkeleton:
 @dataclass(frozen=True)
 class ObjectState:
     held: bool = False
-    on_feature: str | None = None
     is_tool: bool = False
 
 

@@ -234,10 +234,6 @@ class Polygon2:
                     raise ValueError("polygon must be simple (non-self-intersecting)")
         object.__setattr__(self, "vertices", verts)
 
-    @property
-    def area(self) -> float:
-        return _signed_area(self.vertices)
-
     @cached_property
     def bounds(self) -> tuple[float, float, float, float]:
         """Axis-aligned bounding box as (xmin, xmax, ymin, ymax)."""

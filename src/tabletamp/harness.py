@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import time
@@ -45,7 +44,7 @@ from .planner import (
     make_planner,
 )
 from .render import render_scene
-from .scenarios import Goal, Scenario, fallback_builders
+from .scenarios import Goal, Scenario, build_region_registry, fallback_builders
 from .subgoal import (
     NoFeasiblePose,
     filter_and_rank,
@@ -266,8 +265,7 @@ def _crude_subgoal(step: PrimitiveInstance, anchor, scene: TwinScene,
             return (mx * (gx - obj.pose.x) + my * (gy - obj.pose.y)) / n
 
         edge = max(edges, key=outwardness)
-        q, _sign = flip_orientation_about(obj.pose, edge)
-        return Pose6D(obj.pose.position, q)
+        return Pose6D(obj.pose.position, flip_orientation_about(obj.pose, edge))
     # depth comes from the terrain under the keypoint, never from smart
     # stacking on other objects
     return flat_pose_on_support(
@@ -288,7 +286,9 @@ class _StepRecord:
     candidates: int | None = None
     subgoal: list | None = None
     snapshots: list | None = None  # [first, last] scene snapshot id
-    candidate_svgs: tuple[str, ...] = ()  # kept out of the JSON trace
+    # kept out of the JSON trace
+    snapshot_count: int = 0
+    candidate_svgs: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -308,12 +308,10 @@ def _subgoal_seed(seed: int, revision: int, step_index: int) -> int:
 def _execute_plan(
     scene: TwinScene,
     plan: PlanSkeleton,
-    scenario: Scenario,
     goal: Goal,
     seed: int,
     ablation: str,
     registry,
-    snapshots,
     records: list[_StepRecord],
     render: bool = False,
 ) -> tuple[TwinScene, ExecError | None]:
@@ -358,25 +356,22 @@ def _execute_plan(
                     + [round(c, 9) for c in subgoal.orientation]
                 )
                 if step.kind is PrimitiveKind.PUSH:
-                    scene, trace = exec_push(scene, step.object_id, subgoal,
-                                             snapshots=snapshots)
+                    scene, trace = exec_push(scene, step.object_id, subgoal)
                 elif step.kind is PrimitiveKind.ROTATE:
-                    scene, trace = exec_rotate(scene, step.object_id, subgoal,
-                                               snapshots=snapshots)
+                    scene, trace = exec_rotate(scene, step.object_id, subgoal)
                 else:
-                    scene, trace = exec_moveto(scene, subgoal, snapshots=snapshots)
+                    scene, trace = exec_moveto(scene, subgoal)
             elif step.kind is PrimitiveKind.GRASP:
-                scene, trace = exec_grasp(scene, step.object_id, snapshots=snapshots)
+                scene, trace = exec_grasp(scene, step.object_id)
             else:
-                scene, trace = exec_release(scene, snapshots=snapshots)
+                scene, trace = exec_release(scene)
         except NoFeasiblePose as exc:
             # rehearsal lost the object in every candidate; reflect on it
             error = ExecError(ErrorKind.OBJECT_LOST, str(exc), step)
             record.error = error.to_dict()
             return scene, error
         record.iterations = trace.iterations
-        if trace.entries:
-            record.snapshots = [trace.entries[0][0], trace.entries[-1][0]]
+        record.snapshot_count = trace.snapshots
         if not trace.ok:
             error = replace(trace.result, step=step)
             record.error = error.to_dict()
@@ -399,16 +394,18 @@ def run_episode(
 
     scene = randomize(scenario, seed)
     goal = randomized_goal(scenario, seed)
-    registry = scenario.region_registry(goal)
+    registry = build_region_registry(scenario, goal)
     planner = make_planner(planner_cfg, fallbacks=fallback_builders(scenario))
-    snapshots = itertools.count()
+    # the model planner reads the rendering; the scripted one never does
+    see = render or planner_cfg.backend == "http"
+    snapshot = 0  # the id of the episode's next scene snapshot
 
     attempts: list[dict] = []
     replans_used = 0
     history: list[str] = []
 
     try:
-        plan = planner.plan(observe(scene, goal, scenario, render=render))
+        plan = planner.plan(observe(scene, goal, scenario, render=see))
     except PlannerUnavailable as exc:
         return EpisodeResult(
             scenario.id, seed, False,
@@ -421,13 +418,14 @@ def run_episode(
     while True:
         records: list[_StepRecord] = []
         scene, error = _execute_plan(
-            scene, plan, scenario, goal, seed, ablation, registry,
-            snapshots, records, render=render,
+            scene, plan, goal, seed, ablation, registry, records, render=render,
         )
-        if render:
-            for i, r in enumerate(records):
-                if r.candidate_svgs:
-                    step_renderings.append((plan.revision, i, r.candidate_svgs))
+        for i, r in enumerate(records):
+            if r.snapshot_count:
+                r.snapshots = [snapshot, snapshot + r.snapshot_count - 1]
+                snapshot += r.snapshot_count
+            if r.candidate_svgs:
+                step_renderings.append((plan.revision, i, r.candidate_svgs))
         attempt = {
             "skeleton": skeleton_to_dict(plan),
             "outcomes": [r.to_dict() for r in records],
@@ -442,7 +440,7 @@ def run_episode(
             insight, plan = planner.reflect(
                 ReflectionInput(
                     error=error,
-                    observation=observe(scene, goal, scenario, render=render),
+                    observation=observe(scene, goal, scenario, render=see),
                     failed_plan=plan,
                     history=tuple(history),
                 )

@@ -62,7 +62,6 @@ class Observation:
             gripper_free = gripper_free and not held
             objects[oid] = ObjectState(
                 held=held,
-                on_feature=info.get("on_feature"),
                 is_tool=bool(info.get("is_tool", False)),
             )
         return SymbolicState(objects, gripper_free=gripper_free)

@@ -54,7 +54,6 @@ def render_scene(
     highlight maps object ids to candidate poses drawn solid, with the
     current pose of the same object drawn translucent underneath.
     """
-    half_w = size_px / (2.0 * _SCALE)
     cx, cy = 0.0, 0.0
     tables = [t for t in scene.terrain if t.kind == "table_surface"]
     if tables:

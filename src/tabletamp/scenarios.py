@@ -43,12 +43,13 @@ from .twin import (
     TerrainFeature,
     ToolSpec,
     TwinScene,
+    _is_number,
     _json_object,
     _json_polygon,
     _json_pose,
+    _json_string,
     scene_from_dict,
     scene_to_dict,
-    terrain_solids,
 )
 
 TABLE_HEIGHT = 0.4
@@ -68,6 +69,8 @@ class Goal:
     zone: Polygon2 | None = None
 
     def __post_init__(self):
+        if self.kind not in ("pose", "region"):
+            raise ValueError(f"unknown goal kind {self.kind!r}")
         if self.kind == "pose" and self.target is None:
             raise ValueError("pose goal needs a target pose")
         if self.kind == "region" and self.zone is None:
@@ -86,9 +89,6 @@ class Scenario:
     pos_jitter: float = 0.05
     yaw_jitter_deg: float = 30.0
     special: dict = field(default_factory=dict)
-
-    def region_registry(self, goal: "Goal | None" = None) -> RegionRegistry:
-        return build_region_registry(self, goal)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +483,7 @@ def _push_path_clear(scene: TwinScene, object_id: str, target) -> bool:
     dist = math.hypot(target[0] - sx, target[1] - sy)
     steps = max(2, int(dist / 0.02))
     blockers = [
-        s for s in terrain_solids(scene)
+        s for s in scene.terrain.solids
         if s.z1 > table_h + 0.005 and s.z0 < table_h + 0.05
     ]
     slopes = scene.terrain.slopes
@@ -726,9 +726,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         zone = _json_polygon(goal_raw["zone"], "goal zone")
     randomization = _json_object(data.get("randomization", {}), "randomization")
     scenario = Scenario(
-        id=data["id"],
-        instruction=data["instruction"],
-        primary_object=data["primary_object"],
+        id=_json_string(data["id"], "id"),
+        instruction=_json_string(data["instruction"], "instruction"),
+        primary_object=_json_string(data["primary_object"], "primary_object"),
         scene_template=scene_from_dict(_json_object(data["scene"], "scene")),
         goal_template=Goal(goal_raw["kind"], target=target, zone=zone),
         nominal_zone=_json_polygon(data["nominal_zone"], "nominal_zone"),
@@ -757,22 +757,28 @@ def _fallback_templates(plans) -> tuple[tuple[dict, ...], ...]:
 
 def _check_fallback_plans(scenario: Scenario):
     """Reject a scenario file that would fail mid-episode: a primary object
-    missing from the scene, negative jitter, no fallback plan or an empty
-    one, or a step with an unknown primitive, object or hint binding, or a
-    region the scene cannot resolve."""
-    object_ids = {o.id for o in scenario.scene_template.objects}
+    missing from the scene, negative jitter, an initial state other than
+    standing or lying, no fallback plan or an empty one, or a step with an
+    unknown primitive, object or hint binding, or a region the scene cannot
+    resolve. Membership is tested in tuples, which need no hashable value."""
+    object_ids = tuple(o.id for o in scenario.scene_template.objects)
     if scenario.primary_object not in object_ids:
         raise ValueError(f"primary object {scenario.primary_object!r} is not "
                          f"in the scene")
     for name, value in (("pos_jitter", scenario.pos_jitter),
                         ("yaw_jitter_deg", scenario.yaw_jitter_deg),
                         ("goal_jitter", scenario.special.get("goal_jitter", 0.0))):
-        if not isinstance(value, (int, float)) or value < 0:
+        if not _is_number(value) or value < 0:
             raise ValueError(f"{name} must be a number >= 0 (got {value!r})")
+    states = scenario.special.get("initial_states", [])
+    if not isinstance(states, (list, tuple)) or not all(
+            s in ("standing", "lying") for s in states):
+        raise ValueError(f"initial_states must be a list of 'standing' or 'lying' "
+                         f"(got {states!r})")
     if not scenario.fallback_templates:
         raise ValueError("fallback_plans needs at least one plan")
-    kinds = {k.value for k in PrimitiveKind}
-    registry = scenario.region_registry()
+    kinds = tuple(k.value for k in PrimitiveKind)
+    registry = build_region_registry(scenario)
     for i, template in enumerate(scenario.fallback_templates):
         if not template:
             raise ValueError(f"fallback plan {i} has no steps")
@@ -788,7 +794,7 @@ def _check_fallback_plans(scenario: Scenario):
             region = raw.get("region")
             if not region:
                 continue
-            if region not in registry:
+            if region not in tuple(registry):
                 raise ValueError(f"{where}: unknown region {region!r}")
             try:
                 registry[region](scenario.scene_template, raw["object_id"])

@@ -206,7 +206,6 @@ class PushDelta:
     dx: float
     dy: float
     dyaw: float
-    blocked: bool  # translation was clipped by terrain/objects: pivot candidate
     settle_status: str
 
 
@@ -483,10 +482,6 @@ def surface_under(scene: TwinScene, point: Vec2):
     return best, best.top_height_at(point)
 
 
-def terrain_solids(scene: TwinScene) -> list[Solid]:
-    return list(scene.terrain.solids)
-
-
 def _slope_penetration(scene: TwinScene, box: Obb, tol: float,
                        climb_tol: float) -> bool:
     # Pointwise at the corners: correct for plane-aligned tilted boxes, which
@@ -508,7 +503,7 @@ def box_hits_solids(scene: TwinScene, box: Obb, tol: float = 1e-6,
     hull = box.xy_hull
     if len(hull) < 3:
         return None
-    for solid in terrain_solids(scene):
+    for solid in scene.terrain.solids:
         if bottom + climb_tol >= solid.z1 - tol or top <= solid.z0 + tol:
             continue
         if bounds_disjoint(box.xy_bounds, solid.polygon.bounds):
@@ -872,7 +867,7 @@ def _topple_once(obj: RigidObject, pose: Pose6D, support_hull: list[Vec2],
 
     box = Obb(Pose6D((0.0, 0.0, 0.0), pose.orientation), obj.half_extents)
     largest_axis, _ = box.largest_face()
-    q1 = quat_from_axis_angle((ex, ey, 0.0), _flip_sign(pose, (ex, ey), (dx, dy)))
+    q1 = quat_from_axis_angle((ex, ey, 0.0), _flip_sign((ex, ey), (dx, dy)))
     q_flipped = quat_mul(q1, pose.orientation)
     q_final = _face_down_orientation(q_flipped, largest_axis,
                                      _down_sign(q_flipped, largest_axis))
@@ -892,7 +887,7 @@ def _down_sign(q: Quat, axis: int) -> float:
     return 1.0 if n[2] < 0 else -1.0
 
 
-def _flip_sign(pose: Pose6D, edge_dir: Vec2, outward: Vec2) -> float:
+def _flip_sign(edge_dir: Vec2, outward: Vec2) -> float:
     # rotating +90 deg about the edge axis should carry the top toward outward
     cx = edge_dir[0] * outward[1] - edge_dir[1] * outward[0]
     return math.pi / 2 if cx < 0 else -math.pi / 2
@@ -961,14 +956,13 @@ def _motion_blocked(scene: TwinScene, obj: RigidObject, pose: Pose6D,
 
 
 def _clip_fraction(scene: TwinScene, obj: RigidObject, tx: float, ty: float,
-                   dyaw: float) -> tuple[float, bool]:
-    """(frac, blocked): the largest share of the planar motion, bisected to
-    14 steps, that the object can make without entering terrain or another
-    object, and whether the full motion was blocked."""
+                   dyaw: float) -> float:
+    """The largest share of the planar motion, bisected to 14 steps, that the
+    object can make without entering terrain or another object."""
     climb_tol = scene.push_model.climb_tol
     if not _motion_blocked(scene, obj, _pose_after_planar_motion(obj.pose, tx, ty, dyaw),
                            climb_tol):
-        return 1.0, False
+        return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(14):
         mid = 0.5 * (lo + hi)
@@ -977,7 +971,7 @@ def _clip_fraction(scene: TwinScene, obj: RigidObject, tx: float, ty: float,
             hi = mid
         else:
             lo = mid
-    return lo, True
+    return lo
 
 
 # The inputs of apply_push's last _clip_fraction call, and its result. A push
@@ -986,7 +980,7 @@ def _clip_fraction(scene: TwinScene, obj: RigidObject, tx: float, ty: float,
 # reads, so an equal key gives an equal result. The terrain is compared by
 # identity, which scene copies share, and the rest by value. The entry is
 # one tuple replaced whole, so it needs no lock.
-_last_clip: tuple[tuple, tuple[float, bool]] | None = None
+_last_clip: tuple[tuple, float] | None = None
 
 
 def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
@@ -1022,16 +1016,16 @@ def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
            model.climb_tol)
     last = _last_clip
     if last is not None and last[0][0] is key[0] and last[0][1:] == key[1:]:
-        frac, blocked = last[1]
+        frac = last[1]
     else:
-        frac, blocked = _clip_fraction(scene, obj, tx, ty, dyaw)
-        _last_clip = (key, (frac, blocked))
+        frac = _clip_fraction(scene, obj, tx, ty, dyaw)
+        _last_clip = (key, frac)
 
     new_pose = _pose_after_planar_motion(obj.pose, tx * frac, ty * frac, dyaw * frac)
     moved = scene.replace_object(obj.at_pose(new_pose))
     outcome = settle(moved, object_id)
     settled = moved.replace_object(moved.object(object_id).at_pose(outcome.final_pose))
-    delta = PushDelta(tx * frac, ty * frac, dyaw * frac, blocked, outcome.status)
+    delta = PushDelta(tx * frac, ty * frac, dyaw * frac, outcome.status)
     return settled, delta
 
 
@@ -1157,7 +1151,8 @@ def scene_to_dict(scene: TwinScene) -> dict:
                 "name": t.name,
                 "footprint": [list(v) for v in t.footprint.vertices],
                 "height": t.height,
-                "extra": dict(t.extra),
+                "extra": {k: list(v) if isinstance(v, tuple) else v
+                          for k, v in t.extra.items()},
             }
             for t in scene.terrain
         ],
@@ -1220,6 +1215,13 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_string(value, what: str) -> str:
+    """The file's value for ``what``, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string (got {value!r})")
+    return value
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -1247,6 +1249,19 @@ def _json_polygon(value, what: str) -> Polygon2:
     return Polygon2(tuple((v[0], v[1]) for v in value))
 
 
+def _json_extra(value, what: str) -> dict:
+    """A terrain's ``extra`` object, whose known keys must hold a number or,
+    for a direction, an [x, y] pair."""
+    extra = dict(_json_object(value, what))
+    for key in ("height", "angle_deg", "depth", "width", "clearance"):
+        if key in extra:
+            _json_number(extra[key], f"{what} {key}")
+    for key in ("downhill", "open_face"):
+        if key in extra:
+            _json_vector(extra[key], 2, f"{what} {key}")
+    return extra
+
+
 def _json_pose(value, what: str) -> Pose6D:
     """The file's value for ``what``: an object with ``xyz`` and ``quat_wxyz``."""
     value = _json_object(value, what)
@@ -1265,8 +1280,8 @@ def scene_from_dict(data: dict) -> TwinScene:
             kind=t["kind"],
             footprint=_json_polygon(t["footprint"], f"{where} footprint"),
             height=_json_number(t["height"], f"{where} height"),
-            extra=dict(_json_object(t.get("extra", {}), f"{where} extra")),
-            name=t.get("name", ""),
+            extra=_json_extra(t.get("extra", {}), f"{where} extra"),
+            name=_json_string(t.get("name", ""), f"{where} name"),
         ))
     objects = []
     for i, o in enumerate(_json_list(data["objects"], "scene objects")):
@@ -1290,7 +1305,7 @@ def scene_from_dict(data: dict) -> TwinScene:
             )
         objects.append(
             RigidObject(
-                id=o["id"],
+                id=_json_string(o["id"], f"{where} id"),
                 shape=shape,
                 pose=_json_pose(o["pose"], f"{where} pose"),
                 mass=_json_number(o.get("mass", 0.2), f"{where} mass"),

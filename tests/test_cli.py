@@ -188,7 +188,10 @@ class TestScenarioFileSteps:
         ("region", "moon", "unknown region 'moon'"),
         ("kind", "slide", "unknown primitive 'slide'"),
         ("hint", "elsewhere", "unknown hint binding 'elsewhere'"),
-    ], ids=["region", "kind", "hint"])
+        ("region", ["moon"], "unknown region ['moon']"),
+        ("kind", ["push"], "unknown primitive ['push']"),
+        ("object_id", [1], "no object [1] in the scene"),
+    ], ids=["region", "kind", "hint", "region-list", "kind-list", "object-list"])
     def test_unknown_step_field_is_input_error(self, tmp_path, capsys, key, value,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict
@@ -249,12 +252,34 @@ class TestScenarioFileSteps:
          "object 0 shape must be an object (got 5)"),
         (lambda d: d["scene"]["terrain"][0].update(height="0.4"),
          "terrain 0 height must be a number (got '0.4')"),
+        (lambda d: d["randomization"].update(pos_jitter=True),
+         "pos_jitter must be a number >= 0 (got True)"),
+        (lambda d: d["randomization"].update(yaw_jitter_deg=True),
+         "yaw_jitter_deg must be a number >= 0 (got True)"),
+        (lambda d: d["scene"]["terrain"][0].update(kind="wall", extra={"height": "x"}),
+         "terrain 0 extra height must be a number (got 'x')"),
+        (lambda d: d["scene"]["terrain"][0].update(extra={"downhill": "south"}),
+         "terrain 0 extra downhill must be a list of 2 numbers (got 'south')"),
+        (lambda d: d["scene"]["terrain"][0].update(name=5),
+         "terrain 0 name must be a string (got 5)"),
+        (lambda d: d["scene"]["objects"][0].update(id=[1]),
+         "object 0 id must be a string (got [1])"),
+        (lambda d: d.update(id=5), "id must be a string (got 5)"),
+        (lambda d: d.update(instruction=5), "instruction must be a string (got 5)"),
+        (lambda d: d.update(primary_object=["box"]),
+         "primary_object must be a string (got ['box'])"),
+        (lambda d: d["goal"].update(kind=["pose"]), "unknown goal kind ['pose']"),
+        (lambda d: d["special"].update(initial_states=5),
+         "initial_states must be a list of 'standing' or 'lying' (got 5)"),
     ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
             "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape",
             "file-shape", "goal-shape", "target-shape", "scene-shape",
             "randomization-shape", "special-shape", "zone-shape", "xyz-shape",
             "terrain-shape", "objects-shape", "robot-shape", "push-model-shape",
-            "footprint-shape", "pose-shape", "shape-shape", "height-type"])
+            "footprint-shape", "pose-shape", "shape-shape", "height-type",
+            "pos-jitter-bool", "yaw-jitter-bool", "extra-number", "extra-direction",
+            "terrain-name", "object-id", "scenario-id", "instruction",
+            "primary-type", "goal-kind", "initial-states"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict

@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from tabletamp.geometry import Pose6D, quat_from_axis_angle, quat_from_yaw
 from tabletamp.harness import (
@@ -161,6 +162,20 @@ class TestRunEpisode:
         doc = json.loads(episode_trace_json(r))
         assert doc["scenario_id"] == "tool_pusher"
         assert isinstance(doc["attempts"], list)
+
+    @pytest.mark.parametrize("name, ablation, expected", [
+        ("edge", "full",
+         [None, [0, 51], [52, 152], [153, 153], [154, 180], [181, 181]]),
+        ("wall", "no_pose",
+         [None, [0, 34], [35, 36], [37, 54], [55, 55], [56, 75], [76, 76]]),
+    ])
+    def test_snapshot_ids_run_on_across_revisions(self, name, ablation, expected):
+        # a step that made no snapshot has None; the others number the
+        # episode's snapshots consecutively, through every plan revision
+        r = run_episode(build_scenario(name), 0, ablation=ablation)
+        assert r.replans_used >= 1
+        got = [o["snapshots"] for a in r.attempts for o in a["outcomes"]]
+        assert got == expected
 
 
 class TestRunBenchmark:

@@ -1,3 +1,4 @@
+import base64
 import json
 import threading
 import time
@@ -11,7 +12,7 @@ from tabletamp.domain import (
     PrimitiveKind,
     RegionDescriptor,
 )
-from tabletamp.harness import observe, randomize, randomized_goal
+from tabletamp.harness import observe, randomize, randomized_goal, run_episode
 from tabletamp.planner import (
     HttpPlanner,
     NoMorePlans,
@@ -192,6 +193,12 @@ GOOD_SKELETON = json.dumps({
 })
 
 
+def svg_payload(uri):
+    prefix, payload = uri.split(",", 1)
+    assert prefix == "data:image/svg+xml;base64"
+    return base64.b64decode(payload)
+
+
 class TestHttpPlanner:
     def test_parses_fenced_reply(self, stub_server):
         url, handler = stub_server
@@ -268,6 +275,32 @@ class TestHttpPlanner:
         planner.plan(obs)
         out = capsys.readouterr()
         assert "sk-secret-123" not in out.out + out.err
+
+    def test_episode_sends_rendering_without_render_flag(self, stub_server):
+        # the first plan's grasp fails on the flat card, so the reflection
+        # request carries a second observation
+        url, handler = stub_server
+        handler.replies = [f"```json\n{GOOD_SKELETON}\n```"]
+        cfg = PlannerConfig(backend="http", endpoint=url, model="stub", max_retries=0)
+        run_episode(build_scenario("edge"), 0, cfg, render=False)
+        images = [part["image_url"]["url"]
+                  for body in handler.requests_seen
+                  for part in body["messages"][0]["content"]
+                  if part.get("type") == "image_url"]
+        assert len(images) == len(handler.requests_seen) == 2
+        assert all(svg_payload(uri).startswith(b"<svg") for uri in images)
+
+    def test_sample_command_sends_rendering(self, stub_server, tmp_path):
+        from tabletamp.cli import main
+
+        url, handler = stub_server
+        handler.replies = [f"```json\n{GOOD_SKELETON}\n```"]
+        main(["sample", "--scenario", "edge", "--planner", "http", "--endpoint", url,
+              "--max-retries", "0", "--out", str(tmp_path)])
+        (body,) = handler.requests_seen
+        (uri,) = [part["image_url"]["url"] for part in body["messages"][0]["content"]
+                  if part.get("type") == "image_url"]
+        assert svg_payload(uri).startswith(b"<svg")
 
     def test_http_backend_requires_endpoint(self):
         with pytest.raises(ValueError):
