@@ -23,8 +23,8 @@ from .geometry import (
     Quat,
     Vec2,
     Vec3,
+    boundary_contacts,
     clip_convex,
-    contact_normals,
     farthest_point_sample,
     geodesic_angle,
     point_in_polygon,
@@ -483,29 +483,28 @@ def _yaw_contact(obj: RigidObject, remaining: float, to_goal: Vec2):
     translation also points toward the position target, so the drift from yaw
     alignment self-corrects instead of accumulating.
     """
-    footprint = obj.world_obb().footprint()
-    pts = footprint.sample_boundary(_BOUNDARY_SPACING)
+    pts, normals = boundary_contacts(obj.world_obb().footprint(), _BOUNDARY_SPACING)
     k = min(_FPS_K, len(pts))
     idx = farthest_point_sample(pts, k, 0)
     need = 1.0 if remaining > 0 else -1.0
 
-    def score(points):
-        normals = contact_normals(footprint, points)
+    def score(indices):
         out = []
-        for p, n in zip(points, normals):
+        for i in indices:
+            p, n = pts[i], normals[i]
             rx, ry = p[0] - obj.pose.x, p[1] - obj.pose.y
             arm = rx * n[1] - ry * n[0]
             out.append((need * arm, arm, p, n))
         out.sort(key=lambda s: -s[0])
         return out
 
-    scored = score([pts[i] for i in idx])
+    scored = score(idx)
     # symmetric footprints put the spread contacts on or near zero-moment
     # symmetry lines; when the best FPS arm is weak for an object this size,
     # fall back to scanning the whole boundary
     min_useful = 0.3 * max(obj.half_extents[0], obj.half_extents[1])
     if scored[0][0] <= min_useful:
-        scored = score(pts)
+        scored = score(range(len(pts)))
     positive = [s for s in scored if s[0] > 1e-6]
     if not positive:
         return (1.0, 0.0), (obj.pose.x, obj.pose.y, obj.pose.z), None

@@ -131,18 +131,22 @@ class Pose6D:
     orientation: Quat = (1.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        p = tuple(float(c) for c in self.position)
-        if len(p) != 3 or not all(math.isfinite(c) for c in p):
+        # Built on every controller step, so the checks are written out:
+        # the same conversions, tests and norm expression as quat_norm.
+        p = tuple(map(float, self.position))
+        if len(p) != 3 or not (
+            math.isfinite(p[0]) and math.isfinite(p[1]) and math.isfinite(p[2])
+        ):
             raise ValueError(f"position must be 3 finite floats, got {self.position}")
-        q = tuple(float(c) for c in self.orientation)
+        q = tuple(map(float, self.orientation))
         if len(q) != 4:
             raise ValueError("orientation must have 4 components (w, x, y, z)")
-        n = quat_norm(q)  # type: ignore[arg-type]
+        w, x, y, z = q
+        n = math.sqrt(w * w + x * x + y * y + z * z)
         if abs(n - 1.0) > _UNIT_TOL:
             raise ValueError(f"orientation is not unit norm ({n:.2e} off): {q}")
-        q = (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
         object.__setattr__(self, "position", p)
-        object.__setattr__(self, "orientation", q)
+        object.__setattr__(self, "orientation", (w / n, x / n, y / n, z / n))
 
     @property
     def x(self) -> float:
@@ -271,7 +275,26 @@ class Polygon2:
         return True
 
     def boundary_distance(self, p: Vec2) -> float:
-        return min(_point_segment_distance(p, a, b) for a, b in self.edges())
+        # _point_segment_distance over each edge, written out: this is the
+        # innermost loop of point_in_polygon.
+        px, py = p
+        verts = self.vertices
+        ax, ay = verts[0]
+        best = math.inf
+        for bx, by in verts[1:] + verts[:1]:
+            dx, dy = bx - ax, by - ay
+            L2 = dx * dx + dy * dy
+            if L2 < 1e-30:
+                d = math.hypot(px - ax, py - ay)
+            else:
+                t = ((px - ax) * dx + (py - ay) * dy) / L2
+                t = t if t < 1.0 else 1.0  # max(0.0, min(1.0, t))
+                t = t if t > 0.0 else 0.0
+                d = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+            if d < best:
+                best = d
+            ax, ay = bx, by
+        return best
 
     def closest_boundary_point(self, p: Vec2) -> Vec2:
         best = None
@@ -294,14 +317,7 @@ class Polygon2:
 
     def sample_boundary(self, spacing: float) -> list[Vec2]:
         """Points along the boundary at roughly `spacing`, vertices included."""
-        pts: list[Vec2] = []
-        for a, b in self.edges():
-            length = math.hypot(b[0] - a[0], b[1] - a[1])
-            steps = max(1, int(math.ceil(length / spacing)))
-            for k in range(steps):
-                t = k / steps
-                pts.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-        return pts
+        return boundary_contacts(self, spacing)[0]
 
     def translated(self, dx: float, dy: float) -> "Polygon2":
         return Polygon2(tuple((x + dx, y + dy) for x, y in self.vertices))
@@ -323,11 +339,14 @@ def point_in_polygon(p: Vec2, poly: Polygon2, tol: float = _BOUNDARY_TOL) -> boo
         return True
     # crossing number; boundary grazing already handled above
     inside = False
-    for (x0, y0), (x1, y1) in poly.edges():
+    verts = poly.vertices
+    x0, y0 = verts[0]
+    for x1, y1 in verts[1:] + verts[:1]:
         if (y0 > y) != (y1 > y):
             xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
             if xi > x:
                 inside = not inside
+        x0, y0 = x1, y1
     return inside
 
 
@@ -352,17 +371,23 @@ def convex_hull(points: list[Vec2]) -> list[Vec2]:
     if len(pts) <= 2:
         return pts
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
+    # pop while cross(chain[-2], chain[-1], p) <= 1e-15, cross written out
     lower: list[Vec2] = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 1e-15:
+        px, py = p
+        while len(lower) >= 2:
+            (ox, oy), (ax, ay) = lower[-2], lower[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 1e-15:
+                break
             lower.pop()
         lower.append(p)
     upper: list[Vec2] = []
     for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 1e-15:
+        px, py = p
+        while len(upper) >= 2:
+            (ox, oy), (ax, ay) = upper[-2], upper[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 1e-15:
+                break
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
@@ -456,29 +481,27 @@ def clip_convex(subject: list[Vec2], clip: list[Vec2]) -> list[Vec2]:
         cx0, cy0 = clip[i]
         cx1, cy1 = clip[(i + 1) % n]
         ex, ey = cx1 - cx0, cy1 - cy0
-
-        def inside(p):
-            return ex * (p[1] - cy0) - ey * (p[0] - cx0) >= -1e-12
-
-        def intersect(p, q):
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            denom = ex * dy - ey * dx
-            if abs(denom) < 1e-18:
-                return q
-            t = (ex * (cy0 - p[1]) - ey * (cx0 - p[0])) / denom
-            t = max(0.0, min(1.0, t))
-            return (p[0] + t * dx, p[1] + t * dy)
-
+        # each vertex's side is computed once and carried to the next one;
+        # a crossing adds the intersection from prev to cur before cur
         new_output: list[Vec2] = []
-        prev = output[-1]
+        px, py = output[-1]
+        p_in = ex * (py - cy0) - ey * (px - cx0) >= -1e-12
         for cur in output:
-            if inside(cur):
-                if not inside(prev):
-                    new_output.append(intersect(prev, cur))
+            qx, qy = cur
+            q_in = ex * (qy - cy0) - ey * (qx - cx0) >= -1e-12
+            if q_in != p_in:
+                dx, dy = qx - px, qy - py
+                denom = ex * dy - ey * dx
+                if abs(denom) < 1e-18:
+                    new_output.append(cur)
+                else:
+                    t = (ex * (cy0 - py) - ey * (cx0 - px)) / denom
+                    t = t if t < 1.0 else 1.0  # max(0.0, min(1.0, t))
+                    t = t if t > 0.0 else 0.0
+                    new_output.append((px + t * dx, py + t * dy))
+            if q_in:
                 new_output.append(cur)
-            elif inside(prev):
-                new_output.append(intersect(prev, cur))
-            prev = cur
+            px, py, p_in = qx, qy, q_in
         output = new_output
     return output
 
@@ -516,6 +539,9 @@ def bounds_disjoint(a: tuple[float, float, float, float],
 _LOCAL_FACES: tuple[tuple[int, float], ...] = (
     (0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0),
 )
+_CORNER_SIGNS: tuple[Vec3, ...] = tuple(
+    (sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)
+)
 
 
 @dataclass(frozen=True)
@@ -536,11 +562,23 @@ class Obb:
 
     @cached_property
     def _corners(self) -> tuple[Vec3, ...]:
+        # center_pose.transform_point of each signed half extent, with
+        # quat_rotate written out
         hx, hy, hz = self.half_extents
-        return tuple(
-            self.center_pose.transform_point((sx * hx, sy * hy, sz * hz))
-            for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)
-        )
+        w, x, y, z = self.center_pose.orientation
+        px, py, pz = self.center_pose.position
+        out = []
+        for sx, sy, sz in _CORNER_SIGNS:
+            vx, vy, vz = sx * hx, sy * hy, sz * hz
+            tx = 2.0 * (y * vz - z * vy)
+            ty = 2.0 * (z * vx - x * vz)
+            tz = 2.0 * (x * vy - y * vx)
+            out.append((
+                vx + w * tx + (y * tz - z * ty) + px,
+                vy + w * ty + (z * tx - x * tz) + py,
+                vz + w * tz + (x * ty - y * tx) + pz,
+            ))
+        return tuple(out)
 
     @cached_property
     def _z_range(self) -> tuple[float, float]:
@@ -665,6 +703,46 @@ def farthest_point_sample(points: list[Vec2], k: int, start: int = 0) -> list[in
             if d2 < min_d2[i]:
                 min_d2[i] = d2
     return chosen
+
+
+def boundary_contacts(footprint: Polygon2,
+                      spacing: float) -> tuple[list[Vec2], list[Vec2]]:
+    """Points along the boundary at roughly `spacing`, vertices included,
+    and the inward unit normal at each.
+
+    The normals equal ``contact_normals(footprint, points)`` for a spacing
+    far above 1e-9 on a polygon wider than that: a point inside an edge
+    takes that edge's normal, and a vertex point the bisector at the first
+    vertex within 1e-9 of it. On a hull with edges shorter than 1e-9 that
+    can be an earlier vertex than the point's own.
+    """
+    verts = footprint.vertices
+    n = len(verts)
+    edges = []
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        length = math.hypot(dx, dy)
+        # a repeated vertex (a zero-length edge) has no normal of its own
+        edges.append((a, dx, dy, length,
+                      (-dy / length, dx / length) if length else (0.0, 0.0)))
+    pts: list[Vec2] = []
+    normals: list[Vec2] = []
+    for (ax, ay), dx, dy, length, normal in edges:
+        steps = max(1, int(math.ceil(length / spacing)))
+        for k in range(steps):
+            t = k / steps
+            pts.append((ax + t * dx, ay + t * dy))
+        px, py = pts[-steps]
+        j = 0  # the point's own vertex ends this scan at the latest
+        while math.hypot(px - verts[j][0], py - verts[j][1]) > 1e-9:
+            j += 1
+        na, nb = edges[j - 1][4], edges[j][4]
+        bx, by = na[0] + nb[0], na[1] + nb[1]
+        L = math.hypot(bx, by)
+        normals.append((bx / L, by / L) if L else (0.0, 0.0))
+        normals.extend([normal] * (steps - 1))
+    return pts, normals
 
 
 def contact_normals(footprint: Polygon2, samples: list[Vec2]) -> list[Vec2]:

@@ -757,14 +757,18 @@ def _fallback_templates(plans) -> tuple[tuple[dict, ...], ...]:
 
 def _check_fallback_plans(scenario: Scenario):
     """Reject a scenario file that would fail mid-episode: a primary object
-    missing from the scene, negative jitter, an initial state other than
-    standing or lying, no fallback plan or an empty one, or a step with an
-    unknown primitive, object or hint binding, or a region the scene cannot
-    resolve. Membership is tested in tuples, which need no hashable value."""
+    missing from the scene, an unknown ``special`` key, negative jitter, an
+    initial state other than standing or lying, no fallback plan or an empty
+    one, or a step with an unknown primitive, object or hint binding, or a
+    region the scene cannot resolve. Membership is tested in tuples, which
+    need no hashable value."""
     object_ids = tuple(o.id for o in scenario.scene_template.objects)
     if scenario.primary_object not in object_ids:
         raise ValueError(f"primary object {scenario.primary_object!r} is not "
                          f"in the scene")
+    for key in scenario.special:
+        if key not in ("goal_jitter", "initial_states"):
+            raise ValueError(f"unknown special key {key!r}")
     for name, value in (("pos_jitter", scenario.pos_jitter),
                         ("yaw_jitter_deg", scenario.yaw_jitter_deg),
                         ("goal_jitter", scenario.special.get("goal_jitter", 0.0))):

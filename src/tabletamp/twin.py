@@ -155,13 +155,20 @@ class RigidObject:
         return self.shape.half_extents
 
     def world_obb(self) -> Obb:
+        return self._world_obb
+
+    # The object is frozen, so its world box, and with it the box's cached
+    # corners and hull, is derived once per object.
+    @cached_property
+    def _world_obb(self) -> Obb:
         local = self.shape.center_pose
         pos = self.pose.transform_point(local.position)
         quat = quat_mul(self.pose.orientation, local.orientation)
         return Obb(Pose6D(pos, quat), self.shape.half_extents)
 
     def at_pose(self, pose: Pose6D) -> "RigidObject":
-        return replace(self, pose=pose)
+        return RigidObject(self.id, self.shape, pose, self.mass, self.friction,
+                           self.tool_spec)
 
 
 @dataclass(frozen=True)
@@ -242,7 +249,8 @@ class TwinScene:
         new = tuple(obj if o.id == obj.id else o for o in self.objects)
         if all(o is not obj for o in new):
             raise KeyError(f"no object {obj.id!r} in scene")
-        return replace(self, objects=new)
+        return TwinScene(self.terrain, new, self.robot, self.role,
+                         self.dynamics_perturbation, self.push_model, self.held_id)
 
     def with_held(self, object_id: str | None) -> "TwinScene":
         return replace(self, held_id=object_id)
@@ -1201,11 +1209,23 @@ def scene_to_dict(scene: TwinScene) -> dict:
     }
 
 
+class _JsonObject(dict):
+    """A JSON object from a file that names its section when a required
+    key is missing, instead of raising the bare KeyError."""
+
+    def __init__(self, value: dict, what: str):
+        super().__init__(value)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.what} is missing key {key!r}")
+
+
 def _json_object(value, what: str) -> dict:
     """The file's value for ``what``, which must be a JSON object."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be an object (got {value!r})")
-    return value
+    return _JsonObject(value, what)
 
 
 def _json_list(value, what: str) -> list:

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -36,6 +37,7 @@ from tabletamp.twin import settle
 from tests.test_twin import TABLE_H, base_scene, make_box
 
 ABLATION_TASKS = ("book", "wall", "slot", "tool_hook")
+PINNED_TRACES_SHA256 = "22d8b50b2ab147e004fa08d047f0f13c549f0d37584dac32b442a71aea080780"
 
 
 def verdict(num: int, ok: bool, detail: str):
@@ -290,6 +292,21 @@ class TestAcceptance:
                 break
         verdict(9, csv_ok and trace_ok,
                 "consecutive benchmark runs byte-identical modulo wall time")
+
+    def test_09b_traces_match_pinned_digest(self, full_bench):
+        # The 80 traces, without wall time, hashed as perfbench/run.py hashes
+        # a pass. Speed-ups must leave this value alone; a change that alters
+        # behaviour on purpose updates it and names the old and the new value
+        # in CHANGES.md.
+        _, results, _ = full_bench
+        digest = hashlib.sha256()
+        for r in results:
+            trace = json.loads(episode_trace_json(r, indent=None))
+            del trace["wall_ms"]
+            digest.update(json.dumps(trace, sort_keys=True).encode() + b"\n")
+        got = digest.hexdigest()
+        verdict(9, got == PINNED_TRACES_SHA256,
+                f"8x10 traces sha256 {got[:8]}..., pinned {PINNED_TRACES_SHA256[:8]}...")
 
     def test_10_error_taxonomy_coverage(self, full_bench):
         _, results, _ = full_bench

@@ -271,6 +271,11 @@ class TestScenarioFileSteps:
         (lambda d: d["goal"].update(kind=["pose"]), "unknown goal kind ['pose']"),
         (lambda d: d["special"].update(initial_states=5),
          "initial_states must be a list of 'standing' or 'lying' (got 5)"),
+        (lambda d: d["scene"]["terrain"][0].__delitem__("kind"),
+         "terrain 0 is missing key 'kind'"),
+        (lambda d: d.__delitem__("instruction"),
+         "a scenario file is missing key 'instruction'"),
+        (lambda d: d["special"].update(goal_jiter=0.5), "unknown special key 'goal_jiter'"),
     ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
             "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape",
             "file-shape", "goal-shape", "target-shape", "scene-shape",
@@ -279,7 +284,8 @@ class TestScenarioFileSteps:
             "footprint-shape", "pose-shape", "shape-shape", "height-type",
             "pos-jitter-bool", "yaw-jitter-bool", "extra-number", "extra-direction",
             "terrain-name", "object-id", "scenario-id", "instruction",
-            "primary-type", "goal-kind", "initial-states"])
+            "primary-type", "goal-kind", "initial-states", "missing-terrain-key",
+            "missing-file-key", "special-key"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict

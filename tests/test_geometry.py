@@ -7,6 +7,7 @@ from tabletamp.geometry import (
     Obb,
     Polygon2,
     Pose6D,
+    boundary_contacts,
     clip_convex,
     contact_normals,
     convex_hull,
@@ -625,3 +626,330 @@ class TestObb:
             assert filled == box and box == filled
             assert hash(filled) == hash(box)
             assert len({filled, box}) == 1
+
+
+# ---------------------------------------------------------------------------
+# bit-exact kernel oracles: the hot kernels as plain loops over edges and
+# helper calls. The flat kernels must give the very same floats, so every
+# episode trace stays byte-identical.
+# ---------------------------------------------------------------------------
+
+def assert_identical(new, ref):
+    # repr is exact for floats and tells -0.0 from 0.0
+    assert repr(new) == repr(ref)
+
+
+def ref_edges(verts):
+    n = len(verts)
+    for i in range(n):
+        yield verts[i], verts[(i + 1) % n]
+
+
+def ref_point_segment_distance(p, a, b):
+    ax, ay = a
+    bx, by = b
+    px, py = p
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    if L2 < 1e-30:
+        return math.hypot(px - ax, py - ay)
+    t = ((px - ax) * dx + (py - ay) * dy) / L2
+    t = max(0.0, min(1.0, t))
+    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def ref_boundary_distance(poly, p):
+    return min(ref_point_segment_distance(p, a, b) for a, b in ref_edges(poly.vertices))
+
+
+def ref_point_in_polygon(p, poly, tol=1e-9):
+    x, y = p
+    xmin, xmax, ymin, ymax = poly.bounds
+    slack = max(tol, 0.0) + 1e-9
+    if x < xmin - slack or x > xmax + slack or y < ymin - slack or y > ymax + slack:
+        return False
+    if ref_boundary_distance(poly, p) <= tol:
+        return True
+    inside = False
+    for (x0, y0), (x1, y1) in ref_edges(poly.vertices):
+        if (y0 > y) != (y1 > y):
+            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            if xi > x:
+                inside = not inside
+    return inside
+
+
+def ref_clip_convex(subject, clip):
+    output = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            return []
+        cx0, cy0 = clip[i]
+        cx1, cy1 = clip[(i + 1) % n]
+        ex, ey = cx1 - cx0, cy1 - cy0
+
+        def inside(p):
+            return ex * (p[1] - cy0) - ey * (p[0] - cx0) >= -1e-12
+
+        def intersect(p, q):
+            dx, dy = q[0] - p[0], q[1] - p[1]
+            denom = ex * dy - ey * dx
+            if abs(denom) < 1e-18:
+                return q
+            t = (ex * (cy0 - p[1]) - ey * (cx0 - p[0])) / denom
+            t = max(0.0, min(1.0, t))
+            return (p[0] + t * dx, p[1] + t * dy)
+
+        new_output = []
+        prev = output[-1]
+        for cur in output:
+            if inside(cur):
+                if not inside(prev):
+                    new_output.append(intersect(prev, cur))
+                new_output.append(cur)
+            elif inside(prev):
+                new_output.append(intersect(prev, cur))
+            prev = cur
+        output = new_output
+    return output
+
+
+def ref_convex_hull(points):
+    pts = sorted(set((float(x), float(y)) for x, y in points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 1e-15:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 1e-15:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def ref_pose_fields(position, orientation):
+    """Pose6D's (position, orientation) after validation, or the error."""
+    p = tuple(float(c) for c in position)
+    if len(p) != 3 or not all(math.isfinite(c) for c in p):
+        raise ValueError(f"position must be 3 finite floats, got {position}")
+    q = tuple(float(c) for c in orientation)
+    if len(q) != 4:
+        raise ValueError("orientation must have 4 components (w, x, y, z)")
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    if abs(n - 1.0) > 1e-6:
+        raise ValueError(f"orientation is not unit norm ({n:.2e} off): {q}")
+    return p, (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
+
+
+def ref_obb_corners(box):
+    hx, hy, hz = box.half_extents
+    return [box.center_pose.transform_point((sx * hx, sy * hy, sz * hz))
+            for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
+
+
+def ref_sample_boundary(poly, spacing):
+    pts = []
+    for a, b in ref_edges(poly.vertices):
+        length = math.hypot(b[0] - a[0], b[1] - a[1])
+        steps = max(1, int(math.ceil(length / spacing)))
+        for k in range(steps):
+            t = k / steps
+            pts.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    return pts
+
+
+def oracle_polygons():
+    rng = np.random.default_rng(101)
+    polys = [
+        Polygon2(((-0.0, -0.0), (1.0, -0.0), (1.0, 1.0), (-0.0, 1.0))),
+        Polygon2(((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.0, 2.0))),
+        Polygon2(TILTED_BOX_HEXAGON),
+    ]
+    for _ in range(12):
+        polys.append(rect_polygon(*rng.uniform(-1.0, 1.0, size=2),
+                                  *rng.uniform(0.01, 0.5, size=2),
+                                  yaw=rng.uniform(-math.pi, math.pi)))
+        hull = convex_hull([tuple(p) for p in rng.uniform(-1.0, 1.0, size=(9, 2))])
+        polys.append(Polygon2(tuple(hull)))
+    return polys
+
+
+def oracle_points(poly, rng, tol=1e-9):
+    """Vertices, points on and just off each edge, -0.0 coordinates, points
+    level with a vertex and random points around the polygon."""
+    pts = [(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.5)]
+    for (ax, ay), (bx, by) in ref_edges(poly.vertices):
+        dx, dy = bx - ax, by - ay
+        L = math.hypot(dx, dy)
+        nx, ny = dy / L, -dx / L  # outward: the interior is to the left
+        pts.append((ax, ay))
+        for t in (0.25, 0.5, 1.0 / 3.0):
+            ex, ey = ax + t * dx, ay + t * dy
+            pts.append((ex, ey))
+            for off in (tol, tol * (1.0 - 1e-6), tol * (1.0 + 1e-6), -tol):
+                pts.append((ex + off * nx, ey + off * ny))
+    xmin, xmax, ymin, ymax = poly.bounds
+    for _, vy in poly.vertices:  # rays through a vertex
+        for f in (-0.05, 0.3, 0.5, 0.7, 1.05):
+            pts.append((xmin + f * (xmax - xmin), vy))
+    for x, y in rng.uniform(-0.1, 1.1, size=(40, 2)):
+        pts.append((xmin + x * (xmax - xmin), ymin + y * (ymax - ymin)))
+    return pts
+
+
+# Hull of a box tilted by ~1e-8 rad, seen in a no_pose episode: vertices 2
+# and 3, and 5 and 0, are 7.8e-10 apart, closer than contact_normals' 1e-9
+# vertex tolerance.
+TILTED_BOX_HEXAGON = (
+    (0.15746661412835267, 0.1093014369270095),
+    (0.2084259441206997, 0.03511824013197323),
+    (0.28260914091573597, 0.08607757012432027),
+    (0.2826091409412087, 0.08607757086455364),
+    (0.23164981094886167, 0.1602607676595899),
+    (0.1574666141538254, 0.10930143766724287),
+)
+
+
+class TestFlatKernelOracles:
+    def test_boundary_distance_and_point_in_polygon(self):
+        rng = np.random.default_rng(103)
+        for poly in oracle_polygons():
+            for p in oracle_points(poly, rng):
+                assert_identical(poly.boundary_distance(p), ref_boundary_distance(poly, p))
+                for tol in (1e-9, 0.0, 1e-6):
+                    assert point_in_polygon(p, poly, tol) is ref_point_in_polygon(p, poly, tol)
+
+    def test_clip_convex(self):
+        rng = np.random.default_rng(107)
+        rings = [list(poly.vertices) for poly in oracle_polygons() if poly.is_convex()]
+        for clip in rings:
+            # a subject whose vertices lie on the clip's edges
+            on_edges = [(a[0] + 0.5 * (b[0] - a[0]), a[1] + 0.5 * (b[1] - a[1]))
+                        for a, b in ref_edges(clip)]
+            others = [rings[k] for k in rng.choice(len(rings), 6)]
+            for subject in [clip, on_edges, *others]:
+                assert_identical(clip_convex(subject, clip), ref_clip_convex(subject, clip))
+
+    def test_convex_hull(self):
+        rng = np.random.default_rng(109)
+        cases = [
+            [(0.0, 0.0)],
+            [(0.0, 0.0), (1.0, 1.0), (0.0, 0.0)],
+            [(-0.0, 0.0), (0.0, -0.0), (1.0, -0.0), (-0.0, 1.0), (1.0, 1.0)],
+            [(float(x), float(y)) for x in range(3) for y in range(3)],  # collinear edges
+            [(t, 2.0 * t + 1.0) for t in (0.0, 0.1, 0.2, 0.3, 0.7)],  # all collinear
+        ]
+        for _ in range(40):
+            pts = [tuple(p) for p in rng.uniform(-1.0, 1.0, size=(rng.integers(3, 12), 2))]
+            cases.append(pts + pts[:3])  # duplicates
+            a, b = pts[0], pts[1]
+            cases.append(pts + [(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+                                for t in (0.25, 0.5)])  # collinear with a hull edge
+        for box in TestObb.seeded_boxes(40, 113):
+            cases.append([(c[0], c[1]) for c in box.corners()])
+        for pts in cases:
+            assert_identical(convex_hull(pts), ref_convex_hull(pts))
+
+    def test_pose6d_fields(self):
+        rng = np.random.default_rng(127)
+        cases = [((-0.0, 0.0, -0.0), (1.0, -0.0, 0.0, -0.0)), ([1, 2, 3], [1, 0, 0, 0])]
+        for _ in range(100):
+            q = np.array(random_unit_quat(rng))
+            for off in (0.0, 1e-7, -1e-7, 9.9e-7, -9.9e-7):
+                cases.append((tuple(rng.uniform(-1.0, 1.0, size=3)), tuple(q * (1.0 + off))))
+        for position, orientation in cases:
+            pose = Pose6D(position, orientation)
+            assert_identical((pose.position, pose.orientation),
+                             ref_pose_fields(position, orientation))
+
+    @pytest.mark.parametrize("position, orientation", [
+        ((0.0, 0.0), IDENTITY),
+        ((0.0, 0.0, 0.0, 0.0), IDENTITY),
+        ((math.nan, 0.0, 0.0), IDENTITY),
+        ((0.0, math.inf, 0.0), IDENTITY),
+        (("x", 0.0, 0.0), IDENTITY),
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (1.0 + 2e-6, 0.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),
+    ], ids=["short", "long", "nan", "inf", "text", "quat-short", "quat-scale", "quat-zero"])
+    def test_pose6d_errors(self, position, orientation):
+        with pytest.raises(ValueError) as ref:
+            ref_pose_fields(position, orientation)
+        with pytest.raises(ValueError) as new:
+            Pose6D(position, orientation)
+        assert str(new.value) == str(ref.value)
+
+    def test_obb_corners(self):
+        boxes = list(TestObb.seeded_boxes(200, 131))
+        boxes.append(Obb(Pose6D((-0.0, 0.0, -0.0), (1.0, -0.0, 0.0, -0.0)), (0.1, 0.2, 0.3)))
+        for box in boxes:
+            assert_identical(box.corners(), ref_obb_corners(box))
+
+
+def own_vertex_normals(poly, spacing):
+    """The normals with each vertex sample's own vertex bisector: wrong where
+    two vertices lie within 1e-9 of each other."""
+    verts = poly.vertices
+    n = len(verts)
+    edge_normals = []
+    for a, b in ref_edges(verts):
+        L = math.hypot(b[0] - a[0], b[1] - a[1])
+        edge_normals.append((-(b[1] - a[1]) / L, (b[0] - a[0]) / L))
+    out = []
+    for i, (a, b) in enumerate(ref_edges(verts)):
+        steps = max(1, int(math.ceil(math.hypot(b[0] - a[0], b[1] - a[1]) / spacing)))
+        na, nb = edge_normals[(i - 1) % n], edge_normals[i]
+        L = math.hypot(na[0] + nb[0], na[1] + nb[1])
+        out.append(((na[0] + nb[0]) / L, (na[1] + nb[1]) / L))
+        out.extend([edge_normals[i]] * (steps - 1))
+    return out
+
+
+class TestBoundaryContacts:
+    SPACING = 0.01  # the push controller's boundary spacing
+
+    def test_equals_sample_boundary_and_contact_normals(self):
+        rng = np.random.default_rng(137)
+        short_edges = 0
+        for i in range(200):
+            q = quat_from_yaw(rng.uniform(-math.pi, math.pi))
+            if i % 2:
+                axis = (*rng.normal(size=2), 0.0)
+                tilt = 10.0 ** rng.uniform(-8.0, -3.0)
+                q = quat_mul(quat_from_axis_angle(axis, tilt), q)
+            pose = Pose6D((*rng.uniform(-0.4, 0.4, size=2), 0.45), q)
+            footprint = Obb(pose, tuple(rng.uniform(0.005, 0.15, size=3))).footprint()
+            short_edges += any(math.hypot(b[0] - a[0], b[1] - a[1]) <= 1e-9
+                               for a, b in ref_edges(footprint.vertices))
+            pts, normals = boundary_contacts(footprint, self.SPACING)
+            assert_identical(pts, ref_sample_boundary(footprint, self.SPACING))
+            assert_identical(normals, contact_normals(footprint, pts))
+        assert short_edges > 0  # the first-vertex rule is exercised
+
+    def test_tilted_box_hexagon_takes_first_vertex_within_tolerance(self):
+        hexagon = Polygon2(TILTED_BOX_HEXAGON)
+        pts, normals = boundary_contacts(hexagon, self.SPACING)
+        expected = contact_normals(hexagon, pts)
+        assert_identical(normals, expected)
+        assert own_vertex_normals(hexagon, self.SPACING) != expected
+
+    def test_sample_boundary_is_the_points(self):
+        # a vertex repeated on a straight run makes valid zero-length edges
+        repeated = [
+            Polygon2(((0.0, 0.0), *[(1.0, 0.0)] * copies, (2.0, 0.0), (2.0, 1.0),
+                      (0.0, 1.0)))
+            for copies in (2, 3)
+        ]
+        for poly in [*oracle_polygons(), *repeated]:
+            for spacing in (0.13, 0.01):
+                assert_identical(poly.sample_boundary(spacing),
+                                 ref_sample_boundary(poly, spacing))

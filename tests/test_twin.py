@@ -145,6 +145,38 @@ class TestTerrainCache:
             assert cell.polygon.vertices == cell.ring
 
 
+class TestWorldObbCache:
+    def test_world_box_is_derived_once_and_equals_the_formula(self):
+        rng = np.random.default_rng(151)
+        for _ in range(50):
+            offset = Pose6D(tuple(rng.uniform(-0.02, 0.02, size=3)), random_unit_quat(rng))
+            obj = RigidObject("b", Obb(offset, tuple(rng.uniform(0.01, 0.1, size=3))),
+                              Pose6D(tuple(rng.uniform(-0.5, 0.5, size=3)),
+                                     random_unit_quat(rng)))
+            box = obj.world_obb()
+            assert obj.world_obb() is box
+            assert box == Obb(Pose6D(obj.pose.transform_point(offset.position),
+                                     quat_mul(obj.pose.orientation, offset.orientation)),
+                              obj.half_extents)
+            moved = obj.at_pose(Pose6D((0.1, 0.2, 0.5)))
+            assert moved.world_obb() != box
+            assert moved.world_obb() == dataclasses.replace(obj, pose=moved.pose).world_obb()
+
+    def test_copies_keep_every_field(self):
+        tool = twin.ToolSpec("hook", 0.2, (0.1, 0.0, 0.0))
+        obj = dataclasses.replace(make_box("stick", tool_spec=tool), mass=0.7, friction=1.3)
+        pose = Pose6D((0.1, -0.1, TABLE_H + 0.05), quat_from_yaw(0.3))
+        assert obj.at_pose(pose) == dataclasses.replace(obj, pose=pose)
+        scene = dataclasses.replace(
+            base_scene([obj, make_box("other", x=0.2)], role="execution"),
+            push_model=PushModel(gain=0.9, kappa=40.0), held_id="stick",
+            dynamics_perturbation=twin.DynamicsPerturbation(0.8, 0.7),
+        )
+        moved = obj.at_pose(pose)
+        assert scene.replace_object(moved) == dataclasses.replace(
+            scene, objects=(moved, scene.objects[1]))
+
+
 def rotation_matrix(q):
     w, x, y, z = q
     return np.array([
