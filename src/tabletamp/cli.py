@@ -41,7 +41,13 @@ from .scenarios import (
     fallback_builders,
     load_scenario,
 )
-from .subgoal import NoFeasiblePose, filter_and_rank, resolve_anchor, sample_candidates
+from .subgoal import (
+    NoFeasiblePose,
+    UnknownRegion,
+    filter_and_rank,
+    resolve_anchor,
+    sample_candidates,
+)
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
@@ -115,6 +121,11 @@ def cmd_bench(args) -> int:
         scenarios = [_load_scenario_arg(s) for s in args.scenarios]
     else:
         scenarios = all_scenarios()
+    ids = [sc.id for sc in scenarios]
+    repeated = next((i for i in ids if ids.count(i) > 1), None)
+    if repeated is not None:
+        # rows are keyed by scenario id, so a repeat would count twice
+        raise InputError(f"scenario {repeated!r} is given more than once")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows, results = run_benchmark(scenarios, args.trials, _planner_config(args),
@@ -152,8 +163,12 @@ def cmd_sample(args) -> int:
     if step.target_pose_hint is not None:
         anchor = step.target_pose_hint.position
     else:
-        anchor = resolve_anchor(step.region, scene, registry,
-                                object_id=step.object_id)
+        try:
+            anchor = resolve_anchor(step.region, scene, registry,
+                                    object_id=step.object_id)
+        except UnknownRegion as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_TASK_FAILURE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     twin = scene.as_twin()

@@ -194,11 +194,8 @@ def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
     Returns (depth, grasp_point) candidates sorted by depth descending.
     """
     box = obj.world_obb()
-    axis, sign = box.down_face()
-    face = box.face_corners(axis, sign)
     results = []
-    for i in range(4):
-        a, b = face[i], face[(i + 1) % 4]
+    for a, b in box.bottom_edges():
         mx, my = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
         edge_z = 0.5 * (a[2] + b[2])
         nx, ny = mx - obj.pose.x, my - obj.pose.y

@@ -315,10 +315,6 @@ class Polygon2:
                 best = (qx, qy)
         return best  # type: ignore[return-value]
 
-    def sample_boundary(self, spacing: float) -> list[Vec2]:
-        """Points along the boundary at roughly `spacing`, vertices included."""
-        return boundary_contacts(self, spacing)[0]
-
     def translated(self, dx: float, dy: float) -> "Polygon2":
         return Polygon2(tuple((x + dx, y + dy) for x, y in self.vertices))
 
@@ -542,6 +538,13 @@ _LOCAL_FACES: tuple[tuple[int, float], ...] = (
 _CORNER_SIGNS: tuple[Vec3, ...] = tuple(
     (sx, sy, sz) for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)
 )
+# Indices into _CORNER_SIGNS of each local face's corners, ordered
+# (-a,-b), (+a,-b), (+a,+b), (-a,+b) over the other two axes a < b.
+_FACE_CORNERS: dict[tuple[int, float], tuple[int, int, int, int]] = {
+    (0, 1.0): (4, 6, 7, 5), (0, -1.0): (0, 2, 3, 1),
+    (1, 1.0): (2, 6, 7, 3), (1, -1.0): (0, 4, 5, 1),
+    (2, 1.0): (1, 5, 7, 3), (2, -1.0): (0, 4, 6, 2),
+}
 
 
 @dataclass(frozen=True)
@@ -617,41 +620,27 @@ class Obb:
                 best = (axis, sign)
         return best  # type: ignore[return-value]
 
-    def face_corners(self, axis: int, sign: float) -> list[Vec3]:
-        """World corners of one local face, ordered CCW seen from outside."""
-        h = self.half_extents
-        a, b = [i for i in range(3) if i != axis]
-        pts_local = []
-        for sa, sb in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
-            c = [0.0, 0.0, 0.0]
-            c[axis] = sign * h[axis]
-            c[a] = sa * h[a]
-            c[b] = sb * h[b]
-            pts_local.append(tuple(c))
-        return [self.center_pose.transform_point(p) for p in pts_local]
-
     def footprint(self) -> Polygon2:
         """Convex hull of all corners projected to the xy-plane."""
         return Polygon2(self.xy_hull)
 
-    def resting_face_polygon(self) -> Polygon2:
-        """Footprint of the face currently pointing down (contact patch)."""
-        axis, sign = self.down_face()
-        pts = [(c[0], c[1]) for c in self.face_corners(axis, sign)]
-        return Polygon2(tuple(convex_hull(pts)))
+    def resting_face(self) -> tuple[Vec2, ...]:
+        """xy hull of the face currently pointing down (contact patch, CCW)."""
+        face = _FACE_CORNERS[self.down_face()]
+        cs = self._corners
+        return tuple(convex_hull([(cs[i][0], cs[i][1]) for i in face]))
 
     def bottom_edges(self) -> list[tuple[Vec3, Vec3]]:
         """The four edges of the down face, as world point pairs."""
-        axis, sign = self.down_face()
-        cs = self.face_corners(axis, sign)
-        return [(cs[i], cs[(i + 1) % 4]) for i in range(4)]
+        face = _FACE_CORNERS[self.down_face()]
+        cs = self._corners
+        return [(cs[face[i]], cs[face[(i + 1) % 4]]) for i in range(4)]
 
-    def largest_face(self) -> tuple[int, float]:
-        """Local face with the largest area (positive-sign representative)."""
+    def largest_face_axis(self) -> int:
+        """Local axis whose two faces have the largest area."""
         h = self.half_extents
         areas = [h[1] * h[2], h[0] * h[2], h[0] * h[1]]
-        axis = areas.index(max(areas))
-        return (axis, 1.0)
+        return areas.index(max(areas))
 
 
 def obbs_overlap(a: Obb, b: Obb, tol: float = 1e-9) -> bool:

@@ -47,6 +47,7 @@ from .render import render_scene
 from .scenarios import Goal, Scenario, build_region_registry, fallback_builders
 from .subgoal import (
     NoFeasiblePose,
+    UnknownRegion,
     filter_and_rank,
     resolve_anchor,
     sample_candidates,
@@ -314,7 +315,7 @@ def _execute_plan(
     registry,
     records: list[_StepRecord],
     render: bool = False,
-) -> tuple[TwinScene, ExecError | None]:
+) -> tuple[TwinScene, ExecError | UnknownRegion | None]:
     for i, step in enumerate(plan.steps):
         record = _StepRecord(step=step.describe())
         records.append(record)
@@ -365,6 +366,11 @@ def _execute_plan(
                 scene, trace = exec_grasp(scene, step.object_id)
             else:
                 scene, trace = exec_release(scene)
+        except UnknownRegion as exc:
+            # the plan itself cannot be grounded, so there is nothing to
+            # reflect on; the caller ends the episode
+            records.pop()
+            return scene, exc
         except NoFeasiblePose as exc:
             # rehearsal lost the object in every candidate; reflect on it
             error = ExecError(ErrorKind.OBJECT_LOST, str(exc), step)
@@ -434,6 +440,9 @@ def run_episode(
         attempts.append(attempt)
         if error is None:
             break  # all executions succeeded; the final check decides
+        if isinstance(error, UnknownRegion):
+            attempt["planner_error"] = str(error)
+            break
         if ablation == "no_reflection" or replans_used >= REPLAN_BUDGET:
             break
         try:

@@ -45,6 +45,13 @@ class NoFeasiblePose(Exception):
     """Every sampled candidate toppled, fell, or collided."""
 
 
+class UnknownRegion(KeyError):
+    """A plan step names a region the episode's scene cannot resolve."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
 _N_SAMPLES = 16
 _DISC_RADIUS = 0.06  # candidate position spread around the anchor
 _YAW_SPREAD_DEG = 45.0
@@ -69,8 +76,12 @@ def resolve_anchor(
     geometrically by the scenario's registry."""
     resolver = registry.get(region.name)
     if resolver is None:
-        raise KeyError(f"unknown region {region.name!r}")
-    return resolver(scene, object_id or "")
+        raise UnknownRegion(f"unknown region {region.name!r}")
+    try:
+        return resolver(scene, object_id or "")
+    except (KeyError, StopIteration) as exc:
+        raise UnknownRegion(f"region {region.name!r} cannot be resolved in the "
+                            f"scene ({exc!r})") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -318,13 +318,12 @@ class Solid:
         return Polygon2(self.ring)
 
 
-def _axis_rect_bounds(poly: Polygon2):
-    xs = [v[0] for v in poly.vertices]
-    ys = [v[1] for v in poly.vertices]
-    if len(poly.vertices) != 4:
+def _axis_rect_bounds(ring):
+    """(x0, x1, y0, y1) of an axis-aligned rectangle ring, else None."""
+    if len(ring) != 4:
         return None
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-    for vx, vy in poly.vertices:
+    x0, x1, y0, y1 = ring_bounds(ring)
+    for vx, vy in ring:
         if (abs(vx - x0) > 1e-12 and abs(vx - x1) > 1e-12) or (
             abs(vy - y0) > 1e-12 and abs(vy - y1) > 1e-12
         ):
@@ -340,13 +339,13 @@ def _punch_slots(surface: TerrainFeature, slots: list[TerrainFeature]):
     """
     rings = [surface.footprint.vertices]
     for slot in slots:
-        sb = _axis_rect_bounds(slot.footprint)
+        sb = _axis_rect_bounds(slot.footprint.vertices)
         if sb is None:
             raise ValueError("slot footprints must be axis-aligned rectangles")
         sx0, sx1, sy0, sy1 = sb
         new_rings = []
         for ring in rings:
-            rb = _axis_rect_bounds(Polygon2(ring))
+            rb = _axis_rect_bounds(ring)
             if rb is None:
                 raise ValueError("slotted surfaces must be axis-aligned rectangles")
             rx0, rx1, ry0, ry1 = rb
@@ -425,7 +424,7 @@ class Terrain(tuple):
             elif t.kind == "shelf":
                 # an open-sided cubby: a back wall opposite the open face plus a
                 # ceiling slab; the sides stay open so objects can swing out
-                bounds = _axis_rect_bounds(t.footprint)
+                bounds = _axis_rect_bounds(t.footprint.vertices)
                 if bounds is None:
                     raise ValueError("shelf footprints must be axis-aligned rectangles")
                 x0, x1, y0, y1 = bounds
@@ -648,11 +647,7 @@ def rest_on_support(scene: TwinScene, object_id: str,
     return rested, outcome
 
 
-def _resting_face(obj: RigidObject, pose: Pose6D) -> list[Vec2]:
-    return list(obj.at_pose(pose).world_obb().resting_face_polygon().vertices)
-
-
-def _support_pieces(scene: TwinScene, object_id: str, hull: list[Vec2],
+def _support_pieces(scene: TwinScene, object_id: str, hull: tuple[Vec2, ...],
                     include_objects: bool = True):
     """(height, cell, piece) for every support cell the hull overlaps."""
     cells = support_cells(scene, exclude_id=object_id, include_objects=include_objects)
@@ -686,7 +681,8 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     for hop in range(3):
         flat_q = _snap_face_down(pose.orientation)
         pose = Pose6D(pose.position, flat_q)
-        scored = _support_pieces(scene, obj.id, _resting_face(obj, pose))
+        face = obj.at_pose(pose).world_obb().resting_face()
+        scored = _support_pieces(scene, obj.id, face)
         raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
         if not raised:
             z = _ground_height(scene) + _half_height(obj, flat_q)
@@ -793,9 +789,7 @@ def _settle_on_slope(scene: TwinScene, obj: RigidObject, pose: Pose6D,
 
     q = slope_orientation(pose.orientation, feature)
     probe = obj.at_pose(Pose6D((pose.x, pose.y, 1.0), q))
-    box = probe.world_obb()
-    face = box.resting_face_polygon()
-    piece = clip_convex(list(face.vertices), list(cell.ring))
+    piece = clip_convex(probe.world_obb().resting_face(), cell.ring)
     hull = convex_hull(piece) if ring_area(piece) > _AREA_TOL else []
     if len(hull) < 3 or signed_interior_margin(
         (pose.x, pose.y), Polygon2(tuple(hull))
@@ -821,7 +815,8 @@ def _slide_clear(scene: TwinScene, obj: RigidObject, pose: Pose6D,
     x, y = pose.x, pose.y
     for _ in range(80):
         probe = Pose6D((x, y, pose.z), pose.orientation)
-        scored = _support_pieces(scene, obj.id, _resting_face(obj, probe))
+        face = obj.at_pose(probe).world_obb().resting_face()
+        scored = _support_pieces(scene, obj.id, face)
         if not any(c.kind != "ground" for _, c, _ in scored):
             break
         x += dx * 0.01
@@ -873,8 +868,7 @@ def _topple_once(obj: RigidObject, pose: Pose6D, support_hull: list[Vec2],
         dn = 1.0
     dx, dy = dx / dn, dy / dn
 
-    box = Obb(Pose6D((0.0, 0.0, 0.0), pose.orientation), obj.half_extents)
-    largest_axis, _ = box.largest_face()
+    largest_axis = obj.shape.largest_face_axis()
     q1 = quat_from_axis_angle((ex, ey, 0.0), _flip_sign((ex, ey), (dx, dy)))
     q_flipped = quat_mul(q1, pose.orientation)
     q_final = _face_down_orientation(q_flipped, largest_axis,
@@ -904,7 +898,7 @@ def _flip_sign(edge_dir: Vec2, outward: Vec2) -> float:
 def stability_margin(scene: TwinScene, object_id: str) -> float:
     """Signed COM-inside-support-polygon margin at the object's current pose."""
     obj = scene.object(object_id)
-    scored = _support_pieces(scene, obj.id, _resting_face(obj, obj.pose))
+    scored = _support_pieces(scene, obj.id, obj.world_obb().resting_face())
     raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
     if not raised:
         raised = scored  # resting on bare ground
@@ -924,7 +918,7 @@ def stability_margin(scene: TwinScene, object_id: str) -> float:
 def raised_support(scene: TwinScene, object_id: str) -> bool:
     """True when the object rests on something other than the bare ground."""
     obj = scene.object(object_id)
-    scored = _support_pieces(scene, obj.id, _resting_face(obj, obj.pose))
+    scored = _support_pieces(scene, obj.id, obj.world_obb().resting_face())
     return any(c.kind != "ground" for _, c, _ in scored)
 
 

@@ -72,6 +72,19 @@ class TestCmdBench:
         traces = list((tmp_path / "traces").glob("*.json"))
         assert len(traces) == 4
 
+    def test_repeated_scenario_exit_two(self, tmp_path, capsys):
+        main(["export", "--out", str(tmp_path / "defs")])
+        capsys.readouterr()
+        for repeat in (["box", "box"], ["box", str(tmp_path / "defs" / "box.json")]):
+            out = tmp_path / "bench"
+            code = main(["bench", "--trials", "1", "--scenarios", *repeat,
+                         "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error: ") and "\n" not in err
+            assert "'box'" in err
+            assert not out.exists()
+
     def test_repeat_identical_modulo_walltime(self, tmp_path):
         main(["bench", "--trials", "2", "--scenarios", "box",
               "--out", str(tmp_path / "a")])

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from tabletamp.geometry import (
+    _CORNER_SIGNS,
+    _FACE_CORNERS,
+    _LOCAL_FACES,
     Obb,
     Polygon2,
     Pose6D,
@@ -279,7 +282,7 @@ class TestContactNormals:
                 continue
             poly = Polygon2(tuple(hull))
             cx, cy = poly.centroid
-            samples = poly.sample_boundary(0.13)
+            samples = boundary_contacts(poly, 0.13)[0]
             for p, n in zip(samples, contact_normals(poly, samples)):
                 assert math.hypot(*n) == pytest.approx(1.0, abs=1e-9)
                 assert n[0] * (cx - p[0]) + n[1] * (cy - p[1]) > 0.0
@@ -618,6 +621,62 @@ class TestObb:
             assert box.footprint() == Polygon2(tuple(hull))
             assert box.bottom_z() == min(c[2] for c in corners)
 
+    # The down face, its edges and the largest face come from the cached
+    # corners; these are the formulas they replaced, kept as references.
+
+    @staticmethod
+    def ref_face_corners(box, axis, sign):
+        h = box.half_extents
+        a, b = [i for i in range(3) if i != axis]
+        pts_local = []
+        for sa, sb in ((-1, -1), (1, -1), (1, 1), (-1, 1)):
+            c = [0.0, 0.0, 0.0]
+            c[axis] = sign * h[axis]
+            c[a] = sa * h[a]
+            c[b] = sb * h[b]
+            pts_local.append(tuple(c))
+        return [box.center_pose.transform_point(p) for p in pts_local]
+
+    @staticmethod
+    def ref_largest_face_axis(box):
+        h = box.half_extents
+        areas = [h[1] * h[2], h[0] * h[2], h[0] * h[1]]
+        return areas.index(max(areas))
+
+    def test_down_face_derivations_equal_face_corners(self):
+        seen = set()
+        for box in self.seeded_boxes(300, 97):
+            down = box.down_face()
+            seen.add(down)
+            cs = self.ref_face_corners(box, *down)
+            hull = tuple(convex_hull([(c[0], c[1]) for c in cs]))
+            assert_identical(box.resting_face(), hull)
+            assert_identical(box.bottom_edges(),
+                             [(cs[i], cs[(i + 1) % 4]) for i in range(4)])
+        assert len(seen) == 6
+
+    def test_face_corner_table_matches_corner_signs(self):
+        derived = {}
+        for axis, sign in _LOCAL_FACES:
+            a, b = [i for i in range(3) if i != axis]
+            face = []
+            for sa, sb in ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)):
+                signs = [0.0, 0.0, 0.0]
+                signs[axis], signs[a], signs[b] = sign, sa, sb
+                face.append(_CORNER_SIGNS.index(tuple(signs)))
+            derived[(axis, sign)] = tuple(face)
+        assert _FACE_CORNERS == derived
+
+    def test_largest_face_axis_equals_reference(self):
+        boxes = [*self.seeded_boxes(200, 101),
+                 Obb(Pose6D((0.0, 0.0, 0.0)), (0.1, 0.1, 0.1)),
+                 Obb(Pose6D((0.0, 0.0, 0.0)), (0.2, 0.1, 0.1)),
+                 Obb(Pose6D((0.0, 0.0, 0.0)), (0.1, 0.2, 0.2))]
+        for box in boxes:
+            assert box.largest_face_axis() == self.ref_largest_face_axis(box)
+        assert boxes[-3].largest_face_axis() == 0  # a cube's first axis
+        assert boxes[-1].largest_face_axis() == 0
+
     def test_filled_caches_keep_equality_and_hash(self):
         for box in self.seeded_boxes(20, 89):
             filled = Obb(box.center_pose, box.half_extents)
@@ -951,5 +1010,5 @@ class TestBoundaryContacts:
         ]
         for poly in [*oracle_polygons(), *repeated]:
             for spacing in (0.13, 0.01):
-                assert_identical(poly.sample_boundary(spacing),
+                assert_identical(boundary_contacts(poly, spacing)[0],
                                  ref_sample_boundary(poly, spacing))

@@ -20,11 +20,12 @@ from tabletamp.planner import (
     PlannerUnavailable,
     ReflectionInput,
     ScriptedPlanner,
+    _load_template,
     extract_fenced_block,
     insight_for,
     make_planner,
 )
-from tabletamp.scenarios import build_scenario, fallback_builders
+from tabletamp.scenarios import build_region_registry, build_scenario, fallback_builders
 
 
 def edge_observation(seed=0):
@@ -193,6 +194,15 @@ GOOD_SKELETON = json.dumps({
 })
 
 
+def push_skeleton(region):
+    return json.dumps({
+        "revision": 0,
+        "rationale": "push to the named region",
+        "steps": [{"kind": "push", "object_id": "card",
+                   "region": {"name": region, "refinement": ""}}],
+    })
+
+
 def svg_payload(uri):
     prefix, payload = uri.split(",", 1)
     assert prefix == "data:image/svg+xml;base64"
@@ -302,6 +312,33 @@ class TestHttpPlanner:
                   if part.get("type") == "image_url"]
         assert svg_payload(uri).startswith(b"<svg")
 
+    # the edge scene has no region "table_edge" and no shelf for "shelf_front"
+    @pytest.mark.parametrize("region", ["table_edge", "shelf_front"])
+    def test_unresolvable_region_ends_episode(self, stub_server, region):
+        url, handler = stub_server
+        handler.replies = [f"```json\n{push_skeleton(region)}\n```"]
+        cfg = PlannerConfig(backend="http", endpoint=url, model="stub", max_retries=0)
+        result = run_episode(build_scenario("edge"), 0, cfg)
+        assert result.success is False
+        (attempt,) = result.attempts
+        assert repr(region) in attempt["planner_error"]
+        assert attempt["outcomes"] == []
+        assert len(handler.requests_seen) == 1  # no reflection follows
+
+    @pytest.mark.parametrize("region", ["table_edge", "shelf_front"])
+    def test_sample_command_unresolvable_region_exit_one(self, stub_server, tmp_path,
+                                                         capsys, region):
+        from tabletamp.cli import main
+
+        url, handler = stub_server
+        handler.replies = [f"```json\n{push_skeleton(region)}\n```"]
+        code = main(["sample", "--scenario", "edge", "--planner", "http",
+                     "--endpoint", url, "--max-retries", "0", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert repr(region) in err
+
     def test_http_backend_requires_endpoint(self):
         with pytest.raises(ValueError):
             PlannerConfig(backend="http")
@@ -317,3 +354,13 @@ class TestMakePlanner:
         p = make_planner(PlannerConfig(backend="scripted"),
                          fallbacks=fallback_builders(scenario))
         assert isinstance(p, ScriptedPlanner)
+
+
+class TestPromptRegions:
+    @pytest.mark.parametrize("template", ["planner", "reflector"])
+    def test_prompt_names_every_registry_region(self, template):
+        lines = [line for line in _load_template(template).splitlines()
+                 if line.startswith("Region names: ")]
+        assert len(lines) == 1
+        names = lines[0][len("Region names: "):].split(", ")
+        assert names == list(build_region_registry(build_scenario("edge")))

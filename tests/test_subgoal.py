@@ -5,6 +5,7 @@ import pytest
 from tabletamp.domain import PrimitiveInstance, PrimitiveKind, RegionDescriptor
 from tabletamp.geometry import (
     Pose6D,
+    boundary_contacts,
     geodesic_angle,
     quat_from_yaw,
 )
@@ -55,7 +56,7 @@ class TestResolveAnchor:
         # oracle: brute-force boundary sampling finds no closer point
         best = min(
             math.hypot(p[0] - 0.1, p[1] + 0.30)
-            for p in table.footprint.sample_boundary(0.001)
+            for p in boundary_contacts(table.footprint, 0.001)[0]
         )
         got = math.hypot(anchor[0] - 0.1, anchor[1] + 0.30)
         assert got <= best + 1e-6

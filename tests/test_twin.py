@@ -8,6 +8,7 @@ import pytest
 from tabletamp import twin
 from tabletamp.geometry import (
     Obb,
+    Polygon2,
     Pose6D,
     bounds_disjoint,
     clip_convex,
@@ -854,7 +855,7 @@ class TestPivotRotate:
         # resting on the 20 x 2 face: height above table = 5 cm half extent
         assert outcome.final_pose.z == pytest.approx(TABLE_H + 0.05)
         box = out.object("plank").world_obb()
-        footprint = box.resting_face_polygon()
+        footprint = Polygon2(box.resting_face())
         xs = [v[0] for v in footprint.vertices]
         ys = [v[1] for v in footprint.vertices]
         dims = sorted([max(xs) - min(xs), max(ys) - min(ys)])
