@@ -30,7 +30,7 @@ from .harness import (
     run_benchmark,
     run_episode,
 )
-from .planner import PlannerConfig, make_planner
+from .planner import PlannerConfig, PlannerUnavailable, make_planner
 from .render import render_scene
 from .scenarios import (
     SCENARIO_IDS,
@@ -149,7 +149,13 @@ def cmd_sample(args) -> int:
     goal = randomized_goal(scenario, args.seed)
     planner = make_planner(_planner_config(args), fallbacks=fallback_builders(scenario))
     # the model planner reads the rendering; the scripted one never does
-    plan = planner.plan(observe(scene, goal, scenario, render=args.planner == "http"))
+    try:
+        plan = planner.plan(observe(scene, goal, scenario,
+                                    render=args.planner == "http"))
+    except PlannerUnavailable as exc:
+        # run ends the episode with the same failure and exit code
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TASK_FAILURE
     if not 0 <= args.step < len(plan.steps):
         print(f"error: step index {args.step} out of range for "
               f"{len(plan.steps)} steps", file=sys.stderr)

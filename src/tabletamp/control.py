@@ -594,10 +594,14 @@ def exec_rotate(scene: TwinScene, object_id: str,
         )
 
     inc = math.radians(_INCREMENT_DEG)
+    # every increment pivots the same object about the same edge of the same
+    # scene, so a sweep angle one increment found clear is clear for the next
+    swept_clear: set[float] = set()
     for i in range(1, _MAX_INCREMENTS + 1):
         angle = min(i * inc, math.pi / 2)
         try:
-            new_scene, outcome = pivot_rotate(scene, object_id, best_edge, angle)
+            new_scene, outcome = pivot_rotate(scene, object_id, best_edge, angle,
+                                              swept_clear)
         except SweptCollision as exc:
             return scene, trace.fail(ErrorKind.COLLISION, str(exc))
         except ValueError as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
@@ -26,6 +25,28 @@ Quat = tuple[float, float, float, float]
 
 _BOUNDARY_TOL = 1e-9
 _UNIT_TOL = 1e-6
+
+
+class derived:
+    """A field of a frozen value, computed on its first read and stored in
+    the instance ``__dict__``, where later reads find it before this
+    descriptor.
+
+    Unlike ``functools.cached_property`` before Python 3.12, a fill takes no
+    lock: two threads that race on it both compute it, to equal values,
+    since it derives from fields that never change.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +70,23 @@ def quat_mul(a: Quat, b: Quat) -> Quat:
         aw * by + ay * bw + az * bx - ax * bz,
         aw * bz + az * bw + ax * by - ay * bx,
     )
+
+
+def unit_quat(q) -> Quat:
+    """q as four floats divided by its norm; raises ValueError when it is
+    not 4 long or its norm is more than 1e-6 off 1.
+
+    Written out because ``Pose6D`` calls it on every controller step: the
+    same norm expression as quat_norm.
+    """
+    q = tuple(map(float, q))
+    if len(q) != 4:
+        raise ValueError("orientation must have 4 components (w, x, y, z)")
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if abs(n - 1.0) > _UNIT_TOL:
+        raise ValueError(f"orientation is not unit norm ({n:.2e} off): {q}")
+    return (w / n, x / n, y / n, z / n)
 
 
 def quat_from_axis_angle(axis: Vec3, angle: float) -> Quat:
@@ -131,22 +169,14 @@ class Pose6D:
     orientation: Quat = (1.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        # Built on every controller step, so the checks are written out:
-        # the same conversions, tests and norm expression as quat_norm.
+        # Built on every controller step, so the checks are written out.
         p = tuple(map(float, self.position))
         if len(p) != 3 or not (
             math.isfinite(p[0]) and math.isfinite(p[1]) and math.isfinite(p[2])
         ):
             raise ValueError(f"position must be 3 finite floats, got {self.position}")
-        q = tuple(map(float, self.orientation))
-        if len(q) != 4:
-            raise ValueError("orientation must have 4 components (w, x, y, z)")
-        w, x, y, z = q
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        if abs(n - 1.0) > _UNIT_TOL:
-            raise ValueError(f"orientation is not unit norm ({n:.2e} off): {q}")
         object.__setattr__(self, "position", p)
-        object.__setattr__(self, "orientation", (w / n, x / n, y / n, z / n))
+        object.__setattr__(self, "orientation", unit_quat(self.orientation))
 
     @property
     def x(self) -> float:
@@ -238,7 +268,7 @@ class Polygon2:
                     raise ValueError("polygon must be simple (non-self-intersecting)")
         object.__setattr__(self, "vertices", verts)
 
-    @cached_property
+    @derived
     def bounds(self) -> tuple[float, float, float, float]:
         """Axis-aligned bounding box as (xmin, xmax, ymin, ymax)."""
         return ring_bounds(self.vertices)
@@ -547,6 +577,43 @@ _FACE_CORNERS: dict[tuple[int, float], tuple[int, int, int, int]] = {
 }
 
 
+def box_corners(position: Vec3, q: Quat, half_extents: Vec3) -> tuple[Vec3, ...]:
+    """World corners of a box centred at ``position`` with unit orientation
+    ``q``, in ``_CORNER_SIGNS`` order."""
+    # the transform_point of each signed half extent, with quat_rotate
+    # written out
+    hx, hy, hz = half_extents
+    w, x, y, z = q
+    px, py, pz = position
+    out = []
+    for sx, sy, sz in _CORNER_SIGNS:
+        vx, vy, vz = sx * hx, sy * hy, sz * hz
+        tx = 2.0 * (y * vz - z * vy)
+        ty = 2.0 * (z * vx - x * vz)
+        tz = 2.0 * (x * vy - y * vx)
+        out.append((
+            vx + w * tx + (y * tz - z * ty) + px,
+            vy + w * ty + (z * tx - x * tz) + py,
+            vz + w * tz + (x * ty - y * tx) + pz,
+        ))
+    return tuple(out)
+
+
+def down_face(q: Quat) -> tuple[int, float]:
+    """Local face (axis index, sign) of a box with unit orientation ``q``
+    whose outward normal points most downward."""
+    best = None
+    best_dz = math.inf
+    for axis, sign in _LOCAL_FACES:
+        local = [0.0, 0.0, 0.0]
+        local[axis] = sign
+        world = quat_rotate(q, tuple(local))
+        if world[2] < best_dz:
+            best_dz = world[2]
+            best = (axis, sign)
+    return best  # type: ignore[return-value]
+
+
 @dataclass(frozen=True)
 class Obb:
     """Oriented box: center pose plus strictly positive half extents."""
@@ -563,37 +630,22 @@ class Obb:
     # The box is frozen, so its world corners and what derives from them
     # are computed once per box, on first use.
 
-    @cached_property
+    @derived
     def _corners(self) -> tuple[Vec3, ...]:
-        # center_pose.transform_point of each signed half extent, with
-        # quat_rotate written out
-        hx, hy, hz = self.half_extents
-        w, x, y, z = self.center_pose.orientation
-        px, py, pz = self.center_pose.position
-        out = []
-        for sx, sy, sz in _CORNER_SIGNS:
-            vx, vy, vz = sx * hx, sy * hy, sz * hz
-            tx = 2.0 * (y * vz - z * vy)
-            ty = 2.0 * (z * vx - x * vz)
-            tz = 2.0 * (x * vy - y * vx)
-            out.append((
-                vx + w * tx + (y * tz - z * ty) + px,
-                vy + w * ty + (z * tx - x * tz) + py,
-                vz + w * tz + (x * ty - y * tx) + pz,
-            ))
-        return tuple(out)
+        pose = self.center_pose
+        return box_corners(pose.position, pose.orientation, self.half_extents)
 
-    @cached_property
+    @derived
     def _z_range(self) -> tuple[float, float]:
         zs = [c[2] for c in self._corners]
         return (min(zs), max(zs))
 
-    @cached_property
+    @derived
     def xy_hull(self) -> tuple[Vec2, ...]:
         """Convex hull of the corners projected to the xy-plane (CCW)."""
         return tuple(convex_hull([(c[0], c[1]) for c in self._corners]))
 
-    @cached_property
+    @derived
     def xy_bounds(self) -> tuple[float, float, float, float]:
         """Bounding box of ``xy_hull`` as (xmin, xmax, ymin, ymax)."""
         return ring_bounds(self.xy_hull)
@@ -609,16 +661,7 @@ class Obb:
 
     def down_face(self) -> tuple[int, float]:
         """Local face (axis index, sign) whose outward normal points most downward."""
-        best = None
-        best_dz = math.inf
-        for axis, sign in _LOCAL_FACES:
-            local = [0.0, 0.0, 0.0]
-            local[axis] = sign
-            world = quat_rotate(self.center_pose.orientation, tuple(local))
-            if world[2] < best_dz:
-                best_dz = world[2]
-                best = (axis, sign)
-        return best  # type: ignore[return-value]
+        return down_face(self.center_pose.orientation)
 
     def footprint(self) -> Polygon2:
         """Convex hull of all corners projected to the xy-plane."""
@@ -673,24 +716,25 @@ def farthest_point_sample(points: list[Vec2], k: int, start: int = 0) -> list[in
     if not 0 <= start < n:
         raise ValueError(f"start index {start} out of range")
 
+    # One scan per pick: each point's distance to the last pick lowers its
+    # minimum, which is then final for this round and enters the search for
+    # the next pick in index order, so the lowest-index tie rule holds.
     chosen = [start]
-    sx, sy = points[start]
-    min_d2 = [
-        (p[0] - sx) ** 2 + (p[1] - sy) ** 2 for p in points
-    ]
-    for _ in range(k - 1):
+    min_d2 = [math.inf] * n
+    while len(chosen) < k:
+        bx, by = points[chosen[-1]]
         best_i = 0
         best_d = -1.0
-        for i, d in enumerate(min_d2):
+        for i, p in enumerate(points):
+            d = (p[0] - bx) ** 2 + (p[1] - by) ** 2
+            if d < min_d2[i]:
+                min_d2[i] = d
+            else:
+                d = min_d2[i]
             if d > best_d + 1e-15:
                 best_d = d
                 best_i = i
         chosen.append(best_i)
-        bx, by = points[best_i]
-        for i, p in enumerate(points):
-            d2 = (p[0] - bx) ** 2 + (p[1] - by) ** 2
-            if d2 < min_d2[i]:
-                min_d2[i] = d2
     return chosen
 
 

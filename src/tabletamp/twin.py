@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from .geometry import (
     Obb,
@@ -39,8 +38,11 @@ from .geometry import (
     Vec3,
     _point_segment_distance,
     bounds_disjoint,
+    box_corners,
     clip_convex,
     convex_hull,
+    derived,
+    down_face,
     geodesic_angle,
     obbs_overlap,
     point_in_polygon,
@@ -51,6 +53,7 @@ from .geometry import (
     ring_area,
     ring_bounds,
     signed_interior_margin,
+    unit_quat,
     wrap_angle,
     yaw_of,
 )
@@ -158,8 +161,10 @@ class RigidObject:
         return self._world_obb
 
     # The object is frozen, so its world box, and with it the box's cached
-    # corners and hull, is derived once per object.
-    @cached_property
+    # corners and hull, is derived once per object; at_pose hands back the
+    # object itself for its own pose, so a pose that does not change keeps
+    # the box already derived.
+    @derived
     def _world_obb(self) -> Obb:
         local = self.shape.center_pose
         pos = self.pose.transform_point(local.position)
@@ -167,8 +172,23 @@ class RigidObject:
         return Obb(Pose6D(pos, quat), self.shape.half_extents)
 
     def at_pose(self, pose: Pose6D) -> "RigidObject":
+        """This object at ``pose``: itself when ``pose`` has the bits of its
+        own pose, so every value derived from the pose is reused."""
+        if _same_bits(pose.position, self.pose.position) and _same_bits(
+            pose.orientation, self.pose.orientation
+        ):
+            return self
         return RigidObject(self.id, self.shape, pose, self.mass, self.friction,
                            self.tool_spec)
+
+
+def _same_bits(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
+    """True iff two float tuples are equal bit for bit: equal values, and
+    zeros of the same sign, since a trace prints 0.0 and -0.0 apart."""
+    return a == b and all(
+        math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in zip(a, b) if x == 0.0
+    )
 
 
 @dataclass(frozen=True)
@@ -291,12 +311,12 @@ class SupportCell:
             return self.feature.top_height_at(p)
         return self.height
 
-    @cached_property
+    @derived
     def polygon(self) -> Polygon2:
         """The ring as a validated polygon, built on first use."""
         return Polygon2(self.ring)
 
-    @cached_property
+    @derived
     def bounds(self) -> tuple[float, float, float, float]:
         """The ring's bounding box; object cells are built per query, so this
         skips the ``Polygon2`` that ``polygon.bounds`` would validate."""
@@ -312,7 +332,7 @@ class Solid:
     z1: float
     label: str = ""
 
-    @cached_property
+    @derived
     def polygon(self) -> Polygon2:
         """The ring as a validated polygon, built on first use."""
         return Polygon2(self.ring)
@@ -390,7 +410,7 @@ class Terrain(tuple):
     threads that race on a part both derive it, to equal values.
     """
 
-    @cached_property
+    @derived
     def cells(self) -> tuple[SupportCell, ...]:
         cells: list[SupportCell] = []
         for t in self:
@@ -409,7 +429,7 @@ class Terrain(tuple):
                 cells.append(SupportCell(tuple(t.footprint.vertices), "slope", t.height, feature=t))
         return tuple(cells)
 
-    @cached_property
+    @derived
     def solids(self) -> tuple[Solid, ...]:
         solids: list[Solid] = []
         for t in self:
@@ -452,7 +472,7 @@ class Terrain(tuple):
                 )
         return tuple(solids)
 
-    @cached_property
+    @derived
     def slopes(self) -> tuple[TerrainFeature, ...]:
         return tuple(t for t in self if t.kind == "slope")
 
@@ -539,8 +559,7 @@ def overlapping_object(scene: TwinScene, box: Obb, object_id: str) -> RigidObjec
 
 def _snap_face_down(q: Quat) -> Quat:
     """Minimal world rotation making the current down face exactly horizontal."""
-    box = Obb(Pose6D((0.0, 0.0, 0.0), q), (1.0, 1.0, 1.0))
-    return _face_down_orientation(q, *box.down_face())
+    return _face_down_orientation(q, *down_face(unit_quat(q)))
 
 
 def _face_down_orientation(q: Quat, axis: int, sign: float) -> Quat:
@@ -600,8 +619,9 @@ def flat_pose_on_support(scene: TwinScene, obj: RigidObject, x: float, y: float,
 
 
 def _half_height(obj: RigidObject, q: Quat) -> float:
-    box = Obb(Pose6D((0.0, 0.0, 0.0), q), obj.half_extents)
-    return -box.bottom_z()
+    """Height of the object's centre above its lowest corner at orientation q."""
+    corners = box_corners((0.0, 0.0, 0.0), unit_quat(q), obj.half_extents)
+    return -min(c[2] for c in corners)
 
 
 # ---------------------------------------------------------------------------
@@ -875,8 +895,8 @@ def _topple_once(obj: RigidObject, pose: Pose6D, support_hull: list[Vec2],
                                      _down_sign(q_flipped, largest_axis))
     # support function of the flipped box along the outward direction, so the
     # resolved pose clears the support edge instead of straddling it
-    flipped_box = Obb(Pose6D((0.0, 0.0, 0.0), q_final), obj.half_extents)
-    e_out = max(abs(c[0] * dx + c[1] * dy) for c in flipped_box.corners())
+    flipped = box_corners((0.0, 0.0, 0.0), unit_quat(q_final), obj.half_extents)
+    e_out = max(abs(c[0] * dx + c[1] * dy) for c in flipped)
     new_center = (px + dx * (e_out + 1e-4), py + dy * (e_out + 1e-4))
     z = h_star + _half_height(obj, q_final)
     return Pose6D((new_center[0], new_center[1], z), q_final), (dx, dy)
@@ -946,30 +966,29 @@ def _pose_after_planar_motion(pose: Pose6D, dx: float, dy: float, dyaw: float) -
     return Pose6D((pose.x + dx, pose.y + dy, pose.z), q)
 
 
-def _motion_blocked(scene: TwinScene, obj: RigidObject, pose: Pose6D,
-                    climb_tol: float) -> bool:
+def _motion_blocked(scene: TwinScene, moved: RigidObject, climb_tol: float) -> bool:
     # inclines never block planar motion: objects ride up and settle re-tilts
     # them; steps taller than the climb tolerance (pads, rails, walls) do
-    box = obj.at_pose(pose).world_obb()
+    box = moved.world_obb()
     if box_hits_solids(scene, box, tol=1e-6, climb_tol=climb_tol,
                        include_slopes=False) is not None:
         return True
-    return overlapping_object(scene, box, obj.id) is not None
+    return overlapping_object(scene, box, moved.id) is not None
 
 
-def _clip_fraction(scene: TwinScene, obj: RigidObject, tx: float, ty: float,
-                   dyaw: float) -> float:
+def _clip_fraction(scene: TwinScene, obj: RigidObject, full: RigidObject,
+                   tx: float, ty: float, dyaw: float) -> float:
     """The largest share of the planar motion, bisected to 14 steps, that the
-    object can make without entering terrain or another object."""
+    object can make without entering terrain or another object; ``full`` is
+    the object after the whole motion."""
     climb_tol = scene.push_model.climb_tol
-    if not _motion_blocked(scene, obj, _pose_after_planar_motion(obj.pose, tx, ty, dyaw),
-                           climb_tol):
+    if not _motion_blocked(scene, full, climb_tol):
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(14):
         mid = 0.5 * (lo + hi)
         pose_mid = _pose_after_planar_motion(obj.pose, tx * mid, ty * mid, dyaw * mid)
-        if _motion_blocked(scene, obj, pose_mid, climb_tol):
+        if _motion_blocked(scene, obj.at_pose(pose_mid), climb_tol):
             hi = mid
         else:
             lo = mid
@@ -1013,6 +1032,9 @@ def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
     arm = rx * direction[1] - ry * direction[0]
     dyaw = model.kappa * arm * step
 
+    # the whole motion: what the clip tests first, and, since tx * 1.0 == tx,
+    # the moved object itself when nothing blocks it
+    full = obj.at_pose(_pose_after_planar_motion(obj.pose, tx, ty, dyaw))
     global _last_clip
     key = (scene.terrain, scene.objects, scene.held_id, object_id, tx, ty, dyaw,
            model.climb_tol)
@@ -1020,11 +1042,11 @@ def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
     if last is not None and last[0][0] is key[0] and last[0][1:] == key[1:]:
         frac = last[1]
     else:
-        frac = _clip_fraction(scene, obj, tx, ty, dyaw)
+        frac = _clip_fraction(scene, obj, full, tx, ty, dyaw)
         _last_clip = (key, frac)
 
-    new_pose = _pose_after_planar_motion(obj.pose, tx * frac, ty * frac, dyaw * frac)
-    moved = scene.replace_object(obj.at_pose(new_pose))
+    moved = scene.replace_object(full if frac == 1.0 else obj.at_pose(
+        _pose_after_planar_motion(obj.pose, tx * frac, ty * frac, dyaw * frac)))
     outcome = settle(moved, object_id)
     settled = moved.replace_object(moved.object(object_id).at_pose(outcome.final_pose))
     delta = PushDelta(tx * frac, ty * frac, dyaw * frac, outcome.status)
@@ -1058,13 +1080,21 @@ def _balance_angle(obj: RigidObject, p0: Vec3, axis: Vec3) -> float:
 
 
 def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3],
-                 angle: float) -> tuple[TwinScene, SettleOutcome]:
+                 angle: float, swept_clear: set[float] | None = None
+                 ) -> tuple[TwinScene, SettleOutcome]:
     """Rotate an object rigidly about a bottom edge, then settle.
 
     Below the balance point the object relaxes back to its original rest;
     past it the flip completes onto the adjacent face. The swept volume is
     collision-checked against terrain solids and other objects in 5-degree
     increments; a hit raises SweptCollision.
+
+    ``swept_clear``, when given, holds sweep angles already found clear for
+    this scene, object and edge: they are skipped, and each angle found
+    clear is added. A caller that pivots the same object about the same
+    edge of an unchanged scene at growing angles passes one set to every
+    call, so each distinct angle is checked once and the first hit is the
+    same.
     """
     obj = scene.object(object_id)
     if abs(angle) > math.pi / 2 + 1e-9:
@@ -1107,6 +1137,8 @@ def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3]
     steps = max(1, int(math.ceil(abs(angle) / math.radians(5.0))))
     for i in range(1, steps + 1):
         a = angle * i / steps
+        if swept_clear is not None and a in swept_clear:
+            continue
         pose_i = _rotate_pose_about_line(obj.pose, p0, axis, a)
         box_i = obj.at_pose(pose_i).world_obb()
         solid = box_hits_solids(scene, box_i, tol=2e-3)
@@ -1118,6 +1150,8 @@ def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3]
         other = overlapping_object(scene, box_i, object_id)
         if other is not None:
             raise SweptCollision(f"pivot sweep of {object_id} hits {other.id}")
+        if swept_clear is not None:
+            swept_clear.add(a)
 
     balance = _balance_angle(obj, p0, axis)
     if abs(angle) + 1e-9 < balance:

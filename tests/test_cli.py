@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tabletamp.cli import main
+from tests.test_planner import stub_server  # noqa: F401 - a fixture
 
 
 class TestCmdRun:
@@ -101,6 +102,18 @@ class TestCmdBench:
 
 
 class TestCmdSample:
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    def test_unavailable_planner_exit_one(self, tmp_path, capsys, stub_server, command):
+        # the stub has no replies queued, so no reply holds a skeleton
+        argv = [command, "--scenario", "edge", "--seed", "0", "--planner", "http",
+                "--endpoint", stub_server[0], "--max-retries", "0",
+                "--out", str(tmp_path)]
+        code = main(argv + (["--step", "1"] if command == "sample" else []))
+        assert code == 1
+        if command == "sample":
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error: no usable skeleton") and "\n" not in err
+
     def test_push_step_emits_candidates(self, tmp_path):
         # edge plan attempt 0 is grasp-first; wall fallback 0 likewise, so
         # use box whose first plan starts with a rotate

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tabletamp import control, twin
 from tabletamp.control import (
     ErrorKind,
     assess_grasp,
@@ -143,6 +144,58 @@ class TestExecRotate:
         out, trace = exec_rotate(scene, "plank", Pose6D((0.0, -0.2, TABLE_H + 0.05), goal_q))
         assert not trace.ok
         assert trace.result.kind is ErrorKind.COLLISION
+
+    # exec_rotate hands pivot_rotate the set of sweep angles its earlier
+    # increments found clear; these compare it with the loop that re-sweeps
+    # every angle on every increment.
+
+    @staticmethod
+    def rail_scene(rail_y):
+        # a 1 cm rail along the plank's long side; the flip about the long
+        # edge at y = -0.25 swings the plank's top edge out over y < -0.25
+        rail = TerrainFeature("wall", rect_polygon(0.0, rail_y, 0.2, 0.005), TABLE_H,
+                              {"height": 0.03}, name="rail")
+        plank = make_box("plank", half=(0.10, 0.05, 0.01), y=-0.2, z=TABLE_H + 0.01)
+        return base_scene([plank], terrain_extra=[rail])
+
+    @staticmethod
+    def rotate_counting_sweeps(monkeypatch, scene, reuse):
+        goal = Pose6D((0.0, -0.25, TABLE_H + 0.05), (math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0))
+        sweeps = []
+        original = twin.box_hits_solids
+
+        def counted(scene, box, tol=1e-6, **kwargs):
+            sweeps.append(tol)
+            return original(scene, box, tol=tol, **kwargs)
+
+        def without_swept_set(scene, object_id, edge, angle, swept_clear=None):
+            return twin.pivot_rotate(scene, object_id, edge, angle)
+
+        with monkeypatch.context() as m:
+            m.setattr(twin, "box_hits_solids", counted)
+            if not reuse:
+                m.setattr(control, "pivot_rotate", without_swept_set)
+            out, trace = exec_rotate(scene, "plank", goal)
+        return out, trace, sweeps.count(2e-3)  # pivot_rotate's sweep tolerance
+
+    def test_late_sweep_hit_equals_full_resweep(self, monkeypatch):
+        scene = self.rail_scene(-0.27)
+        _, ref, ref_sweeps = self.rotate_counting_sweeps(monkeypatch, scene, reuse=False)
+        _, got, sweeps = self.rotate_counting_sweeps(monkeypatch, scene, reuse=True)
+        assert ref.result.kind is ErrorKind.COLLISION
+        assert ref.result.message == "pivot sweep of plank hits rail at 50 deg"
+        assert ref.snapshots > 5  # the earlier increments swept clear
+        assert got.result == ref.result and got.snapshots == ref.snapshots
+        assert sweeps < ref_sweeps
+
+    def test_completed_flip_equals_full_resweep(self, monkeypatch):
+        scene = self.rail_scene(-0.14)  # just clear of the far long edge
+        ref_out, ref, ref_sweeps = self.rotate_counting_sweeps(monkeypatch, scene,
+                                                               reuse=False)
+        out, got, sweeps = self.rotate_counting_sweeps(monkeypatch, scene, reuse=True)
+        assert ref.ok and got.ok and got.snapshots == ref.snapshots
+        assert repr(out.object("plank").pose) == repr(ref_out.object("plank").pose)
+        assert sweeps < ref_sweeps
 
 
 class TestExecGrasp:

@@ -815,6 +815,86 @@ def ref_obb_corners(box):
             for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
 
 
+def oracle_quats(count, seed):
+    """Unit, yaw-only, nearly flat, side-down and half-way-tilted
+    quaternions; every other one is scaled 1e-9 to 1e-7 off unit norm, so
+    Pose6D's division changes its bits."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        yaw = quat_from_yaw(rng.uniform(-math.pi, math.pi))
+        axis = (*rng.normal(size=2), 0.0)
+        kind = i % 8
+        if kind < 2:
+            v = rng.normal(size=4)
+            q = tuple(float(c) for c in v / np.linalg.norm(v))
+        elif kind < 4:
+            q = yaw
+        elif kind < 6:
+            q = quat_mul(quat_from_axis_angle(axis, 10.0 ** rng.uniform(-9.0, -3.0)), yaw)
+        elif kind < 7:
+            q = quat_mul(quat_from_axis_angle(axis, math.pi / 2), yaw)
+        else:
+            # half way between two faces: which one points down is decided
+            # by the last bits
+            body_axis = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)][i % 16 // 8]
+            tilt = math.pi / 4 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-17.0, -14.0)
+            q = quat_mul(yaw, quat_from_axis_angle(body_axis, float(tilt)))
+        if i % 2:
+            scale = 1.0 + float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -7.0))
+            q = tuple(c * scale for c in q)
+        yield q
+
+
+def ref_box_corners(position, orientation, half_extents):
+    """Obb(Pose6D(position, orientation), half_extents).corners() as a box
+    built them: Pose6D's normalization, then transform_point."""
+    p, q = ref_pose_fields(position, orientation)
+    hx, hy, hz = half_extents
+    out = []
+    for sx in (-1.0, 1.0):
+        for sy in (-1.0, 1.0):
+            for sz in (-1.0, 1.0):
+                r = quat_rotate(q, (sx * hx, sy * hy, sz * hz))
+                out.append((r[0] + p[0], r[1] + p[1], r[2] + p[2]))
+    return out
+
+
+def ref_down_face(orientation):
+    """Obb.down_face as a box computed it from its normalized orientation."""
+    q = ref_pose_fields((0.0, 0.0, 0.0), orientation)[1]
+    best, best_dz = None, math.inf
+    for axis, sign in _LOCAL_FACES:
+        local = [0.0, 0.0, 0.0]
+        local[axis] = sign
+        world = quat_rotate(q, tuple(local))
+        if world[2] < best_dz:
+            best_dz = world[2]
+            best = (axis, sign)
+    return best
+
+
+def ref_farthest_point_sample(points, k, start):
+    """farthest_point_sample as two loops per pick: the farthest point, then
+    the distances lowered by it."""
+    chosen = [start]
+    sx, sy = points[start]
+    min_d2 = [(p[0] - sx) ** 2 + (p[1] - sy) ** 2 for p in points]
+    for _ in range(k - 1):
+        best_i = 0
+        best_d = -1.0
+        for i, d in enumerate(min_d2):
+            if d > best_d + 1e-15:
+                best_d = d
+                best_i = i
+        chosen.append(best_i)
+        bx, by = points[best_i]
+        for i, p in enumerate(points):
+            d2 = (p[0] - bx) ** 2 + (p[1] - by) ** 2
+            if d2 < min_d2[i]:
+                min_d2[i] = d2
+    return chosen
+
+
 def ref_sample_boundary(poly, spacing):
     pts = []
     for a, b in ref_edges(poly.vertices):
@@ -952,6 +1032,44 @@ class TestFlatKernelOracles:
         boxes.append(Obb(Pose6D((-0.0, 0.0, -0.0), (1.0, -0.0, 0.0, -0.0)), (0.1, 0.2, 0.3)))
         for box in boxes:
             assert_identical(box.corners(), ref_obb_corners(box))
+
+    def test_orientation_only_values(self):
+        rng = np.random.default_rng(139)
+        quats = list(oracle_quats(600, 149))
+        renormalized = 0
+        for q in quats:
+            position = tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=3))
+            half = tuple(float(c) for c in rng.uniform(0.005, 0.2, size=3))
+            pose = Pose6D(position, q)
+            unit = ref_pose_fields(position, q)[1]
+            renormalized += unit != q
+            assert_identical(pose.orientation, unit)
+            box = Obb(pose, half)
+            assert_identical(box.down_face(), ref_down_face(q))
+            assert_identical(box.corners(), ref_box_corners(position, q, half))
+        assert renormalized >= len(quats) // 2
+
+    def test_farthest_point_sample(self):
+        rng = np.random.default_rng(151)
+        cases = [
+            # a lattice: many exact distance ties
+            ([(float(x), float(y)) for x in range(-3, 4) for y in range(-2, 3)], 9),
+            ([(0.5 * x, 0.0) for x in range(12)] + [(0.0, 0.5 * y) for y in range(1, 6)], 7),
+            ([(0.0, 0.0)] * 3 + [(1.0, 1.0)] * 2, 5),  # repeated points
+        ]
+        for _ in range(40):
+            pts = [(float(x), float(y))
+                   for x, y in rng.uniform(-1.0, 1.0, size=(rng.integers(1, 60), 2))]
+            cases.append((pts, len(pts)))
+        for box in TestObb.seeded_boxes(60, 157):
+            # the push controller's contact rings
+            pts = boundary_contacts(box.footprint(), 0.01)[0]
+            cases.append((pts, min(8, len(pts))))
+        for pts, k_max in cases:
+            for start in {0, len(pts) // 2, len(pts) - 1}:
+                for k in {1, min(2, k_max), k_max}:
+                    assert (farthest_point_sample(pts, k, start)
+                            == ref_farthest_point_sample(pts, k, start))
 
 
 def own_vertex_normals(poly, spacing):

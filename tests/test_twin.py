@@ -46,6 +46,8 @@ from tabletamp.twin import (
     surface_under,
 )
 
+from tests.test_geometry import oracle_quats
+
 TABLE_H = 0.4
 TABLE_HALF = 0.4
 
@@ -130,6 +132,40 @@ class TestTerrainCache:
         assert scene.terrain.slopes == fresh.slopes == tuple(
             t for t in scene.terrain if t.kind == "slope")
 
+    def test_racing_threads_derive_equal_parts(self):
+        # parts fill without a lock: threads that race on a fresh terrain
+        # each derive a part, and every one of them reads equal values
+        import sys
+        import threading
+
+        from tabletamp.scenarios import build_scenario
+
+        features = tuple(build_scenario("slot").scene_template.terrain)
+        expected = twin.Terrain(features)
+        expected = (expected.cells, expected.solids, expected.slopes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                terrain = twin.Terrain(features)
+                start = threading.Barrier(4)
+                seen = []
+
+                def read():
+                    start.wait(timeout=10)
+                    seen.append((terrain.cells, terrain.solids, terrain.slopes))
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert seen == [expected] * 4
+                assert (terrain.cells, terrain.solids, terrain.slopes) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_returned_lists_are_fresh(self):
         from tabletamp.scenarios import build_scenario
 
@@ -162,6 +198,39 @@ class TestWorldObbCache:
             moved = obj.at_pose(Pose6D((0.1, 0.2, 0.5)))
             assert moved.world_obb() != box
             assert moved.world_obb() == dataclasses.replace(obj, pose=moved.pose).world_obb()
+
+    def test_unchanged_pose_is_the_same_object(self):
+        obj = make_box(x=0.1, y=-0.2, yaw=0.3)
+        box = obj.world_obb()
+        same = Pose6D(list(obj.pose.position), list(obj.pose.orientation))
+        assert same is not obj.pose
+        assert obj.at_pose(same) is obj and obj.at_pose(obj.pose) is obj
+        assert obj.at_pose(same).world_obb() is box
+
+    @pytest.mark.parametrize("pose", [
+        ((0.1, -0.2, 0.45), quat_from_yaw(0.3)),
+        ((0.0, 0.0, 0.45), (1.0, 0.0, 0.0, 0.0)),
+        ((-0.0, 0.0, 0.45), (0.0, 1.0, -0.0, 0.0)),
+    ], ids=["tilted", "zeros", "negative-zeros"])
+    def test_any_changed_bit_gives_a_new_object(self, pose):
+        obj = make_box().at_pose(Pose6D(*pose))
+        fields = list(obj.pose.position) + list(obj.pose.orientation)
+        changed_poses = 0
+        for i, value in enumerate(fields):
+            # the next float up, and for a zero the zero of the other sign,
+            # which equals it but prints apart in a trace
+            changed = list(fields)
+            changed[i] = -value if value == 0.0 else math.nextafter(value, math.inf)
+            new_pose = Pose6D(tuple(changed[:3]), tuple(changed[3:]))
+            if repr(new_pose) == repr(obj.pose):
+                # normalizing the quaternion took the extra ulp back out
+                assert i >= 3 and value != 0.0 and obj.at_pose(new_pose) is obj
+                continue
+            changed_poses += 1
+            moved = obj.at_pose(new_pose)
+            assert moved is not obj and moved.pose is new_pose
+            assert moved == dataclasses.replace(obj, pose=new_pose)
+        assert changed_poses >= 5
 
     def test_copies_keep_every_field(self):
         tool = twin.ToolSpec("hook", 0.2, (0.1, 0.0, 0.0))
@@ -967,6 +1036,31 @@ def _random_unit_quats(count, seed):
 
 def _down_face(q):
     return Obb(Pose6D((0.0, 0.0, 0.0), q), (1.0, 1.0, 1.0)).down_face()
+
+
+class TestOrientationHelpers:
+    # The down face and half height depend on the orientation alone and are
+    # computed without a box; these are the box-at-the-origin bodies they
+    # replaced (with _down_face), kept as references. Pose6D normalizes the
+    # quaternion first.
+
+    @staticmethod
+    def ref_snap_face_down(q):
+        return _face_down_orientation(q, *_down_face(q))
+
+    @staticmethod
+    def ref_half_height(obj, q):
+        box = Obb(Pose6D((0.0, 0.0, 0.0), q), obj.half_extents)
+        return -box.bottom_z()
+
+    def test_equal_the_box_at_the_origin(self):
+        rng = np.random.default_rng(163)
+        quats = list(oracle_quats(600, 167))
+        assert sum(Pose6D((0.0, 0.0, 0.0), q).orientation != q for q in quats) >= 300
+        for q in quats:
+            obj = make_box(half=tuple(rng.uniform(0.005, 0.2, size=3)))
+            assert repr(twin._snap_face_down(q)) == repr(self.ref_snap_face_down(q))
+            assert repr(twin._half_height(obj, q)) == repr(self.ref_half_height(obj, q))
 
 
 class TestFaceDownOrientation:
