@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .domain import SkeletonParseError, parse_skeleton, validate_skeleton
 from .harness import (
+    ABLATIONS,
     RandomizationFailure,
     benchmark_csv,
     episode_trace_json,
@@ -272,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", required=True,
                        help="built-in name or scenario JSON path")
     p_run.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_run.add_argument("--ablation", choices=("full", "no_pose", "no_reflection"),
-                       default="full")
+    p_run.add_argument("--ablation", choices=ABLATIONS, default="full")
     p_run.add_argument("--render", action="store_true")
     common(p_run)
     p_run.set_defaults(func=cmd_run)
@@ -282,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--scenarios", nargs="*", default=None,
                          help="subset of scenarios (default: all eight)")
     p_bench.add_argument("--trials", type=_int_at_least(1), default=10)
-    p_bench.add_argument("--ablation", choices=("full", "no_pose", "no_reflection"),
-                         default="full")
+    p_bench.add_argument("--ablation", choices=ABLATIONS, default="full")
     p_bench.add_argument("--traces", action="store_true",
                          help="also write per-episode trace JSON")
     common(p_bench)

@@ -614,6 +614,13 @@ def down_face(q: Quat) -> tuple[int, float]:
     return best  # type: ignore[return-value]
 
 
+def largest_face_axis(h: Vec3) -> int:
+    """Local axis of a box with half extents h whose two faces have the
+    largest area."""
+    areas = [h[1] * h[2], h[0] * h[2], h[0] * h[1]]
+    return areas.index(max(areas))
+
+
 @dataclass(frozen=True)
 class Obb:
     """Oriented box: center pose plus strictly positive half extents."""
@@ -678,12 +685,6 @@ class Obb:
         face = _FACE_CORNERS[self.down_face()]
         cs = self._corners
         return [(cs[face[i]], cs[face[(i + 1) % 4]]) for i in range(4)]
-
-    def largest_face_axis(self) -> int:
-        """Local axis whose two faces have the largest area."""
-        h = self.half_extents
-        areas = [h[1] * h[2], h[0] * h[2], h[0] * h[1]]
-        return areas.index(max(areas))
 
 
 def obbs_overlap(a: Obb, b: Obb, tol: float = 1e-9) -> bool:

@@ -22,6 +22,7 @@ _TERRAIN_FILL = {
 }
 
 _SCALE = 400.0  # px per meter
+_SIZE_PX = 480  # image width and height
 
 
 def _fmt(v: float) -> str:
@@ -47,7 +48,6 @@ def render_scene(
     goal_pose: tuple[str, Pose6D] | None = None,
     goal_zone: Polygon2 | None = None,
     caption: str = "",
-    size_px: int = 480,
 ) -> str:
     """Render a scene to an SVG string.
 
@@ -60,11 +60,11 @@ def render_scene(
         cx, cy = tables[0].footprint.centroid
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size_px}" '
-        f'height="{size_px}" viewBox="{-size_px // 2} {-size_px // 2} '
-        f'{size_px} {size_px}">',
-        f'<rect x="{-size_px // 2}" y="{-size_px // 2}" width="{size_px}" '
-        f'height="{size_px}" fill="#f4f1ea"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE_PX}" '
+        f'height="{_SIZE_PX}" viewBox="{-_SIZE_PX // 2} {-_SIZE_PX // 2} '
+        f'{_SIZE_PX} {_SIZE_PX}">',
+        f'<rect x="{-_SIZE_PX // 2}" y="{-_SIZE_PX // 2}" width="{_SIZE_PX}" '
+        f'height="{_SIZE_PX}" fill="#f4f1ea"/>',
     ]
 
     order = {"ground": 0, "table_surface": 1, "slope": 2, "slot": 3, "shelf": 4, "wall": 5}
@@ -130,7 +130,7 @@ def render_scene(
     )
     if caption:
         parts.append(
-            f'<text x="{-size_px // 2 + 8}" y="{-size_px // 2 + 18}" '
+            f'<text x="{-_SIZE_PX // 2 + 8}" y="{-_SIZE_PX // 2 + 18}" '
             f'font-family="monospace" font-size="12" fill="#333333">{caption}</text>'
         )
     parts.append("</svg>")

@@ -26,7 +26,6 @@ from .domain import (
     RegionDescriptor,
 )
 from .geometry import (
-    Obb,
     Polygon2,
     Pose6D,
     Vec3,
@@ -126,9 +125,8 @@ def _robot() -> RobotModel:
 def _card(x: float, y: float, yaw: float = 0.0) -> RigidObject:
     return RigidObject(
         id="card",
-        shape=Obb(Pose6D((0.0, 0.0, 0.0)), (0.05, 0.03, 0.004)),
+        half_extents=(0.05, 0.03, 0.004),
         pose=Pose6D((x, y, TABLE_HEIGHT + 0.004), quat_from_yaw(yaw)),
-        mass=0.05,
     )
 
 
@@ -163,9 +161,8 @@ def _box_scenario() -> Scenario:
     lying_q = quat_from_yaw(0.0)
     box = RigidObject(
         id="box",
-        shape=Obb(Pose6D((0.0, 0.0, 0.0)), (0.06, 0.045, 0.045)),
+        half_extents=(0.06, 0.045, 0.045),
         pose=Pose6D((0.0, -0.05, TABLE_HEIGHT + 0.045), lying_q),
-        mass=0.3,
     )
     goal = _pose_goal(0.16, 0.06, yaw=0.0, half_z=0.045)
     return Scenario(
@@ -193,9 +190,8 @@ def _book_scenario() -> Scenario:
     )
     book = RigidObject(
         id="book",
-        shape=Obb(Pose6D((0.0, 0.0, 0.0)), (0.06, 0.02, 0.09)),
+        half_extents=(0.06, 0.02, 0.09),
         pose=Pose6D((-0.15, 0.13, TABLE_HEIGHT + 0.09)),
-        mass=0.4,
     )
     # the goal orientation is the cover-down class a forward flip produces
     # (tipping about the front bottom edge rolls the spine toward the robot)
@@ -338,7 +334,7 @@ def _slope_scenario() -> Scenario:
 def _slot_scenario() -> Scenario:
     slot = TerrainFeature(
         "slot", rect_polygon(0.0, 0.02, 0.15, 0.02), TABLE_HEIGHT,
-        {"depth": 0.025, "width": 0.04}, name="groove",
+        {"depth": 0.025}, name="groove",
     )
     goal = _pose_goal(0.24, -0.12, yaw=0.0, half_z=0.004)
     return Scenario(
@@ -374,9 +370,8 @@ def _slot_scenario() -> Scenario:
 def _tool_body(tool_id: str, kind: str, x: float, y: float) -> RigidObject:
     return RigidObject(
         id=tool_id,
-        shape=Obb(Pose6D((0.0, 0.0, 0.0)), (0.15, 0.0125, 0.0175)),
+        half_extents=(0.15, 0.0125, 0.0175),
         pose=Pose6D((x, y, TABLE_HEIGHT + 0.0175), quat_from_yaw(math.pi / 2)),
-        mass=0.15,
         tool_spec=ToolSpec(kind, 0.30, (0.15, 0.0, 0.0)),
     )
 
@@ -384,9 +379,8 @@ def _tool_body(tool_id: str, kind: str, x: float, y: float) -> RigidObject:
 def _puck(x: float, y: float) -> RigidObject:
     return RigidObject(
         id="puck",
-        shape=Obb(Pose6D((0.0, 0.0, 0.0)), (0.03, 0.03, 0.02)),
+        half_extents=(0.03, 0.03, 0.02),
         pose=Pose6D((x, y, TABLE_HEIGHT + 0.02)),
-        mass=0.2,
     )
 
 

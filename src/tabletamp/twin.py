@@ -44,6 +44,7 @@ from .geometry import (
     derived,
     down_face,
     geodesic_angle,
+    largest_face_axis,
     obbs_overlap,
     point_in_polygon,
     quat_from_axis_angle,
@@ -105,8 +106,8 @@ class TerrainFeature:
             ex["downhill"] = (d[0] / n, d[1] / n)
             object.__setattr__(self, "extra", ex)
         if self.kind == "slot":
-            if self.extra.get("depth", 0.0) <= 0.0 or self.extra.get("width", 0.0) <= 0.0:
-                raise ValueError("slot needs positive depth and width")
+            if self.extra.get("depth", 0.0) <= 0.0:
+                raise ValueError("slot needs extra['depth'] > 0")
         if self.kind == "shelf":
             if self.extra.get("clearance", 0.0) <= 0.0:
                 raise ValueError("shelf needs extra['clearance'] > 0")
@@ -141,21 +142,21 @@ class ToolSpec:
 @dataclass(frozen=True)
 class RigidObject:
     id: str
-    shape: Obb  # local frame; center_pose is the shape offset, usually identity
+    half_extents: Vec3  # of the box centred on the pose, along its local axes
     pose: Pose6D
-    mass: float = 0.2
     friction: float = 0.5
     tool_spec: ToolSpec | None = None
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("mass must be > 0")
+        # at_pose builds an object on every controller step, so the check
+        # is written out
+        h = tuple(map(float, self.half_extents))
+        if len(h) != 3 or not (h[0] > 0.0 and h[1] > 0.0 and h[2] > 0.0):
+            raise ValueError(f"object {self.id!r} half extents must be 3 positive "
+                             f"numbers, got {h}")
+        object.__setattr__(self, "half_extents", h)
         if not 0.05 <= self.friction <= 2.0:
             raise ValueError("friction must lie in [0.05, 2.0]")
-
-    @property
-    def half_extents(self) -> Vec3:
-        return self.shape.half_extents
 
     def world_obb(self) -> Obb:
         return self._world_obb
@@ -166,10 +167,9 @@ class RigidObject:
     # the box already derived.
     @derived
     def _world_obb(self) -> Obb:
-        local = self.shape.center_pose
-        pos = self.pose.transform_point(local.position)
-        quat = quat_mul(self.pose.orientation, local.orientation)
-        return Obb(Pose6D(pos, quat), self.shape.half_extents)
+        # rebuilding the pose normalizes its quaternion once more, which the
+        # box's corner bits depend on
+        return Obb(Pose6D(self.pose.position, self.pose.orientation), self.half_extents)
 
     def at_pose(self, pose: Pose6D) -> "RigidObject":
         """This object at ``pose``: itself when ``pose`` has the bits of its
@@ -178,8 +178,7 @@ class RigidObject:
             pose.orientation, self.pose.orientation
         ):
             return self
-        return RigidObject(self.id, self.shape, pose, self.mass, self.friction,
-                           self.tool_spec)
+        return RigidObject(self.id, self.half_extents, pose, self.friction, self.tool_spec)
 
 
 def _same_bits(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
@@ -888,7 +887,7 @@ def _topple_once(obj: RigidObject, pose: Pose6D, support_hull: list[Vec2],
         dn = 1.0
     dx, dy = dx / dn, dy / dn
 
-    largest_axis = obj.shape.largest_face_axis()
+    largest_axis = largest_face_axis(obj.half_extents)
     q1 = quat_from_axis_angle((ex, ey, 0.0), _flip_sign((ex, ey), (dx, dy)))
     q_flipped = quat_mul(q1, pose.orientation)
     q_final = _face_down_orientation(q_flipped, largest_axis,
@@ -1195,16 +1194,11 @@ def scene_to_dict(scene: TwinScene) -> dict:
         "objects": [
             {
                 "id": o.id,
-                "shape": {
-                    "half_extents": list(o.shape.half_extents),
-                    "offset_xyz": list(o.shape.center_pose.position),
-                    "offset_quat_wxyz": list(o.shape.center_pose.orientation),
-                },
+                "shape": {"half_extents": list(o.half_extents)},
                 "pose": {
                     "xyz": list(o.pose.position),
                     "quat_wxyz": list(o.pose.orientation),
                 },
-                "mass": o.mass,
                 "friction": o.friction,
                 "tool_spec": None
                 if o.tool_spec is None
@@ -1301,7 +1295,7 @@ def _json_extra(value, what: str) -> dict:
     """A terrain's ``extra`` object, whose known keys must hold a number or,
     for a direction, an [x, y] pair."""
     extra = dict(_json_object(value, what))
-    for key in ("height", "angle_deg", "depth", "width", "clearance"):
+    for key in ("height", "angle_deg", "depth", "clearance"):
         if key in extra:
             _json_number(extra[key], f"{what} {key}")
     for key in ("downhill", "open_face"):
@@ -1335,14 +1329,15 @@ def scene_from_dict(data: dict) -> TwinScene:
     for i, o in enumerate(_json_list(data["objects"], "scene objects")):
         where = f"object {i}"
         o = _json_object(o, where)
-        shape_raw = _json_object(o["shape"], f"{where} shape")
-        shape = Obb(
-            Pose6D(_json_vector(shape_raw.get("offset_xyz", [0, 0, 0]), 3,
-                                f"{where} shape offset_xyz"),
-                   _json_vector(shape_raw.get("offset_quat_wxyz", [1, 0, 0, 0]), 4,
-                                f"{where} shape offset_quat_wxyz")),
-            _json_vector(shape_raw["half_extents"], 3, f"{where} shape half_extents"),
-        )
+        shape = _json_object(o["shape"], f"{where} shape")
+        # older files carry a shape offset, always the identity: the twin
+        # simulates only boxes centred on their pose
+        for key, identity in (("offset_xyz", [0, 0, 0]), ("offset_quat_wxyz", [1, 0, 0, 0])):
+            offset = list(_json_vector(shape.get(key, identity), len(identity),
+                                       f"{where} shape {key}"))
+            if offset != identity:
+                raise ValueError(f"{where} shape {key} must be {identity} (got {offset}): "
+                                 f"only boxes centred on their pose are simulated")
         ts = o.get("tool_spec")
         if ts is not None:
             ts = _json_object(ts, f"{where} tool_spec")
@@ -1354,9 +1349,9 @@ def scene_from_dict(data: dict) -> TwinScene:
         objects.append(
             RigidObject(
                 id=_json_string(o["id"], f"{where} id"),
-                shape=shape,
+                half_extents=_json_vector(shape["half_extents"], 3,
+                                          f"{where} shape half_extents"),
                 pose=_json_pose(o["pose"], f"{where} pose"),
-                mass=_json_number(o.get("mass", 0.2), f"{where} mass"),
                 friction=_json_number(o.get("friction", 0.5), f"{where} friction"),
                 tool_spec=ts,
             )

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ class TestAcceptance:
         for label, scenario in scenes.items():
             scene = scenario.scene_template.as_twin()
             obj_id = scenario.primary_object
-            rng = np.random.default_rng(hash(label) % (2**31))
+            rng = np.random.default_rng(zlib.crc32(label.encode()))
             batch = []
             for _ in range(1000):
                 x, y = rng.uniform(-0.55, 0.55, size=2)

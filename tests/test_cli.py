@@ -302,6 +302,11 @@ class TestScenarioFileSteps:
         (lambda d: d.__delitem__("instruction"),
          "a scenario file is missing key 'instruction'"),
         (lambda d: d["special"].update(goal_jiter=0.5), "unknown special key 'goal_jiter'"),
+        (lambda d: d["scene"]["objects"][0]["shape"].update(offset_xyz=[0.03, 0, 0]),
+         "object 0 shape offset_xyz must be [0, 0, 0] (got [0.03, 0, 0]): only boxes "
+         "centred on their pose are simulated"),
+        (lambda d: d["scene"]["objects"][0]["shape"].update(half_extents=[0.06, 0, 0.045]),
+         "object 'box' half extents must be 3 positive numbers, got (0.06, 0.0, 0.045)"),
     ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
             "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape",
             "file-shape", "goal-shape", "target-shape", "scene-shape",
@@ -311,7 +316,7 @@ class TestScenarioFileSteps:
             "pos-jitter-bool", "yaw-jitter-bool", "extra-number", "extra-direction",
             "terrain-name", "object-id", "scenario-id", "instruction",
             "primary-type", "goal-kind", "initial-states", "missing-terrain-key",
-            "missing-file-key", "special-key"])
+            "missing-file-key", "special-key", "shape-offset", "zero-half-extent"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict

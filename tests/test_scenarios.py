@@ -1,18 +1,21 @@
 """Scenario preconditions: every task's defining feature holds at spawn for
 all benchmark seeds, so the naive plan must fail for the intended reason."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from tabletamp.control import assess_grasp, exec_grasp
 from tabletamp.geometry import geodesic_angle
-from tabletamp.harness import randomize, randomized_goal
+from tabletamp.harness import episode_trace_json, randomize, randomized_goal, run_episode
 from tabletamp.scenarios import (
     SCENARIO_IDS,
     all_scenarios,
     build_scenario,
     fallback_builders,
+    load_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -89,6 +92,22 @@ class TestScenarioDefinitions:
             assert back.id == sc.id
             assert back.primary_object == sc.primary_object
             assert scenario_to_dict(back) == data
+
+    def test_file_with_mass_offset_and_slot_width_replays_slot(self):
+        # written before objects lost their mass and shape offset and slots
+        # their width: it still loads, and its episode is the built-in one
+        path = Path(__file__).parent / "fixtures" / "slot_with_mass_and_offset.json"
+        raw = json.loads(path.read_text())
+        card = raw["scene"]["objects"][0]
+        assert "mass" in card and "offset_xyz" in card["shape"]
+        assert any("width" in t["extra"] for t in raw["scene"]["terrain"])
+
+        def trace(scenario):
+            doc = json.loads(episode_trace_json(run_episode(scenario, 0)))
+            doc.pop("wall_ms")
+            return doc
+
+        assert trace(load_scenario(str(path))) == trace(build_scenario("slot"))
 
     def test_goal_orientation_matches_book_flip_class(self):
         # the book goal must be reachable by one forward flip plus yaw

@@ -60,7 +60,7 @@ def make_box(obj_id="box", half=(0.05, 0.05, 0.05), x=0.0, y=0.0, yaw=0.0,
         z = TABLE_H + half[2]
     return RigidObject(
         id=obj_id,
-        shape=Obb(Pose6D((0.0, 0.0, 0.0)), half),
+        half_extents=half,
         pose=Pose6D((x, y, z), orientation),
         tool_spec=tool_spec,
     )
@@ -184,16 +184,19 @@ class TestTerrainCache:
 
 class TestWorldObbCache:
     def test_world_box_is_derived_once_and_equals_the_formula(self):
+        # the formula is the composition with an identity shape offset that
+        # the box was derived by before the offset went; its second
+        # quaternion normalization sets the bits of some boxes, so every
+        # trace depends on it
         rng = np.random.default_rng(151)
-        for _ in range(50):
-            offset = Pose6D(tuple(rng.uniform(-0.02, 0.02, size=3)), random_unit_quat(rng))
-            obj = RigidObject("b", Obb(offset, tuple(rng.uniform(0.01, 0.1, size=3))),
-                              Pose6D(tuple(rng.uniform(-0.5, 0.5, size=3)),
-                                     random_unit_quat(rng)))
+        for i in range(1200):
+            q = quat_from_yaw(rng.uniform(-math.pi, math.pi)) if i % 2 else random_unit_quat(rng)
+            obj = RigidObject("b", tuple(rng.uniform(0.01, 0.1, size=3)),
+                              Pose6D(tuple(rng.uniform(-0.5, 0.5, size=3)), q))
             box = obj.world_obb()
             assert obj.world_obb() is box
-            assert box == Obb(Pose6D(obj.pose.transform_point(offset.position),
-                                     quat_mul(obj.pose.orientation, offset.orientation)),
+            assert box == Obb(Pose6D(obj.pose.transform_point((0.0, 0.0, 0.0)),
+                                     quat_mul(obj.pose.orientation, (1.0, 0.0, 0.0, 0.0))),
                               obj.half_extents)
             moved = obj.at_pose(Pose6D((0.1, 0.2, 0.5)))
             assert moved.world_obb() != box
@@ -234,7 +237,7 @@ class TestWorldObbCache:
 
     def test_copies_keep_every_field(self):
         tool = twin.ToolSpec("hook", 0.2, (0.1, 0.0, 0.0))
-        obj = dataclasses.replace(make_box("stick", tool_spec=tool), mass=0.7, friction=1.3)
+        obj = dataclasses.replace(make_box("stick", tool_spec=tool), friction=1.3)
         pose = Pose6D((0.1, -0.1, TABLE_H + 0.05), quat_from_yaw(0.3))
         assert obj.at_pose(pose) == dataclasses.replace(obj, pose=pose)
         scene = dataclasses.replace(
@@ -519,7 +522,7 @@ class TestSurfaceUnder:
 
     def test_slot_opening(self):
         slot = TerrainFeature("slot", rect_polygon(0.0, 0.1, 0.15, 0.02), TABLE_H,
-                              {"depth": 0.025, "width": 0.04}, name="groove")
+                              {"depth": 0.025}, name="groove")
         scene = base_scene(terrain_extra=[slot])
         feature, h = surface_under(scene, (0.0, 0.1))
         assert feature.kind == "slot"
@@ -680,7 +683,7 @@ class TestSettle:
 
     def test_bridging_a_slot_is_stable(self):
         slot = TerrainFeature("slot", rect_polygon(0.0, 0.0, 0.15, 0.02), TABLE_H,
-                              {"depth": 0.025, "width": 0.04}, name="groove")
+                              {"depth": 0.025}, name="groove")
         card = make_box("card", half=(0.05, 0.03, 0.004), x=0.0, y=0.0,
                         z=TABLE_H + 0.004)
         scene = base_scene([card], terrain_extra=[slot])
@@ -690,7 +693,7 @@ class TestSettle:
 
     def test_narrow_object_drops_into_slot(self):
         slot = TerrainFeature("slot", rect_polygon(0.0, 0.0, 0.15, 0.02), TABLE_H,
-                              {"depth": 0.025, "width": 0.04}, name="groove")
+                              {"depth": 0.025}, name="groove")
         pin = make_box("pin", half=(0.01, 0.01, 0.01), x=0.0, y=0.0, z=TABLE_H + 0.2)
         scene = base_scene([pin], terrain_extra=[slot])
         out = settle(scene, "pin")
