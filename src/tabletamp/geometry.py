@@ -74,7 +74,7 @@ def quat_mul(a: Quat, b: Quat) -> Quat:
 
 def unit_quat(q) -> Quat:
     """q as four floats divided by its norm; raises ValueError when it is
-    not 4 long or its norm is more than 1e-6 off 1.
+    not 4 long or its norm is more than 1e-6 off 1 or not finite.
 
     Written out because ``Pose6D`` calls it on every controller step: the
     same norm expression as quat_norm.
@@ -84,7 +84,7 @@ def unit_quat(q) -> Quat:
         raise ValueError("orientation must have 4 components (w, x, y, z)")
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    if abs(n - 1.0) > _UNIT_TOL:
+    if not abs(n - 1.0) <= _UNIT_TOL:  # a NaN or infinite norm fails too
         raise ValueError(f"orientation is not unit norm ({n:.2e} off): {q}")
     return (w / n, x / n, y / n, z / n)
 
@@ -138,10 +138,11 @@ def geodesic_angle(a: Quat, b: Quat) -> float:
 
     Returns theta in [0, 180] with theta = 2*acos(|<a, b>|); symmetric in its
     arguments and invariant under a global sign flip of either input.
-    Raises ValueError when an input deviates from unit norm by more than 1e-6.
+    Raises ValueError when an input deviates from unit norm by more than 1e-6
+    or has a norm that is not finite.
     """
     for q in (a, b):
-        if abs(quat_norm(q) - 1.0) > _UNIT_TOL:
+        if not abs(quat_norm(q) - 1.0) <= _UNIT_TOL:
             raise ValueError(f"quaternion is not unit norm: {q}")
     d = abs(a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
     d = min(1.0, d)
@@ -361,9 +362,9 @@ def point_in_polygon(p: Vec2, poly: Polygon2, tol: float = _BOUNDARY_TOL) -> boo
     slack = max(tol, 0.0) + 1e-9
     if x < xmin - slack or x > xmax + slack or y < ymin - slack or y > ymax + slack:
         return False
-    if poly.boundary_distance(p) <= tol:
-        return True
-    # crossing number; boundary grazing already handled above
+    # crossing number first: it is cheaper than the boundary distance, which
+    # only a point the crossings put outside needs, to count it in when it
+    # lies within tol of an edge
     inside = False
     verts = poly.vertices
     x0, y0 = verts[0]
@@ -373,7 +374,7 @@ def point_in_polygon(p: Vec2, poly: Polygon2, tol: float = _BOUNDARY_TOL) -> boo
             if xi > x:
                 inside = not inside
         x0, y0 = x1, y1
-    return inside
+    return inside or poly.boundary_distance(p) <= tol
 
 
 def signed_interior_margin(p: Vec2, poly: Polygon2) -> float:
@@ -602,15 +603,19 @@ def box_corners(position: Vec3, q: Quat, half_extents: Vec3) -> tuple[Vec3, ...]
 def down_face(q: Quat) -> tuple[int, float]:
     """Local face (axis index, sign) of a box with unit orientation ``q``
     whose outward normal points most downward."""
+    # The z row of q's rotation: each value equals quat_rotate(q, axis)[2]
+    # up to the sign of a zero, which no comparison below sees, and the
+    # negative axes give the exact negations. A NaN q matches no face.
+    w, x, y, z = q
+    zx = w * (-2.0 * y) + x * (2.0 * z)
+    zy = w * (2.0 * x) + y * (2.0 * z)
+    zz = 1.0 + (x * (-2.0 * x) - y * (2.0 * y))
     best = None
     best_dz = math.inf
-    for axis, sign in _LOCAL_FACES:
-        local = [0.0, 0.0, 0.0]
-        local[axis] = sign
-        world = quat_rotate(q, tuple(local))
-        if world[2] < best_dz:
-            best_dz = world[2]
-            best = (axis, sign)
+    for face, dz in zip(_LOCAL_FACES, (zx, -zx, zy, -zy, zz, -zz)):
+        if dz < best_dz:
+            best_dz = dz
+            best = face
     return best  # type: ignore[return-value]
 
 
@@ -672,10 +677,19 @@ class Obb:
 
     def footprint(self) -> Polygon2:
         """Convex hull of all corners projected to the xy-plane."""
-        return Polygon2(self.xy_hull)
+        return self._footprint
 
     def resting_face(self) -> tuple[Vec2, ...]:
         """xy hull of the face currently pointing down (contact patch, CCW)."""
+        return self._resting_face
+
+    # a degenerate hull raises on every call: a fill that raises stores nothing
+    @derived
+    def _footprint(self) -> Polygon2:
+        return Polygon2(self.xy_hull)
+
+    @derived
+    def _resting_face(self) -> tuple[Vec2, ...]:
         face = _FACE_CORNERS[self.down_face()]
         cs = self._corners
         return tuple(convex_hull([(cs[i][0], cs[i][1]) for i in face]))

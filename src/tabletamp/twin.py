@@ -36,7 +36,9 @@ from .geometry import (
     Quat,
     Vec2,
     Vec3,
+    _BOUNDARY_TOL,
     _point_segment_distance,
+    _signed_area,
     bounds_disjoint,
     box_corners,
     clip_convex,
@@ -320,6 +322,19 @@ class SupportCell:
         """The ring's bounding box; object cells are built per query, so this
         skips the ``Polygon2`` that ``polygon.bounds`` would validate."""
         return ring_bounds(self.ring)
+
+    @derived
+    def rect(self) -> bool:
+        """True iff the ring is a counter-clockwise axis-aligned rectangle:
+        4 vertices, each edge changes exactly one coordinate, and the signed
+        area is positive."""
+        if len(self.ring) != 4:
+            return False
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = self.ring
+        return (
+            (y0 == y1 and x1 == x2 and y2 == y3 and x3 == x0)
+            or (x0 == x1 and y1 == y2 and x2 == x3 and y3 == y0)
+        ) and _signed_area(self.ring) > 0.0
 
 
 @dataclass(frozen=True)
@@ -672,13 +687,24 @@ def _support_pieces(scene: TwinScene, object_id: str, hull: tuple[Vec2, ...],
     cells = support_cells(scene, exclude_id=object_id, include_objects=include_objects)
     scored: list[tuple[float, SupportCell, list[Vec2]]] = []
     bounds = ring_bounds(hull)
+    hx0, hx1, hy0, hy1 = bounds
     for cell in cells:
         if bounds_disjoint(bounds, cell.bounds):
             continue
-        piece = clip_convex(hull, cell.ring)
+        cx0, cx1, cy0, cy1 = cell.bounds
+        if cell.rect and cx0 <= hx0 and hx1 <= cx1 and cy0 <= hy0 and hy1 <= cy1:
+            # for an axis-aligned edge the clip's side test is a coordinate
+            # comparison that every vertex of a contained hull passes, so
+            # the clip would return the hull unchanged
+            piece = list(hull)
+        else:
+            piece = clip_convex(hull, cell.ring)
         if ring_area(piece) <= _AREA_TOL:
             continue
-        h = max(cell.height_at(p) for p in piece)
+        if cell.feature is None or cell.feature.kind != "slope":
+            h = cell.height  # what height_at gives at every point
+        else:
+            h = max(cell.height_at(p) for p in piece)
         scored.append((h, cell, piece))
     return scored
 
@@ -762,8 +788,13 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
 def support_height_at(cells: list[SupportCell], p: Vec2) -> float | None:
     """Highest support height at a point over the given cells; None over the void."""
     best = None
+    x, y = p
+    slack = max(_BOUNDARY_TOL, 0.0) + 1e-9  # point_in_polygon's early return
     for cell in cells:
         if len(cell.ring) < 3:
+            continue
+        xmin, xmax, ymin, ymax = cell.bounds
+        if x < xmin - slack or x > xmax + slack or y < ymin - slack or y > ymax + slack:
             continue
         if point_in_polygon(p, cell.polygon):
             h = cell.height_at(p)
@@ -1265,7 +1296,14 @@ def _json_string(value, what: str) -> str:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """True for a finite JSON number: Python's json also reads NaN, Infinity
+    and integers too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _json_number(value, what: str):
@@ -1291,10 +1329,13 @@ def _json_polygon(value, what: str) -> Polygon2:
     return Polygon2(tuple((v[0], v[1]) for v in value))
 
 
-def _json_extra(value, what: str) -> dict:
+def _json_extra(value, kind, what: str) -> dict:
     """A terrain's ``extra`` object, whose known keys must hold a number or,
-    for a direction, an [x, y] pair."""
+    for a direction, an [x, y] pair. A slot's ``width``, which older files
+    carry and nothing reads, is dropped."""
     extra = dict(_json_object(value, what))
+    if kind == "slot":
+        extra.pop("width", None)
     for key in ("height", "angle_deg", "depth", "clearance"):
         if key in extra:
             _json_number(extra[key], f"{what} {key}")
@@ -1322,7 +1363,7 @@ def scene_from_dict(data: dict) -> TwinScene:
             kind=t["kind"],
             footprint=_json_polygon(t["footprint"], f"{where} footprint"),
             height=_json_number(t["height"], f"{where} height"),
-            extra=_json_extra(t.get("extra", {}), f"{where} extra"),
+            extra=_json_extra(t.get("extra", {}), t["kind"], f"{where} extra"),
             name=_json_string(t.get("name", ""), f"{where} name"),
         ))
     objects = []

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -307,6 +308,15 @@ class TestScenarioFileSteps:
          "centred on their pose are simulated"),
         (lambda d: d["scene"]["objects"][0]["shape"].update(half_extents=[0.06, 0, 0.045]),
          "object 'box' half extents must be 3 positive numbers, got (0.06, 0.0, 0.045)"),
+        # Python's json reads NaN, Infinity and integers too large for a float
+        (lambda d: d["goal"]["target"].update(quat_wxyz=[math.nan, 0, 0, 0]),
+         "goal target quat_wxyz must be a list of 4 numbers (got [nan, 0, 0, 0])"),
+        (lambda d: d["randomization"].update(pos_jitter=math.inf),
+         "pos_jitter must be a number >= 0 (got inf)"),
+        (lambda d: d["scene"]["terrain"][1].update(height=math.nan),
+         "terrain 1 height must be a number (got nan)"),
+        (lambda d: d["scene"]["objects"][0]["pose"].update(xyz=[0.0, 10 ** 400, 0.445]),
+         f"object 0 pose xyz must be a list of 3 numbers (got [0.0, {10 ** 400}, 0.445])"),
     ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
             "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape",
             "file-shape", "goal-shape", "target-shape", "scene-shape",
@@ -316,7 +326,8 @@ class TestScenarioFileSteps:
             "pos-jitter-bool", "yaw-jitter-bool", "extra-number", "extra-direction",
             "terrain-name", "object-id", "scenario-id", "instruction",
             "primary-type", "goal-kind", "initial-states", "missing-terrain-key",
-            "missing-file-key", "special-key", "shape-offset", "zero-half-extent"])
+            "missing-file-key", "special-key", "shape-offset", "zero-half-extent",
+            "nan-quat", "inf-jitter", "nan-height", "huge-int"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict

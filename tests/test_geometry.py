@@ -14,6 +14,7 @@ from tabletamp.geometry import (
     clip_convex,
     contact_normals,
     convex_hull,
+    down_face,
     farthest_point_sample,
     geodesic_angle,
     largest_face_axis,
@@ -98,6 +99,13 @@ class TestGeodesicAngle:
     def test_non_unit_input_rejected(self):
         with pytest.raises(ValueError):
             geodesic_angle((1.01, 0.0, 0.0, 0.0), IDENTITY)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0, 0.0), (math.inf, 0.0, 0.0, 0.0)],
+                             ids=["nan", "inf"])
+    def test_non_finite_input_rejected(self, bad):
+        for a, b in ((bad, IDENTITY), (IDENTITY, bad)):
+            with pytest.raises(ValueError, match="not unit norm"):
+                geodesic_angle(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +530,14 @@ class TestPose6D:
         with pytest.raises(ValueError):
             Pose6D((math.nan, 0.0, 0.0))
 
+    @pytest.mark.parametrize("orientation", [
+        (math.nan, 0.0, 0.0, 0.0), (1.0, math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0, 0.0),
+    ], ids=["nan-w", "nan-x", "inf"])
+    def test_rejects_non_finite_orientation(self, orientation):
+        # a NaN norm fails no `>` test, and once passed gave an all-NaN pose
+        with pytest.raises(ValueError, match="not unit norm"):
+            Pose6D((0.0, 0.0, 0.0), orientation)
+
     def test_yaw_roundtrip(self):
         for yaw in (-3.0, -1.0, 0.0, 0.5, 2.7):
             p = Pose6D((0.0, 0.0, 0.0), quat_from_yaw(yaw))
@@ -677,6 +693,32 @@ class TestObb:
             assert largest_face_axis(box.half_extents) == self.ref_largest_face_axis(box)
         assert largest_face_axis(boxes[-3].half_extents) == 0  # a cube's first axis
         assert largest_face_axis(boxes[-1].half_extents) == 0
+
+    def test_footprint_and_resting_face_are_derived_once(self):
+        # the bodies they replaced, kept as references
+        def ref_footprint(box):
+            return Polygon2(box.xy_hull)
+
+        def ref_resting_face(box):
+            cs = box.corners()
+            face = _FACE_CORNERS[box.down_face()]
+            return tuple(convex_hull([(cs[i][0], cs[i][1]) for i in face]))
+
+        for box in self.seeded_boxes(200, 173):
+            footprint, face = box.footprint(), box.resting_face()
+            assert footprint == ref_footprint(box)
+            assert_identical(footprint.vertices, ref_footprint(box).vertices)
+            assert_identical(face, ref_resting_face(box))
+            assert box.footprint() is footprint
+            assert box.resting_face() is face
+
+    def test_degenerate_footprint_raises_on_every_call(self):
+        # corners 1e-20 from the centre round onto one xy point
+        box = Obb(Pose6D((1.0, 1.0, 0.0)), (1e-20, 1e-20, 0.1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="at least 3 vertices"):
+                box.footprint()
+        assert "_footprint" not in vars(box)
 
     def test_filled_caches_keep_equality_and_hash(self):
         for box in self.seeded_boxes(20, 89):
@@ -961,12 +1003,56 @@ TILTED_BOX_HEXAGON = (
 
 class TestFlatKernelOracles:
     def test_boundary_distance_and_point_in_polygon(self):
+        # point_in_polygon runs the crossing test before the boundary
+        # distance; the reference tests the distance first. The points lie
+        # on vertices and edges, and at, within and just past each tol.
         rng = np.random.default_rng(103)
         for poly in oracle_polygons():
-            for p in oracle_points(poly, rng):
-                assert_identical(poly.boundary_distance(p), ref_boundary_distance(poly, p))
-                for tol in (1e-9, 0.0, 1e-6):
-                    assert point_in_polygon(p, poly, tol) is ref_point_in_polygon(p, poly, tol)
+            for point_tol in (1e-9, 1e-6):
+                for p in oracle_points(poly, rng, point_tol):
+                    assert_identical(poly.boundary_distance(p), ref_boundary_distance(poly, p))
+                    for tol in (1e-9, 0.0, 1e-6):
+                        assert (point_in_polygon(p, poly, tol)
+                                is ref_point_in_polygon(p, poly, tol))
+
+    def test_down_face(self):
+        # down_face reads the z row of the rotation; the reference rotates
+        # each face normal, as the body it replaced did
+        def ref(q):
+            best, best_dz = None, math.inf
+            for axis, sign in _LOCAL_FACES:
+                local = [0.0, 0.0, 0.0]
+                local[axis] = sign
+                world = quat_rotate(q, tuple(local))
+                if world[2] < best_dz:
+                    best_dz = world[2]
+                    best = (axis, sign)
+            return best
+
+        half = math.sqrt(0.5)
+        values = (0.0, -0.0, 0.5, -0.5, half, -half, 1.0, -1.0)
+        quats = [(w, x, y, z) for w in values for x in values for y in values
+                 for z in values]
+        quats += list(oracle_quats(2000, 179))
+        yaws = np.random.default_rng(181).uniform(-math.pi, math.pi, size=40)
+        for yaw in yaws:
+            for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)):
+                # exact and nearly exact 45 degree tilts, and yaw-only ones
+                # tilted by 0 to 1e-8
+                for tilt in (math.pi / 4, -math.pi / 4, 0.0, 1e-12, 1e-8):
+                    quats.append(quat_mul(quat_from_axis_angle(axis, tilt),
+                                          quat_from_yaw(float(yaw))))
+        ties = 0
+        for q in quats:
+            got = down_face(q)
+            assert got is not None
+            assert_identical(got, ref(q))
+            zs = sorted(quat_rotate(q, tuple(float(i == a) * s for i in range(3)))[2]
+                        for a, s in _LOCAL_FACES)
+            ties += zs[0] == zs[1]
+        assert ties > 500  # first-face-wins ties are exercised
+        nan = (math.nan,) * 4
+        assert down_face(nan) is None and ref(nan) is None
 
     def test_clip_convex(self):
         rng = np.random.default_rng(107)

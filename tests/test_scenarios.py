@@ -109,6 +109,13 @@ class TestScenarioDefinitions:
 
         assert trace(load_scenario(str(path))) == trace(build_scenario("slot"))
 
+    def test_file_with_slot_width_writes_back_the_built_in_slot(self):
+        # the unused keys are dropped on load, so the file round-trips to
+        # what `tabletamp export` writes for the slot scenario
+        path = Path(__file__).parent / "fixtures" / "slot_with_mass_and_offset.json"
+        assert (scenario_to_dict(load_scenario(str(path)))
+                == scenario_to_dict(build_scenario("slot")))
+
     def test_goal_orientation_matches_book_flip_class(self):
         # the book goal must be reachable by one forward flip plus yaw
         sc = build_scenario("book")

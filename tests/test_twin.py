@@ -509,6 +509,106 @@ class TestBoundsRejects:
         assert checked >= 200 and 0.2 * checked < skipped < 0.9 * checked
 
 
+def ref_support_height_at(cells, p):
+    """support_height_at without its bounding-box reject."""
+    best = None
+    for cell in cells:
+        if len(cell.ring) < 3:
+            continue
+        if twin.point_in_polygon(p, cell.polygon):
+            h = cell.height_at(p)
+            if best is None or h > best:
+                best = h
+    return best
+
+
+def touching_hull(rng, x0, x1, y0, y1):
+    """A convex ring inside the rectangle, with vertices on its edges and
+    corners: random points past the rectangle clamped onto it."""
+    xs = np.clip(rng.uniform(x0 - 0.3 * (x1 - x0), x1 + 0.3 * (x1 - x0), size=8), x0, x1)
+    ys = np.clip(rng.uniform(y0 - 0.3 * (y1 - y0), y1 + 0.3 * (y1 - y0), size=8), y0, y1)
+    return convex_hull([(float(x), float(y)) for x, y in zip(xs, ys)])
+
+
+class TestClosedFormSupport:
+    """support_height_at and _support_pieces answer from the cell bounds
+    where those settle the result; they must equal the bodies without."""
+
+    SCENARIOS = TestBoundsRejects.SCENARIOS
+
+    def test_support_height_at_equals_unfiltered_loop(self):
+        from tabletamp.scenarios import build_scenario
+
+        rng = np.random.default_rng(191)
+        checked = 0
+        for name in self.SCENARIOS:
+            scene = build_scenario(name).scene_template
+            cells = support_cells(scene)
+            for cell in cells:
+                xmin, xmax, ymin, ymax = cell.bounds
+                pts = list(cell.ring)
+                for (ax, ay), (bx, by) in zip(cell.ring, cell.ring[1:] + cell.ring[:1]):
+                    pts.append((0.5 * (ax + bx), 0.5 * (ay + by)))
+                # on, within and just past the 2e-9 slack of the reject
+                for d in (0.0, 1e-9, 2e-9, 2.0000001e-9, 3e-9, 1e-6):
+                    pts += [(xmin - d, ymin), (xmax + d, ymax), (xmin, ymax + d),
+                            (xmax, ymin - d)]
+                for fx, fy in rng.uniform(-0.2, 1.2, size=(40, 2)):
+                    pts.append((xmin + fx * (xmax - xmin), ymin + fy * (ymax - ymin)))
+                for p in pts:
+                    assert repr(twin.support_height_at(cells, p)) == repr(
+                        ref_support_height_at(cells, p))
+                    checked += 1
+        assert checked > 2000
+
+    def test_rect_flags_ccw_axis_aligned_rectangles_only(self):
+        square = ((0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (0.0, 2.0))
+        for k in range(4):
+            ring = square[k:] + square[:k]  # horizontal or vertical edge first
+            assert twin.SupportCell(ring, "table_surface", 0.4).rect
+            clockwise = tuple(reversed(ring))
+            assert not twin.SupportCell(clockwise, "table_surface", 0.4).rect
+        rotated = rect_polygon(0.0, 0.0, 0.5, 1.0, yaw=0.3).vertices
+        five = ((0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 2.0), (0.0, 2.0))
+        flat = ((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 0.0))
+        for ring in (rotated, five, flat, square[:3]):
+            assert not twin.SupportCell(ring, "table_surface", 0.4).rect
+        for name in self.SCENARIOS:
+            from tabletamp.scenarios import build_scenario
+
+            scene = build_scenario(name).scene_template
+            assert all(cell.rect for cell in scene.terrain.cells)
+
+    def test_contained_hull_is_its_own_piece(self):
+        rng = np.random.default_rng(193)
+        contained = 0
+        for i in range(60):
+            x0, y0 = rng.uniform(-1.0, 1.0, size=2)
+            x1, y1 = x0 + rng.uniform(0.01, 1.0), y0 + rng.uniform(0.01, 1.0)
+            x0, x1, y0, y1 = float(x0), float(x1), float(y0), float(y1)
+            rect = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+            hulls = [touching_hull(rng, x0, x1, y0, y1) for _ in range(4)]
+            hulls.append([rect[0], rect[1], rect[2], rect[3]])  # the cell itself
+            # a box's resting face somewhere around the rectangle
+            pose = Pose6D((float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)), 0.5),
+                          quat_from_yaw(rng.uniform(-math.pi, math.pi)))
+            hulls.append(list(Obb(pose, tuple(rng.uniform(0.005, 0.3, size=3))).resting_face()))
+            for k in range(4):
+                ring = rect[k:] + rect[:k]
+                table = TerrainFeature("table_surface", Polygon2(ring), 0.4, name="t")
+                scene = TwinScene(terrain=(table,), objects=(), robot=RobotModel())
+                (cell,) = support_cells(scene)
+                assert cell.rect
+                for hull in hulls:
+                    for j in range(len(hull)):
+                        start = hull[j:] + hull[:j]
+                        hx0, hx1, hy0, hy1 = twin.ring_bounds(start)
+                        contained += (x0 <= hx0 and hx1 <= x1 and y0 <= hy0 and hy1 <= y1)
+                        got = twin._support_pieces(scene, None, tuple(start))
+                        assert repr(got) == repr(unfiltered_support_pieces(scene, start))
+        assert contained > 4000
+
+
 class TestSurfaceUnder:
     def test_table_center(self):
         scene = base_scene()
