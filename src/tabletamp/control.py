@@ -37,6 +37,8 @@ from .geometry import (
     yaw_free_angle,
 )
 from .twin import (
+    PUSH_KAPPA,
+    PUSH_STEP_CAP,
     PlacementCollision,
     RigidObject,
     RobotModel,
@@ -405,7 +407,7 @@ def exec_push(scene: TwinScene, object_id: str,
             contact = _surface_contact(obj, direction)
             derr = 0.0 if prev_pos_err is None else pos_err - prev_pos_err
             raw = _KP * pos_err + _KD * derr
-            push_step = max(1e-4, min(scene.push_model.step_cap, raw))
+            push_step = max(1e-4, min(PUSH_STEP_CAP, raw))
             prev_pos_err = pos_err
         else:
             remaining = wrap_angle(target_yaw - obj.pose.yaw)
@@ -417,9 +419,9 @@ def exec_push(scene: TwinScene, object_id: str,
                     "no rotating contact available for yaw alignment",
                 )
             push_step = max(1e-4, min(
-                scene.push_model.step_cap,
+                PUSH_STEP_CAP,
                 _YAW_STEP_CAP,
-                _KP * abs(remaining) / (scene.push_model.kappa * max(abs(arm), 1e-4)),
+                _KP * abs(remaining) / (PUSH_KAPPA * max(abs(arm), 1e-4)),
             ))
 
         if not _reach_ok(robot, (contact[0], contact[1]), tool):

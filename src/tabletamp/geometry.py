@@ -85,7 +85,7 @@ def unit_quat(q) -> Quat:
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if not abs(n - 1.0) <= _UNIT_TOL:  # a NaN or infinite norm fails too
-        raise ValueError(f"orientation is not unit norm ({n:.2e} off): {q}")
+        raise ValueError(f"orientation is not unit norm ({abs(n - 1.0):.2e} off): {q}")
     return (w / n, x / n, y / n, z / n)
 
 

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .domain import (
+    NEEDS_TARGET,
     PlanSkeleton,
     PrimitiveInstance,
     PrimitiveKind,
@@ -130,12 +131,12 @@ def _card(x: float, y: float, yaw: float = 0.0) -> RigidObject:
     )
 
 
-def _scene(objects, extra_terrain=(), role="execution") -> TwinScene:
+def _scene(objects, extra_terrain=()) -> TwinScene:
     return TwinScene(
         terrain=_base_terrain(tuple(extra_terrain)),
         objects=tuple(objects),
         robot=_robot(),
-        role=role,
+        role="execution",
     )
 
 
@@ -750,12 +751,17 @@ def _fallback_templates(plans) -> tuple[tuple[dict, ...], ...]:
 
 
 def _check_fallback_plans(scenario: Scenario):
-    """Reject a scenario file that would fail mid-episode: a primary object
-    missing from the scene, an unknown ``special`` key, negative jitter, an
-    initial state other than standing or lying, no fallback plan or an empty
-    one, or a step with an unknown primitive, object or hint binding, or a
-    region the scene cannot resolve. Membership is tested in tuples, which
-    need no hashable value."""
+    """Reject a scenario file that would fail mid-episode: a scene that
+    starts with an object held, a primary object missing from the scene, an
+    unknown ``special`` key, negative jitter, an initial state other than
+    standing or lying, no fallback plan or an empty one, or a step with an
+    unknown primitive, object or hint binding, a push, rotate or moveto
+    step that binds no target, or a region the scene cannot resolve.
+    Membership is tested in tuples, which need no hashable value."""
+    held = scenario.scene_template.held_id
+    if held is not None:
+        raise ValueError(f"scene held_id must be null (got {held!r}): an episode "
+                         f"starts with nothing held")
     object_ids = tuple(o.id for o in scenario.scene_template.objects)
     if scenario.primary_object not in object_ids:
         raise ValueError(f"primary object {scenario.primary_object!r} is not "
@@ -776,6 +782,10 @@ def _check_fallback_plans(scenario: Scenario):
     if not scenario.fallback_templates:
         raise ValueError("fallback_plans needs at least one plan")
     kinds = tuple(k.value for k in PrimitiveKind)
+    needs_target = tuple(k.value for k in NEEDS_TARGET)
+    target_hints = ("tool_approach",)
+    if scenario.goal_template.kind == "pose":
+        target_hints += ("goal",)  # a region goal gives a goal hint no pose
     registry = build_region_registry(scenario)
     for i, template in enumerate(scenario.fallback_templates):
         if not template:
@@ -791,6 +801,9 @@ def _check_fallback_plans(scenario: Scenario):
                 raise ValueError(f"{where}: unknown hint binding {raw['hint']!r}")
             region = raw.get("region")
             if not region:
+                if raw["kind"] in needs_target and raw.get("hint") not in target_hints:
+                    raise ValueError(f"{where}: {raw['kind']} needs a region or a hint "
+                                     f"that binds a target pose")
                 continue
             if region not in tuple(registry):
                 raise ValueError(f"{where}: unknown region {region!r}")

@@ -2,9 +2,10 @@
 
 The same scene type serves two roles: a rehearsal twin (role ``"twin"``)
 used to settle-check candidate object poses, and the execution environment
-(role ``"execution"``) in which controllers act. The execution role applies
-a dynamics perturbation (reduced push gain, scaled friction) so rehearsed
-motions never match execution exactly; controllers must close the loop.
+(role ``"execution"``) in which controllers act. The execution role moves a
+pushed object by only ``EXECUTION_PUSH_GAIN`` of the commanded step, so
+rehearsed motions never match execution exactly; controllers must close the
+loop.
 
 Physics model, declared rather than simulated:
 
@@ -13,10 +14,10 @@ Physics model, declared rather than simulated:
 - Static stability is the support-polygon test: an object is stable iff the
   ground projection of its center of mass lies inside the convex hull of
   its contact region (boundary inclusive).
-- A push step translates by ``step * gain`` along the push direction and
-  rotates in plane by ``kappa * arm * step`` where ``arm`` is the signed
-  moment arm of the contact about the center of mass. Motion is clipped so
-  objects never interpenetrate terrain or each other.
+- A push step translates by ``step * scene.push_gain()`` along the push
+  direction and rotates in plane by ``PUSH_KAPPA * arm * step`` where
+  ``arm`` is the signed moment arm of the contact about the center of mass.
+  Motion is clipped so objects never interpenetrate terrain or each other.
 - Pivoting rotates rigidly about a bottom edge; crossing the balance point
   (center of mass passing the vertical plane through the edge) completes
   the flip onto the adjacent face, otherwise the object relaxes back.
@@ -67,6 +68,13 @@ _CONTACT_TOL = 1e-6
 _AREA_TOL = 1e-8
 _WALL_THICKNESS = 0.012
 _CEILING_SLAB = 0.02
+
+# The push model every scene simulates. The rehearsal twin moves a pushed
+# object by the whole commanded step; execution moves it by this share.
+EXECUTION_PUSH_GAIN = 0.85
+PUSH_KAPPA = 50.0  # in-plane rotation, rad per (m arm * m step)
+PUSH_STEP_CAP = 0.02  # longest push step, m
+PUSH_CLIMB_TOL = 0.012  # max per-step surface rise an object can ride over, m
 
 
 class PlacementCollision(Exception):
@@ -210,20 +218,6 @@ class RobotModel:
 
 
 @dataclass(frozen=True)
-class DynamicsPerturbation:
-    friction_scale: float = 1.0
-    push_gain_scale: float = 0.85
-
-
-@dataclass(frozen=True)
-class PushModel:
-    gain: float = 1.0
-    kappa: float = 50.0  # rad per (m arm * m step)
-    step_cap: float = 0.02
-    climb_tol: float = 0.012  # max per-step surface rise an object can ride over
-
-
-@dataclass(frozen=True)
 class SettleOutcome:
     status: str  # "stable" | "toppled" | "fell_off"
     final_pose: Pose6D
@@ -243,8 +237,6 @@ class TwinScene:
     objects: tuple[RigidObject, ...]
     robot: RobotModel
     role: str = "twin"
-    dynamics_perturbation: DynamicsPerturbation = DynamicsPerturbation()
-    push_model: PushModel = PushModel()
     held_id: str | None = None
 
     def __post_init__(self):
@@ -270,8 +262,7 @@ class TwinScene:
         new = tuple(obj if o.id == obj.id else o for o in self.objects)
         if all(o is not obj for o in new):
             raise KeyError(f"no object {obj.id!r} in scene")
-        return TwinScene(self.terrain, new, self.robot, self.role,
-                         self.dynamics_perturbation, self.push_model, self.held_id)
+        return TwinScene(self.terrain, new, self.robot, self.role, self.held_id)
 
     def with_held(self, object_id: str | None) -> "TwinScene":
         return replace(self, held_id=object_id)
@@ -283,16 +274,8 @@ class TwinScene:
         return replace(self, role="execution")
 
     def push_gain(self) -> float:
-        g = self.push_model.gain
-        if self.role == "execution":
-            g *= self.dynamics_perturbation.push_gain_scale
-        return g
-
-    def effective_friction(self, obj: RigidObject) -> float:
-        f = obj.friction
-        if self.role == "execution":
-            f *= self.dynamics_perturbation.friction_scale
-        return f
+        """The share of a commanded push step that this scene carries out."""
+        return EXECUTION_PUSH_GAIN if self.role == "execution" else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +745,7 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
         for _, _, piece in top:
             contact_pts.extend(piece)
         hull = convex_hull(contact_pts)
-        if len(hull) >= 3:
-            support_poly = Polygon2(tuple(hull))
-            inside = point_in_polygon(com, support_poly)
-        else:
-            inside = False
-            support_poly = None
+        inside = len(hull) >= 3 and point_in_polygon(com, Polygon2(tuple(hull)))
 
         if inside:
             z = h_star + _half_height(obj, flat_q)
@@ -823,7 +801,7 @@ def _settle_on_slope(scene: TwinScene, obj: RigidObject, pose: Pose6D,
                      cell: SupportCell, status: str) -> SettleOutcome:
     feature = cell.feature
     assert feature is not None
-    mu = scene.effective_friction(obj)
+    mu = obj.friction
     theta = math.radians(feature.extra["angle_deg"])
     if mu < math.tan(theta):
         # insufficient friction: slide down until the footprint leaves the slope
@@ -996,11 +974,11 @@ def _pose_after_planar_motion(pose: Pose6D, dx: float, dy: float, dyaw: float) -
     return Pose6D((pose.x + dx, pose.y + dy, pose.z), q)
 
 
-def _motion_blocked(scene: TwinScene, moved: RigidObject, climb_tol: float) -> bool:
+def _motion_blocked(scene: TwinScene, moved: RigidObject) -> bool:
     # inclines never block planar motion: objects ride up and settle re-tilts
     # them; steps taller than the climb tolerance (pads, rails, walls) do
     box = moved.world_obb()
-    if box_hits_solids(scene, box, tol=1e-6, climb_tol=climb_tol,
+    if box_hits_solids(scene, box, tol=1e-6, climb_tol=PUSH_CLIMB_TOL,
                        include_slopes=False) is not None:
         return True
     return overlapping_object(scene, box, moved.id) is not None
@@ -1011,14 +989,13 @@ def _clip_fraction(scene: TwinScene, obj: RigidObject, full: RigidObject,
     """The largest share of the planar motion, bisected to 14 steps, that the
     object can make without entering terrain or another object; ``full`` is
     the object after the whole motion."""
-    climb_tol = scene.push_model.climb_tol
-    if not _motion_blocked(scene, full, climb_tol):
+    if not _motion_blocked(scene, full):
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(14):
         mid = 0.5 * (lo + hi)
         pose_mid = _pose_after_planar_motion(obj.pose, tx * mid, ty * mid, dyaw * mid)
-        if _motion_blocked(scene, obj.at_pose(pose_mid), climb_tol):
+        if _motion_blocked(scene, obj.at_pose(pose_mid)):
             hi = mid
         else:
             lo = mid
@@ -1038,15 +1015,14 @@ def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
                direction: Vec2, step: float) -> tuple[TwinScene, PushDelta]:
     """One quasi-static push step at a surface contact point.
 
-    Translation is ``step * gain`` along the horizontal unit direction; the
-    in-plane rotation is ``kappa * arm * step`` with ``arm`` the signed
-    moment arm of the contact about the COM. Motion is clipped against
-    terrain and other objects, then the object is settled.
+    Translation is ``step * scene.push_gain()`` along the horizontal unit
+    direction; the in-plane rotation is ``PUSH_KAPPA * arm * step`` with
+    ``arm`` the signed moment arm of the contact about the COM. Motion is
+    clipped against terrain and other objects, then the object is settled.
     """
     obj = scene.object(object_id)
-    model = scene.push_model
-    if not 0.0 < step <= model.step_cap + 1e-12:
-        raise ValueError(f"step must be in (0, {model.step_cap}], got {step}")
+    if not 0.0 < step <= PUSH_STEP_CAP + 1e-12:
+        raise ValueError(f"step must be in (0, {PUSH_STEP_CAP}], got {step}")
     n = math.hypot(direction[0], direction[1])
     if abs(n - 1.0) > 1e-6:
         raise ValueError("push direction must be a horizontal unit vector")
@@ -1060,14 +1036,13 @@ def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
     rx = contact[0] - obj.pose.x
     ry = contact[1] - obj.pose.y
     arm = rx * direction[1] - ry * direction[0]
-    dyaw = model.kappa * arm * step
+    dyaw = PUSH_KAPPA * arm * step
 
     # the whole motion: what the clip tests first, and, since tx * 1.0 == tx,
     # the moved object itself when nothing blocks it
     full = obj.at_pose(_pose_after_planar_motion(obj.pose, tx, ty, dyaw))
     global _last_clip
-    key = (scene.terrain, scene.objects, scene.held_id, object_id, tx, ty, dyaw,
-           model.climb_tol)
+    key = (scene.terrain, scene.objects, scene.held_id, object_id, tx, ty, dyaw)
     last = _last_clip
     if last is not None and last[0][0] is key[0] and last[0][1:] == key[1:]:
         frac = last[1]
@@ -1248,16 +1223,6 @@ def scene_to_dict(scene: TwinScene) -> dict:
             "gripper_aperture": scene.robot.gripper_aperture,
             "finger_clearance": scene.robot.finger_clearance,
         },
-        "dynamics_perturbation": {
-            "friction_scale": scene.dynamics_perturbation.friction_scale,
-            "push_gain_scale": scene.dynamics_perturbation.push_gain_scale,
-        },
-        "push_model": {
-            "gain": scene.push_model.gain,
-            "kappa": scene.push_model.kappa,
-            "step_cap": scene.push_model.step_cap,
-            "climb_tol": scene.push_model.climb_tol,
-        },
         "held_id": scene.held_id,
     }
 
@@ -1387,9 +1352,12 @@ def scene_from_dict(data: dict) -> TwinScene:
                 _json_number(ts["effective_length"], f"{where} tool_spec effective_length"),
                 _json_vector(ts["tip_offset"], 3, f"{where} tool_spec tip_offset"),
             )
+        object_id = _json_string(o["id"], f"{where} id")
+        if not object_id:
+            raise ValueError(f"{where} id must not be empty")
         objects.append(
             RigidObject(
-                id=_json_string(o["id"], f"{where} id"),
+                id=object_id,
                 half_extents=_json_vector(shape["half_extents"], 3,
                                           f"{where} shape half_extents"),
                 pose=_json_pose(o["pose"], f"{where} pose"),
@@ -1403,22 +1371,24 @@ def scene_from_dict(data: dict) -> TwinScene:
         **{k: _json_number(r[k], f"robot {k}") for k in (
             "reach_min", "reach_max", "gripper_aperture", "finger_clearance")},
     )
-    dp = _json_object(data.get("dynamics_perturbation", {}),
-                      "scene dynamics_perturbation")
-    pm = _json_object(data.get("push_model", {}), "scene push_model")
+    # older files carry the push model and its execution perturbation, now
+    # fixed: each value they hold must be the one the twin simulates
+    for section, fixed in (
+        ("dynamics_perturbation", (("friction_scale", 1.0),
+                                   ("push_gain_scale", EXECUTION_PUSH_GAIN))),
+        ("push_model", (("gain", 1.0), ("kappa", PUSH_KAPPA), ("step_cap", PUSH_STEP_CAP),
+                        ("climb_tol", PUSH_CLIMB_TOL))),
+    ):
+        values = _json_object(data.get(section, {}), f"scene {section}")
+        for key, value in fixed:
+            got = _json_number(values.get(key, value), f"{section} {key}")
+            if got != value:
+                raise ValueError(f"{section} {key} must be {value} (got {got}): "
+                                 f"the twin's push physics is fixed")
     return TwinScene(
         terrain=terrain,
         objects=tuple(objects),
         robot=robot,
         role=data.get("role", "twin"),
-        dynamics_perturbation=DynamicsPerturbation(**{
-            k: _json_number(dp.get(k, default), f"dynamics_perturbation {k}")
-            for k, default in (("friction_scale", 1.0), ("push_gain_scale", 0.85))
-        }),
-        push_model=PushModel(**{
-            k: _json_number(pm.get(k, default), f"push_model {k}")
-            for k, default in (("gain", 1.0), ("kappa", 50.0), ("step_cap", 0.02),
-                               ("climb_tol", 0.012))
-        }),
         held_id=data.get("held_id"),
     )

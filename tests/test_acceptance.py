@@ -155,7 +155,7 @@ class TestAcceptance:
             )
             scene = base_scene([box], role="execution" if perturbed else "twin")
             if perturbed:
-                assert scene.dynamics_perturbation.push_gain_scale == 0.85
+                assert scene.push_gain() == 0.85
             goal = Pose6D(
                 (rng.uniform(-0.2, 0.2), rng.uniform(-0.3, 0.1), TABLE_H + 0.05),
                 quat_from_yaw(rng.uniform(-math.pi, math.pi)),

@@ -193,6 +193,28 @@ class TestCmdValidate:
         assert not (tmp_path / "x").exists()
 
 
+def _empty_object_id(data):
+    # the object, the primary object and every step name the same empty id
+    data["primary_object"] = data["scene"]["objects"][0]["id"] = ""
+    for plan in data["fallback_plans"]:
+        for step in plan:
+            step["object_id"] = ""
+
+
+def _untargeted_step(data):
+    for key in ("region", "hint"):
+        del data["fallback_plans"][0][0][key]
+
+
+def _goal_hint_with_region_goal(data):
+    # tool_hook's goal is a region, so a goal hint binds no pose
+    from tabletamp.scenarios import build_scenario, scenario_to_dict
+
+    data = scenario_to_dict(build_scenario("tool_hook"))
+    data["fallback_plans"][0][1] = {"kind": "moveto", "object_id": "puck", "hint": "goal"}
+    return data
+
+
 class TestScenarioFileSteps:
     def test_unresolvable_region_is_input_error(self, tmp_path, capsys):
         # renaming the table leaves table_edge_nearest nothing to resolve
@@ -317,6 +339,19 @@ class TestScenarioFileSteps:
          "terrain 1 height must be a number (got nan)"),
         (lambda d: d["scene"]["objects"][0]["pose"].update(xyz=[0.0, 10 ** 400, 0.445]),
          f"object 0 pose xyz must be a list of 3 numbers (got [0.0, {10 ** 400}, 0.445])"),
+        (lambda d: d["scene"].update(held_id="box"),
+         "scene held_id must be null (got 'box'): an episode starts with nothing held"),
+        (_empty_object_id, "object 0 id must not be empty"),
+        (_untargeted_step,
+         "fallback plan 0 step 0: rotate needs a region or a hint that binds a target pose"),
+        (_goal_hint_with_region_goal,
+         "fallback plan 0 step 1: moveto needs a region or a hint that binds a target pose"),
+        # older files carry the push model; it may hold only the twin's values
+        (lambda d: d["scene"].update(push_model={"kappa": 40.0}),
+         "push_model kappa must be 50.0 (got 40.0): the twin's push physics is fixed"),
+        (lambda d: d["scene"].update(dynamics_perturbation={"friction_scale": 0.8}),
+         "dynamics_perturbation friction_scale must be 1.0 (got 0.8): the twin's push "
+         "physics is fixed"),
     ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
             "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape",
             "file-shape", "goal-shape", "target-shape", "scene-shape",
@@ -327,7 +362,8 @@ class TestScenarioFileSteps:
             "terrain-name", "object-id", "scenario-id", "instruction",
             "primary-type", "goal-kind", "initial-states", "missing-terrain-key",
             "missing-file-key", "special-key", "shape-offset", "zero-half-extent",
-            "nan-quat", "inf-jitter", "nan-height", "huge-int"])
+            "nan-quat", "inf-jitter", "nan-height", "huge-int", "held-id", "empty-id",
+            "untargeted-step", "goal-hint-region-goal", "push-kappa", "friction-scale"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict

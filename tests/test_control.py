@@ -103,7 +103,7 @@ class TestExecPush:
             x0, y0 = rng.uniform(-0.15, 0.15, size=2)
             box = make_box(x=x0, y=y0 - 0.1, yaw=rng.uniform(-math.pi, math.pi))
             scene = base_scene([box], role="execution")
-            assert scene.dynamics_perturbation.push_gain_scale == 0.85
+            assert scene.push_gain() == 0.85
             gx, gy = rng.uniform(-0.12, 0.12, size=2)
             goal = flat_pose(gx, gy - 0.1, yaw=rng.uniform(-math.pi, math.pi))
             out, trace = exec_push(scene, "box", goal)

@@ -848,7 +848,7 @@ def ref_pose_fields(position, orientation):
         raise ValueError("orientation must have 4 components (w, x, y, z)")
     n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
     if abs(n - 1.0) > 1e-6:
-        raise ValueError(f"orientation is not unit norm ({n:.2e} off): {q}")
+        raise ValueError(f"orientation is not unit norm ({abs(n - 1.0):.2e} off): {q}")
     return p, (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
 
 
@@ -1113,6 +1113,10 @@ class TestFlatKernelOracles:
         with pytest.raises(ValueError) as new:
             Pose6D(position, orientation)
         assert str(new.value) == str(ref.value)
+
+    def test_unit_norm_error_gives_the_offset(self):
+        with pytest.raises(ValueError, match=r"not unit norm \(1\.00e\+00 off\)"):
+            Pose6D((0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0))
 
     def test_obb_corners(self):
         boxes = list(TestObb.seeded_boxes(200, 131))

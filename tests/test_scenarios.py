@@ -88,18 +88,22 @@ class TestScenarioDefinitions:
     def test_dict_round_trip(self):
         for sc in all_scenarios():
             data = scenario_to_dict(sc)
+            # the push model is the twin's own, so no file carries it
+            assert not {"push_model", "dynamics_perturbation"} & data["scene"].keys()
             back = scenario_from_dict(data)
             assert back.id == sc.id
             assert back.primary_object == sc.primary_object
             assert scenario_to_dict(back) == data
 
     def test_file_with_mass_offset_and_slot_width_replays_slot(self):
-        # written before objects lost their mass and shape offset and slots
-        # their width: it still loads, and its episode is the built-in one
+        # written before objects lost their mass and shape offset, slots
+        # their width and scenes their push model: it still loads, and its
+        # episode is the built-in one
         path = Path(__file__).parent / "fixtures" / "slot_with_mass_and_offset.json"
         raw = json.loads(path.read_text())
         card = raw["scene"]["objects"][0]
         assert "mass" in card and "offset_xyz" in card["shape"]
+        assert "push_model" in raw["scene"] and "dynamics_perturbation" in raw["scene"]
         assert any("width" in t["extra"] for t in raw["scene"]["terrain"])
 
         def trace(scenario):

@@ -24,7 +24,6 @@ from tabletamp.geometry import (
 )
 from tabletamp.twin import (
     PlacementCollision,
-    PushModel,
     RigidObject,
     RobotModel,
     SweptCollision,
@@ -242,8 +241,7 @@ class TestWorldObbCache:
         assert obj.at_pose(pose) == dataclasses.replace(obj, pose=pose)
         scene = dataclasses.replace(
             base_scene([obj, make_box("other", x=0.2)], role="execution"),
-            push_model=PushModel(gain=0.9, kappa=40.0), held_id="stick",
-            dynamics_perturbation=twin.DynamicsPerturbation(0.8, 0.7),
+            held_id="stick",
         )
         moved = obj.at_pose(pose)
         assert scene.replace_object(moved) == dataclasses.replace(
@@ -836,13 +834,9 @@ class TestApplyPush:
         # executable formula check with the documented example inputs
         box = make_box(half=(0.1, 0.1, 0.05))
         scene = base_scene([box])
-        scene = TwinScene(
-            terrain=scene.terrain, objects=scene.objects, robot=scene.robot,
-            role="twin", push_model=PushModel(kappa=2.0),
-        )
         contact = (-0.1, 0.05, TABLE_H + 0.05)  # 5 cm lateral of the COM line
         _, delta = apply_push(scene, "box", contact, (1.0, 0.0), 0.01)
-        assert abs(delta.dyaw) == pytest.approx(2.0 * 0.05 * 0.01, rel=1e-9)
+        assert abs(delta.dyaw) == pytest.approx(twin.PUSH_KAPPA * 0.05 * 0.01, rel=1e-9)
         assert delta.dyaw < 0  # contact above the COM line turns it clockwise
 
     def test_push_into_wall_is_blocked(self):
@@ -876,7 +870,7 @@ class TestApplyPush:
             contact = (boundary[0], boundary[1], obj.pose.z)
             step = rng.uniform(0.002, 0.02)
             scene, delta = apply_push(scene, "box", contact, d, step)
-            assert math.hypot(delta.dx, delta.dy) <= step * scene.push_model.gain + 1e-9
+            assert math.hypot(delta.dx, delta.dy) <= step * scene.push_gain() + 1e-9
             # the scene never ends a step with interpenetrating bodies
             assert not obbs_overlap(
                 scene.object("box").world_obb(), scene.object("other").world_obb()
@@ -943,18 +937,10 @@ class TestApplyPush:
         assert first == fresh and second == fresh
         assert len(calls) == 1  # both repeats reused the fresh call's bisection
 
-    @pytest.mark.parametrize("change", [
-        "other-moved", "held", "climb-tol", "terrain-copy",
-    ])
+    @pytest.mark.parametrize("change", ["other-moved", "held", "terrain-copy"])
     def test_changed_input_misses(self, monkeypatch, change):
         scene = self.pinned_scene()
-        if change == "climb-tol":
-            # a 5 mm rail: ridden over with the default climb tolerance only
-            rail = TerrainFeature("wall", rect_polygon(0.06, 0.0, 0.005, 0.2), TABLE_H,
-                                  {"height": 0.005}, name="rail")
-            scene = base_scene([make_box()], terrain_extra=[rail])
-            changed = dataclasses.replace(scene, push_model=PushModel(climb_tol=0.0))
-        elif change == "other-moved":
+        if change == "other-moved":
             other = scene.object("other")
             changed = scene.replace_object(other.at_pose(
                 Pose6D((0.3, 0.0, other.pose.z), other.pose.orientation)))
