@@ -7,9 +7,10 @@ Subcommands:
     validate  symbolically validate a plan-skeleton file against a scenario
     export    write the built-in scenario definitions as JSON files
 
-Exit codes: 0 success, 1 task failure, 2 bad argument value, input error or
-infeasible scenario, 3 no feasible sub-goal pose. Every subcommand but
-validate writes under --out.
+Exit codes: 0 success, 1 task failure, 2 bad argument value, input error,
+infeasible scenario or an --out that cannot be created or written (a
+regular file, or a path under one), 3 no feasible sub-goal pose. Every
+subcommand but validate writes under --out.
 """
 
 from __future__ import annotations
@@ -73,6 +74,24 @@ def _load_scenario_arg(value: str):
         raise InputError(str(exc)) from exc
 
 
+def _out_dir(path) -> Path:
+    """The output directory ``path``, created with its parents if missing."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {str(path)!r}: "
+                         f"{exc.strerror or exc}") from exc
+    return path
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
+
+
 def _planner_config(args) -> PlannerConfig:
     return PlannerConfig(
         backend=args.planner,
@@ -85,19 +104,17 @@ def _planner_config(args) -> PlannerConfig:
 
 def cmd_run(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     result = run_episode(scenario, args.seed, _planner_config(args),
                          ablation=args.ablation, render=args.render)
     trace_path = out_dir / f"{scenario.id}_seed{args.seed}.json"
-    trace_path.write_text(episode_trace_json(result), encoding="utf-8")
+    _write_text(trace_path, episode_trace_json(result))
     if args.render:
         episode_dir = out_dir / f"{scenario.id}_seed{args.seed}"
         for revision, step_idx, svgs in result.step_renderings:
-            step_dir = episode_dir / f"rev{revision}_step{step_idx}"
-            step_dir.mkdir(parents=True, exist_ok=True)
+            step_dir = _out_dir(episode_dir / f"rev{revision}_step{step_idx}")
             for k, svg in enumerate(svgs):
-                (step_dir / f"cand_{k}.svg").write_text(svg, encoding="utf-8")
+                _write_text(step_dir / f"cand_{k}.svg", svg)
     if args.render and result.final_scene is not None:
         svg = render_scene(
             result.final_scene,
@@ -107,9 +124,7 @@ def cmd_run(args) -> int:
             caption=f"{scenario.id} seed {args.seed} "
                     f"{'success' if result.success else 'failure'}",
         )
-        (out_dir / f"{scenario.id}_seed{args.seed}_final.svg").write_text(
-            svg, encoding="utf-8"
-        )
+        _write_text(out_dir / f"{scenario.id}_seed{args.seed}_final.svg", svg)
     verdict = "success" if result.success else "failure"
     print(f"{scenario.id} seed {args.seed}: {verdict} "
           f"(replans {result.replans_used}, {result.wall_ms:.0f} ms) "
@@ -127,19 +142,16 @@ def cmd_bench(args) -> int:
     if repeated is not None:
         # rows are keyed by scenario id, so a repeat would count twice
         raise InputError(f"scenario {repeated!r} is given more than once")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     rows, results = run_benchmark(scenarios, args.trials, _planner_config(args),
                                   ablation=args.ablation)
     csv_text = benchmark_csv(rows)
-    (out_dir / "benchmark.csv").write_text(csv_text, encoding="utf-8")
+    _write_text(out_dir / "benchmark.csv", csv_text)
     if args.traces:
-        traces_dir = out_dir / "traces"
-        traces_dir.mkdir(exist_ok=True)
+        traces_dir = _out_dir(out_dir / "traces")
         for r in results:
-            (traces_dir / f"{r.scenario_id}_seed{r.seed}.json").write_text(
-                episode_trace_json(r), encoding="utf-8"
-            )
+            _write_text(traces_dir / f"{r.scenario_id}_seed{r.seed}.json",
+                        episode_trace_json(r))
     print(csv_text, end="")
     return EXIT_OK
 
@@ -176,8 +188,7 @@ def cmd_sample(args) -> int:
         except UnknownRegion as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TASK_FAILURE
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     twin = scene.as_twin()
     samples = sample_candidates(step, anchor, twin, rng_seed=args.seed)
     try:
@@ -188,7 +199,7 @@ def cmd_sample(args) -> int:
     manifest = []
     for k, cand in enumerate(cset.candidates):
         svg_path = out_dir / f"cand_{k}.svg"
-        svg_path.write_text(cand.rendering, encoding="utf-8")
+        _write_text(svg_path, cand.rendering)
         manifest.append({
             "index": k,
             "xyz": [round(c, 6) for c in cand.pose.position],
@@ -197,9 +208,7 @@ def cmd_sample(args) -> int:
             "stability_margin": round(cand.stability_margin, 4),
             "rendering": svg_path.name,
         })
-    (out_dir / "candidates.json").write_text(
-        json.dumps(manifest, indent=2), encoding="utf-8"
-    )
+    _write_text(out_dir / "candidates.json", json.dumps(manifest, indent=2))
     print(f"{len(manifest)} candidates for {step.describe()} -> {out_dir}")
     return EXIT_OK
 
@@ -228,11 +237,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     for scenario in all_scenarios():
         path = out_dir / f"{scenario.id}.json"
-        dump_scenario(scenario, str(path))
+        try:
+            dump_scenario(scenario, str(path))
+        except OSError as exc:
+            raise InputError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
         print(path)
     return EXIT_OK
 

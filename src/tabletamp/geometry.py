@@ -49,6 +49,15 @@ class derived:
         return value
 
 
+def _from_checked(cls, **fields):
+    """A frozen ``cls`` holding ``fields``, built without ``__init__`` and
+    its checks: each field must be taken from an instance that passed them,
+    or be derived from such fields in a way that keeps what they check."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # quaternions
 # ---------------------------------------------------------------------------
@@ -394,7 +403,12 @@ def rect_polygon(cx: float, cy: float, half_x: float, half_y: float,
 
 def convex_hull(points: list[Vec2]) -> list[Vec2]:
     """Andrew monotone chain; returns CCW hull without the repeated endpoint."""
-    pts = sorted(set((float(x), float(y)) for x, y in points))
+    return _float_hull(set((float(x), float(y)) for x, y in points))
+
+
+def _float_hull(points: set[Vec2]) -> list[Vec2]:
+    """convex_hull of a set of float pairs, which it takes as they are."""
+    pts = sorted(points)
     if len(pts) <= 2:
         return pts
 
@@ -418,6 +432,21 @@ def convex_hull(points: list[Vec2]) -> list[Vec2]:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
+
+
+def hull_polygon(hull) -> Polygon2:
+    """``Polygon2(tuple(hull))`` for a ``convex_hull`` result.
+
+    It raises what Polygon2 raises for too few vertices or a hull that is
+    not counter-clockwise, and skips the simplicity test, since a monotone
+    chain hull is simple; its vertices are already floats.
+    """
+    verts = tuple(hull)
+    if len(verts) < 3:
+        raise ValueError("polygon needs at least 3 vertices")
+    if _signed_area(verts) <= 0.0:
+        raise ValueError("polygon must be counter-clockwise with positive area")
+    return _from_checked(Polygon2, vertices=verts)
 
 
 def triangulate(poly: Polygon2) -> list[tuple[Vec2, Vec2, Vec2]]:
@@ -600,6 +629,21 @@ def box_corners(position: Vec3, q: Quat, half_extents: Vec3) -> tuple[Vec3, ...]
     return tuple(out)
 
 
+def box_corner_heights(z: float, q: Quat, half_extents: Vec3) -> tuple[float, ...]:
+    """The z of each ``box_corners((x, y, z), q, half_extents)`` corner, by
+    the same expressions, for any x and y."""
+    hx, hy, hz = half_extents
+    w, x, y, qz = q
+    out = []
+    for sx, sy, sz in _CORNER_SIGNS:
+        vx, vy, vz = sx * hx, sy * hy, sz * hz
+        tx = 2.0 * (y * vz - qz * vy)
+        ty = 2.0 * (qz * vx - x * vz)
+        tz = 2.0 * (x * vy - y * vx)
+        out.append(vz + w * tz + (x * ty - y * tx) + z)
+    return tuple(out)
+
+
 def down_face(q: Quat) -> tuple[int, float]:
     """Local face (axis index, sign) of a box with unit orientation ``q``
     whose outward normal points most downward."""
@@ -655,7 +699,7 @@ class Obb:
     @derived
     def xy_hull(self) -> tuple[Vec2, ...]:
         """Convex hull of the corners projected to the xy-plane (CCW)."""
-        return tuple(convex_hull([(c[0], c[1]) for c in self._corners]))
+        return tuple(_float_hull({(c[0], c[1]) for c in self._corners}))
 
     @derived
     def xy_bounds(self) -> tuple[float, float, float, float]:
@@ -686,13 +730,13 @@ class Obb:
     # a degenerate hull raises on every call: a fill that raises stores nothing
     @derived
     def _footprint(self) -> Polygon2:
-        return Polygon2(self.xy_hull)
+        return hull_polygon(self.xy_hull)
 
     @derived
     def _resting_face(self) -> tuple[Vec2, ...]:
         face = _FACE_CORNERS[self.down_face()]
         cs = self._corners
-        return tuple(convex_hull([(cs[i][0], cs[i][1]) for i in face]))
+        return tuple(_float_hull({(cs[i][0], cs[i][1]) for i in face}))
 
     def bottom_edges(self) -> list[tuple[Vec3, Vec3]]:
         """The four edges of the down face, as world point pairs."""

@@ -19,9 +19,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
-
-import requests
+from typing import TYPE_CHECKING, Callable
 
 from .control import ErrorKind, ExecError
 from .domain import (
@@ -33,6 +31,9 @@ from .domain import (
     primitive_definitions_text,
     validate_skeleton,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "TABLETAMP_API_KEY"
 _PROMPTS_DIR = Path(__file__).parent / "prompts"
@@ -226,7 +227,13 @@ class HttpPlanner:
         if cfg.backend != "http":
             raise ValueError("HttpPlanner requires an http backend config")
         self.cfg = cfg
-        self._session = session or requests.Session()
+        if session is None:
+            # imported here: only the http planner needs it, and it is a
+            # large share of the package's import time
+            import requests
+
+            session = requests.Session()
+        self._session = session
         self.last_attempts = 0
 
     def _headers(self) -> dict:

@@ -39,14 +39,17 @@ from .geometry import (
     Vec3,
     _BOUNDARY_TOL,
     _point_segment_distance,
+    _from_checked,
     _signed_area,
     bounds_disjoint,
+    box_corner_heights,
     box_corners,
     clip_convex,
     convex_hull,
     derived,
     down_face,
     geodesic_angle,
+    hull_polygon,
     largest_face_axis,
     obbs_overlap,
     point_in_polygon,
@@ -178,8 +181,18 @@ class RigidObject:
     @derived
     def _world_obb(self) -> Obb:
         # rebuilding the pose normalizes its quaternion once more, which the
-        # box's corner bits depend on
-        return Obb(Pose6D(self.pose.position, self.pose.orientation), self.half_extents)
+        # box's corner bits depend on; the half extents are checked already
+        return _from_checked(Obb, center_pose=Pose6D(self.pose.position, self.pose.orientation),
+                             half_extents=self.half_extents)
+
+    @derived
+    def _support_cell(self) -> SupportCell | None:
+        """The object's top face as a support cell for the other objects,
+        or None when its xy hull is degenerate."""
+        box = self._world_obb
+        if len(box.xy_hull) < 3:
+            return None
+        return SupportCell(box.xy_hull, "object", box.top_z(), object_id=self.id)
 
     def at_pose(self, pose: Pose6D) -> "RigidObject":
         """This object at ``pose``: itself when ``pose`` has the bits of its
@@ -188,16 +201,17 @@ class RigidObject:
             pose.orientation, self.pose.orientation
         ):
             return self
-        return RigidObject(self.id, self.half_extents, pose, self.friction, self.tool_spec)
+        return _from_checked(RigidObject, id=self.id, half_extents=self.half_extents,
+                             pose=pose, friction=self.friction, tool_spec=self.tool_spec)
 
 
 def _same_bits(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
     """True iff two float tuples are equal bit for bit: equal values, and
     zeros of the same sign, since a trace prints 0.0 and -0.0 apart."""
-    return a == b and all(
+    return a == b and (0.0 not in a or all(
         math.copysign(1.0, x) == math.copysign(1.0, y)
         for x, y in zip(a, b) if x == 0.0
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -262,7 +276,9 @@ class TwinScene:
         new = tuple(obj if o.id == obj.id else o for o in self.objects)
         if all(o is not obj for o in new):
             raise KeyError(f"no object {obj.id!r} in scene")
-        return TwinScene(self.terrain, new, self.robot, self.role, self.held_id)
+        # the ids, and with them the held id, are those of this scene
+        return _from_checked(TwinScene, terrain=self.terrain, objects=new, robot=self.robot,
+                             role=self.role, held_id=self.held_id)
 
     def with_held(self, object_id: str | None) -> "TwinScene":
         return replace(self, held_id=object_id)
@@ -481,9 +497,9 @@ def support_cells(scene: TwinScene, exclude_id: str | None = None,
         for o in scene.objects:
             if o.id == exclude_id or o.id == scene.held_id:
                 continue
-            box = o.world_obb()
-            if len(box.xy_hull) >= 3:
-                cells.append(SupportCell(box.xy_hull, "object", box.top_z(), object_id=o.id))
+            cell = o._support_cell
+            if cell is not None:
+                cells.append(cell)
     return cells
 
 
@@ -522,20 +538,22 @@ def _slope_penetration(scene: TwinScene, box: Obb, tol: float,
 def box_hits_solids(scene: TwinScene, box: Obb, tol: float = 1e-6,
                     climb_tol: float = 0.0, include_slopes: bool = True) -> Solid | None:
     """First terrain solid (or slope) the box enters by more than ``tol``, or
-    None; ``climb_tol`` lifts the box bottom over low steps."""
+    None; ``climb_tol`` lifts the box bottom over low steps. A box with a
+    degenerate xy hull enters nothing."""
     bottom, top = box.bottom_z(), box.top_z()
-    hull = box.xy_hull
-    if len(hull) < 3:
-        return None
+    # the hull is derived only for a solid that passes the z test, or for
+    # the slopes; clipped, a hull of fewer than 3 points has no area
     for solid in scene.terrain.solids:
         if bottom + climb_tol >= solid.z1 - tol or top <= solid.z0 + tol:
             continue
         if bounds_disjoint(box.xy_bounds, solid.polygon.bounds):
             continue
-        if ring_area(clip_convex(hull, solid.ring)) > _AREA_TOL:
+        if ring_area(clip_convex(box.xy_hull, solid.ring)) > _AREA_TOL:
             return solid
-    if include_slopes and _slope_penetration(scene, box, tol, climb_tol):
-        return Solid(hull, 0.0, 0.0, label="slope")
+    if not (include_slopes and scene.terrain.slopes) or len(box.xy_hull) < 3:
+        return None
+    if _slope_penetration(scene, box, tol, climb_tol):
+        return Solid(box.xy_hull, 0.0, 0.0, label="slope")
     return None
 
 
@@ -617,8 +635,7 @@ def flat_pose_on_support(scene: TwinScene, obj: RigidObject, x: float, y: float,
 
 def _half_height(obj: RigidObject, q: Quat) -> float:
     """Height of the object's centre above its lowest corner at orientation q."""
-    corners = box_corners((0.0, 0.0, 0.0), unit_quat(q), obj.half_extents)
-    return -min(c[2] for c in corners)
+    return -min(box_corner_heights(0.0, unit_quat(q), obj.half_extents))
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +762,7 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
         for _, _, piece in top:
             contact_pts.extend(piece)
         hull = convex_hull(contact_pts)
-        inside = len(hull) >= 3 and point_in_polygon(com, Polygon2(tuple(hull)))
+        inside = len(hull) >= 3 and point_in_polygon(com, hull_polygon(hull))
 
         if inside:
             z = h_star + _half_height(obj, flat_q)
@@ -820,7 +837,7 @@ def _settle_on_slope(scene: TwinScene, obj: RigidObject, pose: Pose6D,
     piece = clip_convex(probe.world_obb().resting_face(), cell.ring)
     hull = convex_hull(piece) if ring_area(piece) > _AREA_TOL else []
     if len(hull) < 3 or signed_interior_margin(
-        (pose.x, pose.y), Polygon2(tuple(hull))
+        (pose.x, pose.y), hull_polygon(hull)
     ) < -1e-6:
         # carried past the crest or off the side: resolve as a topple to flat
         flat_q = _snap_face_down(pose.orientation)
@@ -940,7 +957,7 @@ def stability_margin(scene: TwinScene, object_id: str) -> float:
     hull = convex_hull(pts)
     if len(hull) < 3:
         return -math.inf
-    return signed_interior_margin((obj.pose.x, obj.pose.y), Polygon2(tuple(hull)))
+    return signed_interior_margin((obj.pose.x, obj.pose.y), hull_polygon(hull))
 
 
 def raised_support(scene: TwinScene, object_id: str) -> bool:

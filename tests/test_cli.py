@@ -399,6 +399,25 @@ class TestRandomizationFailure:
         assert "\n" not in err
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", [
+        ["run", "--scenario", "box"],
+        ["bench", "--trials", "1", "--scenarios", "box"],
+        ["sample", "--scenario", "box", "--seed", "0", "--step", "0"],
+        ["export"],
+    ], ids=["run", "bench", "sample", "export"])
+    def test_out_under_a_regular_file_is_input_error(self, tmp_path, capsys, command):
+        blocker = tmp_path / "results.txt"
+        blocker.write_text("not a directory")
+        for out in (blocker, blocker / "sub"):
+            code = main([*command, "--out", str(out)])
+            assert code == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("error: ") and "\n" not in err
+            assert repr(str(out)) in err
+        assert blocker.read_text() == "not a directory"
+
+
 class TestBadArgumentValues:
     @pytest.mark.parametrize("argv, message", [
         (["run", "--scenario", "box", "--seed", "-1"],

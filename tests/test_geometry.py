@@ -11,12 +11,15 @@ from tabletamp.geometry import (
     Polygon2,
     Pose6D,
     boundary_contacts,
+    box_corner_heights,
+    box_corners,
     clip_convex,
     contact_normals,
     convex_hull,
     down_face,
     farthest_point_sample,
     geodesic_angle,
+    hull_polygon,
     largest_face_axis,
     obbs_overlap,
     point_in_polygon,
@@ -1221,3 +1224,110 @@ class TestBoundaryContacts:
             for spacing in (0.13, 0.01):
                 assert_identical(boundary_contacts(poly, spacing)[0],
                                  ref_sample_boundary(poly, spacing))
+
+
+# ---------------------------------------------------------------------------
+# values derived from checked ones skip the checks: each shortcut must give
+# what the checked construction gives
+# ---------------------------------------------------------------------------
+
+def checked_or_error(build, *args):
+    """build(*args), or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return type(exc), str(exc)
+
+
+def near_degenerate_point_sets(rng):
+    """Point sets whose hulls are empty, slivers, or have vertices 1 ulp off
+    an edge: collinear runs with one point moved by an ulp or by about the
+    hull's turn tolerance, points 1 ulp apart, and tiny, flat and tilted
+    boxes seen from above."""
+    up = math.inf
+    sets = [[], [(0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)], [(-0.0, 0.0), (0.0, -0.0)]]
+    for _ in range(60):
+        (ax, ay), (bx, by) = rng.uniform(-1.0, 1.0, size=(2, 2))
+        line = [(float(ax + t * (bx - ax)), float(ay + t * (by - ay)))
+                for t in np.linspace(0.0, 1.0, int(rng.integers(3, 7)))]
+        sets.append(line)
+        k = int(rng.integers(1, len(line) - 1))
+        for dx, dy in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+            moved = list(line)
+            x, y = moved[k]
+            moved[k] = (math.nextafter(x, up * dx) if dx else x,
+                        math.nextafter(y, up * dy) if dy else y)
+            sets.append(moved)
+        # slivers: points moved off the line by about the hull's 1e-15
+        # turn tolerance, up and down, so that two to four of them stay
+        nx, ny = ay - by, bx - ax
+        for off in (5e-16, 1e-15, 2e-15, 4e-15, 1e-13):
+            sets.append([(float(ax + t * (bx - ax) + s * off * nx),
+                          float(ay + t * (by - ay) + s * off * ny))
+                         for t, s in ((0.0, 0.0), (0.25, 1.0), (0.5, -1.0), (0.75, 1.0),
+                                      (1.0, 0.0))])
+        x, y = float(ax), float(ay)
+        sets.append([(x, y), (math.nextafter(x, up), y), (x, math.nextafter(y, up))])
+        sets.append([(x, y), (math.nextafter(x, up), y), (x, math.nextafter(y, -up))])
+        sets.append([tuple(p) for p in rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 12)), 2))])
+    for i in range(120):
+        q = quat_from_yaw(rng.uniform(-math.pi, math.pi))
+        if i % 2:
+            q = quat_mul(quat_from_axis_angle((*rng.normal(size=2), 0.0),
+                                              10.0 ** rng.uniform(-12.0, 0.0)), q)
+        if i % 5 == 0:  # tiny boxes, down to corners that round together
+            half = tuple(10.0 ** rng.uniform(-20.0, -1.0, size=3))
+        else:
+            half = tuple(rng.uniform(0.005, 0.2, size=3))
+        box = Obb(Pose6D(tuple(rng.uniform(-1.0, 1.0, size=3)), q), half)
+        sets.append([(c[0], c[1]) for c in box.corners()])
+        sets.append(list(box.resting_face()))
+    return sets
+
+
+class TestCheckedOnce:
+    def test_hull_polygon_equals_checked_polygon(self):
+        rng = np.random.default_rng(191)
+        raised = built = 0
+        for pts in near_degenerate_point_sets(rng):
+            hull = convex_hull(pts)
+            got = checked_or_error(hull_polygon, hull)
+            expected = checked_or_error(Polygon2, tuple(hull))
+            if isinstance(expected, Polygon2):
+                assert_identical(got.vertices, expected.vertices)
+                assert got == expected and hash(got) == hash(expected)
+                assert got.bounds == expected.bounds
+                built += 1
+            else:
+                assert got == expected
+                raised += 1
+        assert built > 400 and raised > 400
+
+    def test_hull_polygon_keeps_the_checks_it_needs(self):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            hull_polygon([(0.0, 0.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="counter-clockwise"):
+            hull_polygon([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="counter-clockwise"):
+            hull_polygon([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+
+    def test_box_corner_heights_are_the_corner_z(self):
+        half = math.sqrt(0.5)
+        values = (0.0, -0.0, 0.5, -0.5, half, -half, 1.0, -1.0)
+        quats = [(w, x, y, z) for w in values for x in values for y in values
+                 for z in values]
+        assert len(quats) == 4096
+        quats += list(oracle_quats(2000, 179))
+        rng = np.random.default_rng(193)
+        zeros = 0
+        for i, q in enumerate(quats):
+            if i % 3 == 0:
+                half_extents = (0.05, 0.05, 0.05)
+            else:
+                half_extents = tuple(float(c) for c in rng.uniform(0.005, 0.2, size=3))
+            for z in (0.0, -0.0, 0.45):
+                position = (float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-1.0, 1.0)), z)
+                expected = tuple(c[2] for c in box_corners(position, q, half_extents))
+                assert_identical(box_corner_heights(z, q, half_extents), expected)
+                zeros += 0.0 in expected
+        assert zeros > 100  # the zero signs are exercised

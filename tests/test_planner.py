@@ -1,8 +1,12 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -354,6 +358,21 @@ class TestMakePlanner:
         p = make_planner(PlannerConfig(backend="scripted"),
                          fallbacks=fallback_builders(scenario))
         assert isinstance(p, ScriptedPlanner)
+
+    def test_package_import_leaves_requests_unloaded(self):
+        # only an HttpPlanner without a session of its own imports requests
+        import tabletamp
+
+        src = str(Path(tabletamp.__file__).resolve().parent.parent)
+        code = ("import sys, tabletamp.cli; "
+                "print('requests' in sys.modules); "
+                "from tabletamp.planner import HttpPlanner, PlannerConfig; "
+                "p = HttpPlanner(PlannerConfig(backend='http', endpoint='http://127.0.0.1:9')); "
+                "print(type(p._session).__module__)")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == ["False", "requests.sessions"]
 
 
 class TestPromptRegions:

@@ -507,6 +507,144 @@ class TestBoundsRejects:
         assert checked >= 200 and 0.2 * checked < skipped < 0.9 * checked
 
 
+def eager_box_hits_solids(scene, box, tol=1e-6, climb_tol=0.0, include_slopes=True):
+    """box_hits_solids as it was: the box's xy hull first, for every box."""
+    bottom, top = box.bottom_z(), box.top_z()
+    hull = box.xy_hull
+    if len(hull) < 3:
+        return None
+    for solid in scene.terrain.solids:
+        if bottom + climb_tol >= solid.z1 - tol or top <= solid.z0 + tol:
+            continue
+        if bounds_disjoint(box.xy_bounds, solid.polygon.bounds):
+            continue
+        if ring_area(clip_convex(hull, solid.ring)) > twin._AREA_TOL:
+            return solid
+    if include_slopes and twin._slope_penetration(scene, box, tol, climb_tol):
+        return twin.Solid(hull, 0.0, 0.0, label="slope")
+    return None
+
+
+class TestCheckedOnce:
+    """Values the twin derives from checked values skip the checks; each
+    must equal what the checked construction gives."""
+
+    def test_box_hits_solids_equals_eager_body(self):
+        from tabletamp.scenarios import SCENARIO_IDS, build_scenario
+
+        rng = np.random.default_rng(197)
+        outcomes = {"solid": 0, "slope": 0, "miss": 0}
+        for name in SCENARIO_IDS:
+            scene = build_scenario(name).scene_template
+            boxes = []
+            for solid in scene.terrain.solids:
+                for i in range(16):
+                    z = rng.uniform(solid.z0 - 0.03, solid.z1 + 0.03)
+                    boxes.append(beside(rng, seeded_box(rng, i, z), solid.polygon.bounds))
+            for slope in scene.terrain.slopes:
+                xmin, xmax, ymin, ymax = slope.footprint.bounds
+                for i in range(96):
+                    x, y = rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)
+                    z = slope.top_height_at((x, y)) + rng.uniform(-0.02, 0.05)
+                    box = seeded_box(rng, i, z)
+                    # every eighth a needle, whose corners round onto one xy point
+                    half = (1e-20, 1e-20, 0.05) if i % 8 == 0 else box.half_extents
+                    boxes.append(Obb(Pose6D((x, y, z), box.center_pose.orientation), half))
+            for i in range(24):
+                # corners that round onto one xy point give no hull
+                half = (1e-20, 1e-20, 0.05) if i % 2 else tuple(rng.uniform(0.01, 0.06, size=3))
+                center = (*rng.uniform(-0.6, 0.6, size=2), rng.uniform(0.3, 0.5))
+                boxes.append(Obb(Pose6D(center), half))
+            for box in boxes:
+                for tol, climb, slopes in ((1e-6, 0.0, True), (1e-6, twin.PUSH_CLIMB_TOL, False),
+                                           (1e-3, 0.0, True), (2e-3, 0.0, False),
+                                           (1e-6, twin.PUSH_CLIMB_TOL, True)):
+                    # each call on a fresh copy, so neither sees the other's
+                    # derived hull
+                    expected = eager_box_hits_solids(
+                        scene, Obb(box.center_pose, box.half_extents), tol, climb, slopes)
+                    got = box_hits_solids(scene, Obb(box.center_pose, box.half_extents),
+                                          tol=tol, climb_tol=climb, include_slopes=slopes)
+                    assert got == expected, name
+                    if expected is None:
+                        outcomes["miss"] += 1
+                    elif expected.label == "slope":
+                        outcomes["slope"] += 1
+                    else:
+                        assert got is expected
+                        outcomes["solid"] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
+    def test_derived_objects_equal_checked_constructions(self):
+        rng = np.random.default_rng(199)
+        tool = twin.ToolSpec("hook", 0.2, (0.1, 0.0, 0.0))
+        for i in range(300):
+            q = quat_from_yaw(rng.uniform(-math.pi, math.pi)) if i % 2 else random_unit_quat(rng)
+            obj = RigidObject("b", tuple(rng.uniform(0.01, 0.1, size=3)),
+                              Pose6D(tuple(rng.uniform(-0.5, 0.5, size=3)), q),
+                              friction=float(rng.uniform(0.05, 2.0)),
+                              tool_spec=tool if i % 3 == 0 else None)
+            pose = Pose6D(tuple(rng.uniform(-0.5, 0.5, size=3)), random_unit_quat(rng))
+            moved = obj.at_pose(pose)
+            checked = RigidObject(obj.id, obj.half_extents, pose, obj.friction, obj.tool_spec)
+            assert vars(moved) == vars(checked) and repr(moved) == repr(checked)
+            assert hash(moved) == hash(checked)
+            for o in (obj, moved):
+                box = o.world_obb()
+                expected = Obb(Pose6D(o.pose.position, o.pose.orientation), o.half_extents)
+                assert box == expected and repr(box) == repr(expected)
+                assert box.corners() == expected.corners()
+
+            scene = base_scene([make_box("other", x=0.3), obj])
+            scene = dataclasses.replace(scene, held_id="other") if i % 2 else scene
+            replaced = scene.replace_object(moved)
+            expected = TwinScene(scene.terrain, (scene.objects[0], moved), scene.robot,
+                                 scene.role, scene.held_id)
+            assert vars(replaced) == vars(expected)
+            assert replaced.terrain is scene.terrain
+
+            # each object derives its support cell once
+            cells = [c for c in support_cells(replaced) if c.kind == "object"]
+            again = [c for c in support_cells(replaced) if c.kind == "object"]
+            assert all(a is b for a, b in zip(cells, again))
+            formula = []
+            for o in replaced.objects:
+                box = o.world_obb()
+                if o.id != replaced.held_id and len(box.xy_hull) >= 3:
+                    formula.append(twin.SupportCell(box.xy_hull, "object", box.top_z(),
+                                                    object_id=o.id))
+            assert cells == formula
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Pose6D((0.0, 0.0)), ValueError, "position must be 3 finite floats"),
+        (lambda: Pose6D((0.0, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)), ValueError,
+         "not unit norm"),
+        (lambda: Polygon2(((0.0, 0.0), (3.0, 0.0), (3.0, 3.0), (2.0, 3.0), (2.0, -1.0),
+                           (1.0, -1.0), (1.0, 3.0), (0.0, 3.0))),
+         ValueError, "polygon must be simple"),
+        (lambda: Polygon2(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0))), ValueError,
+         "counter-clockwise"),
+        (lambda: Obb(Pose6D((0.0, 0.0, 0.0)), (0.1, 0.0, 0.1)), ValueError,
+         "half extents must be strictly positive"),
+        (lambda: make_box(half=(0.1, -0.1, 0.1)), ValueError,
+         "half extents must be 3 positive"),
+        (lambda: dataclasses.replace(make_box(), friction=3.0), ValueError,
+         "friction must lie"),
+        (lambda: base_scene([make_box(), make_box()]), ValueError,
+         "object ids must be unique"),
+        (lambda: base_scene([make_box()], role="real"), ValueError, "role must be"),
+        (lambda: dataclasses.replace(base_scene([make_box()]), held_id="cup"), ValueError,
+         "not in scene"),
+        (lambda: base_scene([make_box()]).replace_object(make_box("cup")), KeyError,
+         "no object 'cup'"),
+    ], ids=["pose-short", "pose-norm", "polygon-simple", "polygon-cw", "obb-half",
+            "object-half", "object-friction", "scene-ids", "scene-role", "scene-held",
+            "replace-unknown"])
+    def test_public_constructors_still_check(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+
 def ref_support_height_at(cells, p):
     """support_height_at without its bounding-box reject."""
     best = None
