@@ -304,16 +304,6 @@ class Polygon2:
         for i in range(n):
             yield self.vertices[i], self.vertices[(i + 1) % n]
 
-    def is_convex(self, tol: float = 1e-12) -> bool:
-        n = len(self.vertices)
-        for i in range(n):
-            ax, ay = self.vertices[i]
-            bx, by = self.vertices[(i + 1) % n]
-            cx, cy = self.vertices[(i + 2) % n]
-            if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) < -tol:
-                return False
-        return True
-
     def boundary_distance(self, p: Vec2) -> float:
         # _point_segment_distance over each edge, written out: this is the
         # innermost loop of point_in_polygon.
@@ -447,84 +437,6 @@ def hull_polygon(hull) -> Polygon2:
     if _signed_area(verts) <= 0.0:
         raise ValueError("polygon must be counter-clockwise with positive area")
     return _from_checked(Polygon2, vertices=verts)
-
-
-def triangulate(poly: Polygon2) -> list[tuple[Vec2, Vec2, Vec2]]:
-    """Ear-clipping triangulation; handles simple non-convex polygons."""
-    verts = list(poly.vertices)
-    tris: list[tuple[Vec2, Vec2, Vec2]] = []
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def in_triangle(p, a, b, c):
-        d0 = cross(a, b, p)
-        d1 = cross(b, c, p)
-        d2 = cross(c, a, p)
-        return d0 >= -1e-15 and d1 >= -1e-15 and d2 >= -1e-15
-
-    guard = 0
-    while len(verts) > 3 and guard < 10000:
-        guard += 1
-        n = len(verts)
-        clipped = False
-        for i in range(n):
-            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-            if cross(a, b, c) <= 1e-15:
-                continue  # reflex or degenerate corner
-            if any(
-                in_triangle(p, a, b, c)
-                for j, p in enumerate(verts)
-                if p not in (a, b, c)
-            ):
-                continue
-            tris.append((a, b, c))
-            verts.pop(i)
-            clipped = True
-            break
-        if not clipped:
-            break
-    if len(verts) == 3:
-        tris.append((verts[0], verts[1], verts[2]))
-    return tris
-
-
-def _convex_sat(va, vb) -> bool:
-    eps = 1e-12
-    for verts_a, verts_b in ((va, vb), (vb, va)):
-        n = len(verts_a)
-        for i in range(n):
-            x0, y0 = verts_a[i]
-            x1, y1 = verts_a[(i + 1) % n]
-            ax, ay = y0 - y1, x1 - x0  # outward-ish normal; direction irrelevant
-            amin = amax = ax * verts_a[0][0] + ay * verts_a[0][1]
-            for vx, vy in verts_a[1:]:
-                d = ax * vx + ay * vy
-                amin = min(amin, d)
-                amax = max(amax, d)
-            bmin = bmax = ax * verts_b[0][0] + ay * verts_b[0][1]
-            for vx, vy in verts_b[1:]:
-                d = ax * vx + ay * vy
-                bmin = min(bmin, d)
-                bmax = max(bmax, d)
-            if amax < bmin - eps or bmax < amin - eps:
-                return False
-    return True
-
-
-def polygons_intersect(a: Polygon2, b: Polygon2) -> bool:
-    """True iff areas overlap or boundaries touch.
-
-    Convex inputs use a separating-axis test; non-convex inputs are
-    ear-clipped into triangles first.
-    """
-    parts_a = [a.vertices] if a.is_convex() else [t for t in triangulate(a)]
-    parts_b = [b.vertices] if b.is_convex() else [t for t in triangulate(b)]
-    for pa in parts_a:
-        for pb in parts_b:
-            if _convex_sat(pa, pb):
-                return True
-    return False
 
 
 def clip_convex(subject: list[Vec2], clip: list[Vec2]) -> list[Vec2]:
@@ -746,7 +658,8 @@ class Obb:
 
 
 def obbs_overlap(a: Obb, b: Obb, tol: float = 1e-9) -> bool:
-    """Volume-overlap test via footprint SAT plus z-interval intersection."""
+    """True when the boxes' z intervals overlap by more than ``tol`` and
+    their xy hulls' clipped intersection has more than ``tol`` area."""
     if a.bottom_z() >= b.top_z() - tol or b.bottom_z() >= a.top_z() - tol:
         return False
     if bounds_disjoint(a.xy_bounds, b.xy_bounds):

@@ -99,9 +99,10 @@ def sample_candidates(
     Pushes vary (x, y, yaw) with z/roll/pitch pinned to supported-flat
     values; rotations enumerate face flips about the current bottom edges
     (plus the no-op orientation); moveto samples full placements over the
-    anchor's surface. When the primitive carries a target pose hint, the
-    hint itself is always included so rehearsal can validate the requested
-    pose directly. Deterministic in rng_seed.
+    anchor's surface. When the primitive carries a target pose hint, a
+    moveto's first candidate is the hint itself and a push's is the flat
+    pose at the hint's xy, so rehearsal can validate the requested pose
+    directly. Deterministic in rng_seed.
     """
     rng = np.random.default_rng(rng_seed)
     obj = scene.object(primitive.object_id)
@@ -110,55 +111,38 @@ def sample_candidates(
     if primitive.kind is PrimitiveKind.ROTATE:
         return _rotate_candidates(scene, primitive.object_id)
 
+    if primitive.kind not in (PrimitiveKind.PUSH, PrimitiveKind.MOVETO):
+        raise ValueError(f"{primitive.kind.value} does not take a sub-goal pose")
+    push = primitive.kind is PrimitiveKind.PUSH
     disc = _HINT_DISC_RADIUS if hint is not None else _DISC_RADIUS
     yaw_spread = _HINT_YAW_SPREAD_DEG if hint is not None else _YAW_SPREAD_DEG
+    # a push keeps the object's own orientation and only takes a hint's yaw
+    base_q = obj.pose.orientation if push or hint is None else hint.orientation
+    base_yaw = yaw_of(hint.orientation) if hint is not None else obj.pose.yaw
 
-    out: list[Pose6D] = []
-    if primitive.kind is PrimitiveKind.PUSH:
-        base_yaw = yaw_of(hint.orientation) if hint is not None else obj.pose.yaw
-        if hint is not None:
-            out.append(flat_pose_on_support(scene, obj, hint.x, hint.y, base_yaw))
-        else:
-            out.append(flat_pose_on_support(scene, obj, anchor[0], anchor[1], base_yaw))
+    if hint is None:
+        out = [flat_pose_on_support(scene, obj, anchor[0], anchor[1], base_yaw,
+                                    base_orientation=base_q)]
+        if push:
             out.extend(_overhang_probes(scene, obj, anchor))
-        while len(out) < _N_SAMPLES:
-            r = disc * math.sqrt(rng.uniform())
-            th = rng.uniform(0.0, 2.0 * math.pi)
+    elif push:
+        out = [flat_pose_on_support(scene, obj, hint.x, hint.y, base_yaw)]
+    else:
+        out = [hint]
+    while len(out) < _N_SAMPLES:
+        r = disc * math.sqrt(rng.uniform())
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        if push or hint is not None:
             yaw = base_yaw + math.radians(rng.uniform(-yaw_spread, yaw_spread))
-            out.append(
-                flat_pose_on_support(
-                    scene, obj, anchor[0] + r * math.cos(th),
-                    anchor[1] + r * math.sin(th), yaw,
-                )
-            )
-        return out
-
-    if primitive.kind is PrimitiveKind.MOVETO:
-        base_q = hint.orientation if hint is not None else obj.pose.orientation
-        base_yaw = yaw_of(base_q)
-        if hint is not None:
-            out.append(hint)
         else:
-            out.append(
-                flat_pose_on_support(scene, obj, anchor[0], anchor[1], base_yaw,
-                                     base_orientation=base_q)
+            yaw = rng.uniform(-math.pi, math.pi)
+        out.append(
+            flat_pose_on_support(
+                scene, obj, anchor[0] + r * math.cos(th),
+                anchor[1] + r * math.sin(th), yaw, base_orientation=base_q,
             )
-        while len(out) < _N_SAMPLES:
-            r = disc * math.sqrt(rng.uniform())
-            th = rng.uniform(0.0, 2.0 * math.pi)
-            if hint is not None:
-                yaw = base_yaw + math.radians(rng.uniform(-yaw_spread, yaw_spread))
-            else:
-                yaw = rng.uniform(-math.pi, math.pi)
-            out.append(
-                flat_pose_on_support(
-                    scene, obj, anchor[0] + r * math.cos(th),
-                    anchor[1] + r * math.sin(th), yaw, base_orientation=base_q,
-                )
-            )
-        return out
-
-    raise ValueError(f"{primitive.kind.value} does not take a sub-goal pose")
+        )
+    return out
 
 
 def _support_drop_direction(scene: TwinScene, object_id: str, anchor: Vec3):

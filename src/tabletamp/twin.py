@@ -180,10 +180,11 @@ class RigidObject:
     # the box already derived.
     @derived
     def _world_obb(self) -> Obb:
-        # rebuilding the pose normalizes its quaternion once more, which the
-        # box's corner bits depend on; the half extents are checked already
-        return _from_checked(Obb, center_pose=Pose6D(self.pose.position, self.pose.orientation),
-                             half_extents=self.half_extents)
+        # the box's corner bits depend on normalizing the quaternion once
+        # more; the position and half extents are checked already
+        center = _from_checked(Pose6D, position=self.pose.position,
+                               orientation=unit_quat(self.pose.orientation))
+        return _from_checked(Obb, center_pose=center, half_extents=self.half_extents)
 
     @derived
     def _support_cell(self) -> SupportCell | None:

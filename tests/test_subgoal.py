@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from tabletamp.domain import PrimitiveInstance, PrimitiveKind, RegionDescriptor
@@ -8,18 +9,30 @@ from tabletamp.geometry import (
     boundary_contacts,
     geodesic_angle,
     quat_from_yaw,
+    yaw_of,
 )
+from tabletamp.harness import randomize, randomized_goal
+from tabletamp.scenarios import SCENARIO_IDS, build_region_registry, build_scenario
 from tabletamp.subgoal import (
+    _DISC_RADIUS,
+    _HINT_DISC_RADIUS,
+    _HINT_YAW_SPREAD_DEG,
+    _N_SAMPLES,
+    _YAW_SPREAD_DEG,
     Candidate,
     CandidateSet,
     NoFeasiblePose,
+    UnknownRegion,
+    _overhang_probes,
+    _rotate_candidates,
     filter_and_rank,
     resolve_anchor,
     sample_candidates,
     select_subgoal,
 )
-from tabletamp.twin import SettleOutcome
+from tabletamp.twin import SettleOutcome, flat_pose_on_support
 
+from tests.test_geometry import random_unit_quat
 from tests.test_twin import TABLE_H, base_scene, make_box
 
 
@@ -114,6 +127,111 @@ class TestSampleCandidates:
         assert poses[0].x == pytest.approx(0.1)
         assert poses[0].y == pytest.approx(-0.25)
         assert poses[0].yaw == pytest.approx(0.4)
+
+
+def ref_sample_candidates(primitive, anchor, scene, rng_seed=0):
+    """sample_candidates as it was with one disc-sampling loop per kind."""
+    rng = np.random.default_rng(rng_seed)
+    obj = scene.object(primitive.object_id)
+    hint = primitive.target_pose_hint
+
+    if primitive.kind is PrimitiveKind.ROTATE:
+        return _rotate_candidates(scene, primitive.object_id)
+
+    disc = _HINT_DISC_RADIUS if hint is not None else _DISC_RADIUS
+    yaw_spread = _HINT_YAW_SPREAD_DEG if hint is not None else _YAW_SPREAD_DEG
+
+    out = []
+    if primitive.kind is PrimitiveKind.PUSH:
+        base_yaw = yaw_of(hint.orientation) if hint is not None else obj.pose.yaw
+        if hint is not None:
+            out.append(flat_pose_on_support(scene, obj, hint.x, hint.y, base_yaw))
+        else:
+            out.append(flat_pose_on_support(scene, obj, anchor[0], anchor[1], base_yaw))
+            out.extend(_overhang_probes(scene, obj, anchor))
+        while len(out) < _N_SAMPLES:
+            r = disc * math.sqrt(rng.uniform())
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            yaw = base_yaw + math.radians(rng.uniform(-yaw_spread, yaw_spread))
+            out.append(
+                flat_pose_on_support(
+                    scene, obj, anchor[0] + r * math.cos(th),
+                    anchor[1] + r * math.sin(th), yaw,
+                )
+            )
+        return out
+
+    if primitive.kind is PrimitiveKind.MOVETO:
+        base_q = hint.orientation if hint is not None else obj.pose.orientation
+        base_yaw = yaw_of(base_q)
+        if hint is not None:
+            out.append(hint)
+        else:
+            out.append(
+                flat_pose_on_support(scene, obj, anchor[0], anchor[1], base_yaw,
+                                     base_orientation=base_q)
+            )
+        while len(out) < _N_SAMPLES:
+            r = disc * math.sqrt(rng.uniform())
+            th = rng.uniform(0.0, 2.0 * math.pi)
+            if hint is not None:
+                yaw = base_yaw + math.radians(rng.uniform(-yaw_spread, yaw_spread))
+            else:
+                yaw = rng.uniform(-math.pi, math.pi)
+            out.append(
+                flat_pose_on_support(
+                    scene, obj, anchor[0] + r * math.cos(th),
+                    anchor[1] + r * math.sin(th), yaw, base_orientation=base_q,
+                )
+            )
+        return out
+
+    raise ValueError(f"{primitive.kind.value} does not take a sub-goal pose")
+
+
+class TestSampleCandidatesOracle:
+    @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+    def test_equals_one_loop_per_kind(self, scenario_id):
+        sc = build_scenario(scenario_id)
+        rng = np.random.default_rng(list(SCENARIO_IDS).index(scenario_id))
+        compared = 0
+        for seed in range(3):
+            scene = randomize(sc, seed).as_twin()
+            registry = build_region_registry(sc, randomized_goal(sc, seed))
+            for obj in scene.objects:
+                for name in sorted(registry):
+                    try:
+                        anchor = resolve_anchor(RegionDescriptor(name), scene,
+                                                registry, object_id=obj.id)
+                    except UnknownRegion:
+                        continue
+                    # a tilted hint: a push keeps the object's own
+                    # orientation, a moveto takes the hint's
+                    hint = Pose6D((anchor[0] + 0.01, anchor[1] - 0.01,
+                                   anchor[2] + obj.half_extents[2]),
+                                  random_unit_quat(rng))
+                    for kind in (PrimitiveKind.PUSH, PrimitiveKind.MOVETO,
+                                 PrimitiveKind.ROTATE):
+                        for step in (PrimitiveInstance(kind, obj.id, RegionDescriptor(name)),
+                                     PrimitiveInstance(kind, obj.id, target_pose_hint=hint)):
+                            got = sample_candidates(step, anchor, scene, rng_seed=seed)
+                            ref = ref_sample_candidates(step, anchor, scene, rng_seed=seed)
+                            assert repr(got) == repr(ref), (scenario_id, seed, obj.id,
+                                                            name, step.describe())
+                            compared += 1
+        assert compared >= 3 * 3 * 6  # seeds, anchors and steps
+
+    @pytest.mark.parametrize("kind", [PrimitiveKind.GRASP, PrimitiveKind.RELEASE],
+                             ids=["grasp", "release"])
+    def test_grasp_and_release_take_no_pose(self, kind):
+        scene = base_scene([make_box()])
+        step = PrimitiveInstance(kind, "box")
+        with pytest.raises(ValueError) as ref:
+            ref_sample_candidates(step, (0.0, 0.0, TABLE_H), scene)
+        with pytest.raises(ValueError, match=f"^{kind.value} does not take a "
+                                             "sub-goal pose$") as got:
+            sample_candidates(step, (0.0, 0.0, TABLE_H), scene)
+        assert str(got.value) == str(ref.value)
 
 
 class TestFilterAndRank:
