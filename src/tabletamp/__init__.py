@@ -31,7 +31,6 @@ from .scenarios import SCENARIO_IDS, Scenario, all_scenarios, build_scenario
 from .subgoal import Candidate, CandidateSet, NoFeasiblePose
 from .twin import (
     RigidObject,
-    RobotModel,
     SettleOutcome,
     TerrainFeature,
     ToolSpec,

@@ -37,11 +37,15 @@ from .geometry import (
     yaw_free_angle,
 )
 from .twin import (
+    FINGER_CLEARANCE,
+    GRIPPER_APERTURE,
     PUSH_KAPPA,
     PUSH_STEP_CAP,
+    REACH_MAX,
+    REACH_MIN,
+    ROBOT_BASE,
     PlacementCollision,
     RigidObject,
-    RobotModel,
     SweptCollision,
     ToolSpec,
     TwinScene,
@@ -137,14 +141,14 @@ def current_tool(scene: TwinScene) -> ToolSpec | None:
     return scene.object(scene.held_id).tool_spec
 
 
-def effective_reach(robot: RobotModel, tool: ToolSpec | None = None) -> float:
+def effective_reach(tool: ToolSpec | None = None) -> float:
     """Maximum contact distance: bare reach plus a held tool's length."""
-    return robot.reach_max + (tool.effective_length if tool is not None else 0.0)
+    return REACH_MAX + (tool.effective_length if tool is not None else 0.0)
 
 
-def _reach_ok(robot: RobotModel, point: Vec2, tool: ToolSpec | None = None) -> bool:
-    d = math.hypot(point[0] - robot.base_position[0], point[1] - robot.base_position[1])
-    return robot.reach_min <= d <= effective_reach(robot, tool)
+def _reach_ok(point: Vec2, tool: ToolSpec | None = None) -> bool:
+    d = math.hypot(point[0] - ROBOT_BASE[0], point[1] - ROBOT_BASE[1])
+    return REACH_MIN <= d <= effective_reach(tool)
 
 
 def _grip_point_for(obj_pose: Pose6D, tool: ToolSpec | None) -> Vec2:
@@ -190,7 +194,7 @@ def _support_height_below(scene: TwinScene, obj_id: str, p: Vec2) -> float | Non
     return support_height_at(support_cells(scene, exclude_id=obj_id), p)
 
 
-def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
+def _overhang_edges(scene: TwinScene, obj: RigidObject):
     """Overhanging face edges with finger clearance below them.
 
     Returns (depth, grasp_point) candidates sorted by depth descending.
@@ -213,7 +217,7 @@ def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
             py = a[1] + f * (b[1] - a[1]) + ny * 0.004
             below = _support_height_below(scene, obj.id, (px, py))
             drop = edge_z if below is None else edge_z - below
-            if drop < robot.finger_clearance:
+            if drop < FINGER_CLEARANCE:
                 depths.append(0.0)
                 continue
             # march inward until support rises back near the contact height;
@@ -223,7 +227,7 @@ def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
                 qx = a[0] + f * (b[0] - a[0]) - nx * (0.002 * k)
                 qy = a[1] + f * (b[1] - a[1]) - ny * (0.002 * k)
                 below_q = _support_height_below(scene, obj.id, (qx, qy))
-                if below_q is not None and edge_z - below_q < robot.finger_clearance:
+                if below_q is not None and edge_z - below_q < FINGER_CLEARANCE:
                     depth = 0.002 * k - 0.001
                     break
                 depth = 0.002 * k
@@ -239,7 +243,6 @@ def _overhang_edges(scene: TwinScene, obj: RigidObject, robot: RobotModel):
 def assess_grasp(scene: TwinScene, object_id: str) -> GraspAssessment:
     """Rule-based graspability check at the object's current pose."""
     obj = scene.object(object_id)
-    robot = scene.robot
     box = obj.world_obb()
     failures = []
 
@@ -258,21 +261,21 @@ def assess_grasp(scene: TwinScene, object_id: str) -> GraspAssessment:
         failures.append(
             f"top grasp needs height >= {_MIN_TOP_HEIGHT:.3f} m (got {height:.3f})"
         )
-    if min_width > robot.gripper_aperture:
+    if min_width > GRIPPER_APERTURE:
         failures.append(
-            f"top grasp needs min width <= {robot.gripper_aperture:.3f} m "
+            f"top grasp needs min width <= {GRIPPER_APERTURE:.3f} m "
             f"(got {min_width:.3f})"
         )
-    if top_is_flat and height >= _MIN_TOP_HEIGHT and min_width <= robot.gripper_aperture:
+    if top_is_flat and height >= _MIN_TOP_HEIGHT and min_width <= GRIPPER_APERTURE:
         gp = (obj.pose.x, obj.pose.y, box.top_z())
         return GraspAssessment(True, "top", gp, 0.0, ())
 
     thickness = height  # side grasps pinch vertically across the slab
-    overhangs = _overhang_edges(scene, obj, robot)
+    overhangs = _overhang_edges(scene, obj)
     viable = [o for o in overhangs if o[0] >= _MIN_OVERHANG]
-    if thickness > robot.gripper_aperture:
+    if thickness > GRIPPER_APERTURE:
         failures.append(
-            f"side grasp needs thickness <= {robot.gripper_aperture:.3f} m "
+            f"side grasp needs thickness <= {GRIPPER_APERTURE:.3f} m "
             f"(got {thickness:.3f})"
         )
         viable = []
@@ -372,18 +375,16 @@ def exec_push(scene: TwinScene, object_id: str,
     obj = scene.object(object_id)
     if scene.held_id == object_id:
         raise ValueError("cannot push a held object")
-    robot = scene.robot
     tool = current_tool(scene)
 
     # annulus precheck before any motion
     radius = max(obj.half_extents[0], obj.half_extents[1])
-    goal_d = math.hypot(subgoal.x - robot.base_position[0],
-                        subgoal.y - robot.base_position[1])
-    if goal_d > effective_reach(robot, tool) + radius:
+    goal_d = math.hypot(subgoal.x - ROBOT_BASE[0], subgoal.y - ROBOT_BASE[1])
+    if goal_d > effective_reach(tool) + radius:
         return scene, trace.fail(
             ErrorKind.OUT_OF_REACH,
             f"push target at {goal_d:.2f} m exceeds reach "
-            f"{effective_reach(robot, tool):.2f} m + object radius {radius:.2f} m",
+            f"{effective_reach(tool):.2f} m + object radius {radius:.2f} m",
         )
 
     target_yaw = subgoal.yaw
@@ -424,7 +425,7 @@ def exec_push(scene: TwinScene, object_id: str,
                 _KP * abs(remaining) / (PUSH_KAPPA * max(abs(arm), 1e-4)),
             ))
 
-        if not _reach_ok(robot, (contact[0], contact[1]), tool):
+        if not _reach_ok((contact[0], contact[1]), tool):
             return scene, trace.fail(
                 ErrorKind.OUT_OF_REACH,
                 f"push contact at ({contact[0]:.2f}, {contact[1]:.2f}) is outside "
@@ -581,7 +582,7 @@ def exec_rotate(scene: TwinScene, object_id: str,
         contact_xy = (obj.pose.x + away[0] * L, obj.pose.y + away[1] * L)
     else:
         contact_xy = (obj.pose.x, obj.pose.y)
-    if not _reach_ok(scene.robot, contact_xy):
+    if not _reach_ok(contact_xy):
         return scene, trace.fail(
             ErrorKind.OUT_OF_REACH,
             f"pivot contact at ({contact_xy[0]:.2f}, {contact_xy[1]:.2f}) is "
@@ -643,7 +644,7 @@ def exec_grasp(scene: TwinScene, object_id: str) -> tuple[TwinScene, ExecTrace]:
         )
     gp = assessment.point
     assert gp is not None
-    if not _reach_ok(scene.robot, (gp[0], gp[1])):
+    if not _reach_ok((gp[0], gp[1])):
         return scene, trace.fail(
             ErrorKind.OUT_OF_REACH,
             f"grasp point at ({gp[0]:.2f}, {gp[1]:.2f}) is outside the reach annulus",
@@ -680,7 +681,7 @@ def exec_moveto(scene: TwinScene, subgoal: Pose6D) -> tuple[TwinScene, ExecTrace
     tool = current_tool(scene)
 
     grip = _grip_point_for(subgoal, tool)
-    if not _reach_ok(scene.robot, grip):
+    if not _reach_ok(grip):
         return scene, trace.fail(ErrorKind.IK_FAILURE, IK_FAILURE_MESSAGE)
 
     # hover sweep along the straight line against walls and other objects

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .geometry import Pose6D
+from .twin import _is_number
 
 
 class SkeletonParseError(ValueError):
@@ -272,21 +273,32 @@ def skeleton_from_dict(data: dict, path: str = "$") -> PlanSkeleton:
             if not isinstance(r, dict) or not isinstance(r.get("name"), str) or not r["name"]:
                 raise SkeletonParseError("region needs a non-empty 'name'",
                                          f"{spath}.region")
+            if not isinstance(r.get("refinement", ""), str):
+                raise SkeletonParseError("'refinement' must be a string",
+                                         f"{spath}.region.refinement")
             region = RegionDescriptor(r["name"], r.get("refinement", ""))
         hint = None
         if "target_pose_hint" in s and s["target_pose_hint"] is not None:
             h = s["target_pose_hint"]
+            hpath = f"{spath}.target_pose_hint"
+            if not isinstance(h, dict):
+                raise SkeletonParseError("pose hint must be an object", hpath)
+            xyz, quat = h.get("xyz"), h.get("quat_wxyz", [1, 0, 0, 0])
+            for key, value, n in (("xyz", xyz, 3), ("quat_wxyz", quat, 4)):
+                if not (isinstance(value, list) and len(value) == n
+                        and all(map(_is_number, value))):
+                    raise SkeletonParseError(f"'{key}' must be a list of {n} numbers "
+                                             f"(got {value!r})", f"{hpath}.{key}")
             try:
-                hint = Pose6D(tuple(h["xyz"]), tuple(h.get("quat_wxyz", (1, 0, 0, 0))))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SkeletonParseError(f"bad pose hint: {exc}",
-                                         f"{spath}.target_pose_hint") from None
+                hint = Pose6D(tuple(xyz), tuple(quat))
+            except ValueError as exc:
+                raise SkeletonParseError(f"bad pose hint: {exc}", hpath) from None
         try:
             steps.append(PrimitiveInstance(kind, object_id, region, hint))
         except ValueError as exc:
             raise SkeletonParseError(str(exc), spath) from None
     revision = data.get("revision", 0)
-    if not isinstance(revision, int) or revision < 0:
+    if isinstance(revision, bool) or not isinstance(revision, int) or revision < 0:
         raise SkeletonParseError("'revision' must be a non-negative integer",
                                  f"{path}.revision")
     rationale = data.get("rationale", "")

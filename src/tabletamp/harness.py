@@ -54,6 +54,7 @@ from .subgoal import (
     select_subgoal,
 )
 from .twin import (
+    ROBOT_BASE,
     TwinScene,
     flat_pose_on_support,
     rest_on_support,
@@ -225,7 +226,7 @@ def observe(scene: TwinScene, goal: Goal, scenario: Scenario,
     summary = {
         "objects": objects,
         "goal": goal_info,
-        "robot_base": list(scene.robot.base_position),
+        "robot_base": list(ROBOT_BASE),
         "gripper_free": scene.held_id is None,
     }
     svg = ""
@@ -347,10 +348,7 @@ def _execute_plan(
                             c.rendering for c in cset.candidates
                         )
                     nxt = plan.steps[i + 1] if i + 1 < len(plan.steps) else None
-                    chosen = select_subgoal(
-                        cset, {"current": step, "next": nxt},
-                        scene=twin, object_id=step.object_id,
-                    )
+                    chosen = select_subgoal(cset, step, nxt, twin)
                     subgoal = chosen.pose
                 record.subgoal = (
                     [round(c, 6) for c in subgoal.position]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .geometry import Polygon2, Pose6D
-from .twin import RigidObject, TwinScene
+from .twin import ROBOT_BASE, RigidObject, TwinScene
 
 _TERRAIN_FILL = {
     "ground": "#d9d4c7",
@@ -122,7 +122,7 @@ def render_scene(
             f"<title>{obj_id} goal</title></polygon>"
         )
 
-    base = scene.robot.base_position
+    base = ROBOT_BASE
     parts.append(
         f'<circle cx="{_fmt((base[0] - cx) * _SCALE)}" '
         f'cy="{_fmt(-(base[1] - cy) * _SCALE)}" r="8" fill="#333333">'

@@ -38,8 +38,10 @@ from .geometry import (
 from .planner import Observation
 from .subgoal import RegionRegistry
 from .twin import (
+    REACH_MAX,
+    REACH_MIN,
+    ROBOT_BASE,
     RigidObject,
-    RobotModel,
     TerrainFeature,
     ToolSpec,
     TwinScene,
@@ -118,11 +120,6 @@ def _rails() -> tuple[TerrainFeature, ...]:
     )
 
 
-def _robot() -> RobotModel:
-    return RobotModel(base_position=(0.0, -0.65), reach_min=0.15, reach_max=0.95,
-                      gripper_aperture=0.08, finger_clearance=0.015)
-
-
 def _card(x: float, y: float, yaw: float = 0.0) -> RigidObject:
     return RigidObject(
         id="card",
@@ -135,7 +132,6 @@ def _scene(objects, extra_terrain=()) -> TwinScene:
     return TwinScene(
         terrain=_base_terrain(tuple(extra_terrain)),
         objects=tuple(objects),
-        robot=_robot(),
         role="execution",
     )
 
@@ -514,9 +510,8 @@ def build_region_registry(scenario: Scenario, goal: Goal | None = None) -> Regio
     def table_edge_nearest(scene: TwinScene, object_id: str) -> Vec3:
         # nearest boundary point per table side, preferring routes that are
         # clear to push and leave the follow-up grasp contact in reach
-        obj = scene.object(object_id or scenario.primary_object)
+        obj = scene.object(object_id)
         table = _table_of(scene)
-        base = scene.robot.base_position
         xs = [v[0] for v in table.footprint.vertices]
         ys = [v[1] for v in table.footprint.vertices]
         x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
@@ -531,11 +526,11 @@ def build_region_registry(scenario: Scenario, goal: Goal | None = None) -> Regio
             L = math.hypot(ix, iy) or 1.0
             extent = max(obj.half_extents[0], obj.half_extents[1])
             trailing = (p[0] + 2.0 * extent * ix / L, p[1] + 2.0 * extent * iy / L)
-            d_anchor = math.hypot(p[0] - base[0], p[1] - base[1])
-            d_trail = math.hypot(trailing[0] - base[0], trailing[1] - base[1])
+            d_anchor = math.hypot(p[0] - ROBOT_BASE[0], p[1] - ROBOT_BASE[1])
+            d_trail = math.hypot(trailing[0] - ROBOT_BASE[0], trailing[1] - ROBOT_BASE[1])
             return (
-                scene.robot.reach_min + 0.05 <= d_anchor <= scene.robot.reach_max
-                and d_trail <= scene.robot.reach_max - 0.02
+                REACH_MIN + 0.05 <= d_anchor <= REACH_MAX
+                and d_trail <= REACH_MAX - 0.02
             )
 
         for p in options:
@@ -551,7 +546,7 @@ def build_region_registry(scenario: Scenario, goal: Goal | None = None) -> Regio
         return (zone_centroid[0], zone_centroid[1], TABLE_HEIGHT)
 
     def wall_base(scene: TwinScene, object_id: str) -> Vec3:
-        obj = scene.object(object_id or scenario.primary_object)
+        obj = scene.object(object_id)
         walls = [t for t in scene.terrain if t.kind == "wall"]
         if not walls:
             raise KeyError("scene has no walls")
@@ -580,7 +575,7 @@ def build_region_registry(scenario: Scenario, goal: Goal | None = None) -> Regio
 
     def slot_lip(scene: TwinScene, object_id: str) -> Vec3:
         slot = next(t for t in scene.terrain if t.kind == "slot")
-        obj = scene.object(object_id or scenario.primary_object)
+        obj = scene.object(object_id)
         p = slot.footprint.closest_boundary_point((obj.pose.x, obj.pose.y))
         return (p[0], p[1], slot.height)
 

@@ -28,6 +28,8 @@ from .geometry import (
 )
 from .render import render_scene
 from .twin import (
+    REACH_MAX,
+    ROBOT_BASE,
     SettleOutcome,
     SweptCollision,
     TwinScene,
@@ -70,7 +72,7 @@ def resolve_anchor(
     region: RegionDescriptor,
     scene: TwinScene,
     registry: RegionRegistry,
-    object_id: str | None = None,
+    object_id: str,
 ) -> Vec3:
     """Resolve a region description to a 3D world anchor point, computed
     geometrically by the scenario's registry."""
@@ -78,7 +80,7 @@ def resolve_anchor(
     if resolver is None:
         raise UnknownRegion(f"unknown region {region.name!r}")
     try:
-        return resolver(scene, object_id or "")
+        return resolver(scene, object_id)
     except (KeyError, StopIteration) as exc:
         raise UnknownRegion(f"region {region.name!r} cannot be resolved in the "
                             f"scene ({exc!r})") from exc
@@ -261,18 +263,15 @@ def filter_and_rank(
     if not candidates:
         raise ValueError("candidate list must be non-empty")
     twin = scene.as_twin()
-    robot = twin.robot
     survivors: list[Candidate] = []
     for i, pose in enumerate(candidates):
         rest = rest_on_support(twin, object_id, pose)
         if rest is None:
             continue  # collides, topples, or rests on the bare ground
         rested, outcome = rest
-        d = math.hypot(
-            outcome.final_pose.x - robot.base_position[0],
-            outcome.final_pose.y - robot.base_position[1],
-        )
-        score = max(0.0, min(1.0, 1.0 - d / robot.reach_max))
+        d = math.hypot(outcome.final_pose.x - ROBOT_BASE[0],
+                       outcome.final_pose.y - ROBOT_BASE[1])
+        score = max(0.0, min(1.0, 1.0 - d / REACH_MAX))
         svg = render_scene(
             rested, highlight={object_id: outcome.final_pose}
         ) if render else ""
@@ -339,11 +338,11 @@ def _grasp_score(scene: TwinScene, object_id: str, candidate: Candidate):
 
 def select_subgoal(
     cset: CandidateSet,
-    context: dict,
-    scene: TwinScene | None = None,
-    object_id: str = "",
+    step: PrimitiveInstance,
+    next_step: PrimitiveInstance | None,
+    scene: TwinScene,
 ) -> Candidate:
-    """Choose the sub-goal pose from the retained candidates.
+    """Choose ``step``'s sub-goal pose from the retained candidates.
 
     Scripted rules, by primitive context:
       1. the step carries a target pose hint: closest candidate to the hint
@@ -354,12 +353,9 @@ def select_subgoal(
          extra in-place rotation near obstacles is pure risk);
       4. otherwise: highest reachability.
     """
-    current: PrimitiveInstance | None = context.get("current")
-    nxt: PrimitiveInstance | None = context.get("next")
-
-    if current is not None and current.target_pose_hint is not None:
-        hint = current.target_pose_hint
-        if current.kind is PrimitiveKind.ROTATE:
+    if step.target_pose_hint is not None:
+        hint = step.target_pose_hint
+        if step.kind is PrimitiveKind.ROTATE:
             return min(
                 cset.candidates,
                 key=lambda c: (round(yaw_free_angle(
@@ -369,13 +365,13 @@ def select_subgoal(
             cset.candidates,
             key=lambda c: (_pose_gap(c.pose, hint), c.source_index),
         )
-    if nxt is not None and nxt.kind is PrimitiveKind.GRASP and scene is not None:
+    if next_step is not None and next_step.kind is PrimitiveKind.GRASP:
         return max(
             cset.candidates,
-            key=lambda c: _grasp_score(scene, object_id or nxt.object_id, c),
+            key=lambda c: _grasp_score(scene, step.object_id, c),
         )
-    if nxt is not None and nxt.kind is PrimitiveKind.ROTATE and scene is not None:
-        cur_yaw = scene.object(object_id or nxt.object_id).pose.yaw
+    if next_step is not None and next_step.kind is PrimitiveKind.ROTATE:
+        cur_yaw = scene.object(step.object_id).pose.yaw
         return min(
             cset.candidates,
             key=lambda c: (

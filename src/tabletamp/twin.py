@@ -79,6 +79,15 @@ PUSH_KAPPA = 50.0  # in-plane rotation, rad per (m arm * m step)
 PUSH_STEP_CAP = 0.02  # longest push step, m
 PUSH_CLIMB_TOL = 0.012  # max per-step surface rise an object can ride over, m
 
+# The robot every scene simulates: a reach annulus about its base and a gripper
+ROBOT_BASE = (0.0, -0.65)  # xy, m
+REACH_MIN = 0.15  # m from the base
+REACH_MAX = 0.95  # m from the base, without a tool
+GRIPPER_APERTURE = 0.08  # widest pinch, m
+FINGER_CLEARANCE = 0.015  # drop a finger needs below a grasped edge, m
+# Coulomb friction of every object on a slope
+FRICTION = 0.5
+
 
 class PlacementCollision(Exception):
     """Placing an object here would interpenetrate another body or terrain."""
@@ -157,7 +166,6 @@ class RigidObject:
     id: str
     half_extents: Vec3  # of the box centred on the pose, along its local axes
     pose: Pose6D
-    friction: float = 0.5
     tool_spec: ToolSpec | None = None
 
     def __post_init__(self):
@@ -168,8 +176,6 @@ class RigidObject:
             raise ValueError(f"object {self.id!r} half extents must be 3 positive "
                              f"numbers, got {h}")
         object.__setattr__(self, "half_extents", h)
-        if not 0.05 <= self.friction <= 2.0:
-            raise ValueError("friction must lie in [0.05, 2.0]")
 
     def world_obb(self) -> Obb:
         return self._world_obb
@@ -203,7 +209,7 @@ class RigidObject:
         ):
             return self
         return _from_checked(RigidObject, id=self.id, half_extents=self.half_extents,
-                             pose=pose, friction=self.friction, tool_spec=self.tool_spec)
+                             pose=pose, tool_spec=self.tool_spec)
 
 
 def _same_bits(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
@@ -213,23 +219,6 @@ def _same_bits(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
         math.copysign(1.0, x) == math.copysign(1.0, y)
         for x, y in zip(a, b) if x == 0.0
     ))
-
-
-@dataclass(frozen=True)
-class RobotModel:
-    """Kinematic reach-annulus stand-in for an arm plus gripper."""
-
-    base_position: Vec2 = (0.0, -0.65)
-    reach_min: float = 0.15
-    reach_max: float = 0.95
-    gripper_aperture: float = 0.08
-    finger_clearance: float = 0.015
-
-    def __post_init__(self):
-        if not 0.0 <= self.reach_min < self.reach_max:
-            raise ValueError("need 0 <= reach_min < reach_max")
-        if self.gripper_aperture <= 0.0:
-            raise ValueError("gripper aperture must be > 0")
 
 
 @dataclass(frozen=True)
@@ -250,7 +239,6 @@ class PushDelta:
 class TwinScene:
     terrain: Terrain  # any sequence of features; frozen in __post_init__
     objects: tuple[RigidObject, ...]
-    robot: RobotModel
     role: str = "twin"
     held_id: str | None = None
 
@@ -278,7 +266,7 @@ class TwinScene:
         if all(o is not obj for o in new):
             raise KeyError(f"no object {obj.id!r} in scene")
         # the ids, and with them the held id, are those of this scene
-        return _from_checked(TwinScene, terrain=self.terrain, objects=new, robot=self.robot,
+        return _from_checked(TwinScene, terrain=self.terrain, objects=new,
                              role=self.role, held_id=self.held_id)
 
     def with_held(self, object_id: str | None) -> "TwinScene":
@@ -819,9 +807,8 @@ def _settle_on_slope(scene: TwinScene, obj: RigidObject, pose: Pose6D,
                      cell: SupportCell, status: str) -> SettleOutcome:
     feature = cell.feature
     assert feature is not None
-    mu = obj.friction
     theta = math.radians(feature.extra["angle_deg"])
-    if mu < math.tan(theta):
+    if FRICTION < math.tan(theta):
         # insufficient friction: slide down until the footprint leaves the slope
         d = feature.extra["downhill"]
         x, y = pose.x, pose.y
@@ -1223,7 +1210,6 @@ def scene_to_dict(scene: TwinScene) -> dict:
                     "xyz": list(o.pose.position),
                     "quat_wxyz": list(o.pose.orientation),
                 },
-                "friction": o.friction,
                 "tool_spec": None
                 if o.tool_spec is None
                 else {
@@ -1234,13 +1220,6 @@ def scene_to_dict(scene: TwinScene) -> dict:
             }
             for o in scene.objects
         ],
-        "robot": {
-            "base_position": list(scene.robot.base_position),
-            "reach_min": scene.robot.reach_min,
-            "reach_max": scene.robot.reach_max,
-            "gripper_aperture": scene.robot.gripper_aperture,
-            "finger_clearance": scene.robot.finger_clearance,
-        },
         "held_id": scene.held_id,
     }
 
@@ -1335,6 +1314,18 @@ def _json_pose(value, what: str) -> Pose6D:
                   _json_vector(value["quat_wxyz"], 4, f"{what} quat_wxyz"))
 
 
+def _check_fixed(values: dict, fixed, what: str, why: str) -> None:
+    """Older files carry values the twin now fixes: each of ``fixed``'s
+    (key, value) pairs that ``values`` holds must hold the twin's value."""
+    for key, value in fixed:
+        if isinstance(value, list):
+            got = list(_json_vector(values.get(key, value), len(value), f"{what} {key}"))
+        else:
+            got = _json_number(values.get(key, value), f"{what} {key}")
+        if got != value:
+            raise ValueError(f"{what} {key} must be {value} (got {got}): {why}")
+
+
 def scene_from_dict(data: dict) -> TwinScene:
     if data.get("version") != SCENE_SCHEMA_VERSION:
         raise ValueError(f"unsupported scene schema version {data.get('version')!r}")
@@ -1354,14 +1345,10 @@ def scene_from_dict(data: dict) -> TwinScene:
         where = f"object {i}"
         o = _json_object(o, where)
         shape = _json_object(o["shape"], f"{where} shape")
-        # older files carry a shape offset, always the identity: the twin
-        # simulates only boxes centred on their pose
-        for key, identity in (("offset_xyz", [0, 0, 0]), ("offset_quat_wxyz", [1, 0, 0, 0])):
-            offset = list(_json_vector(shape.get(key, identity), len(identity),
-                                       f"{where} shape {key}"))
-            if offset != identity:
-                raise ValueError(f"{where} shape {key} must be {identity} (got {offset}): "
-                                 f"only boxes centred on their pose are simulated")
+        _check_fixed(shape, (("offset_xyz", [0, 0, 0]), ("offset_quat_wxyz", [1, 0, 0, 0])),
+                     f"{where} shape", "only boxes centred on their pose are simulated")
+        _check_fixed(o, (("friction", FRICTION),), where,
+                     "every object has the twin's friction")
         ts = o.get("tool_spec")
         if ts is not None:
             ts = _json_object(ts, f"{where} tool_spec")
@@ -1379,34 +1366,25 @@ def scene_from_dict(data: dict) -> TwinScene:
                 half_extents=_json_vector(shape["half_extents"], 3,
                                           f"{where} shape half_extents"),
                 pose=_json_pose(o["pose"], f"{where} pose"),
-                friction=_json_number(o.get("friction", 0.5), f"{where} friction"),
                 tool_spec=ts,
             )
         )
-    r = _json_object(data["robot"], "scene robot")
-    robot = RobotModel(
-        base_position=_json_vector(r["base_position"], 2, "robot base_position"),
-        **{k: _json_number(r[k], f"robot {k}") for k in (
-            "reach_min", "reach_max", "gripper_aperture", "finger_clearance")},
-    )
-    # older files carry the push model and its execution perturbation, now
-    # fixed: each value they hold must be the one the twin simulates
+    _check_fixed(_json_object(data.get("robot", {}), "scene robot"), (
+        ("base_position", list(ROBOT_BASE)), ("reach_min", REACH_MIN),
+        ("reach_max", REACH_MAX), ("gripper_aperture", GRIPPER_APERTURE),
+        ("finger_clearance", FINGER_CLEARANCE),
+    ), "robot", "the twin simulates one robot")
     for section, fixed in (
         ("dynamics_perturbation", (("friction_scale", 1.0),
                                    ("push_gain_scale", EXECUTION_PUSH_GAIN))),
         ("push_model", (("gain", 1.0), ("kappa", PUSH_KAPPA), ("step_cap", PUSH_STEP_CAP),
                         ("climb_tol", PUSH_CLIMB_TOL))),
     ):
-        values = _json_object(data.get(section, {}), f"scene {section}")
-        for key, value in fixed:
-            got = _json_number(values.get(key, value), f"{section} {key}")
-            if got != value:
-                raise ValueError(f"{section} {key} must be {value} (got {got}): "
-                                 f"the twin's push physics is fixed")
+        _check_fixed(_json_object(data.get(section, {}), f"scene {section}"), fixed,
+                     section, "the twin's push physics is fixed")
     return TwinScene(
         terrain=terrain,
         objects=tuple(objects),
-        robot=robot,
         role=data.get("role", "twin"),
         held_id=data.get("held_id"),
     )

@@ -183,6 +183,20 @@ class TestCmdValidate:
         code = main(["validate", "--scenario", "edge", "--skeleton", str(path)])
         assert code == 2
 
+    def test_string_hint_is_parse_error(self, tmp_path, capsys):
+        # a string is not read as a position digit by digit
+        doc = {"steps": [{"kind": "push", "object_id": "card",
+                          "target_pose_hint": {"xyz": "123"}}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["validate", "--scenario", "edge", "--skeleton", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            "parse error: $.steps[0].target_pose_hint.xyz: 'xyz' must be a list of "
+            "3 numbers (got '123')")
+
     def test_out_is_usage_error(self, tmp_path):
         # validate writes nothing, so it takes no output directory
         path = self.good_skeleton(tmp_path)
@@ -352,6 +366,17 @@ class TestScenarioFileSteps:
         (lambda d: d["scene"].update(dynamics_perturbation={"friction_scale": 0.8}),
          "dynamics_perturbation friction_scale must be 1.0 (got 0.8): the twin's push "
          "physics is fixed"),
+        # older files carry the robot and each object's friction; they may
+        # hold only the twin's values
+        (lambda d: d["scene"].update(robot={"reach_max": 0.9}),
+         "robot reach_max must be 0.95 (got 0.9): the twin simulates one robot"),
+        (lambda d: d["scene"].update(robot={"base_position": [0.0, -0.6]}),
+         "robot base_position must be [0.0, -0.65] (got [0.0, -0.6]): the twin "
+         "simulates one robot"),
+        (lambda d: d["scene"].update(robot={"gripper_aperture": "0.08"}),
+         "robot gripper_aperture must be a number (got '0.08')"),
+        (lambda d: d["scene"]["objects"][0].update(friction=0.4),
+         "object 0 friction must be 0.5 (got 0.4): every object has the twin's friction"),
     ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
             "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape",
             "file-shape", "goal-shape", "target-shape", "scene-shape",
@@ -363,7 +388,8 @@ class TestScenarioFileSteps:
             "primary-type", "goal-kind", "initial-states", "missing-terrain-key",
             "missing-file-key", "special-key", "shape-offset", "zero-half-extent",
             "nan-quat", "inf-jitter", "nan-height", "huge-int", "held-id", "empty-id",
-            "untargeted-step", "goal-hint-region-goal", "push-kappa", "friction-scale"])
+            "untargeted-step", "goal-hint-region-goal", "push-kappa", "friction-scale",
+            "robot-reach", "robot-base", "robot-aperture-type", "object-friction"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict

@@ -17,7 +17,7 @@ from tabletamp.control import (
     IK_FAILURE_MESSAGE,
 )
 from tabletamp.geometry import Pose6D, geodesic_angle, quat_from_yaw, rect_polygon, se2_error
-from tabletamp.twin import RobotModel, TerrainFeature, ToolSpec, settle
+from tabletamp.twin import REACH_MAX, ROBOT_BASE, TerrainFeature, ToolSpec, settle
 
 from tests.test_twin import TABLE_H, base_scene, make_box
 
@@ -28,18 +28,15 @@ def flat_pose(x, y, yaw=0.0, half_z=0.05, z_base=TABLE_H):
 
 class TestEffectiveReach:
     def test_bare_hand(self):
-        r = RobotModel(reach_max=0.7)
-        assert effective_reach(r) == pytest.approx(0.7)
+        assert effective_reach() == REACH_MAX
 
     def test_hook_adds_length(self):
-        r = RobotModel(reach_max=0.7)
         hook = ToolSpec("hook", 0.3, (0.15, 0.0, 0.0))
-        assert effective_reach(r, hook) == pytest.approx(1.0)
+        assert effective_reach(hook) == pytest.approx(REACH_MAX + 0.3)
 
     def test_pusher_same_formula(self):
-        r = RobotModel(reach_max=0.7)
         pusher = ToolSpec("pusher", 0.25, (0.125, 0.0, 0.0))
-        assert effective_reach(r, pusher) == pytest.approx(0.95)
+        assert effective_reach(pusher) == pytest.approx(REACH_MAX + 0.25)
 
 
 class TestExecPush:
@@ -97,6 +94,7 @@ class TestExecPush:
         assert not trace.ok
         assert trace.result.kind is ErrorKind.OBJECT_LOST
 
+
     def test_converges_under_execution_perturbation(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
@@ -111,6 +109,61 @@ class TestExecPush:
             assert trace.iterations <= 300
             d, y = se2_error(out.object("box").pose, goal)
             assert d <= 0.01 and y <= 5.0
+
+
+class TestPushApproach:
+    """The hand's 6 cm straight approach onto the push contact: a box at
+    the origin pushed 10 cm along +x is approached from x = -0.11 to its
+    contact at (-0.05, 0, 0.45)."""
+
+    GOAL = flat_pose(0.10, 0.0)
+
+    def push_past(self, objects=(), terrain=(), held=None):
+        scene = base_scene([make_box(), *objects], terrain_extra=terrain)
+        return exec_push(scene.with_held(held), "box", self.GOAL)
+
+    def test_taller_object_blocks(self):
+        # top at 0.50, above the contact height less 2 cm
+        post = make_box("post", half=(0.01, 0.01, 0.05), x=-0.09)
+        out, trace = self.push_past([post])
+        assert not trace.ok
+        assert trace.result.kind is ErrorKind.COLLISION
+        assert trace.result.message == "push approach sweeps through post"
+        assert out.object("box").pose == make_box().pose
+
+    def test_object_just_above_the_cutoff_blocks(self):
+        # top at 0.4302 m, 0.2 mm above the contact height less 2 cm
+        post = make_box("post", half=(0.01, 0.01, 0.0151), x=-0.11)
+        _, trace = self.push_past([post])
+        assert trace.result.kind is ErrorKind.COLLISION
+        assert trace.result.message == "push approach sweeps through post"
+
+    def test_wall_blocks_with_its_label(self):
+        fence = TerrainFeature("wall", rect_polygon(-0.09, 0.0, 0.01, 0.1), TABLE_H,
+                               {"height": 0.05}, name="fence")
+        _, trace = self.push_past(terrain=[fence])
+        assert trace.result.kind is ErrorKind.COLLISION
+        assert trace.result.message == "push approach sweeps through fence"
+
+    @pytest.mark.parametrize("post, held", [
+        (make_box("post", half=(0.01, 0.01, 0.0149), x=-0.09), None),  # top 0.4298
+        (make_box("post", half=(0.01, 0.01, 0.05), x=-0.09), "post"),
+        (make_box("post", half=(0.01, 0.01, 0.05), x=-0.09, y=0.05), None),
+    ], ids=["lower-object", "held-object", "beside-the-segment"])
+    def test_clear_approach_pushes(self, post, held):
+        out, trace = self.push_past([post], held=held)
+        assert trace.ok, trace.result
+        d, _ = se2_error(out.object("box").pose, self.GOAL)
+        assert d <= 0.01
+
+    def test_table_under_a_thin_card_does_not_block(self):
+        # the card's contact sits 4 mm above the table top, so the table's
+        # slab lies in the approach's height band
+        card = make_box("card", half=(0.05, 0.03, 0.004), z=TABLE_H + 0.004)
+        goal = flat_pose(0.10, 0.0, half_z=0.004)
+        out, trace = exec_push(base_scene([card]), "card", goal)
+        assert trace.ok, trace.result
+        assert se2_error(out.object("card").pose, goal)[0] <= 0.01
 
 
 class TestExecRotate:
@@ -247,8 +300,8 @@ class TestExecGrasp:
     def test_out_of_reach_grasp(self):
         cube = make_box("cube", half=(0.035, 0.035, 0.05), y=0.35)
         scene = base_scene([cube])
-        d = math.hypot(0.35 - (-0.65), 0.0)
-        assert d > scene.robot.reach_max
+        d = math.hypot(0.35 - ROBOT_BASE[1], 0.0 - ROBOT_BASE[0])
+        assert d > REACH_MAX
         out, trace = exec_grasp(scene, "cube")
         assert not trace.ok
         assert trace.result.kind is ErrorKind.OUT_OF_REACH

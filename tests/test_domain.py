@@ -185,3 +185,55 @@ class TestWireFormat:
     def test_empty_steps_rejected(self):
         with pytest.raises(SkeletonParseError):
             parse_skeleton(json.dumps({"steps": []}))
+
+    @pytest.mark.parametrize("hint, path, message", [
+        ({"xyz": "123"}, "xyz", "'xyz' must be a list of 3 numbers (got '123')"),
+        ({"xyz": ["0.1", True, 0.4]}, "xyz",
+         "'xyz' must be a list of 3 numbers (got ['0.1', True, 0.4])"),
+        ({"xyz": [0.1, 0.2]}, "xyz", "'xyz' must be a list of 3 numbers (got [0.1, 0.2])"),
+        ({"quat_wxyz": [1, 0, 0, 0]}, "xyz", "'xyz' must be a list of 3 numbers (got None)"),
+        ({"xyz": [0.1, 0.2, 0.4], "quat_wxyz": "1000"}, "quat_wxyz",
+         "'quat_wxyz' must be a list of 4 numbers (got '1000')"),
+        ({"xyz": [0.1, 0.2, 0.4], "quat_wxyz": [True, 0, 0, 0]}, "quat_wxyz",
+         "'quat_wxyz' must be a list of 4 numbers (got [True, 0, 0, 0])"),
+    ], ids=["xyz-string", "xyz-string-and-bool", "xyz-short", "xyz-missing",
+            "quat-string", "quat-bool"])
+    def test_hint_vectors_must_be_numbers(self, hint, path, message):
+        doc = json.dumps({"steps": [
+            {"kind": "grasp", "object_id": "box"},
+            {"kind": "moveto", "object_id": "box", "target_pose_hint": hint},
+        ]})
+        with pytest.raises(SkeletonParseError) as err:
+            parse_skeleton(doc)
+        assert err.value.path == f"$.steps[1].target_pose_hint.{path}"
+        assert str(err.value) == f"$.steps[1].target_pose_hint.{path}: {message}"
+
+    def test_non_finite_hint_rejected(self):
+        # Python's json reads NaN and Infinity
+        doc = '{"steps": [{"kind": "push", "object_id": "box", ' \
+              '"target_pose_hint": {"xyz": [NaN, 0.0, 0.4]}}]}'
+        with pytest.raises(SkeletonParseError) as err:
+            parse_skeleton(doc)
+        assert err.value.path == "$.steps[0].target_pose_hint.xyz"
+
+    def test_integer_hint_reads_as_floats(self):
+        sk = parse_skeleton(json.dumps({"steps": [{
+            "kind": "push", "object_id": "box",
+            "target_pose_hint": {"xyz": [0, 1, 2], "quat_wxyz": [1, 0, 0, 0]},
+        }]}))
+        assert sk.steps[0].target_pose_hint == Pose6D((0.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize("revision", [True, False, 1.0, "1", -1])
+    def test_revision_must_be_an_integer(self, revision):
+        doc = json.dumps({"revision": revision,
+                          "steps": [{"kind": "grasp", "object_id": "box"}]})
+        with pytest.raises(SkeletonParseError) as err:
+            parse_skeleton(doc)
+        assert err.value.path == "$.revision"
+
+    def test_refinement_must_be_a_string(self):
+        doc = json.dumps({"steps": [{"kind": "push", "object_id": "box",
+                                     "region": {"name": "target_zone", "refinement": 3}}]})
+        with pytest.raises(SkeletonParseError) as err:
+            parse_skeleton(doc)
+        assert str(err.value) == "$.steps[0].region.refinement: 'refinement' must be a string"

@@ -19,6 +19,7 @@ from tabletamp.scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from tabletamp.twin import REACH_MAX, ROBOT_BASE
 
 SEEDS = range(10)
 
@@ -55,19 +56,17 @@ class TestSpawnFeatures:
         for seed in SEEDS:
             scene = randomize(sc, seed)
             puck = scene.object("puck")
-            base = scene.robot.base_position
-            d = math.hypot(puck.pose.x - base[0], puck.pose.y - base[1])
-            assert d > scene.robot.reach_max, f"tool_hook seed {seed}: reachable"
+            d = math.hypot(puck.pose.x - ROBOT_BASE[0], puck.pose.y - ROBOT_BASE[1])
+            assert d > REACH_MAX, f"tool_hook seed {seed}: reachable"
 
     def test_pusher_zone_spawns_out_of_reach(self):
         sc = build_scenario("tool_pusher")
         for seed in SEEDS:
             goal = randomized_goal(sc, seed)
             scene = randomize(sc, seed)
-            base = scene.robot.base_position
             cx, cy = goal.zone.centroid
-            d = math.hypot(cx - base[0], cy - base[1])
-            assert d > scene.robot.reach_max, f"tool_pusher seed {seed}: reachable"
+            d = math.hypot(cx - ROBOT_BASE[0], cy - ROBOT_BASE[1])
+            assert d > REACH_MAX, f"tool_pusher seed {seed}: reachable"
 
     def test_tools_spawn_graspable(self):
         for sid, tool in (("tool_hook", "hook"), ("tool_pusher", "pusher")):
@@ -88,22 +87,25 @@ class TestScenarioDefinitions:
     def test_dict_round_trip(self):
         for sc in all_scenarios():
             data = scenario_to_dict(sc)
-            # the push model is the twin's own, so no file carries it
-            assert not {"push_model", "dynamics_perturbation"} & data["scene"].keys()
+            # the push model, the robot and the friction are the twin's
+            # own, so no file carries them
+            assert not ({"push_model", "dynamics_perturbation", "robot"}
+                        & data["scene"].keys())
+            assert not any("friction" in o for o in data["scene"]["objects"])
             back = scenario_from_dict(data)
             assert back.id == sc.id
             assert back.primary_object == sc.primary_object
             assert scenario_to_dict(back) == data
 
     def test_file_with_mass_offset_and_slot_width_replays_slot(self):
-        # written before objects lost their mass and shape offset, slots
-        # their width and scenes their push model: it still loads, and its
-        # episode is the built-in one
+        # written before objects lost their mass, shape offset and friction,
+        # slots their width and scenes their push model and robot: it still
+        # loads, and its episode is the built-in one
         path = Path(__file__).parent / "fixtures" / "slot_with_mass_and_offset.json"
         raw = json.loads(path.read_text())
         card = raw["scene"]["objects"][0]
-        assert "mass" in card and "offset_xyz" in card["shape"]
-        assert "push_model" in raw["scene"] and "dynamics_perturbation" in raw["scene"]
+        assert "mass" in card and "offset_xyz" in card["shape"] and "friction" in card
+        assert {"push_model", "dynamics_perturbation", "robot"} <= raw["scene"].keys()
         assert any("width" in t["extra"] for t in raw["scene"]["terrain"])
 
         def trace(scenario):

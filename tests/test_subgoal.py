@@ -77,11 +77,11 @@ class TestResolveAnchor:
     def test_unknown_region_not_found(self):
         scene = base_scene([make_box()])
         with pytest.raises(KeyError):
-            resolve_anchor(RegionDescriptor("nowhere"), scene, REGISTRY)
+            resolve_anchor(RegionDescriptor("nowhere"), scene, REGISTRY, "box")
 
     def test_target_zone_centroid(self):
         scene = base_scene([make_box()])
-        anchor = resolve_anchor(RegionDescriptor("target_zone"), scene, REGISTRY)
+        anchor = resolve_anchor(RegionDescriptor("target_zone"), scene, REGISTRY, "box")
         assert anchor == (0.15, -0.05, TABLE_H)
 
 
@@ -306,7 +306,7 @@ class TestSelectSubgoal:
     def test_single_candidate_returned(self):
         pose = Pose6D((0.0, -0.2, TABLE_H + 0.004))
         cset = CandidateSet((make_candidate(pose, 0.5),))
-        out = select_subgoal(cset, {"current": None, "next": None})
+        out = select_subgoal(cset, push_step(), None, base_scene([make_box("card")]))
         assert out.pose == pose
 
     def test_grasp_next_prefers_largest_overhang(self):
@@ -322,8 +322,7 @@ class TestSelectSubgoal:
         cset = filter_and_rank(poses, "card", scene, render=False)
         nxt = PrimitiveInstance(PrimitiveKind.GRASP, "card")
         cur = push_step()
-        out = select_subgoal(cset, {"current": cur, "next": nxt}, scene=scene,
-                             object_id="card")
+        out = select_subgoal(cset, cur, nxt, scene)
         assert out.pose.y == pytest.approx(-0.398, abs=1e-6)
 
     def test_pose_hint_prefers_closest(self):
@@ -332,5 +331,5 @@ class TestSelectSubgoal:
         near = make_candidate(Pose6D((0.11, -0.2, TABLE_H + 0.004)), 0.4, idx=1)
         far = make_candidate(Pose6D((0.3, -0.1, TABLE_H + 0.004)), 0.9, idx=0)
         cset = CandidateSet((far, near))
-        out = select_subgoal(cset, {"current": cur, "next": None})
+        out = select_subgoal(cset, cur, None, base_scene([make_box("card")]))
         assert out.pose.x == pytest.approx(0.11)

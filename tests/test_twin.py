@@ -15,6 +15,7 @@ from tabletamp.geometry import (
     convex_hull,
     geodesic_angle,
     obbs_overlap,
+    point_in_polygon,
     quat_from_axis_angle,
     quat_from_yaw,
     quat_mul,
@@ -25,7 +26,6 @@ from tabletamp.geometry import (
 from tabletamp.twin import (
     PlacementCollision,
     RigidObject,
-    RobotModel,
     SweptCollision,
     TerrainFeature,
     TwinScene,
@@ -71,8 +71,7 @@ def base_scene(objects=(), terrain_extra=(), role="twin"):
         TerrainFeature("table_surface", rect_polygon(0, 0, TABLE_HALF, TABLE_HALF),
                        TABLE_H, name="table"),
     ) + tuple(terrain_extra)
-    return TwinScene(terrain=terrain, objects=tuple(objects), robot=RobotModel(),
-                     role=role)
+    return TwinScene(terrain=terrain, objects=tuple(objects), role=role)
 
 
 class TestTerrainCache:
@@ -101,7 +100,7 @@ class TestTerrainCache:
             half = 0.2 + 0.005 * i
             table = TerrainFeature("table_surface", rect_polygon(0, 0, half, half),
                                    TABLE_H, name="table")
-            scene = TwinScene(terrain=(table,), objects=(), robot=RobotModel())
+            scene = TwinScene(terrain=(table,), objects=())
             (cell,) = support_cells(scene)
             assert cell.ring == table.footprint.vertices
             (solid,) = scene.terrain.solids
@@ -110,7 +109,7 @@ class TestTerrainCache:
 
     def test_list_terrain_is_frozen_into_a_tuple(self):
         terrain = list(base_scene().terrain)
-        scene = TwinScene(terrain=terrain, objects=(), robot=RobotModel())
+        scene = TwinScene(terrain=terrain, objects=())
         terrain.pop()
         assert [c.kind for c in support_cells(scene)] == ["ground", "table_surface"]
 
@@ -236,7 +235,7 @@ class TestWorldObbCache:
 
     def test_copies_keep_every_field(self):
         tool = twin.ToolSpec("hook", 0.2, (0.1, 0.0, 0.0))
-        obj = dataclasses.replace(make_box("stick", tool_spec=tool), friction=1.3)
+        obj = make_box("stick", tool_spec=tool)
         pose = Pose6D((0.1, -0.1, TABLE_H + 0.05), quat_from_yaw(0.3))
         assert obj.at_pose(pose) == dataclasses.replace(obj, pose=pose)
         scene = dataclasses.replace(
@@ -582,11 +581,10 @@ class TestCheckedOnce:
             q = quat_from_yaw(rng.uniform(-math.pi, math.pi)) if i % 2 else random_unit_quat(rng)
             obj = RigidObject("b", tuple(rng.uniform(0.01, 0.1, size=3)),
                               Pose6D(tuple(rng.uniform(-0.5, 0.5, size=3)), q),
-                              friction=float(rng.uniform(0.05, 2.0)),
                               tool_spec=tool if i % 3 == 0 else None)
             pose = Pose6D(tuple(rng.uniform(-0.5, 0.5, size=3)), random_unit_quat(rng))
             moved = obj.at_pose(pose)
-            checked = RigidObject(obj.id, obj.half_extents, pose, obj.friction, obj.tool_spec)
+            checked = RigidObject(obj.id, obj.half_extents, pose, obj.tool_spec)
             assert vars(moved) == vars(checked) and repr(moved) == repr(checked)
             assert hash(moved) == hash(checked)
             for o in (obj, moved):
@@ -598,8 +596,8 @@ class TestCheckedOnce:
             scene = base_scene([make_box("other", x=0.3), obj])
             scene = dataclasses.replace(scene, held_id="other") if i % 2 else scene
             replaced = scene.replace_object(moved)
-            expected = TwinScene(scene.terrain, (scene.objects[0], moved), scene.robot,
-                                 scene.role, scene.held_id)
+            expected = TwinScene(scene.terrain, (scene.objects[0], moved), scene.role,
+                                 scene.held_id)
             assert vars(replaced) == vars(expected)
             assert replaced.terrain is scene.terrain
 
@@ -628,8 +626,6 @@ class TestCheckedOnce:
          "half extents must be strictly positive"),
         (lambda: make_box(half=(0.1, -0.1, 0.1)), ValueError,
          "half extents must be 3 positive"),
-        (lambda: dataclasses.replace(make_box(), friction=3.0), ValueError,
-         "friction must lie"),
         (lambda: base_scene([make_box(), make_box()]), ValueError,
          "object ids must be unique"),
         (lambda: base_scene([make_box()], role="real"), ValueError, "role must be"),
@@ -638,7 +634,7 @@ class TestCheckedOnce:
         (lambda: base_scene([make_box()]).replace_object(make_box("cup")), KeyError,
          "no object 'cup'"),
     ], ids=["pose-short", "pose-norm", "polygon-simple", "polygon-cw", "obb-half",
-            "object-half", "object-friction", "scene-ids", "scene-role", "scene-held",
+            "object-half", "scene-ids", "scene-role", "scene-held",
             "replace-unknown"])
     def test_public_constructors_still_check(self, build, error, message):
         with pytest.raises(error, match=message):
@@ -732,7 +728,7 @@ class TestClosedFormSupport:
             for k in range(4):
                 ring = rect[k:] + rect[:k]
                 table = TerrainFeature("table_surface", Polygon2(ring), 0.4, name="t")
-                scene = TwinScene(terrain=(table,), objects=(), robot=RobotModel())
+                scene = TwinScene(terrain=(table,), objects=())
                 (cell,) = support_cells(scene)
                 assert cell.rect
                 for hull in hulls:
@@ -948,6 +944,35 @@ class TestSettle:
         assert out.status == "stable"
         tilt = geodesic_angle(out.final_pose.orientation, quat_from_yaw(0.0))
         assert tilt == pytest.approx(20.0, abs=0.5)
+
+    @pytest.mark.parametrize("angle, stays", [(26.0, True), (27.0, False)])
+    def test_card_slides_off_a_wedge_steeper_than_friction(self, angle, stays):
+        # the slope scenario's wedge, 6 cm crest and all, on either side of
+        # atan(FRICTION) = 26.57 degrees, with the card at its centre
+        from tabletamp.scenarios import build_scenario
+
+        span = 0.06 / math.tan(math.radians(angle))
+        cy = 0.05 - span / 2
+        wedge = TerrainFeature("slope", rect_polygon(0.0, cy, 0.12, span / 2), TABLE_H + 0.06,
+                               {"angle_deg": angle, "downhill": (0.0, -1.0)}, name="wedge")
+        template = build_scenario("slope").scene_template
+        card = template.object("card")
+        card = card.at_pose(Pose6D((0.0, cy, wedge.top_height_at((0.0, cy)) + 0.004),
+                                   card.pose.orientation))
+        scene = TwinScene(tuple(wedge if t.name == "wedge" else t for t in template.terrain),
+                          (card,))
+        out = settle(scene, "card")
+        assert out.status == "stable"
+        on_wedge = point_in_polygon((out.final_pose.x, out.final_pose.y), wedge.footprint)
+        tilt = geodesic_angle(out.final_pose.orientation, quat_from_yaw(0.0))
+        if stays:
+            assert on_wedge and out.final_pose.y == pytest.approx(cy, abs=0.02)
+            assert out.final_pose.z == pytest.approx(0.4345, abs=1e-4)
+            assert tilt == pytest.approx(angle, abs=0.5)
+        else:
+            assert not on_wedge
+            assert out.final_pose.z == pytest.approx(TABLE_H + 0.004)
+            assert tilt == pytest.approx(0.0, abs=1e-6)
 
     def test_stack_on_other_object(self):
         base = make_box("base", half=(0.08, 0.08, 0.03))
