@@ -39,7 +39,6 @@ from .twin import (
     pivot_rotate,
     place_at,
     settle,
-    surface_under,
 )
 
 __version__ = "0.1.0"

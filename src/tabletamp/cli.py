@@ -31,6 +31,7 @@ from .harness import (
     randomized_goal,
     run_benchmark,
     run_episode,
+    subgoal_seed,
 )
 from .planner import PlannerConfig, PlannerUnavailable, make_planner
 from .render import render_scene
@@ -190,7 +191,9 @@ def cmd_sample(args) -> int:
             return EXIT_TASK_FAILURE
     out_dir = _out_dir(args.out)
     twin = scene.as_twin()
-    samples = sample_candidates(step, anchor, twin, rng_seed=args.seed)
+    # the seed run_episode gives this step of the episode's first plan
+    samples = sample_candidates(step, anchor, twin,
+                                rng_seed=subgoal_seed(args.seed, plan.revision, args.step))
     try:
         cset = filter_and_rank(samples, step.object_id, twin)
     except NoFeasiblePose as exc:

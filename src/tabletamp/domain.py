@@ -68,8 +68,11 @@ class PrimitiveInstance:
     def __post_init__(self):
         if not self.object_id:
             raise ValueError("primitive needs a target object id")
-        if self.kind in NEEDS_TARGET and self.region is None and self.target_pose_hint is None:
+        has_target = self.region is not None or self.target_pose_hint is not None
+        if self.kind in NEEDS_TARGET and not has_target:
             raise ValueError(f"{self.kind.value} needs a region or a target pose hint")
+        if self.kind not in NEEDS_TARGET and has_target:
+            raise ValueError(f"{self.kind.value} takes no region or target pose hint")
 
     def describe(self) -> str:
         where = ""
@@ -165,8 +168,9 @@ def primitive_definitions_text() -> str:
     lines = []
     for kind in PrimitiveKind:
         schema = PRIMITIVE_SCHEMAS[kind]
+        args = "object, region_or_pose" if kind in NEEDS_TARGET else "object"
         lines.append(
-            f"- {kind.value}(object, region_or_pose): "
+            f"- {kind.value}({args}): "
             f"pre [{', '.join(schema['preconditions'])}] "
             f"eff [{', '.join(schema['effects'])}]"
         )

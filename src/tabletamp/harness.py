@@ -56,10 +56,10 @@ from .subgoal import (
 from .twin import (
     ROBOT_BASE,
     TwinScene,
+    cell_under,
     flat_pose_on_support,
     rest_on_support,
     settle,
-    surface_under,
 )
 
 REPLAN_BUDGET = 3
@@ -105,6 +105,28 @@ def _standing_orientation():
     return quat_from_axis_angle((0.0, 1.0, 0.0), -math.pi / 2)
 
 
+def _jittered_rests(rng: np.random.Generator, scene: TwinScene, object_id: str,
+                    base: Pose6D, jitter: float, yaw_jitter_deg: float):
+    """The feasible rests among 100 jittered draws about ``base``, in draw
+    order, as (pose drawn, rested scene, outcome).
+
+    Each draw offsets x and y uniformly within ``jitter`` and the yaw within
+    ``yaw_jitter_deg``, puts the object flat on its support there, and keeps
+    the draw when ``rest_on_support`` does.
+    """
+    obj = scene.object(object_id)
+    for _ in range(100):
+        dx, dy = rng.uniform(-jitter, jitter, size=2)
+        dyaw = math.radians(rng.uniform(-yaw_jitter_deg, yaw_jitter_deg))
+        pose = flat_pose_on_support(
+            scene, obj, base.x + dx, base.y + dy, base.yaw + dyaw,
+            base_orientation=base.orientation,
+        )
+        rest = rest_on_support(scene, object_id, pose)
+        if rest is not None:
+            yield (pose, *rest)
+
+
 def randomize(scenario: Scenario, seed: int) -> TwinScene:
     """Jittered execution scene for one trial; deterministic in the seed.
 
@@ -127,21 +149,13 @@ def randomize(scenario: Scenario, seed: int) -> TwinScene:
                 base_orientation=_standing_orientation(),
             )
 
-    for _ in range(100):
-        dx, dy = rng.uniform(-scenario.pos_jitter, scenario.pos_jitter, size=2)
-        dyaw = math.radians(
-            rng.uniform(-scenario.yaw_jitter_deg, scenario.yaw_jitter_deg)
+    rest = next(_jittered_rests(rng, scene, obj.id, base_pose,
+                                scenario.pos_jitter, scenario.yaw_jitter_deg), None)
+    if rest is None:
+        raise RandomizationFailure(
+            f"no feasible initial pose for {scenario.id} seed {seed} in 100 draws"
         )
-        pose = flat_pose_on_support(
-            scene, obj, base_pose.x + dx, base_pose.y + dy,
-            base_pose.yaw + dyaw, base_orientation=base_pose.orientation,
-        )
-        rest = rest_on_support(scene, scenario.primary_object, pose)
-        if rest is not None:
-            return rest[0]
-    raise RandomizationFailure(
-        f"no feasible initial pose for {scenario.id} seed {seed} in 100 draws"
-    )
+    return rest[1]
 
 
 def randomized_goal(scenario: Scenario, seed: int) -> Goal:
@@ -153,25 +167,11 @@ def randomized_goal(scenario: Scenario, seed: int) -> Goal:
         dx, dy = rng.uniform(-jitter, jitter, size=2)
         return Goal("region", zone=template.zone.translated(dx, dy))
 
-    scene = scenario.scene_template.as_twin()
-    obj = scene.object(scenario.primary_object)
-    target = template.target
-    for _ in range(100):
-        dx, dy = rng.uniform(-jitter, jitter, size=2)
-        dyaw = math.radians(
-            rng.uniform(-scenario.yaw_jitter_deg, scenario.yaw_jitter_deg)
-        )
-        pose = flat_pose_on_support(
-            scene, obj, target.x + dx, target.y + dy, target.yaw + dyaw,
-            base_orientation=target.orientation,
-        )
-        rest = rest_on_support(scene, scenario.primary_object, pose)
-        if rest is None:
-            continue
-        _, outcome = rest
-        if abs(outcome.final_pose.z - pose.z) > 1e-6:
-            continue  # goal must rest exactly where stated
-        return Goal("pose", target=outcome.final_pose)
+    for pose, _, outcome in _jittered_rests(rng, scenario.scene_template.as_twin(),
+                                            scenario.primary_object, template.target,
+                                            jitter, scenario.yaw_jitter_deg):
+        if abs(outcome.final_pose.z - pose.z) <= 1e-6:
+            return Goal("pose", target=outcome.final_pose)  # rests exactly where stated
     raise RandomizationFailure(
         f"no feasible goal pose for {scenario.id} seed {seed} in 100 draws"
     )
@@ -200,12 +200,12 @@ def observe(scene: TwinScene, goal: Goal, scenario: Scenario,
             render: bool = True) -> Observation:
     objects = {}
     for obj in scene.objects:
-        under = surface_under(scene, (obj.pose.x, obj.pose.y))
+        under = cell_under(scene.terrain.cells, (obj.pose.x, obj.pose.y))
         entry = {
             "xyz": [round(c, 6) for c in obj.pose.position],
             "quat_wxyz": [round(c, 9) for c in obj.pose.orientation],
             "half_extents": list(obj.half_extents),
-            "on_feature": under[0].kind if under is not None else None,
+            "on_feature": under.kind if under is not None else None,
             "held": scene.held_id == obj.id,
             "is_tool": obj.tool_spec is not None,
             "graspable": assess_grasp(scene, obj.id).ok,
@@ -303,7 +303,8 @@ class _StepRecord:
         }
 
 
-def _subgoal_seed(seed: int, revision: int, step_index: int) -> int:
+def subgoal_seed(seed: int, revision: int, step_index: int) -> int:
+    """The sampling seed of one step of one plan revision in an episode."""
     return (seed * 1000003 + revision * 101 + step_index) & 0x7FFFFFFF
 
 
@@ -338,7 +339,7 @@ def _execute_plan(
                 else:
                     twin = scene.as_twin()
                     samples = sample_candidates(
-                        step, anchor, twin, rng_seed=_subgoal_seed(seed, plan.revision, i)
+                        step, anchor, twin, rng_seed=subgoal_seed(seed, plan.revision, i)
                     )
                     cset = filter_and_rank(samples, step.object_id, twin,
                                            render=render)

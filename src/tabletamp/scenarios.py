@@ -487,9 +487,9 @@ def _push_path_clear(scene: TwinScene, object_id: str, target) -> bool:
             ring = solid.polygon
             if ring.boundary_distance((px, py)) < margin or point_in_polygon((px, py), ring):
                 return False
-        for sl in slopes:
-            if sl.footprint.boundary_distance((px, py)) < margin or \
-                    point_in_polygon((px, py), sl.footprint):
+        for cell in slopes:
+            ring = cell.polygon
+            if ring.boundary_distance((px, py)) < margin or point_in_polygon((px, py), ring):
                 return False
     return True
 
@@ -751,7 +751,8 @@ def _check_fallback_plans(scenario: Scenario):
     unknown ``special`` key, negative jitter, an initial state other than
     standing or lying, no fallback plan or an empty one, or a step with an
     unknown primitive, object or hint binding, a push, rotate or moveto
-    step that binds no target, or a region the scene cannot resolve.
+    step that binds no target, a grasp or release step that binds one, or a
+    region the scene cannot resolve.
     Membership is tested in tuples, which need no hashable value."""
     held = scenario.scene_template.held_id
     if held is not None:
@@ -795,6 +796,8 @@ def _check_fallback_plans(scenario: Scenario):
             if raw.get("hint") not in (None, "goal", "tool_approach"):
                 raise ValueError(f"{where}: unknown hint binding {raw['hint']!r}")
             region = raw.get("region")
+            if raw["kind"] not in needs_target and (region or raw.get("hint") is not None):
+                raise ValueError(f"{where}: {raw['kind']} takes no region or hint")
             if not region:
                 if raw["kind"] in needs_target and raw.get("hint") not in target_hints:
                     raise ValueError(f"{where}: {raw['kind']} needs a region or a hint "

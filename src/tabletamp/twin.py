@@ -28,6 +28,7 @@ All scene values are immutable; operations return new scenes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from .geometry import (
@@ -133,19 +134,6 @@ class TerrainFeature:
         if self.kind == "shelf":
             if self.extra.get("clearance", 0.0) <= 0.0:
                 raise ValueError("shelf needs extra['clearance'] > 0")
-
-    def top_height_at(self, p: Vec2) -> float:
-        """Top surface height at a contained point."""
-        if self.kind == "slot":
-            return self.height - self.extra["depth"]
-        if self.kind == "wall":
-            return self.height + self.extra["height"]
-        if self.kind == "slope":
-            d = self.extra["downhill"]
-            s_min = min(v[0] * d[0] + v[1] * d[1] for v in self.footprint.vertices)
-            s = p[0] * d[0] + p[1] * d[1]
-            return self.height - math.tan(math.radians(self.extra["angle_deg"])) * (s - s_min)
-        return self.height
 
 
 @dataclass(frozen=True)
@@ -291,13 +279,19 @@ class TwinScene:
 class SupportCell:
     ring: tuple[Vec2, ...]  # convex CCW
     kind: str
-    height: float  # flat cells; slope cells use the feature's plane
+    height: float  # flat cells; a slope cell's crest
     feature: TerrainFeature | None = None
     object_id: str | None = None
 
     def height_at(self, p: Vec2) -> float:
-        if self.feature is not None and self.feature.kind == "slope":
-            return self.feature.top_height_at(p)
+        """The twin's terrain height rule: a slope cell's incline plane at
+        ``p``, and the flat height of every other cell."""
+        if self.kind == "slope":
+            extra = self.feature.extra
+            d = extra["downhill"]
+            s_min = min(v[0] * d[0] + v[1] * d[1] for v in self.ring)
+            s = p[0] * d[0] + p[1] * d[1]
+            return self.height - math.tan(math.radians(extra["angle_deg"])) * (s - s_min)
         return self.height
 
     @derived
@@ -475,8 +469,8 @@ class Terrain(tuple):
         return tuple(solids)
 
     @derived
-    def slopes(self) -> tuple[TerrainFeature, ...]:
-        return tuple(t for t in self if t.kind == "slope")
+    def slopes(self) -> tuple[SupportCell, ...]:
+        return tuple(c for c in self.cells if c.kind == "slope")
 
 
 def support_cells(scene: TwinScene, exclude_id: str | None = None,
@@ -492,34 +486,15 @@ def support_cells(scene: TwinScene, exclude_id: str | None = None,
     return cells
 
 
-def surface_under(scene: TwinScene, point: Vec2):
-    """Highest terrain feature containing the point, with its top height.
-
-    Slots cut into a surface take precedence over the surface they cut.
-    Returns None over the void.
-    """
-    containing = [
-        t for t in scene.terrain if point_in_polygon(point, t.footprint)
-    ]
-    if not containing:
-        return None
-    slots = [t for t in containing if t.kind == "slot"]
-    if slots:
-        t = slots[0]
-        return t, t.top_height_at(point)
-    best = max(containing, key=lambda t: t.top_height_at(point))
-    return best, best.top_height_at(point)
-
-
 def _slope_penetration(scene: TwinScene, box: Obb, tol: float,
                        climb_tol: float) -> bool:
     # Pointwise at the corners: correct for plane-aligned tilted boxes, which
     # a single bottom-z scalar would misclassify. Objects spanning a whole
     # slope feature are not modeled.
-    for t in scene.terrain.slopes:
+    for cell in scene.terrain.slopes:
         for c in box.corners():
             p = (c[0], c[1])
-            if point_in_polygon(p, t.footprint) and c[2] + climb_tol < t.top_height_at(p) - tol:
+            if point_in_polygon(p, cell.polygon) and c[2] + climb_tol < cell.height_at(p) - tol:
                 return True
     return False
 
@@ -690,7 +665,7 @@ def _support_pieces(scene: TwinScene, object_id: str, hull: tuple[Vec2, ...],
             piece = clip_convex(hull, cell.ring)
         if ring_area(piece) <= _AREA_TOL:
             continue
-        if cell.feature is None or cell.feature.kind != "slope":
+        if cell.kind != "slope":
             h = cell.height  # what height_at gives at every point
         else:
             h = max(cell.height_at(p) for p in piece)
@@ -744,13 +719,7 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
         if not flat and slope_cells:
             return _settle_on_slope(scene, obj, pose, slope_cells[0], status)
 
-        h_star = max(h for h, _, _ in flat)
-        top = [(h, c, p) for h, c, p in flat if h >= h_star - 0.002]
-
-        contact_pts: list[Vec2] = []
-        for _, _, piece in top:
-            contact_pts.extend(piece)
-        hull = convex_hull(contact_pts)
+        h_star, hull = _support_polygon(flat)
         inside = len(hull) >= 3 and point_in_polygon(com, hull_polygon(hull))
 
         if inside:
@@ -769,9 +738,18 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     return _ground_rest(scene, obj, pose, "fell_off")
 
 
-def support_height_at(cells: list[SupportCell], p: Vec2) -> float | None:
-    """Highest support height at a point over the given cells; None over the void."""
-    best = None
+def _support_polygon(pieces) -> tuple[float, list[Vec2]]:
+    """The highest height among (height, cell, piece) triples, and the convex
+    hull of the pieces within 2 mm of it: the polygon an object rests on."""
+    h_star = max(h for h, _, _ in pieces)
+    return h_star, convex_hull([v for h, _, piece in pieces if h >= h_star - 0.002
+                                for v in piece])
+
+
+def cell_under(cells: Sequence[SupportCell], p: Vec2) -> SupportCell | None:
+    """The cell with the highest support at a point, the first of equally
+    high ones; None over the void."""
+    best, best_h = None, -math.inf
     x, y = p
     slack = max(_BOUNDARY_TOL, 0.0) + 1e-9  # point_in_polygon's early return
     for cell in cells:
@@ -782,9 +760,15 @@ def support_height_at(cells: list[SupportCell], p: Vec2) -> float | None:
             continue
         if point_in_polygon(p, cell.polygon):
             h = cell.height_at(p)
-            if best is None or h > best:
-                best = h
+            if h > best_h:
+                best, best_h = cell, h
     return best
+
+
+def support_height_at(cells: Sequence[SupportCell], p: Vec2) -> float | None:
+    """Highest support height at a point over the given cells; None over the void."""
+    cell = cell_under(cells, p)
+    return None if cell is None else cell.height_at(p)
 
 
 def _rest_z(scene: TwinScene, obj: RigidObject, x: float, y: float,
@@ -937,12 +921,7 @@ def stability_margin(scene: TwinScene, object_id: str) -> float:
         raised = scored  # resting on bare ground
     if not raised:
         return -math.inf
-    h_star = max(h for h, _, _ in raised)
-    pts: list[Vec2] = []
-    for h, _, piece in raised:
-        if h >= h_star - 1e-6:
-            pts.extend(piece)
-    hull = convex_hull(pts)
+    _, hull = _support_polygon(raised)
     if len(hull) < 3:
         return -math.inf
     return signed_interior_margin((obj.pose.x, obj.pose.y), hull_polygon(hull))
@@ -1120,9 +1099,10 @@ def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3]
             break
     if not edge_ok:
         raise ValueError("pivot_edge is not a bottom edge of the object's box")
-    support = surface_under(scene, (0.5 * (p0[0] + p1[0]), 0.5 * (p0[1] + p1[1])))
+    support = support_height_at(scene.terrain.cells,
+                                (0.5 * (p0[0] + p1[0]), 0.5 * (p0[1] + p1[1])))
     edge_z = 0.5 * (p0[2] + p1[2])
-    if support is None or abs(edge_z - support[1]) > 5e-3:
+    if support is None or abs(edge_z - support) > 5e-3:
         near_cells = [
             c for c in support_cells(scene, exclude_id=object_id)
             if abs(edge_z - c.height_at((p0[0], p0[1]))) <= 5e-3

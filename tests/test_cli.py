@@ -126,6 +126,27 @@ class TestCmdSample:
         for entry in manifest:
             assert (tmp_path / entry["rendering"]).exists()
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_step_zero_candidates_hold_the_run_subgoal(self, tmp_path, seed):
+        # sample rehearses with the seed run gives step 0 of the first plan,
+        # so the sub-goal run picks is among the candidates sample writes
+        from tabletamp.scenarios import build_scenario, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario("box"))
+        data["fallback_plans"] = [[{"kind": "push", "object_id": "box",
+                                    "region": "target_zone"}]]
+        del data["special"]["initial_states"]
+        path = tmp_path / "push.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--scenario", str(path), "--seed", str(seed),
+                     "--out", str(tmp_path / "run")]) in (0, 1)
+        trace = json.loads((tmp_path / "run" / f"box_seed{seed}.json").read_text())
+        subgoal = trace["attempts"][0]["outcomes"][0]["subgoal"]
+        assert main(["sample", "--scenario", str(path), "--seed", str(seed),
+                     "--step", "0", "--out", str(tmp_path / "sample")]) == 0
+        manifest = json.loads((tmp_path / "sample" / "candidates.json").read_text())
+        assert subgoal in [c["xyz"] + c["quat_wxyz"] for c in manifest]
+
     def test_grasp_step_is_usage_error(self, tmp_path):
         code = main(["sample", "--scenario", "edge", "--seed", "0",
                      "--step", "0", "--out", str(tmp_path)])
@@ -197,6 +218,19 @@ class TestCmdValidate:
             "parse error: $.steps[0].target_pose_hint.xyz: 'xyz' must be a list of "
             "3 numbers (got '123')")
 
+    def test_grasp_with_a_region_is_parse_error(self, tmp_path, capsys):
+        doc = {"steps": [{"kind": "grasp", "object_id": "box",
+                          "region": {"name": "nowhere"},
+                          "target_pose_hint": {"xyz": [9, 9, 9]}}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["validate", "--scenario", "box", "--skeleton", str(path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            "parse error: $.steps[0]: grasp takes no region or target pose hint")
+
     def test_out_is_usage_error(self, tmp_path):
         # validate writes nothing, so it takes no output directory
         path = self.good_skeleton(tmp_path)
@@ -229,7 +263,32 @@ def _goal_hint_with_region_goal(data):
     return data
 
 
+def _grasp_with_region(data):
+    data["fallback_plans"][0][0]["region"] = "target_zone"
+
+
+def _release_with_goal_hint(data):
+    data["fallback_plans"][0][2]["hint"] = "goal"
+
+
 class TestScenarioFileSteps:
+    @pytest.mark.parametrize("edit, message", [
+        (_grasp_with_region, "fallback plan 0 step 0: grasp takes no region or hint"),
+        (_release_with_goal_hint, "fallback plan 0 step 2: release takes no region or hint"),
+    ], ids=["grasp-region", "release-hint"])
+    def test_targeted_grasp_or_release_is_input_error(self, tmp_path, capsys, edit,
+                                                      message):
+        from tabletamp.scenarios import build_scenario, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario("edge"))
+        edit(data)
+        bad = tmp_path / "targeted.json"
+        bad.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
     def test_unresolvable_region_is_input_error(self, tmp_path, capsys):
         # renaming the table leaves table_edge_nearest nothing to resolve
         from tabletamp.scenarios import build_scenario, scenario_to_dict

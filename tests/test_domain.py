@@ -150,6 +150,25 @@ class TestWireFormat:
             parse_skeleton(doc)
         assert "region" in str(err.value)
 
+    def test_grasp_with_a_target_rejected_at_its_step(self):
+        doc = json.dumps({"steps": [
+            {"kind": "grasp", "object_id": "box", "region": {"name": "nowhere"},
+             "target_pose_hint": {"xyz": [9, 9, 9]}},
+        ]})
+        with pytest.raises(SkeletonParseError) as err:
+            parse_skeleton(doc)
+        assert err.value.path == "$.steps[0]"
+        assert str(err.value) == "$.steps[0]: grasp takes no region or target pose hint"
+
+    @pytest.mark.parametrize("kind", [PrimitiveKind.GRASP, PrimitiveKind.RELEASE])
+    @pytest.mark.parametrize("target", ["region", "target_pose_hint"])
+    def test_grasp_and_release_take_no_target(self, kind, target):
+        value = (RegionDescriptor("target_zone") if target == "region"
+                 else Pose6D((0.1, 0.0, 0.45)))
+        with pytest.raises(ValueError, match=f"{kind.value} takes no region or "
+                                             f"target pose hint"):
+            PrimitiveInstance(kind, "box", **{target: value})
+
     def test_round_trip_random_skeletons(self):
         rng = np.random.default_rng(37)
         kinds = list(PrimitiveKind)

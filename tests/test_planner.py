@@ -242,6 +242,19 @@ class TestHttpPlanner:
         assert len(plan.steps) == 3
         assert planner.last_attempts == 3
 
+    def test_grasp_with_a_region_is_retried(self, stub_server):
+        url, handler = stub_server
+        targeted = json.loads(GOOD_SKELETON)
+        targeted["steps"][0]["region"] = {"name": "target_zone", "refinement": ""}
+        handler.replies = [f"```json\n{json.dumps(targeted)}\n```",
+                           f"```json\n{GOOD_SKELETON}\n```"]
+        cfg = PlannerConfig(backend="http", endpoint=url, model="stub", max_retries=1)
+        planner = HttpPlanner(cfg)
+        _, obs = edge_observation()
+        plan = planner.plan(obs)
+        assert planner.last_attempts == 2
+        assert plan.steps[0].region is None
+
     def test_unusable_replies_raise_planner_unavailable(self, stub_server):
         url, handler = stub_server
         handler.replies = ["garbage"] * 3
