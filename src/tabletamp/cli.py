@@ -3,7 +3,7 @@
 Subcommands:
     run       one episode of a scenario, writing the trace (and SVGs)
     bench     seeded trials over all or selected scenarios, CSV summary
-    sample    inspect the sub-goal pipeline for one plan step
+    sample    the candidates run ranks for one plan step, after the steps before it
     validate  symbolically validate a plan-skeleton file against a scenario
     export    write the built-in scenario definitions as JSON files
 
@@ -18,39 +18,32 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .domain import SkeletonParseError, parse_skeleton, validate_skeleton
+from .domain import NEEDS_TARGET, SkeletonParseError, parse_skeleton, validate_skeleton
 from .harness import (
     ABLATIONS,
     RandomizationFailure,
+    _execute_plan,
     benchmark_csv,
     episode_trace_json,
     observe,
-    randomize,
     randomized_goal,
     run_benchmark,
     run_episode,
-    subgoal_seed,
+    start_episode,
 )
-from .planner import PlannerConfig, PlannerUnavailable, make_planner
+from .planner import PlannerConfig, PlannerUnavailable
 from .render import render_scene
 from .scenarios import (
     SCENARIO_IDS,
     all_scenarios,
-    build_region_registry,
     build_scenario,
     dump_scenario,
-    fallback_builders,
     load_scenario,
 )
-from .subgoal import (
-    NoFeasiblePose,
-    UnknownRegion,
-    filter_and_rank,
-    resolve_anchor,
-    sample_candidates,
-)
+from .subgoal import UnknownRegion
 
 EXIT_OK = 0
 EXIT_TASK_FAILURE = 1
@@ -159,46 +152,38 @@ def cmd_bench(args) -> int:
 
 def cmd_sample(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
-    scene = randomize(scenario, args.seed)
-    goal = randomized_goal(scenario, args.seed)
-    planner = make_planner(_planner_config(args), fallbacks=fallback_builders(scenario))
-    # the model planner reads the rendering; the scripted one never does
-    try:
-        plan = planner.plan(observe(scene, goal, scenario,
-                                    render=args.planner == "http"))
-    except PlannerUnavailable as exc:
+    scene, goal, registry, _, plan = start_episode(scenario, args.seed,
+                                                   _planner_config(args))
+    if isinstance(plan, PlannerUnavailable):
         # run ends the episode with the same failure and exit code
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {plan}", file=sys.stderr)
         return EXIT_TASK_FAILURE
     if not 0 <= args.step < len(plan.steps):
         print(f"error: step index {args.step} out of range for "
               f"{len(plan.steps)} steps", file=sys.stderr)
         return EXIT_INPUT_ERROR
     step = plan.steps[args.step]
-    if step.kind.value not in ("push", "rotate", "moveto"):
+    if step.kind not in NEEDS_TARGET:
         print(f"error: step {args.step} is {step.kind.value}; only push, "
               f"rotate, and moveto take sub-goal poses", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    registry = build_region_registry(scenario, goal)
-    if step.target_pose_hint is not None:
-        anchor = step.target_pose_hint.position
-    else:
-        try:
-            anchor = resolve_anchor(step.region, scene, registry,
-                                    object_id=step.object_id)
-        except UnknownRegion as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_TASK_FAILURE
-    out_dir = _out_dir(args.out)
-    twin = scene.as_twin()
-    # the seed run_episode gives this step of the episode's first plan
-    samples = sample_candidates(step, anchor, twin,
-                                rng_seed=subgoal_seed(args.seed, plan.revision, args.step))
-    try:
-        cset = filter_and_rank(samples, step.object_id, twin)
-    except NoFeasiblePose as exc:
-        print(f"no-feasible-pose: {exc}", file=sys.stderr)
+    # run's first attempt through this step: the earlier steps pick their
+    # sub-goals as in run, and this step is rehearsed in the scene they leave
+    records = []
+    _, error = _execute_plan(scene, replace(plan, steps=plan.steps[:args.step + 1]),
+                             goal, args.seed, "full", registry, records, render=True)
+    if len(records) <= args.step:  # run stops at the same step
+        if not isinstance(error, UnknownRegion):
+            error = (f"step {len(records) - 1} {error.step.describe()} failed with "
+                     f"{error.kind.value}, so step {args.step} is never reached")
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_TASK_FAILURE
+    cset = records[args.step].cset
+    if cset is None:  # no candidate survived, which run reflects on
+        print(f"no-feasible-pose: {records[args.step].error['message']}",
+              file=sys.stderr)
         return EXIT_NO_FEASIBLE_POSE
+    out_dir = _out_dir(args.out)
     manifest = []
     for k, cand in enumerate(cset.candidates):
         svg_path = out_dir / f"cand_{k}.svg"

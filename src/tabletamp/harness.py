@@ -33,7 +33,13 @@ from .control import (
     exec_rotate,
     flip_orientation_about,
 )
-from .domain import PlanSkeleton, PrimitiveInstance, PrimitiveKind, skeleton_to_dict
+from .domain import (
+    NEEDS_TARGET,
+    PlanSkeleton,
+    PrimitiveInstance,
+    PrimitiveKind,
+    skeleton_to_dict,
+)
 from .geometry import Pose6D, geodesic_angle, point_in_polygon, quat_from_axis_angle
 from .planner import (
     NoMorePlans,
@@ -46,6 +52,7 @@ from .planner import (
 from .render import render_scene
 from .scenarios import Goal, Scenario, build_region_registry, fallback_builders
 from .subgoal import (
+    CandidateSet,
     NoFeasiblePose,
     UnknownRegion,
     filter_and_rank,
@@ -285,72 +292,84 @@ class _StepRecord:
     step: str
     error: dict | None = None
     iterations: int = 0
-    candidates: int | None = None
     subgoal: list | None = None
     snapshots: list | None = None  # [first, last] scene snapshot id
     # kept out of the JSON trace
     snapshot_count: int = 0
-    candidate_svgs: tuple[str, ...] = ()
+    cset: CandidateSet | None = None  # the rehearsed candidates
 
     def to_dict(self) -> dict:
         return {
             "step": self.step,
             "error": self.error,
             "iterations": self.iterations,
-            "candidates": self.candidates,
+            "candidates": None if self.cset is None else len(self.cset.candidates),
             "subgoal": self.subgoal,
             "snapshots": self.snapshots,
         }
 
 
-def subgoal_seed(seed: int, revision: int, step_index: int) -> int:
+def _subgoal_seed(seed: int, revision: int, step_index: int) -> int:
     """The sampling seed of one step of one plan revision in an episode."""
     return (seed * 1000003 + revision * 101 + step_index) & 0x7FFFFFFF
 
 
-def _execute_plan(
-    scene: TwinScene,
-    plan: PlanSkeleton,
-    goal: Goal,
-    seed: int,
-    ablation: str,
-    registry,
-    records: list[_StepRecord],
-    render: bool = False,
-) -> tuple[TwinScene, ExecError | UnknownRegion | None]:
+def start_episode(scenario: Scenario, seed: int, planner_cfg: PlannerConfig):
+    """An episode's execution scene, goal, region registry, planner and first
+    plan, in that order; the plan is the ``PlannerUnavailable`` raised when
+    the planner gives none."""
+    scene = randomize(scenario, seed)
+    goal = randomized_goal(scenario, seed)
+    registry = build_region_registry(scenario, goal)
+    planner = make_planner(planner_cfg, fallbacks=fallback_builders(scenario))
+    try:
+        # the model planner reads the rendering; the scripted one never does
+        plan = planner.plan(observe(scene, goal, scenario,
+                                    render=planner_cfg.backend == "http"))
+    except PlannerUnavailable as exc:
+        plan = exc
+    return scene, goal, registry, planner, plan
+
+
+def rehearse_step(scene: TwinScene, plan: PlanSkeleton, index: int, seed: int,
+                  registry, ablation: str, render: bool):
+    """Ground step ``index`` of ``plan``, a push, rotate or moveto, in
+    ``scene``: its anchor, the twin snapshot it is rehearsed in and the ranked
+    candidate set, or None for the last two under the no-pose ablation, which
+    does not rehearse. Raises ``UnknownRegion`` or ``NoFeasiblePose``."""
+    step = plan.steps[index]
+    # the no-pose ablation grounds on 2D regions only and never sees the
+    # planner's 6D pose hints
+    if step.region is not None and (ablation == "no_pose"
+                                    or step.target_pose_hint is None):
+        anchor = resolve_anchor(step.region, scene, registry, object_id=step.object_id)
+    else:
+        anchor = step.target_pose_hint.position
+    if ablation == "no_pose":
+        return anchor, None, None
+    twin = scene.as_twin()
+    samples = sample_candidates(step, anchor, twin,
+                                rng_seed=_subgoal_seed(seed, plan.revision, index))
+    return anchor, twin, filter_and_rank(samples, step.object_id, twin, render=render)
+
+
+def _execute_plan(scene: TwinScene, plan: PlanSkeleton, goal: Goal, seed: int,
+                  ablation: str, registry, records: list[_StepRecord],
+                  render: bool = False,
+                  ) -> tuple[TwinScene, ExecError | UnknownRegion | None]:
     for i, step in enumerate(plan.steps):
         record = _StepRecord(step=step.describe())
         records.append(record)
         try:
-            if step.kind in (PrimitiveKind.PUSH, PrimitiveKind.ROTATE,
-                             PrimitiveKind.MOVETO):
-                # the no-pose ablation grounds on 2D regions only and never
-                # sees the planner's 6D pose hints
-                use_region = step.region is not None and (
-                    ablation == "no_pose" or step.target_pose_hint is None
-                )
-                if use_region:
-                    anchor = resolve_anchor(step.region, scene, registry,
-                                            object_id=step.object_id)
-                else:
-                    anchor = step.target_pose_hint.position
-                if ablation == "no_pose":
+            if step.kind in NEEDS_TARGET:
+                anchor, twin, cset = rehearse_step(scene, plan, i, seed, registry,
+                                                   ablation, render)
+                record.cset = cset
+                if cset is None:
                     subgoal = _crude_subgoal(step, anchor, scene, goal)
                 else:
-                    twin = scene.as_twin()
-                    samples = sample_candidates(
-                        step, anchor, twin, rng_seed=subgoal_seed(seed, plan.revision, i)
-                    )
-                    cset = filter_and_rank(samples, step.object_id, twin,
-                                           render=render)
-                    record.candidates = len(cset.candidates)
-                    if render:
-                        record.candidate_svgs = tuple(
-                            c.rendering for c in cset.candidates
-                        )
                     nxt = plan.steps[i + 1] if i + 1 < len(plan.steps) else None
-                    chosen = select_subgoal(cset, step, nxt, twin)
-                    subgoal = chosen.pose
+                    subgoal = select_subgoal(cset, step, nxt, twin).pose
                 record.subgoal = (
                     [round(c, 6) for c in subgoal.position]
                     + [round(c, 9) for c in subgoal.orientation]
@@ -397,27 +416,19 @@ def run_episode(
     planner_cfg = planner_cfg or PlannerConfig()
     t0 = time.perf_counter()
 
-    scene = randomize(scenario, seed)
-    goal = randomized_goal(scenario, seed)
-    registry = build_region_registry(scenario, goal)
-    planner = make_planner(planner_cfg, fallbacks=fallback_builders(scenario))
-    # the model planner reads the rendering; the scripted one never does
-    see = render or planner_cfg.backend == "http"
-    snapshot = 0  # the id of the episode's next scene snapshot
-
-    attempts: list[dict] = []
-    replans_used = 0
-    history: list[str] = []
-
-    try:
-        plan = planner.plan(observe(scene, goal, scenario, render=see))
-    except PlannerUnavailable as exc:
+    scene, goal, registry, planner, plan = start_episode(scenario, seed, planner_cfg)
+    if isinstance(plan, PlannerUnavailable):
         return EpisodeResult(
             scenario.id, seed, False,
             [{"skeleton": None, "outcomes": [], "insight": None,
-              "planner_error": str(exc)}],
+              "planner_error": str(plan)}],
             0, (time.perf_counter() - t0) * 1000.0, scene, goal,
         )
+    see = planner_cfg.backend == "http"  # only the model planner reads renderings
+    snapshot = 0  # the id of the episode's next scene snapshot
+    attempts: list[dict] = []
+    replans_used = 0
+    history: list[str] = []
 
     step_renderings: list[tuple[int, int, tuple[str, ...]]] = []
     while True:
@@ -429,8 +440,9 @@ def run_episode(
             if r.snapshot_count:
                 r.snapshots = [snapshot, snapshot + r.snapshot_count - 1]
                 snapshot += r.snapshot_count
-            if r.candidate_svgs:
-                step_renderings.append((plan.revision, i, r.candidate_svgs))
+            if render and r.cset is not None:
+                step_renderings.append(
+                    (plan.revision, i, tuple(c.rendering for c in r.cset.candidates)))
         attempt = {
             "skeleton": skeleton_to_dict(plan),
             "outcomes": [r.to_dict() for r in records],
@@ -462,10 +474,8 @@ def run_episode(
 
     success = check_success(scene, goal, scenario.primary_object)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    result = EpisodeResult(scenario.id, seed, success, attempts, replans_used,
-                           wall_ms, scene, goal)
-    result.step_renderings = step_renderings
-    return result
+    return EpisodeResult(scenario.id, seed, success, attempts, replans_used,
+                         wall_ms, scene, goal, step_renderings)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .control import _MIN_OVERHANG, _support_height_below, assess_grasp
-from .domain import PrimitiveInstance, PrimitiveKind, RegionDescriptor
+from .domain import NEEDS_TARGET, PrimitiveInstance, PrimitiveKind, RegionDescriptor
 from .geometry import (
     Pose6D,
     Vec3,
@@ -113,7 +113,7 @@ def sample_candidates(
     if primitive.kind is PrimitiveKind.ROTATE:
         return _rotate_candidates(scene, primitive.object_id)
 
-    if primitive.kind not in (PrimitiveKind.PUSH, PrimitiveKind.MOVETO):
+    if primitive.kind not in NEEDS_TARGET:
         raise ValueError(f"{primitive.kind.value} does not take a sub-goal pose")
     push = primitive.kind is PrimitiveKind.PUSH
     disc = _HINT_DISC_RADIUS if hint is not None else _DISC_RADIUS

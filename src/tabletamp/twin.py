@@ -1103,11 +1103,10 @@ def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3]
                                 (0.5 * (p0[0] + p1[0]), 0.5 * (p0[1] + p1[1])))
     edge_z = 0.5 * (p0[2] + p1[2])
     if support is None or abs(edge_z - support) > 5e-3:
-        near_cells = [
-            c for c in support_cells(scene, exclude_id=object_id)
-            if abs(edge_z - c.height_at((p0[0], p0[1]))) <= 5e-3
-        ]
-        if not near_cells:
+        # a lip: the support under one of the edge's ends carries it
+        cells = support_cells(scene, exclude_id=object_id)
+        ends = [support_height_at(cells, (p[0], p[1])) for p in (p0, p1)]
+        if not any(h is not None and abs(edge_z - h) <= 5e-3 for h in ends):
             raise ValueError("pivot edge is not in contact with a surface or lip")
 
     if abs(angle) < 1e-12:

@@ -102,6 +102,20 @@ class TestCmdBench:
         assert strip(tmp_path / "a") == strip(tmp_path / "b")
 
 
+def one_push(data):
+    data["fallback_plans"] = [[{"kind": "push", "object_id": "box",
+                                "region": "target_zone"}]]
+    del data["special"]["initial_states"]
+
+
+def push_then_rotate(data):
+    # the rotate makes run pick the push's sub-goal by least yaw work
+    data["fallback_plans"] = [[
+        {"kind": "push", "object_id": "card", "region": "slot_lip"},
+        {"kind": "rotate", "object_id": "card", "region": "slot_lip"},
+    ]]
+
+
 class TestCmdSample:
     @pytest.mark.parametrize("command", ["run", "sample"])
     def test_unavailable_planner_exit_one(self, tmp_path, capsys, stub_server, command):
@@ -126,26 +140,46 @@ class TestCmdSample:
         for entry in manifest:
             assert (tmp_path / entry["rendering"]).exists()
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_step_zero_candidates_hold_the_run_subgoal(self, tmp_path, seed):
-        # sample rehearses with the seed run gives step 0 of the first plan,
+    @pytest.mark.parametrize("scenario, edit, seed, step", [
+        pytest.param("box", one_push, 1, 0, id="one-push-seed1"),
+        pytest.param("box", one_push, 2, 0, id="one-push-seed2"),
+        *(pytest.param("box", None, seed, 1, id=f"box-seed{seed}-step1")
+          for seed in range(4)),
+        *(pytest.param("tool_pusher", None, seed, 1, id=f"tool_pusher-seed{seed}-step1")
+          for seed in range(2)),
+        pytest.param("slot", push_then_rotate, 0, 1, id="push-rotate-seed0-step1"),
+    ])
+    def test_candidates_hold_the_run_subgoal(self, tmp_path, scenario, edit, seed, step):
+        # sample rehearses a step of the first plan as run does: with run's
+        # seed for that step, in the scene that run's earlier steps leave,
         # so the sub-goal run picks is among the candidates sample writes
         from tabletamp.scenarios import build_scenario, scenario_to_dict
 
-        data = scenario_to_dict(build_scenario("box"))
-        data["fallback_plans"] = [[{"kind": "push", "object_id": "box",
-                                    "region": "target_zone"}]]
-        del data["special"]["initial_states"]
-        path = tmp_path / "push.json"
-        path.write_text(json.dumps(data))
-        assert main(["run", "--scenario", str(path), "--seed", str(seed),
+        if edit is not None:
+            data = scenario_to_dict(build_scenario(scenario))
+            edit(data)
+            path = tmp_path / "edited.json"
+            path.write_text(json.dumps(data))
+            scenario = str(path)
+        assert main(["run", "--scenario", scenario, "--seed", str(seed),
                      "--out", str(tmp_path / "run")]) in (0, 1)
-        trace = json.loads((tmp_path / "run" / f"box_seed{seed}.json").read_text())
-        subgoal = trace["attempts"][0]["outcomes"][0]["subgoal"]
-        assert main(["sample", "--scenario", str(path), "--seed", str(seed),
-                     "--step", "0", "--out", str(tmp_path / "sample")]) == 0
+        (trace_path,) = (tmp_path / "run").glob("*.json")
+        outcome = json.loads(trace_path.read_text())["attempts"][0]["outcomes"][step]
+        assert main(["sample", "--scenario", scenario, "--seed", str(seed),
+                     "--step", str(step), "--out", str(tmp_path / "sample")]) == 0
         manifest = json.loads((tmp_path / "sample" / "candidates.json").read_text())
-        assert subgoal in [c["xyz"] + c["quat_wxyz"] for c in manifest]
+        assert outcome["subgoal"] in [c["xyz"] + c["quat_wxyz"] for c in manifest]
+
+    def test_step_after_a_failed_step_exit_one(self, tmp_path, capsys):
+        # edge's first plan fails its step-0 grasp of the flat card, so run
+        # never rehearses step 1 and sample writes no candidates for it
+        code = main(["sample", "--scenario", "edge", "--seed", "0",
+                     "--step", "1", "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+        assert "grasp(card)" in err
+        assert not (tmp_path / "out").exists()
 
     def test_grasp_step_is_usage_error(self, tmp_path):
         code = main(["sample", "--scenario", "edge", "--seed", "0",

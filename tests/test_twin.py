@@ -1350,7 +1350,7 @@ class TestPivotRotate:
 
 class TestPivotContact:
     """pivot_rotate's contact check: the edge must lie on the highest terrain
-    under its midpoint, or within 5 mm of the height of some support cell."""
+    under its midpoint, or within 5 mm of the support under one of its ends."""
 
     def card_at(self, x, y, bottom_z):
         from tabletamp.scenarios import build_scenario
@@ -1391,10 +1391,6 @@ class TestPivotContact:
                                              "surface or lip"):
             pivot_rotate(scene, "card", edge, math.radians(10.0))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the lip fallback takes any support cell within 5 mm of the edge's "
-        "height anywhere in the scene, so an edge floating at the rails' "
-        "height over open table passes; fixing it changes behaviour"))
     def test_edge_at_a_far_lip_height_is_rejected(self):
         # the card's bottom at the rails' top, over open table more than
         # 20 cm from every rail
@@ -1402,6 +1398,25 @@ class TestPivotContact:
         edge = scene.object("card").world_obb().bottom_edges()[0]
         with pytest.raises(ValueError, match="not in contact"):
             pivot_rotate(scene, "card", edge, math.radians(10.0))
+
+    def test_edge_across_a_groove_rests_on_its_lips(self):
+        # the card spans the slot: each cross-groove edge has its midpoint
+        # over the groove floor and its ends on the table either side
+        from tabletamp.scenarios import build_scenario
+
+        scene = build_scenario("slot").scene_template
+        card = scene.object("card")
+        pose = Pose6D((0.0, 0.02, card.pose.z), quat_from_yaw(math.pi / 2))
+        scene = scene.replace_object(card.at_pose(pose))
+        edges = [e for e in scene.object("card").world_obb().bottom_edges()
+                 if abs(e[0][1] - e[1][1]) > 0.05]
+        assert len(edges) == 2
+        for edge in edges:
+            mid = (0.5 * (edge[0][0] + edge[1][0]), 0.5 * (edge[0][1] + edge[1][1]))
+            assert twin.support_height_at(scene.terrain.cells, mid) == pytest.approx(
+                TABLE_H - 0.025)
+            _, outcome = pivot_rotate(scene, "card", edge, math.radians(10.0))
+            assert outcome.status == "stable"
 
 
 class TestSceneSerialization:
