@@ -35,7 +35,7 @@ from .harness import (
     start_episode,
 )
 from .planner import PlannerConfig, PlannerUnavailable
-from .render import render_scene
+from .render import render_candidates, render_goal
 from .scenarios import (
     SCENARIO_IDS,
     all_scenarios,
@@ -109,15 +109,9 @@ def cmd_run(args) -> int:
             step_dir = _out_dir(episode_dir / f"rev{revision}_step{step_idx}")
             for k, svg in enumerate(svgs):
                 _write_text(step_dir / f"cand_{k}.svg", svg)
-    if args.render and result.final_scene is not None:
-        svg = render_scene(
-            result.final_scene,
-            goal_pose=(scenario.primary_object, result.goal.target)
-            if result.goal and result.goal.kind == "pose" else None,
-            goal_zone=result.goal.zone if result.goal and result.goal.kind == "region" else None,
-            caption=f"{scenario.id} seed {args.seed} "
-                    f"{'success' if result.success else 'failure'}",
-        )
+        svg = render_goal(result.final_scene, result.goal, scenario.primary_object,
+                          f"{scenario.id} seed {args.seed} "
+                          f"{'success' if result.success else 'failure'}")
         _write_text(out_dir / f"{scenario.id}_seed{args.seed}_final.svg", svg)
     verdict = "success" if result.success else "failure"
     print(f"{scenario.id} seed {args.seed}: {verdict} "
@@ -171,7 +165,7 @@ def cmd_sample(args) -> int:
     # sub-goals as in run, and this step is rehearsed in the scene they leave
     records = []
     _, error = _execute_plan(scene, replace(plan, steps=plan.steps[:args.step + 1]),
-                             goal, args.seed, "full", registry, records, render=True)
+                             goal, args.seed, "full", registry, records)
     if len(records) <= args.step:  # run stops at the same step
         if not isinstance(error, UnknownRegion):
             error = (f"step {len(records) - 1} {error.step.describe()} failed with "
@@ -185,9 +179,10 @@ def cmd_sample(args) -> int:
         return EXIT_NO_FEASIBLE_POSE
     out_dir = _out_dir(args.out)
     manifest = []
-    for k, cand in enumerate(cset.candidates):
+    svgs = render_candidates(records[args.step].twin, step.object_id, cset)
+    for k, (cand, svg) in enumerate(zip(cset.candidates, svgs)):
         svg_path = out_dir / f"cand_{k}.svg"
-        _write_text(svg_path, cand.rendering)
+        _write_text(svg_path, svg)
         manifest.append({
             "index": k,
             "xyz": [round(c, 6) for c in cand.pose.position],
@@ -214,7 +209,7 @@ def cmd_validate(args) -> int:
         return EXIT_INPUT_ERROR
     scene = scenario.scene_template
     goal = randomized_goal(scenario, 0)
-    state = observe(scene, goal, scenario, render=False).symbolic_state()
+    state = observe(scene, goal, scenario).symbolic_state()
     violations = validate_skeleton(skeleton, state)
     if not violations:
         print("ok")

@@ -49,7 +49,7 @@ from .planner import (
     ReflectionInput,
     make_planner,
 )
-from .render import render_scene
+from .render import render_candidates, render_goal
 from .scenarios import Goal, Scenario, build_region_registry, fallback_builders
 from .subgoal import (
     CandidateSet,
@@ -85,8 +85,8 @@ class EpisodeResult:
     attempts: list[dict]
     replans_used: int
     wall_ms: float
-    final_scene: TwinScene | None = None
-    goal: Goal | None = None
+    final_scene: TwinScene
+    goal: Goal
     # (plan revision, step index, candidate SVGs), populated when rendering
     step_renderings: list = field(default_factory=list)
 
@@ -203,8 +203,7 @@ def check_success(scene: TwinScene, goal: Goal, primary_object: str) -> bool:
 # observation
 # ---------------------------------------------------------------------------
 
-def observe(scene: TwinScene, goal: Goal, scenario: Scenario,
-            render: bool = True) -> Observation:
+def observe(scene: TwinScene, goal: Goal, scenario: Scenario) -> Observation:
     objects = {}
     for obj in scene.objects:
         under = cell_under(scene.terrain.cells, (obj.pose.x, obj.pose.y))
@@ -226,7 +225,6 @@ def observe(scene: TwinScene, goal: Goal, scenario: Scenario,
     if goal.kind == "pose":
         goal_info["xyz"] = [round(c, 6) for c in goal.target.position]
         goal_info["quat_wxyz"] = [round(c, 9) for c in goal.target.orientation]
-        goal_info["zone_centroid"] = list(scenario.nominal_zone.centroid)
     else:
         goal_info["zone"] = [list(v) for v in goal.zone.vertices]
         goal_info["zone_centroid"] = list(goal.zone.centroid)
@@ -236,16 +234,10 @@ def observe(scene: TwinScene, goal: Goal, scenario: Scenario,
         "robot_base": list(ROBOT_BASE),
         "gripper_free": scene.held_id is None,
     }
-    svg = ""
-    if render:
-        svg = render_scene(
-            scene,
-            goal_pose=(scenario.primary_object, goal.target)
-            if goal.kind == "pose" else None,
-            goal_zone=goal.zone if goal.kind == "region" else None,
-            caption=scenario.id,
-        )
-    return Observation(rendering=svg, summary=summary, instruction=scenario.instruction)
+    return Observation(
+        draw=lambda: render_goal(scene, goal, scenario.primary_object, scenario.id),
+        summary=summary, instruction=scenario.instruction,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +288,7 @@ class _StepRecord:
     snapshots: list | None = None  # [first, last] scene snapshot id
     # kept out of the JSON trace
     snapshot_count: int = 0
+    twin: TwinScene | None = None  # the snapshot the candidates were rehearsed in
     cset: CandidateSet | None = None  # the rehearsed candidates
 
     def to_dict(self) -> dict:
@@ -323,16 +316,14 @@ def start_episode(scenario: Scenario, seed: int, planner_cfg: PlannerConfig):
     registry = build_region_registry(scenario, goal)
     planner = make_planner(planner_cfg, fallbacks=fallback_builders(scenario))
     try:
-        # the model planner reads the rendering; the scripted one never does
-        plan = planner.plan(observe(scene, goal, scenario,
-                                    render=planner_cfg.backend == "http"))
+        plan = planner.plan(observe(scene, goal, scenario))
     except PlannerUnavailable as exc:
         plan = exc
     return scene, goal, registry, planner, plan
 
 
 def rehearse_step(scene: TwinScene, plan: PlanSkeleton, index: int, seed: int,
-                  registry, ablation: str, render: bool):
+                  registry, ablation: str):
     """Ground step ``index`` of ``plan``, a push, rotate or moveto, in
     ``scene``: its anchor, the twin snapshot it is rehearsed in and the ranked
     candidate set, or None for the last two under the no-pose ablation, which
@@ -350,21 +341,19 @@ def rehearse_step(scene: TwinScene, plan: PlanSkeleton, index: int, seed: int,
     twin = scene.as_twin()
     samples = sample_candidates(step, anchor, twin,
                                 rng_seed=_subgoal_seed(seed, plan.revision, index))
-    return anchor, twin, filter_and_rank(samples, step.object_id, twin, render=render)
+    return anchor, twin, filter_and_rank(samples, step.object_id, twin)
 
 
 def _execute_plan(scene: TwinScene, plan: PlanSkeleton, goal: Goal, seed: int,
                   ablation: str, registry, records: list[_StepRecord],
-                  render: bool = False,
                   ) -> tuple[TwinScene, ExecError | UnknownRegion | None]:
     for i, step in enumerate(plan.steps):
         record = _StepRecord(step=step.describe())
         records.append(record)
         try:
             if step.kind in NEEDS_TARGET:
-                anchor, twin, cset = rehearse_step(scene, plan, i, seed, registry,
-                                                   ablation, render)
-                record.cset = cset
+                anchor, twin, cset = rehearse_step(scene, plan, i, seed, registry, ablation)
+                record.twin, record.cset = twin, cset
                 if cset is None:
                     subgoal = _crude_subgoal(step, anchor, scene, goal)
                 else:
@@ -410,7 +399,8 @@ def run_episode(
     ablation: str = "full",
     render: bool = False,
 ) -> EpisodeResult:
-    """One full plan / rehearse / execute / reflect episode."""
+    """One full plan / rehearse / execute / reflect episode; with ``render``,
+    each rehearsed step's kept candidates are drawn into ``step_renderings``."""
     if ablation not in ABLATIONS:
         raise ValueError(f"unknown ablation {ablation!r}")
     planner_cfg = planner_cfg or PlannerConfig()
@@ -424,25 +414,22 @@ def run_episode(
               "planner_error": str(plan)}],
             0, (time.perf_counter() - t0) * 1000.0, scene, goal,
         )
-    see = planner_cfg.backend == "http"  # only the model planner reads renderings
     snapshot = 0  # the id of the episode's next scene snapshot
     attempts: list[dict] = []
     replans_used = 0
     history: list[str] = []
 
-    step_renderings: list[tuple[int, int, tuple[str, ...]]] = []
+    step_renderings: list[tuple[int, int, list[str]]] = []
     while True:
         records: list[_StepRecord] = []
-        scene, error = _execute_plan(
-            scene, plan, goal, seed, ablation, registry, records, render=render,
-        )
+        scene, error = _execute_plan(scene, plan, goal, seed, ablation, registry, records)
         for i, r in enumerate(records):
             if r.snapshot_count:
                 r.snapshots = [snapshot, snapshot + r.snapshot_count - 1]
                 snapshot += r.snapshot_count
             if render and r.cset is not None:
-                step_renderings.append(
-                    (plan.revision, i, tuple(c.rendering for c in r.cset.candidates)))
+                step_renderings.append((plan.revision, i, render_candidates(
+                    r.twin, plan.steps[i].object_id, r.cset)))
         attempt = {
             "skeleton": skeleton_to_dict(plan),
             "outcomes": [r.to_dict() for r in records],
@@ -460,7 +447,7 @@ def run_episode(
             insight, plan = planner.reflect(
                 ReflectionInput(
                     error=error,
-                    observation=observe(scene, goal, scenario, render=see),
+                    observation=observe(scene, goal, scenario),
                     failed_plan=plan,
                     history=tuple(history),
                 )

@@ -31,6 +31,7 @@ from .domain import (
     primitive_definitions_text,
     validate_skeleton,
 )
+from .geometry import derived
 
 if TYPE_CHECKING:
     import requests
@@ -49,11 +50,16 @@ class NoMorePlans(Exception):
 
 @dataclass(frozen=True)
 class Observation:
-    """What the planner sees: a rendering plus a symbolic scene summary."""
+    """What the planner sees: a symbolic scene summary plus a rendering,
+    drawn by ``draw`` the first time a planner reads it."""
 
-    rendering: str  # top-down SVG
+    draw: Callable[[], str]  # the top-down SVG of the observed scene
     summary: dict  # per-object {pose, on_feature, graspable, is_tool, held}
     instruction: str
+
+    @derived
+    def rendering(self) -> str:
+        return self.draw()
 
     def symbolic_state(self) -> SymbolicState:
         objects = {}

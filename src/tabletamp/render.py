@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 
 from .geometry import Polygon2, Pose6D
+from .scenarios import Goal
+from .subgoal import CandidateSet
 from .twin import ROBOT_BASE, RigidObject, TwinScene
 
 _TERRAIN_FILL = {
@@ -135,3 +137,26 @@ def render_scene(
         )
     parts.append("</svg>")
     return "\n".join(parts)
+
+
+def render_goal(scene: TwinScene, goal: Goal, object_id: str, caption: str) -> str:
+    """Render a scene with ``object_id``'s goal: a pose goal as a dashed
+    outline of the object, a region goal as a filled zone."""
+    return render_scene(
+        scene,
+        goal_pose=(object_id, goal.target) if goal.kind == "pose" else None,
+        goal_zone=goal.zone if goal.kind == "region" else None,
+        caption=caption,
+    )
+
+
+def render_candidates(scene: TwinScene, object_id: str, cset: CandidateSet) -> list[str]:
+    """One SVG per kept candidate, in rank order: the twin snapshot the
+    candidates were rehearsed in, with ``object_id`` moved to the
+    candidate's rested pose and drawn highlighted there."""
+    obj = scene.object(object_id)
+    return [
+        render_scene(scene.replace_object(obj.at_pose(c.pose)),
+                     highlight={object_id: c.pose})
+        for c in cset.candidates
+    ]

@@ -86,7 +86,6 @@ class Scenario:
     primary_object: str
     scene_template: TwinScene
     goal_template: Goal
-    nominal_zone: Polygon2  # used for anchoring even when the goal is a pose
     fallback_templates: tuple[tuple[dict, ...], ...]
     pos_jitter: float = 0.05
     yaw_jitter_deg: float = 30.0
@@ -168,7 +167,6 @@ def _box_scenario() -> Scenario:
         primary_object="box",
         scene_template=_scene([box]),
         goal_template=goal,
-        nominal_zone=rect_polygon(0.16, 0.06, 0.08, 0.08),
         fallback_templates=(
             (
                 _step("rotate", "box", region="target_zone", hint="goal"),
@@ -200,7 +198,6 @@ def _book_scenario() -> Scenario:
         primary_object="book",
         scene_template=_scene([book], extra_terrain=[shelf]),
         goal_template=goal,
-        nominal_zone=rect_polygon(0.16, -0.04, 0.08, 0.08),
         fallback_templates=(
             (
                 _step("grasp", "book"),
@@ -236,7 +233,6 @@ def _edge_scenario() -> Scenario:
         primary_object="card",
         scene_template=_scene([_card(0.0, -0.18)], extra_terrain=[pad]),
         goal_template=goal,
-        nominal_zone=rect_polygon(0.24, 0.10, 0.06, 0.06),
         pos_jitter=0.05,
         fallback_templates=(
             (
@@ -265,7 +261,6 @@ def _wall_scenario() -> Scenario:
         primary_object="card",
         scene_template=_scene([_card(0.0, -0.15)], extra_terrain=_rails()),
         goal_template=goal,
-        nominal_zone=rect_polygon(0.18, 0.02, 0.08, 0.08),
         fallback_templates=(
             (
                 _step("grasp", "card"),
@@ -305,7 +300,6 @@ def _slope_scenario() -> Scenario:
         primary_object="card",
         scene_template=_scene([_card(0.0, -0.25)], extra_terrain=_rails() + (slope,)),
         goal_template=goal,
-        nominal_zone=rect_polygon(0.24, -0.18, 0.08, 0.08),
         fallback_templates=(
             (
                 _step("grasp", "card"),
@@ -341,7 +335,6 @@ def _slot_scenario() -> Scenario:
         primary_object="card",
         scene_template=_scene([_card(0.0, -0.22)], extra_terrain=_rails() + (slot,)),
         goal_template=goal,
-        nominal_zone=rect_polygon(0.24, -0.12, 0.08, 0.08),
         fallback_templates=(
             (
                 _step("grasp", "card"),
@@ -390,7 +383,6 @@ def _tool_hook_scenario() -> Scenario:
         primary_object="puck",
         scene_template=_scene([_puck(0.0, 0.36), _tool_body("hook", "hook", 0.25, -0.35)]),
         goal_template=Goal("region", zone=zone),
-        nominal_zone=zone,
         fallback_templates=(
             (
                 _step("grasp", "puck"),
@@ -415,7 +407,6 @@ def _tool_pusher_scenario() -> Scenario:
         primary_object="puck",
         scene_template=_scene([_puck(0.0, -0.08), _tool_body("pusher", "pusher", -0.25, -0.35)]),
         goal_template=Goal("region", zone=zone),
-        nominal_zone=zone,
         special={"goal_jitter": 0.03},
         fallback_templates=(
             (
@@ -494,18 +485,13 @@ def _push_path_clear(scene: TwinScene, object_id: str, target) -> bool:
     return True
 
 
-def build_region_registry(scenario: Scenario, goal: Goal | None = None) -> RegionRegistry:
-    """Named geometric resolvers for one episode.
-
-    When the episode's randomized goal is supplied, target-relative regions
-    anchor on it; otherwise they fall back to the scenario's nominal zone.
-    """
-    if goal is not None and goal.kind == "region":
+def build_region_registry(scenario: Scenario, goal: Goal) -> RegionRegistry:
+    """Named geometric resolvers for one episode; target-relative regions
+    anchor on the episode's goal."""
+    if goal.kind == "region":
         zone_centroid = goal.zone.centroid
-    elif goal is not None and goal.kind == "pose":
-        zone_centroid = (goal.target.x, goal.target.y)
     else:
-        zone_centroid = scenario.nominal_zone.centroid
+        zone_centroid = (goal.target.x, goal.target.y)
 
     def table_edge_nearest(scene: TwinScene, object_id: str) -> Vec3:
         # nearest boundary point per table side, preferring routes that are
@@ -695,7 +681,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "primary_object": scenario.primary_object,
         "scene": scene_to_dict(scenario.scene_template),
         "goal": goal,
-        "nominal_zone": [list(v) for v in scenario.nominal_zone.vertices],
         "fallback_plans": [list(t) for t in scenario.fallback_templates],
         "randomization": {
             "pos_jitter": scenario.pos_jitter,
@@ -706,6 +691,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """A scenario from its file form; an older file's ``nominal_zone`` is ignored."""
     data = _json_object(data, "a scenario file")
     goal_raw = _json_object(data["goal"], "goal")
     target = None
@@ -721,7 +707,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         primary_object=_json_string(data["primary_object"], "primary_object"),
         scene_template=scene_from_dict(_json_object(data["scene"], "scene")),
         goal_template=Goal(goal_raw["kind"], target=target, zone=zone),
-        nominal_zone=_json_polygon(data["nominal_zone"], "nominal_zone"),
         fallback_templates=_fallback_templates(data["fallback_plans"]),
         pos_jitter=randomization.get("pos_jitter", 0.05),
         yaw_jitter_deg=randomization.get("yaw_jitter_deg", 30.0),
@@ -782,7 +767,7 @@ def _check_fallback_plans(scenario: Scenario):
     target_hints = ("tool_approach",)
     if scenario.goal_template.kind == "pose":
         target_hints += ("goal",)  # a region goal gives a goal hint no pose
-    registry = build_region_registry(scenario)
+    registry = build_region_registry(scenario, scenario.goal_template)
     for i, template in enumerate(scenario.fallback_templates):
         if not template:
             raise ValueError(f"fallback plan {i} has no steps")

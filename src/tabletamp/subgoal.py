@@ -5,7 +5,7 @@ A primitive's region is resolved to a 3D anchor point, candidate 6D object
 poses are sampled around it under the primitive's allowed degrees of
 freedom, every candidate is placed and settled in a twin snapshot, the
 unstable ones are discarded, and survivors are ranked by reachability. The
-top four are rendered and one becomes the primitive's sub-goal pose.
+top four are kept and one becomes the primitive's sub-goal pose.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .geometry import (
     yaw_free_angle,
     yaw_of,
 )
-from .render import render_scene
 from .twin import (
     REACH_MAX,
     ROBOT_BASE,
@@ -228,7 +227,6 @@ class Candidate:
     pose: Pose6D
     settle: SettleOutcome
     reachability_score: float
-    rendering: str
     stability_margin: float = 0.0
     source_index: int = 0
 
@@ -251,7 +249,6 @@ def filter_and_rank(
     candidates: list[Pose6D],
     object_id: str,
     scene: TwinScene,
-    render: bool = True,
 ) -> CandidateSet:
     """Place, settle, and rank candidates; keep the stable top four.
 
@@ -272,15 +269,11 @@ def filter_and_rank(
         d = math.hypot(outcome.final_pose.x - ROBOT_BASE[0],
                        outcome.final_pose.y - ROBOT_BASE[1])
         score = max(0.0, min(1.0, 1.0 - d / REACH_MAX))
-        svg = render_scene(
-            rested, highlight={object_id: outcome.final_pose}
-        ) if render else ""
         survivors.append(
             Candidate(
                 pose=outcome.final_pose,
                 settle=outcome,
                 reachability_score=score,
-                rendering=svg,
                 stability_margin=stability_margin(rested, object_id),
                 source_index=i,
             )
@@ -295,8 +288,7 @@ def filter_and_rank(
     best = max(c.reachability_score for c in survivors)
     survivors = [
         c if c.reachability_score < best - 0.05
-        else Candidate(c.pose, c.settle, best, c.rendering, c.stability_margin,
-                       c.source_index)
+        else Candidate(c.pose, c.settle, best, c.stability_margin, c.source_index)
         for c in survivors
     ]
     survivors.sort(key=lambda c: (-c.reachability_score, c.source_index))

@@ -401,9 +401,10 @@ class Terrain(tuple):
     """A scene's terrain features, with the geometry they fix for every scene
     that shares them.
 
-    Each part is derived on first use, so a terrain that only one query
-    rejects (a rotated shelf has no solids) fails only that query. Two
-    threads that race on a part both derive it, to equal values.
+    Each part is derived on first use, so in a scene built in code a terrain
+    that only one query rejects (a rotated shelf has no solids) fails only
+    that query; ``scene_from_dict`` derives the cells and solids at load.
+    Two threads that race on a part both derive it, to equal values.
     """
 
     @derived
@@ -1361,9 +1362,13 @@ def scene_from_dict(data: dict) -> TwinScene:
     ):
         _check_fixed(_json_object(data.get(section, {}), f"scene {section}"), fixed,
                      section, "the twin's push physics is fixed")
-    return TwinScene(
+    scene = TwinScene(
         terrain=terrain,
         objects=tuple(objects),
         role=data.get("role", "twin"),
         held_id=data.get("held_id"),
     )
+    # derived now, so a slot or shelf the twin cannot cut fails the load
+    # rather than the first query
+    scene.terrain.cells, scene.terrain.solids
+    return scene

@@ -127,7 +127,7 @@ class TestAcceptance:
             for i in range(0, len(batch), 50):
                 chunk = batch[i:i + 50]
                 try:
-                    cset = filter_and_rank(chunk, obj_id, scene, render=False)
+                    cset = filter_and_rank(chunk, obj_id, scene)
                 except NoFeasiblePose:
                     continue
                 checked += len(chunk)

@@ -36,7 +36,7 @@ def edge_observation(seed=0):
     scenario = build_scenario("edge")
     scene = randomize(scenario, seed)
     goal = randomized_goal(scenario, seed)
-    return scenario, observe(scene, goal, scenario, render=False)
+    return scenario, observe(scene, goal, scenario)
 
 
 def reflection(error_kind, step, obs, plan, history=()):
@@ -395,4 +395,5 @@ class TestPromptRegions:
                  if line.startswith("Region names: ")]
         assert len(lines) == 1
         names = lines[0][len("Region names: "):].split(", ")
-        assert names == list(build_region_registry(build_scenario("edge")))
+        scenario = build_scenario("edge")
+        assert names == list(build_region_registry(scenario, scenario.goal_template))

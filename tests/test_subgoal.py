@@ -12,6 +12,7 @@ from tabletamp.geometry import (
     yaw_of,
 )
 from tabletamp.harness import randomize, randomized_goal
+from tabletamp.render import render_candidates, render_scene
 from tabletamp.scenarios import SCENARIO_IDS, build_region_registry, build_scenario
 from tabletamp.subgoal import (
     _DISC_RADIUS,
@@ -30,7 +31,7 @@ from tabletamp.subgoal import (
     sample_candidates,
     select_subgoal,
 )
-from tabletamp.twin import SettleOutcome, flat_pose_on_support
+from tabletamp.twin import SettleOutcome, flat_pose_on_support, rest_on_support
 
 from tests.test_geometry import random_unit_quat
 from tests.test_twin import TABLE_H, base_scene, make_box
@@ -240,7 +241,7 @@ class TestFilterAndRank:
         scene = base_scene([card])
         good = Pose6D((0.0, -0.3, TABLE_H + 0.004))
         void = Pose6D((0.0, -0.9, TABLE_H + 0.004))
-        cset = filter_and_rank([good, void], "card", scene, render=False)
+        cset = filter_and_rank([good, void], "card", scene)
         assert len(cset.candidates) == 1
         assert cset.candidates[0].pose.y == pytest.approx(-0.3)
 
@@ -250,14 +251,14 @@ class TestFilterAndRank:
         scene = base_scene([card])
         unstable = Pose6D((0.0, -0.42, TABLE_H + 0.004))
         with pytest.raises(NoFeasiblePose):
-            filter_and_rank([unstable], "card", scene, render=False)
+            filter_and_rank([unstable], "card", scene)
 
     def test_six_survivors_keep_top_four_sorted(self):
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
         poses = [Pose6D((0.05 * i - 0.15, -0.2 - 0.02 * i, TABLE_H + 0.004))
                  for i in range(6)]
-        cset = filter_and_rank(poses, "card", scene, render=False)
+        cset = filter_and_rank(poses, "card", scene)
         assert len(cset.candidates) == 4
         scores = [c.reachability_score for c in cset.candidates]
         assert scores == sorted(scores, reverse=True)
@@ -268,22 +269,27 @@ class TestFilterAndRank:
         scene = base_scene([card, blocker])
         overlapping = Pose6D((0.2, -0.2, TABLE_H + 0.004))
         clear = Pose6D((0.0, -0.3, TABLE_H + 0.004))
-        cset = filter_and_rank([overlapping, clear], "card", scene, render=False)
+        cset = filter_and_rank([overlapping, clear], "card", scene)
         assert len(cset.candidates) == 1
         assert cset.candidates[0].pose.x == pytest.approx(0.0)
 
     def test_renderings_attached(self):
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
-        cset = filter_and_rank([Pose6D((0.0, -0.3, TABLE_H + 0.004))], "card", scene)
-        assert cset.candidates[0].rendering.startswith("<svg")
+        pose = Pose6D((0.0, -0.3, TABLE_H + 0.004))
+        cset = filter_and_rank([pose], "card", scene)
+        # each candidate draws as the scene rested at it, highlighted
+        rested, outcome = rest_on_support(scene, "card", pose)
+        svgs = render_candidates(scene, "card", cset)
+        assert svgs == [render_scene(rested, highlight={"card": outcome.final_pose})]
+        assert svgs[0].startswith("<svg")
 
     def test_output_poses_subset_of_sampled_input(self):
         # sampler output is already at rest, so filtering must not move it
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
         poses = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, rng_seed=11)
-        cset = filter_and_rank(poses, "card", scene, render=False)
+        cset = filter_and_rank(poses, "card", scene)
         for cand in cset.candidates:
             assert any(
                 math.isclose(cand.pose.x, p.x, abs_tol=1e-9)
@@ -297,7 +303,7 @@ class TestFilterAndRank:
 def make_candidate(pose, score, margin=0.02, idx=0):
     return Candidate(
         pose=pose, settle=SettleOutcome("stable", pose),
-        reachability_score=score, rendering="", stability_margin=margin,
+        reachability_score=score, stability_margin=margin,
         source_index=idx,
     )
 
@@ -319,7 +325,7 @@ class TestSelectSubgoal:
             Pose6D((0.0, -0.4 + 0.03 - 0.030, TABLE_H + 0.004)),  # 3 cm... unstable? COM at -0.40: boundary
         ]
         poses[2] = Pose6D((0.0, -0.4 + 0.03 - 0.028, TABLE_H + 0.004))  # 2.8 cm
-        cset = filter_and_rank(poses, "card", scene, render=False)
+        cset = filter_and_rank(poses, "card", scene)
         nxt = PrimitiveInstance(PrimitiveKind.GRASP, "card")
         cur = push_step()
         out = select_subgoal(cset, cur, nxt, scene)
