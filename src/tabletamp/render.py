@@ -152,11 +152,6 @@ def render_goal(scene: TwinScene, goal: Goal, object_id: str, caption: str) -> s
 
 def render_candidates(scene: TwinScene, object_id: str, cset: CandidateSet) -> list[str]:
     """One SVG per kept candidate, in rank order: the twin snapshot the
-    candidates were rehearsed in, with ``object_id`` moved to the
-    candidate's rested pose and drawn highlighted there."""
-    obj = scene.object(object_id)
-    return [
-        render_scene(scene.replace_object(obj.at_pose(c.pose)),
-                     highlight={object_id: c.pose})
-        for c in cset.candidates
-    ]
+    candidates were rehearsed in, so ``object_id`` draws translucent at its
+    pre-step pose, with the candidate's rested pose highlighted."""
+    return [render_scene(scene, highlight={object_id: c.pose}) for c in cset.candidates]

@@ -691,26 +691,29 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """A scenario from its file form; an older file's ``nominal_zone`` is ignored."""
-    data = _json_object(data, "a scenario file")
-    goal_raw = _json_object(data["goal"], "goal")
+    data = _json_object(data, "a scenario file", (
+        "id", "instruction", "primary_object", "scene", "goal", "fallback_plans",
+        "randomization", "special"))
+    goal_raw = _json_object(data["goal"], "goal", ("kind", "target", "zone"))
     target = None
     zone = None
     if "target" in goal_raw:
         target = _json_pose(goal_raw["target"], "goal target")
     if "zone" in goal_raw:
         zone = _json_polygon(goal_raw["zone"], "goal zone")
-    randomization = _json_object(data.get("randomization", {}), "randomization")
+    randomization = _json_object(data.get("randomization", {}), "randomization",
+                                 ("pos_jitter", "yaw_jitter_deg"))
     scenario = Scenario(
         id=_json_string(data["id"], "id"),
         instruction=_json_string(data["instruction"], "instruction"),
         primary_object=_json_string(data["primary_object"], "primary_object"),
-        scene_template=scene_from_dict(_json_object(data["scene"], "scene")),
+        scene_template=scene_from_dict(data["scene"]),
         goal_template=Goal(goal_raw["kind"], target=target, zone=zone),
         fallback_templates=_fallback_templates(data["fallback_plans"]),
         pos_jitter=randomization.get("pos_jitter", 0.05),
         yaw_jitter_deg=randomization.get("yaw_jitter_deg", 30.0),
-        special=dict(_json_object(data.get("special", {}), "special")),
+        special=dict(_json_object(data.get("special", {}), "special",
+                                  ("goal_jitter", "initial_states"))),
     )
     _check_fallback_plans(scenario)
     return scenario
@@ -724,32 +727,29 @@ def _fallback_templates(plans) -> tuple[tuple[dict, ...], ...]:
         if not isinstance(plan, list):
             raise ValueError(f"fallback plan {i} must be a list of steps (got {plan!r})")
         for j, raw in enumerate(plan):
-            if not isinstance(raw, dict):
-                raise ValueError(f"fallback plan {i} step {j} must be an object "
-                                 f"(got {raw!r})")
+            _json_object(raw, f"fallback plan {i} step {j}",
+                         ("kind", "object_id", "region", "hint"))
     return tuple(tuple(t) for t in plans)
 
 
 def _check_fallback_plans(scenario: Scenario):
     """Reject a scenario file that would fail mid-episode: a scene that
-    starts with an object held, a primary object missing from the scene, an
-    unknown ``special`` key, negative jitter, an initial state other than
-    standing or lying, no fallback plan or an empty one, or a step with an
-    unknown primitive, object or hint binding, a push, rotate or moveto
-    step that binds no target, a grasp or release step that binds one, or a
-    region the scene cannot resolve.
+    starts with an object held, a primary object missing from the scene,
+    negative jitter, an initial state other than standing or lying, no
+    fallback plan or an empty one, or a step with an unknown primitive,
+    object or hint binding, a push, rotate or moveto step that binds no
+    target, a grasp or release step that binds one, a ``tool_approach``
+    hint on an object with no tool, or a region the scene cannot resolve.
     Membership is tested in tuples, which need no hashable value."""
     held = scenario.scene_template.held_id
     if held is not None:
         raise ValueError(f"scene held_id must be null (got {held!r}): an episode "
                          f"starts with nothing held")
     object_ids = tuple(o.id for o in scenario.scene_template.objects)
+    untooled = tuple(o.id for o in scenario.scene_template.objects if o.tool_spec is None)
     if scenario.primary_object not in object_ids:
         raise ValueError(f"primary object {scenario.primary_object!r} is not "
                          f"in the scene")
-    for key in scenario.special:
-        if key not in ("goal_jitter", "initial_states"):
-            raise ValueError(f"unknown special key {key!r}")
     for name, value in (("pos_jitter", scenario.pos_jitter),
                         ("yaw_jitter_deg", scenario.yaw_jitter_deg),
                         ("goal_jitter", scenario.special.get("goal_jitter", 0.0))):
@@ -780,6 +780,9 @@ def _check_fallback_plans(scenario: Scenario):
                 raise ValueError(f"{where}: unknown primitive {raw.get('kind')!r}")
             if raw.get("hint") not in (None, "goal", "tool_approach"):
                 raise ValueError(f"{where}: unknown hint binding {raw['hint']!r}")
+            if raw.get("hint") == "tool_approach" and raw["object_id"] in untooled:
+                raise ValueError(f"{where}: a tool_approach hint needs a tool, and "
+                                 f"{raw['object_id']!r} has no tool_spec")
             region = raw.get("region")
             if raw["kind"] not in needs_target and (region or raw.get("hint") is not None):
                 raise ValueError(f"{where}: {raw['kind']} takes no region or hint")

@@ -1216,10 +1216,15 @@ class _JsonObject(dict):
         raise ValueError(f"{self.what} is missing key {key!r}")
 
 
-def _json_object(value, what: str) -> dict:
-    """The file's value for ``what``, which must be a JSON object."""
+def _json_object(value, what: str, keys: tuple[str, ...]) -> dict:
+    """The file's value for ``what``, which must be a JSON object holding
+    only ``keys``: a key the reader does not read is an input error, not
+    a value silently ignored."""
     if not isinstance(value, dict):
         raise ValueError(f"{what} must be an object (got {value!r})")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r}")
     return _JsonObject(value, what)
 
 
@@ -1271,17 +1276,15 @@ def _json_polygon(value, what: str) -> Polygon2:
     return Polygon2(tuple((v[0], v[1]) for v in value))
 
 
-def _json_extra(value, kind, what: str) -> dict:
-    """A terrain's ``extra`` object, whose known keys must hold a number or,
-    for a direction, an [x, y] pair. A slot's ``width``, which older files
-    carry and nothing reads, is dropped."""
-    extra = dict(_json_object(value, what))
-    if kind == "slot":
-        extra.pop("width", None)
-    for key in ("height", "angle_deg", "depth", "clearance"):
+def _json_extra(value, what: str) -> dict:
+    """A terrain's ``extra`` object, whose keys must hold a number or, for
+    a direction, an [x, y] pair."""
+    numbers, directions = ("height", "angle_deg", "depth", "clearance"), ("downhill", "open_face")
+    extra = dict(_json_object(value, what, numbers + directions))
+    for key in numbers:
         if key in extra:
             _json_number(extra[key], f"{what} {key}")
-    for key in ("downhill", "open_face"):
+    for key in directions:
         if key in extra:
             _json_vector(extra[key], 2, f"{what} {key}")
     return extra
@@ -1289,49 +1292,34 @@ def _json_extra(value, kind, what: str) -> dict:
 
 def _json_pose(value, what: str) -> Pose6D:
     """The file's value for ``what``: an object with ``xyz`` and ``quat_wxyz``."""
-    value = _json_object(value, what)
+    value = _json_object(value, what, ("xyz", "quat_wxyz"))
     return Pose6D(_json_vector(value["xyz"], 3, f"{what} xyz"),
                   _json_vector(value["quat_wxyz"], 4, f"{what} quat_wxyz"))
 
 
-def _check_fixed(values: dict, fixed, what: str, why: str) -> None:
-    """Older files carry values the twin now fixes: each of ``fixed``'s
-    (key, value) pairs that ``values`` holds must hold the twin's value."""
-    for key, value in fixed:
-        if isinstance(value, list):
-            got = list(_json_vector(values.get(key, value), len(value), f"{what} {key}"))
-        else:
-            got = _json_number(values.get(key, value), f"{what} {key}")
-        if got != value:
-            raise ValueError(f"{what} {key} must be {value} (got {got}): {why}")
-
-
 def scene_from_dict(data: dict) -> TwinScene:
+    data = _json_object(data, "scene", ("version", "role", "terrain", "objects", "held_id"))
     if data.get("version") != SCENE_SCHEMA_VERSION:
         raise ValueError(f"unsupported scene schema version {data.get('version')!r}")
     terrain = []
     for i, t in enumerate(_json_list(data["terrain"], "scene terrain")):
         where = f"terrain {i}"
-        t = _json_object(t, where)
+        t = _json_object(t, where, ("kind", "name", "footprint", "height", "extra"))
         terrain.append(TerrainFeature(
             kind=t["kind"],
             footprint=_json_polygon(t["footprint"], f"{where} footprint"),
             height=_json_number(t["height"], f"{where} height"),
-            extra=_json_extra(t.get("extra", {}), t["kind"], f"{where} extra"),
+            extra=_json_extra(t.get("extra", {}), f"{where} extra"),
             name=_json_string(t.get("name", ""), f"{where} name"),
         ))
     objects = []
     for i, o in enumerate(_json_list(data["objects"], "scene objects")):
         where = f"object {i}"
-        o = _json_object(o, where)
-        shape = _json_object(o["shape"], f"{where} shape")
-        _check_fixed(shape, (("offset_xyz", [0, 0, 0]), ("offset_quat_wxyz", [1, 0, 0, 0])),
-                     f"{where} shape", "only boxes centred on their pose are simulated")
-        _check_fixed(o, (("friction", FRICTION),), where,
-                     "every object has the twin's friction")
+        o = _json_object(o, where, ("id", "shape", "pose", "tool_spec"))
+        shape = _json_object(o["shape"], f"{where} shape", ("half_extents",))
         ts = o.get("tool_spec")
         if ts is not None:
-            ts = _json_object(ts, f"{where} tool_spec")
+            ts = _json_object(ts, f"{where} tool_spec", ("kind", "effective_length", "tip_offset"))
             ts = ToolSpec(
                 ts["kind"],
                 _json_number(ts["effective_length"], f"{where} tool_spec effective_length"),
@@ -1349,19 +1337,6 @@ def scene_from_dict(data: dict) -> TwinScene:
                 tool_spec=ts,
             )
         )
-    _check_fixed(_json_object(data.get("robot", {}), "scene robot"), (
-        ("base_position", list(ROBOT_BASE)), ("reach_min", REACH_MIN),
-        ("reach_max", REACH_MAX), ("gripper_aperture", GRIPPER_APERTURE),
-        ("finger_clearance", FINGER_CLEARANCE),
-    ), "robot", "the twin simulates one robot")
-    for section, fixed in (
-        ("dynamics_perturbation", (("friction_scale", 1.0),
-                                   ("push_gain_scale", EXECUTION_PUSH_GAIN))),
-        ("push_model", (("gain", 1.0), ("kappa", PUSH_KAPPA), ("step_cap", PUSH_STEP_CAP),
-                        ("climb_tol", PUSH_CLIMB_TOL))),
-    ):
-        _check_fixed(_json_object(data.get(section, {}), f"scene {section}"), fixed,
-                     section, "the twin's push physics is fixed")
     scene = TwinScene(
         terrain=terrain,
         objects=tuple(objects),

@@ -55,7 +55,7 @@ class TestCmdRun:
         for rel in paths:
             digest.update(rel.encode() + b"\0" + (tmp_path / rel).read_bytes())
         assert digest.hexdigest() == (
-            "9df6c1fc937bd64282a013c2bbf2e507f3db49ba41d5aa0f6241d2884521a4d1")
+            "2acc709d348f0845176827005ce139683ccb606e9a3913170df49b281cd842c0")
 
     def test_scenario_file_round_trip(self, tmp_path):
         code = main(["export", "--out", str(tmp_path / "defs")])
@@ -430,9 +430,8 @@ class TestScenarioFileSteps:
          "goal target xyz must be a list of 3 numbers (got 5)"),
         (lambda d: d["scene"].update(terrain=5), "scene terrain must be a list (got 5)"),
         (lambda d: d["scene"].update(objects=5), "scene objects must be a list (got 5)"),
-        (lambda d: d["scene"].update(robot=5), "scene robot must be an object (got 5)"),
-        (lambda d: d["scene"].update(push_model=5),
-         "scene push_model must be an object (got 5)"),
+        (lambda d: d["scene"].update(robot=5), "scene has unknown key 'robot'"),
+        (lambda d: d["scene"].update(push_model=5), "scene has unknown key 'push_model'"),
         (lambda d: d["scene"]["terrain"][0].update(footprint=5),
          "terrain 0 footprint must be a list of [x, y] points (got 5)"),
         (lambda d: d["scene"]["objects"][0].update(pose=5),
@@ -464,10 +463,9 @@ class TestScenarioFileSteps:
          "terrain 0 is missing key 'kind'"),
         (lambda d: d.__delitem__("instruction"),
          "a scenario file is missing key 'instruction'"),
-        (lambda d: d["special"].update(goal_jiter=0.5), "unknown special key 'goal_jiter'"),
+        (lambda d: d["special"].update(goal_jiter=0.5), "special has unknown key 'goal_jiter'"),
         (lambda d: d["scene"]["objects"][0]["shape"].update(offset_xyz=[0.03, 0, 0]),
-         "object 0 shape offset_xyz must be [0, 0, 0] (got [0.03, 0, 0]): only boxes "
-         "centred on their pose are simulated"),
+         "object 0 shape has unknown key 'offset_xyz'"),
         (lambda d: d["scene"]["objects"][0]["shape"].update(half_extents=[0.06, 0, 0.045]),
          "object 'box' half extents must be 3 positive numbers, got (0.06, 0.0, 0.045)"),
         # Python's json reads NaN, Infinity and integers too large for a float
@@ -486,23 +484,58 @@ class TestScenarioFileSteps:
          "fallback plan 0 step 0: rotate needs a region or a hint that binds a target pose"),
         (_goal_hint_with_region_goal,
          "fallback plan 0 step 1: moveto needs a region or a hint that binds a target pose"),
-        # older files carry the push model; it may hold only the twin's values
+        # the push model, the robot and the friction are the twin's own, so
+        # the sections and keys older files carried for them are unknown
         (lambda d: d["scene"].update(push_model={"kappa": 40.0}),
-         "push_model kappa must be 50.0 (got 40.0): the twin's push physics is fixed"),
+         "scene has unknown key 'push_model'"),
         (lambda d: d["scene"].update(dynamics_perturbation={"friction_scale": 0.8}),
-         "dynamics_perturbation friction_scale must be 1.0 (got 0.8): the twin's push "
-         "physics is fixed"),
-        # older files carry the robot and each object's friction; they may
-        # hold only the twin's values
+         "scene has unknown key 'dynamics_perturbation'"),
         (lambda d: d["scene"].update(robot={"reach_max": 0.9}),
-         "robot reach_max must be 0.95 (got 0.9): the twin simulates one robot"),
+         "scene has unknown key 'robot'"),
         (lambda d: d["scene"].update(robot={"base_position": [0.0, -0.6]}),
-         "robot base_position must be [0.0, -0.65] (got [0.0, -0.6]): the twin "
-         "simulates one robot"),
+         "scene has unknown key 'robot'"),
         (lambda d: d["scene"].update(robot={"gripper_aperture": "0.08"}),
-         "robot gripper_aperture must be a number (got '0.08')"),
+         "scene has unknown key 'robot'"),
         (lambda d: d["scene"]["objects"][0].update(friction=0.4),
-         "object 0 friction must be 0.5 (got 0.4): every object has the twin's friction"),
+         "object 0 has unknown key 'friction'"),
+        (lambda d: d["scene"]["objects"][0].update(mass=0.2),
+         "object 0 has unknown key 'mass'"),
+        (lambda d: d.update(nominal_zone=d["goal"]["target"]["xyz"]),
+         "a scenario file has unknown key 'nominal_zone'"),
+        # a misspelled key in any object the reader opens
+        (lambda d: d["goal"].update(traget=d["goal"].pop("target")),
+         "goal has unknown key 'traget'"),
+        (lambda d: d["goal"]["target"].update(yaw=0.0),
+         "goal target has unknown key 'yaw'"),
+        (lambda d: d["randomization"].update(pos_jiter=d["randomization"].pop("pos_jitter")),
+         "randomization has unknown key 'pos_jiter'"),
+        (lambda d: d["scene"].update(helt_id=d["scene"].pop("held_id")),
+         "scene has unknown key 'helt_id'"),
+        (lambda d: d["scene"]["terrain"][1].update(hieght=0.4),
+         "terrain 1 has unknown key 'hieght'"),
+        (lambda d: d["scene"]["terrain"].append({
+            "kind": "shelf", "footprint": [[0.2, 0.2], [0.3, 0.2], [0.3, 0.3], [0.2, 0.3]],
+            "height": 0.4, "extra": {"clearance": 0.12, "open_fcae": [0.0, -1.0]}}),
+         "terrain 2 extra has unknown key 'open_fcae'"),
+        (lambda d: d["scene"]["terrain"].append({
+            "kind": "slot", "footprint": [[0.2, 0.2], [0.3, 0.2], [0.3, 0.3], [0.2, 0.3]],
+            "height": 0.4, "extra": {"depth": 0.025, "width": 0.1}}),
+         "terrain 2 extra has unknown key 'width'"),
+        (lambda d: d["scene"]["objects"][0].update(
+            tool_spce=d["scene"]["objects"][0].pop("tool_spec")),
+         "object 0 has unknown key 'tool_spce'"),
+        (lambda d: d["scene"]["objects"][0]["pose"].update(yaw_deg=0.0),
+         "object 0 pose has unknown key 'yaw_deg'"),
+        (lambda d: d["scene"]["objects"][0].update(tool_spec={
+            "kind": "hook", "effective_length": 0.2, "tip_offset": [0.1, 0.0, 0.0],
+            "tip_ofset": [0.1, 0.0, 0.0]}),
+         "object 0 tool_spec has unknown key 'tip_ofset'"),
+        (lambda d: d["fallback_plans"][0][0].update(hnit=d["fallback_plans"][0][0].pop("hint")),
+         "fallback plan 0 step 0 has unknown key 'hnit'"),
+        # the tool hint places the step's object as a tool, so it needs one
+        (lambda d: d["fallback_plans"][0][0].update(hint="tool_approach"),
+         "fallback plan 0 step 0: a tool_approach hint needs a tool, and 'box' has "
+         "no tool_spec"),
         # the twin cuts only axis-aligned rectangles
         (lambda d: d["scene"]["terrain"].append({
             "kind": "slot", "footprint": [[0.1, 0.0], [0.2, 0.0], [0.15, 0.1]],
@@ -525,6 +558,9 @@ class TestScenarioFileSteps:
             "nan-quat", "inf-jitter", "nan-height", "huge-int", "held-id", "empty-id",
             "untargeted-step", "goal-hint-region-goal", "push-kappa", "friction-scale",
             "robot-reach", "robot-base", "robot-aperture-type", "object-friction",
+            "object-mass", "file-nominal-zone", "goal-key", "goal-target-key",
+            "randomization-key", "scene-key", "terrain-key", "extra-key", "slot-width",
+            "object-key", "pose-key", "tool-spec-key", "step-key", "tool-hint-no-tool",
             "slot-not-rect", "shelf-rotated"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):

@@ -278,11 +278,16 @@ class TestFilterAndRank:
         scene = base_scene([card])
         pose = Pose6D((0.0, -0.3, TABLE_H + 0.004))
         cset = filter_and_rank([pose], "card", scene)
-        # each candidate draws as the scene rested at it, highlighted
-        rested, outcome = rest_on_support(scene, "card", pose)
+        # each candidate draws over the snapshot it was rehearsed in: the
+        # card translucent where it was before the step, the candidate solid
+        _, outcome = rest_on_support(scene, "card", pose)
         svgs = render_candidates(scene, "card", cset)
-        assert svgs == [render_scene(rested, highlight={"card": outcome.final_pose})]
+        assert svgs == [render_scene(scene, highlight={"card": outcome.final_pose})]
         assert svgs[0].startswith("<svg")
+        points = dict((title, line.split('"')[1]) for line in svgs[0].splitlines()
+                      for title in ("card", "card candidate")
+                      if line.endswith(f"<title>{title}</title></polygon>"))
+        assert points["card"] != points["card candidate"]
 
     def test_output_poses_subset_of_sampled_input(self):
         # sampler output is already at rest, so filtering must not move it
