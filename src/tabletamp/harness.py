@@ -20,8 +20,7 @@ import time
 import zlib
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
+from . import _rng
 from .control import (
     ErrorKind,
     ExecError,
@@ -101,8 +100,8 @@ class EpisodeResult:
         }
 
 
-def _scenario_rng(scenario: Scenario, seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng(
+def _scenario_rng(scenario: Scenario, seed: int, stream: int) -> _rng.Generator:
+    return _rng.default_rng(
         [seed, zlib.crc32(scenario.id.encode()) & 0x7FFFFFFF, stream]
     )
 
@@ -112,7 +111,7 @@ def _standing_orientation():
     return quat_from_axis_angle((0.0, 1.0, 0.0), -math.pi / 2)
 
 
-def _jittered_rests(rng: np.random.Generator, scene: TwinScene, object_id: str,
+def _jittered_rests(rng: _rng.Generator, scene: TwinScene, object_id: str,
                     base: Pose6D, jitter: float, yaw_jitter_deg: float):
     """The feasible rests among 100 jittered draws about ``base``, in draw
     order, as (pose drawn, rested scene, outcome).

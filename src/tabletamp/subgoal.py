@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ._rng import default_rng
 from .control import _MIN_OVERHANG, _support_height_below, assess_grasp
 from .domain import NEEDS_TARGET, PrimitiveInstance, PrimitiveKind, RegionDescriptor
 from .geometry import (
@@ -105,7 +104,7 @@ def sample_candidates(
     pose at the hint's xy, so rehearsal can validate the requested pose
     directly. Deterministic in rng_seed.
     """
-    rng = np.random.default_rng(rng_seed)
+    rng = default_rng(rng_seed)
     obj = scene.object(primitive.object_id)
     hint = primitive.target_pose_hint
 

@@ -66,7 +66,17 @@ from .geometry import (
     yaw_of,
 )
 
-TERRAIN_KINDS = ("table_surface", "ground", "wall", "slope", "slot", "shelf")
+# the keys each terrain kind reads from its ``extra``: numbers, then [x, y]
+# directions
+_EXTRA_KEYS = {
+    "table_surface": ((), ()),
+    "ground": ((), ()),
+    "wall": (("height",), ()),
+    "slope": (("angle_deg",), ("downhill",)),
+    "slot": (("depth",), ()),
+    "shelf": (("clearance",), ("open_face",)),
+}
+TERRAIN_KINDS = tuple(_EXTRA_KEYS)
 
 _CONTACT_TOL = 1e-6
 _AREA_TOL = 1e-8
@@ -1276,10 +1286,12 @@ def _json_polygon(value, what: str) -> Polygon2:
     return Polygon2(tuple((v[0], v[1]) for v in value))
 
 
-def _json_extra(value, what: str) -> dict:
-    """A terrain's ``extra`` object, whose keys must hold a number or, for
-    a direction, an [x, y] pair."""
-    numbers, directions = ("height", "angle_deg", "depth", "clearance"), ("downhill", "open_face")
+def _json_extra(value, what: str, kind) -> dict:
+    """The ``extra`` object of a terrain of ``kind``, which must hold only
+    that kind's keys, each a number or, for a direction, an [x, y] pair."""
+    if kind not in TERRAIN_KINDS:
+        raise ValueError(f"unknown terrain kind {kind!r}")
+    numbers, directions = _EXTRA_KEYS[kind]
     extra = dict(_json_object(value, what, numbers + directions))
     for key in numbers:
         if key in extra:
@@ -1309,7 +1321,7 @@ def scene_from_dict(data: dict) -> TwinScene:
             kind=t["kind"],
             footprint=_json_polygon(t["footprint"], f"{where} footprint"),
             height=_json_number(t["height"], f"{where} height"),
-            extra=_json_extra(t.get("extra", {}), f"{where} extra"),
+            extra=_json_extra(t.get("extra", {}), f"{where} extra", t["kind"]),
             name=_json_string(t.get("name", ""), f"{where} name"),
         ))
     objects = []

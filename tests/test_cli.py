@@ -446,7 +446,7 @@ class TestScenarioFileSteps:
          "yaw_jitter_deg must be a number >= 0 (got True)"),
         (lambda d: d["scene"]["terrain"][0].update(kind="wall", extra={"height": "x"}),
          "terrain 0 extra height must be a number (got 'x')"),
-        (lambda d: d["scene"]["terrain"][0].update(extra={"downhill": "south"}),
+        (lambda d: d["scene"]["terrain"][0].update(kind="slope", extra={"downhill": "south"}),
          "terrain 0 extra downhill must be a list of 2 numbers (got 'south')"),
         (lambda d: d["scene"]["terrain"][0].update(name=5),
          "terrain 0 name must be a string (got 5)"),
@@ -521,6 +521,12 @@ class TestScenarioFileSteps:
             "kind": "slot", "footprint": [[0.2, 0.2], [0.3, 0.2], [0.3, 0.3], [0.2, 0.3]],
             "height": 0.4, "extra": {"depth": 0.025, "width": 0.1}}),
          "terrain 2 extra has unknown key 'width'"),
+        # each kind reads its own extra keys: a slot's depth on the table is
+        # unknown, and a kind the twin lacks is named before its extra
+        (lambda d: d["scene"]["terrain"][1].update(extra={"depth": 0.03}),
+         "terrain 1 extra has unknown key 'depth'"),
+        (lambda d: d["scene"]["terrain"][1].update(kind="lawn", extra={"depth": 0.03}),
+         "unknown terrain kind 'lawn'"),
         (lambda d: d["scene"]["objects"][0].update(
             tool_spce=d["scene"]["objects"][0].pop("tool_spec")),
          "object 0 has unknown key 'tool_spce'"),
@@ -560,6 +566,7 @@ class TestScenarioFileSteps:
             "robot-reach", "robot-base", "robot-aperture-type", "object-friction",
             "object-mass", "file-nominal-zone", "goal-key", "goal-target-key",
             "randomization-key", "scene-key", "terrain-key", "extra-key", "slot-width",
+            "extra-other-kind", "terrain-kind",
             "object-key", "pose-key", "tool-spec-key", "step-key", "tool-hint-no-tool",
             "slot-not-rect", "shelf-rotated"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
