@@ -89,10 +89,10 @@ def _write_text(path: Path, text: str) -> None:
 def _planner_config(args) -> PlannerConfig:
     return PlannerConfig(
         backend=args.planner,
-        endpoint=getattr(args, "endpoint", "") or "",
-        model=getattr(args, "model", "") or "",
-        timeout_s=getattr(args, "timeout", 30.0),
-        max_retries=getattr(args, "max_retries", 2),
+        endpoint=args.endpoint,
+        model=args.model,
+        timeout_s=args.timeout,
+        max_retries=args.max_retries,
     )
 
 

@@ -49,7 +49,7 @@ from .planner import (
     make_planner,
 )
 from .render import render_candidates, render_goal
-from .scenarios import Goal, Scenario, build_region_registry, fallback_builders
+from .scenarios import Goal, Scenario, build_region_registry
 from .subgoal import (
     CandidateSet,
     NoFeasiblePose,
@@ -313,7 +313,7 @@ def start_episode(scenario: Scenario, seed: int, planner_cfg: PlannerConfig):
     scene = randomize(scenario, seed)
     goal = randomized_goal(scenario, seed)
     registry = build_region_registry(scenario, goal)
-    planner = make_planner(planner_cfg, fallbacks=fallback_builders(scenario))
+    planner = make_planner(planner_cfg, templates=scenario.fallback_templates)
     try:
         plan = planner.plan(observe(scene, goal, scenario))
     except PlannerUnavailable as exc:

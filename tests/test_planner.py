@@ -3,9 +3,7 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -29,7 +27,7 @@ from tabletamp.planner import (
     insight_for,
     make_planner,
 )
-from tabletamp.scenarios import build_region_registry, build_scenario, fallback_builders
+from tabletamp.scenarios import build_region_registry, build_scenario
 
 
 def edge_observation(seed=0):
@@ -51,7 +49,7 @@ def reflection(error_kind, step, obs, plan, history=()):
 class TestScriptedPlanner:
     def test_edge_fallback_sequence(self):
         scenario, obs = edge_observation()
-        planner = ScriptedPlanner(fallback_builders(scenario))
+        planner = ScriptedPlanner(scenario.fallback_templates)
         p0 = planner.plan(obs)
         assert [s.kind for s in p0.steps] == [
             PrimitiveKind.GRASP, PrimitiveKind.MOVETO, PrimitiveKind.RELEASE
@@ -71,7 +69,7 @@ class TestScriptedPlanner:
 
     def test_exhaustion_raises_no_more_plans(self):
         scenario, obs = edge_observation()
-        planner = ScriptedPlanner(fallback_builders(scenario))
+        planner = ScriptedPlanner(scenario.fallback_templates)
         plan = planner.plan(obs)
         for _ in range(2):
             _, plan = planner.reflect(
@@ -82,8 +80,8 @@ class TestScriptedPlanner:
 
     def test_pure_function_of_attempt_index(self):
         scenario, obs = edge_observation()
-        a = ScriptedPlanner(fallback_builders(scenario))
-        b = ScriptedPlanner(fallback_builders(scenario))
+        a = ScriptedPlanner(scenario.fallback_templates)
+        b = ScriptedPlanner(scenario.fallback_templates)
         assert a.plan(obs) == b.plan(obs)
         pa = a.plan(obs)
         ra = a.reflect(reflection(ErrorKind.NO_GRASP_FOUND, pa.steps[0], obs, pa))
@@ -92,7 +90,7 @@ class TestScriptedPlanner:
 
     def test_revision_strictly_increases(self):
         scenario, obs = edge_observation()
-        planner = ScriptedPlanner(fallback_builders(scenario))
+        planner = ScriptedPlanner(scenario.fallback_templates)
         plan = planner.plan(obs)
         revisions = [plan.revision]
         while True:
@@ -109,7 +107,7 @@ class TestScriptedPlanner:
         from tabletamp.domain import validate_skeleton
 
         scenario, obs = edge_observation()
-        planner = ScriptedPlanner(fallback_builders(scenario))
+        planner = ScriptedPlanner(scenario.fallback_templates)
         plan = planner.plan(obs)
         assert validate_skeleton(plan, obs.symbolic_state()) == []
 
@@ -124,7 +122,7 @@ class TestScriptedPlanner:
 
     def test_reflection_input_requires_step_membership(self):
         scenario, obs = edge_observation()
-        planner = ScriptedPlanner(fallback_builders(scenario))
+        planner = ScriptedPlanner(scenario.fallback_templates)
         plan = planner.plan(obs)
         foreign = PrimitiveInstance(PrimitiveKind.PUSH, "ghost",
                                     region=RegionDescriptor("target_zone"))
@@ -144,46 +142,6 @@ class TestFencedBlock:
     def test_two_blocks_rejected(self):
         with pytest.raises(ValueError):
             extract_fenced_block("```a```\n```b```")
-
-
-class _StubHandler(BaseHTTPRequestHandler):
-    replies: list = []
-    requests_seen: list = []
-    delay_s: float = 0.0
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append(body)
-        if self.delay_s:
-            time.sleep(self.delay_s)
-        reply = self.replies.pop(0) if self.replies else "no more replies"
-        payload = json.dumps(
-            {"choices": [{"message": {"content": reply}}]}
-        ).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    _StubHandler.replies = []
-    _StubHandler.requests_seen = []
-    _StubHandler.delay_s = 0.0
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", _StubHandler
-    finally:
-        server.shutdown()
-        thread.join(timeout=2)
 
 
 GOOD_SKELETON = json.dumps({
@@ -270,7 +228,7 @@ class TestHttpPlanner:
         cfg = PlannerConfig(backend="http", endpoint=url, model="stub")
         planner = HttpPlanner(cfg)
         scenario, obs = edge_observation()
-        failed = ScriptedPlanner(fallback_builders(scenario)).plan(obs)
+        failed = ScriptedPlanner(scenario.fallback_templates).plan(obs)
         insight, revised = planner.reflect(
             reflection(ErrorKind.NO_GRASP_FOUND, failed.steps[0], obs, failed)
         )
@@ -364,12 +322,12 @@ class TestHttpPlanner:
 class TestMakePlanner:
     def test_scripted_needs_fallbacks(self):
         with pytest.raises(ValueError):
-            make_planner(PlannerConfig(backend="scripted"), fallbacks=None)
+            make_planner(PlannerConfig(backend="scripted"), templates=None)
 
     def test_dispatch(self):
         scenario, _ = edge_observation()
         p = make_planner(PlannerConfig(backend="scripted"),
-                         fallbacks=fallback_builders(scenario))
+                         templates=scenario.fallback_templates)
         assert isinstance(p, ScriptedPlanner)
 
     def test_package_import_leaves_requests_unloaded(self):

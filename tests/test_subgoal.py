@@ -31,7 +31,7 @@ from tabletamp.subgoal import (
     sample_candidates,
     select_subgoal,
 )
-from tabletamp.twin import SettleOutcome, flat_pose_on_support, rest_on_support
+from tabletamp.twin import flat_pose_on_support, rest_on_support
 
 from tests.test_geometry import random_unit_quat
 from tests.test_twin import TABLE_H, base_scene, make_box
@@ -307,8 +307,7 @@ class TestFilterAndRank:
 
 def make_candidate(pose, score, margin=0.02, idx=0):
     return Candidate(
-        pose=pose, settle=SettleOutcome("stable", pose),
-        reachability_score=score, stability_margin=margin,
+        pose=pose, reachability_score=score, stability_margin=margin,
         source_index=idx,
     )
 
