@@ -697,15 +697,20 @@ def farthest_point_sample(points: list[Vec2], k: int, start: int = 0) -> list[in
         bx, by = points[chosen[-1]]
         best_i = 0
         best_d = -1.0
-        for i, p in enumerate(points):
-            d = (p[0] - bx) ** 2 + (p[1] - by) ** 2
-            if d < min_d2[i]:
+        i = 0
+        for px, py in points:
+            # ``** 2``, not ``dx * dx``: the two round differently for some
+            # doubles, and the picks must not move
+            d = (px - bx) ** 2 + (py - by) ** 2
+            m = min_d2[i]
+            if d < m:
                 min_d2[i] = d
             else:
-                d = min_d2[i]
+                d = m
             if d > best_d + 1e-15:
                 best_d = d
                 best_i = i
+            i += 1
         chosen.append(best_i)
     return chosen
 

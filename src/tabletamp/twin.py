@@ -297,12 +297,53 @@ class SupportCell:
         """The twin's terrain height rule: a slope cell's incline plane at
         ``p``, and the flat height of every other cell."""
         if self.kind == "slope":
-            extra = self.feature.extra
-            d = extra["downhill"]
-            s_min = min(v[0] * d[0] + v[1] * d[1] for v in self.ring)
+            d, s_min, tan_angle = self._incline
             s = p[0] * d[0] + p[1] * d[1]
-            return self.height - math.tan(math.radians(extra["angle_deg"])) * (s - s_min)
+            return self.height - tan_angle * (s - s_min)
         return self.height
+
+    def contains(self, p: Vec2) -> bool:
+        """``point_in_polygon(p, self.polygon)``, answered from the cell's
+        two boxes wherever they decide it."""
+        x, y = p
+        x0, x1, y0, y1 = self._near_box
+        if not (x0 <= x <= x1 and y0 <= y <= y1):
+            return False
+        x0, x1, y0, y1 = self._inner_box
+        if x0 <= x < x1 and y0 <= y < y1:
+            return True
+        return point_in_polygon(p, self.polygon)
+
+    @derived
+    def _incline(self) -> tuple[Vec2, float, float]:
+        """A slope cell's downhill direction, the least downhill coordinate
+        of its ring, and the tangent of its angle."""
+        extra = self.feature.extra
+        d = extra["downhill"]
+        s_min = min(v[0] * d[0] + v[1] * d[1] for v in self.ring)
+        return d, s_min, math.tan(math.radians(extra["angle_deg"]))
+
+    @derived
+    def _near_box(self) -> tuple[float, float, float, float]:
+        """The bounds grown by ``point_in_polygon``'s early-return slack, so
+        that no point outside them is contained; empty for a ring under 3
+        vertices, which contains no point."""
+        if len(self.ring) < 3:
+            return math.inf, -math.inf, math.inf, -math.inf
+        slack = _BOUNDARY_TOL + 1e-9
+        xmin, xmax, ymin, ymax = self.bounds
+        return xmin - slack, xmax + slack, ymin - slack, ymax + slack
+
+    @derived
+    def _inner_box(self) -> tuple[float, float, float, float]:
+        """Half-open bounds of a rect cell, which contain only points that
+        ``point_in_polygon`` counts in: its two vertical edges give a
+        crossing at exactly their x, and its horizontal edges give none, so
+        the crossing number is odd iff ``xmin <= x < xmax`` and
+        ``ymin <= y < ymax``. Empty for every other cell."""
+        if not self.rect:
+            return math.inf, -math.inf, math.inf, -math.inf
+        return self.bounds
 
     @derived
     def polygon(self) -> Polygon2:
@@ -505,7 +546,7 @@ def _slope_penetration(scene: TwinScene, box: Obb, tol: float,
     for cell in scene.terrain.slopes:
         for c in box.corners():
             p = (c[0], c[1])
-            if point_in_polygon(p, cell.polygon) and c[2] + climb_tol < cell.height_at(p) - tol:
+            if cell.contains(p) and c[2] + climb_tol < cell.height_at(p) - tol:
                 return True
     return False
 
@@ -761,15 +802,8 @@ def cell_under(cells: Sequence[SupportCell], p: Vec2) -> SupportCell | None:
     """The cell with the highest support at a point, the first of equally
     high ones; None over the void."""
     best, best_h = None, -math.inf
-    x, y = p
-    slack = max(_BOUNDARY_TOL, 0.0) + 1e-9  # point_in_polygon's early return
     for cell in cells:
-        if len(cell.ring) < 3:
-            continue
-        xmin, xmax, ymin, ymax = cell.bounds
-        if x < xmin - slack or x > xmax + slack or y < ymin - slack or y > ymax + slack:
-            continue
-        if point_in_polygon(p, cell.polygon):
+        if cell.contains(p):
             h = cell.height_at(p)
             if h > best_h:
                 best, best_h = cell, h

@@ -7,6 +7,7 @@ import pytest
 
 from tabletamp import twin
 from tabletamp.geometry import (
+    _BOUNDARY_TOL,
     Obb,
     Polygon2,
     Pose6D,
@@ -796,18 +797,64 @@ def ref_surface_under(scene, point):
     return best, ref_top_height_at(best, point)
 
 
+# offsets off a vertex or an edge point: the boundary tolerance is 1e-9, and
+# point_in_polygon's early return allows 2e-9
+EDGE_OFFSETS = (0.0, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9, -2e-9, 1e-6, -1e-6, 1e-3, -1e-3)
+
+
+def edge_probe_points(rng, ring):
+    """A ring's vertices, edge midpoints and three seeded points along each
+    edge (exactly on it where the edge is axis-aligned), and points
+    ``EDGE_OFFSETS`` off each of them along x and along y."""
+    points = []
+    n = len(ring)
+    for i in range(n):
+        a, b = ring[i], ring[(i + 1) % n]
+        on_edge = [a] + [(a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+                         for t in (0.5, *rng.uniform(0.0, 1.0, size=3))]
+        for x, y in on_edge:
+            for d in EDGE_OFFSETS:
+                points += [(x + d, y), (x, y + d)]
+    return points
+
+
 def terrain_probe_points(rng, scene):
     """Seeded points over and beyond a scene's terrain, plus every feature's
-    vertices and edge midpoints and points 1e-10 to 1e-3 off them."""
+    ``edge_probe_points``."""
     points = [tuple(p) for p in rng.uniform(-1.3, 1.3, size=(300, 2))]
     for t in scene.terrain:
         x0, x1, y0, y1 = t.footprint.bounds
         points += [tuple(p) for p in rng.uniform((x0, y0), (x1, y1), size=(60, 2))]
-        for a, b in t.footprint.edges():
-            for x, y in (a, (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))):
-                for d in (0.0, 1e-10, -1e-10, 1e-6, -1e-6, 1e-3, -1e-3):
-                    points += [(x + d, y), (x, y + d)]
+        points += edge_probe_points(rng, t.footprint.vertices)
     return points
+
+
+def ref_cell_under(cells, p):
+    """``cell_under``'s body before each cell kept its boxes: the slack and
+    the bounds test derived on every call."""
+    best, best_h = None, -math.inf
+    x, y = p
+    slack = max(_BOUNDARY_TOL, 0.0) + 1e-9  # point_in_polygon's early return
+    for cell in cells:
+        if len(cell.ring) < 3:
+            continue
+        xmin, xmax, ymin, ymax = cell.bounds
+        if x < xmin - slack or x > xmax + slack or y < ymin - slack or y > ymax + slack:
+            continue
+        if point_in_polygon(p, cell.polygon):
+            h = cell.height_at(p)
+            if h > best_h:
+                best, best_h = cell, h
+    return best
+
+
+def ref_slope_height_at(cell, p):
+    """A slope cell's incline height, with its constants derived per call."""
+    extra = cell.feature.extra
+    d = extra["downhill"]
+    s_min = min(v[0] * d[0] + v[1] * d[1] for v in cell.ring)
+    s = p[0] * d[0] + p[1] * d[1]
+    return cell.height - math.tan(math.radians(extra["angle_deg"])) * (s - s_min)
 
 
 class TestTerrainUnderOracle:
@@ -816,7 +863,9 @@ class TestTerrainUnderOracle:
         # bit, of the feature rule above; the one difference is a point
         # within the boundary tolerance of a slot's edge, which both the
         # slot and a table piece contain: the rule's slot precedence gave
-        # the slot, the cells give the higher table piece
+        # the slot, the cells give the higher table piece; one of the two
+        # holds the point by its tolerance alone, and which one it is turns
+        # on the last bit for a point 1e-9 off their shared edge
         from tabletamp.scenarios import SCENARIO_IDS, build_scenario
 
         rng = np.random.default_rng(18)
@@ -835,10 +884,48 @@ class TestTerrainUnderOracle:
                     slope += feature.kind == "slope"
                     continue
                 assert feature.kind == "slot" and cell.kind == "table_surface", (name, p)
-                assert feature.footprint.boundary_distance(p) <= 1e-9, (name, p)
+                assert min(feature.footprint.boundary_distance(p),
+                           cell.polygon.boundary_distance(p)) <= 1e-9, (name, p)
                 assert cell.height_at(p) == feature.height
                 slot_edge += 1
         assert void > 100 and slope > 100 and slot_edge > 10
+
+    def test_cell_boxes_equal_the_per_call_body(self):
+        # the same cell, by identity, as the body that derived the slack and
+        # bounds on every call, over randomized scenes' terrain and object
+        # cells: seeded points in each cell, and points on and just off every
+        # edge and corner, where a rect cell's half-open box hands over to
+        # point_in_polygon; a slope's stored constants give its height bit
+        # for bit
+        from tabletamp.harness import randomize
+        from tabletamp.scenarios import SCENARIO_IDS, build_scenario
+
+        rng = np.random.default_rng(24)
+        inner = band = objects = slope = 0
+        for name in SCENARIO_IDS:
+            for seed in (0, 1):
+                cells = support_cells(randomize(build_scenario(name), seed))
+                for probe in cells:
+                    x0, x1, y0, y1 = probe.bounds
+                    points = [tuple(p) for p in rng.uniform((x0, y0), (x1, y1), size=(40, 2))]
+                    points += edge_probe_points(rng, probe.ring)
+                    for p in points:
+                        inside = point_in_polygon(p, probe.polygon)
+                        assert probe.contains(p) is inside, (name, seed, probe.kind, p)
+                        if probe.rect and inside:
+                            if x0 <= p[0] < x1 and y0 <= p[1] < y1:
+                                inner += 1
+                            else:
+                                band += 1
+                        cell = cell_under(cells, p)
+                        assert cell is ref_cell_under(cells, p), (name, seed, p)
+                        if cell is None:
+                            continue
+                        objects += cell.kind == "object"
+                        if cell.kind == "slope":
+                            assert repr(cell.height_at(p)) == repr(ref_slope_height_at(cell, p))
+                            slope += 1
+        assert inner > 1000 and band > 1000 and objects > 1000 and slope > 100
 
 
 class TestPlaceAt:
