@@ -697,10 +697,28 @@ def rest_on_support(scene: TwinScene, object_id: str,
     return rested, outcome
 
 
+# The hull, cells and result of _support_pieces' last call. A re-settle of an
+# unchanged object (a push pinned against a wall, a pivot below its balance
+# point) asks for the same hull over the same cells, and the result is a
+# function of those alone. The hull is compared by value, and only when it
+# has no zero coordinate, since 0.0 == -0.0 while a piece carries the bits;
+# the cells, derived once per terrain and per object, by identity. The entry
+# is one tuple replaced whole, so it needs no lock.
+_last_pieces: tuple[tuple, list, tuple] | None = None
+
+
 def _support_pieces(scene: TwinScene, object_id: str, hull: tuple[Vec2, ...],
                     include_objects: bool = True):
-    """(height, cell, piece) for every support cell the hull overlaps."""
+    """(height, cell, piece) for every support cell the hull overlaps, as a
+    tuple that the callers of an equal query share."""
+    global _last_pieces
     cells = support_cells(scene, exclude_id=object_id, include_objects=include_objects)
+    hull = tuple(hull)
+    last = _last_pieces
+    if (last is not None and last[0] == hull and len(last[1]) == len(cells)
+            and all(a is b for a, b in zip(last[1], cells))
+            and not any(0.0 in v for v in hull)):
+        return last[2]
     scored: list[tuple[float, SupportCell, list[Vec2]]] = []
     bounds = ring_bounds(hull)
     hx0, hx1, hy0, hy1 = bounds
@@ -722,7 +740,18 @@ def _support_pieces(scene: TwinScene, object_id: str, hull: tuple[Vec2, ...],
         else:
             h = max(cell.height_at(p) for p in piece)
         scored.append((h, cell, piece))
-    return scored
+    result = tuple(scored)
+    _last_pieces = (hull, cells, result)
+    return result
+
+
+# The object, support pieces and outcome of the last settle that found the
+# object stable where it stands. From there on, that outcome is a function of
+# the object and the pieces under it, so a settle of the same object that
+# _support_pieces hands the same pieces returns it; every support_cells call
+# is still made. Both are compared by identity, and the entry is one tuple
+# replaced whole, so it needs no lock.
+_last_settle: tuple[RigidObject, tuple, SettleOutcome] | None = None
 
 
 def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
@@ -735,6 +764,7 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     edge, largest face down; with no raised support at all it lands on the
     ground and reports fell_off.
     """
+    global _last_settle
     obj = scene.object(object_id)
     pose = obj.pose
     status = "stable"
@@ -744,6 +774,10 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
         pose = Pose6D(pose.position, flat_q)
         face = obj.at_pose(pose).world_obb().resting_face()
         scored = _support_pieces(scene, obj.id, face)
+        if hop == 0:
+            last = _last_settle
+            if last is not None and last[0] is obj and last[1] is scored:
+                return last[2]
         raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
         if not raised:
             z = _ground_height(scene) + _half_height(obj, flat_q)
@@ -776,8 +810,10 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
 
         if inside:
             z = h_star + _half_height(obj, flat_q)
-            final = Pose6D((pose.x, pose.y, z), flat_q)
-            return SettleOutcome(status, final)
+            outcome = SettleOutcome(status, Pose6D((pose.x, pose.y, z), flat_q))
+            if hop == 0:
+                _last_settle = (obj, scored, outcome)
+            return outcome
 
         if hop == 0:
             # topple over the nearest support edge, largest face ends down
@@ -802,8 +838,12 @@ def cell_under(cells: Sequence[SupportCell], p: Vec2) -> SupportCell | None:
     """The cell with the highest support at a point, the first of equally
     high ones; None over the void."""
     best, best_h = None, -math.inf
+    x, y = p
     for cell in cells:
-        if cell.contains(p):
+        # most cells reject the point on their near box: test it here, before
+        # the call to contains, which tests it again
+        x0, x1, y0, y1 = cell._near_box
+        if x0 <= x <= x1 and y0 <= y <= y1 and cell.contains(p):
             h = cell.height_at(p)
             if h > best_h:
                 best, best_h = cell, h

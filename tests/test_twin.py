@@ -502,7 +502,7 @@ class TestBoundsRejects:
                     box = beside(rng, seeded_box(rng, i, 0.5), cell.bounds)
                     skipped += bounds_disjoint(box.xy_bounds, cell.bounds)
                     expected = unfiltered_support_pieces(scene, box.xy_hull)
-                    assert twin._support_pieces(scene, None, list(box.xy_hull)) == expected
+                    assert list(twin._support_pieces(scene, None, list(box.xy_hull))) == expected
                     checked += 1
         assert checked >= 200 and 0.2 * checked < skipped < 0.9 * checked
 
@@ -738,7 +738,7 @@ class TestClosedFormSupport:
                         hx0, hx1, hy0, hy1 = twin.ring_bounds(start)
                         contained += (x0 <= hx0 and hx1 <= x1 and y0 <= hy0 and hy1 <= y1)
                         got = twin._support_pieces(scene, None, tuple(start))
-                        assert repr(got) == repr(unfiltered_support_pieces(scene, start))
+                        assert repr(list(got)) == repr(unfiltered_support_pieces(scene, start))
         assert contained > 4000
 
 
@@ -1352,6 +1352,146 @@ class TestApplyPush:
         calls.clear()
         assert traces() == with_reuse
         assert bisections_with_reuse < len(calls)  # some push repeated its inputs
+
+
+def bits(value):
+    """``value`` with every float as ``float.hex`` and every support cell as
+    its identity: equal iff the same floats and the same cells come out."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    if isinstance(value, twin.SettleOutcome):
+        return [value.status, bits(value.final_pose.position),
+                bits(value.final_pose.orientation)]
+    if isinstance(value, twin.SupportCell):
+        return id(value)
+    return value
+
+
+class TestSettleReuse:
+    """settle and _support_pieces keep their last query and answer an equal
+    one from it; every answer must be the one a fresh call gives."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Wrap settle and _support_pieces: each call's function, arguments,
+        result, and whether the result is the one kept from before."""
+        calls = []
+        for name, kept in (("settle", "_last_settle"), ("_support_pieces", "_last_pieces")):
+            def wrapper(*args, original=getattr(twin, name), kept=kept):
+                before = getattr(twin, kept)
+                result = original(*args)
+                calls.append((original, args, result,
+                              before is not None and result is before[2]))
+                return result
+
+            monkeypatch.setattr(twin, name, wrapper)
+        return calls
+
+    @staticmethod
+    def fresh(monkeypatch, function, *args):
+        monkeypatch.setattr(twin, "_last_settle", None)
+        monkeypatch.setattr(twin, "_last_pieces", None)
+        return function(*args)
+
+    def assert_all_fresh(self, monkeypatch, calls):
+        """Every recorded result equals a fresh call's, and some were reused."""
+        served = {"settle": 0, "_support_pieces": 0}
+        for function, args, result, reused in list(calls):
+            assert bits(self.fresh(monkeypatch, function, *args)) == bits(result)
+            served[function.__name__] += reused
+        return served
+
+    def test_push_into_a_wall_until_it_stalls(self, monkeypatch):
+        wall = TerrainFeature("wall", rect_polygon(0.1, 0.0, 0.01, 0.2), TABLE_H,
+                              {"height": 0.05}, name="rail")
+        scene = base_scene([make_box(x=0.01, y=0.003)], terrain_extra=[wall])
+        calls = self.record(monkeypatch)
+        stalled = 0
+        while stalled < 4:
+            obj = scene.object("box")
+            contact = (obj.pose.x - 0.05, obj.pose.y, TABLE_H + 0.05)
+            scene, delta = apply_push(scene, "box", contact, (1.0, 0.0), 0.02)
+            stalled += (delta.dx, delta.dy, delta.dyaw) == (0.0, 0.0, 0.0)
+        served = self.assert_all_fresh(monkeypatch, calls)
+        assert served["settle"] >= 3 and served["_support_pieces"] >= 3
+
+    def test_below_balance_rotate_increments(self, monkeypatch):
+        from tabletamp.control import exec_rotate
+
+        plank = make_box("plank", half=(0.10, 0.05, 0.01), y=-0.2, z=TABLE_H + 0.01)
+        goal = Pose6D((0.0, -0.25, TABLE_H + 0.05),
+                      (math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0))
+        calls = self.record(monkeypatch)
+        out, trace = exec_rotate(base_scene([plank]), "plank", goal)
+        assert trace.ok, trace.result
+        served = self.assert_all_fresh(monkeypatch, calls)
+        # every increment below the balance point settles the same scene
+        assert served["settle"] >= 10
+
+    def test_rest_then_raised_support_then_margin(self, monkeypatch):
+        base = make_box("base", half=(0.06, 0.06, 0.03), x=0.02, y=-0.01)
+        top = make_box("top", half=(0.03, 0.04, 0.02), x=0.1, y=0.1)
+        scene = base_scene([base, top])
+        pose = Pose6D((0.03, -0.005, TABLE_H + 0.06 + 0.021), quat_from_yaw(0.3))
+        calls = self.record(monkeypatch)
+        rested, outcome = rest_on_support(scene, "top", pose)
+        margin = stability_margin(rested, "top")
+        assert outcome.status == "stable" and margin > 0.0
+        served = self.assert_all_fresh(monkeypatch, calls)
+        # raised_support and stability_margin ask for the pieces settle found
+        assert served["_support_pieces"] == 2
+
+    def test_zero_of_the_other_sign_is_recomputed(self, monkeypatch):
+        scene = base_scene()
+        hull = ((0.0, -0.05), (0.05, -0.05), (0.05, 0.05), (0.0, 0.05))
+        flipped = tuple((-0.0 if x == 0.0 else x, y) for x, y in hull)
+        assert flipped == hull
+        first = self.fresh(monkeypatch, twin._support_pieces, scene, None, hull)
+        second = twin._support_pieces(scene, None, flipped)
+        assert second is not first
+        assert bits(second) == bits(self.fresh(monkeypatch, twin._support_pieces,
+                                               scene, None, flipped))
+        assert bits(second) != bits(first)  # the pieces carry the sign
+
+    def test_equal_but_distinct_object_is_recomputed(self, monkeypatch):
+        box = make_box(x=0.01, y=0.02)
+        scene = base_scene([box])
+        twin_box = dataclasses.replace(box)
+        assert twin_box == box and twin_box is not box
+        copy = scene.replace_object(twin_box)
+        first = self.fresh(monkeypatch, settle, scene, "box")
+        calls = self.record(monkeypatch)
+        second = twin.settle(copy, "box")
+        (pieces, settled) = calls
+        assert pieces[3]  # the pieces were reused: the object alone differs
+        assert not settled[3] and second is not first
+        assert bits(second) == bits(self.fresh(monkeypatch, settle, copy, "box"))
+
+    def test_one_different_cell_is_recomputed(self, monkeypatch):
+        base = make_box("base", half=(0.06, 0.06, 0.03), x=0.02, y=-0.01)
+        top = make_box("top", half=(0.03, 0.04, 0.02), x=0.031, y=-0.005,
+                       z=TABLE_H + 0.06 + 0.02)
+        scene = base_scene([base, top])
+        hull = top.world_obb().resting_face()
+        # an equal-valued copy of the base: its cell is equal, not the same
+        copy = scene.replace_object(dataclasses.replace(base))
+        new_cell = copy.object("base")._support_cell
+        assert new_cell == scene.object("base")._support_cell
+        first = self.fresh(monkeypatch, twin._support_pieces, scene, "top", hull)
+        second = twin._support_pieces(copy, "top", hull)
+        assert second is not first and any(c is new_cell for _, c, _ in second)
+        assert bits(second) == bits(self.fresh(monkeypatch, twin._support_pieces,
+                                               copy, "top", hull))
+        # a taller base under the same top object: settle finds other pieces
+        taller = scene.replace_object(make_box("base", half=(0.06, 0.06, 0.035),
+                                               x=0.02, y=-0.01))
+        assert taller.object("top") is top
+        first = self.fresh(monkeypatch, settle, scene, "top")
+        second = settle(taller, "top")
+        assert second.final_pose.z > first.final_pose.z
+        assert bits(second) == bits(self.fresh(monkeypatch, settle, taller, "top"))
 
 
 class TestPivotRotate:
