@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -86,20 +87,10 @@ def _write_text(path: Path, text: str) -> None:
         raise InputError(f"cannot write {str(path)!r}: {exc.strerror or exc}") from exc
 
 
-def _planner_config(args) -> PlannerConfig:
-    return PlannerConfig(
-        backend=args.planner,
-        endpoint=args.endpoint,
-        model=args.model,
-        timeout_s=args.timeout,
-        max_retries=args.max_retries,
-    )
-
-
 def cmd_run(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     out_dir = _out_dir(args.out)
-    result = run_episode(scenario, args.seed, _planner_config(args),
+    result = run_episode(scenario, args.seed, args.planner_cfg,
                          ablation=args.ablation, render=args.render)
     trace_path = out_dir / f"{scenario.id}_seed{args.seed}.json"
     _write_text(trace_path, episode_trace_json(result))
@@ -131,7 +122,7 @@ def cmd_bench(args) -> int:
         # rows are keyed by scenario id, so a repeat would count twice
         raise InputError(f"scenario {repeated!r} is given more than once")
     out_dir = _out_dir(args.out)
-    rows, results = run_benchmark(scenarios, args.trials, _planner_config(args),
+    rows, results = run_benchmark(scenarios, args.trials, args.planner_cfg,
                                   ablation=args.ablation)
     csv_text = benchmark_csv(rows)
     _write_text(out_dir / "benchmark.csv", csv_text)
@@ -147,7 +138,7 @@ def cmd_bench(args) -> int:
 def cmd_sample(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     scene, goal, registry, _, plan = start_episode(scenario, args.seed,
-                                                   _planner_config(args))
+                                                   args.planner_cfg)
     if isinstance(plan, PlannerUnavailable):
         # run ends the episode with the same failure and exit code
         print(f"error: {plan}", file=sys.stderr)
@@ -244,6 +235,17 @@ def _int_at_least(low: int):
     return convert
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type for a finite float greater than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0 (got {value})")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tabletamp",
@@ -259,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--endpoint", default="",
                            help="chat-completions URL for the http planner")
             p.add_argument("--model", default="", help="model name")
-            p.add_argument("--timeout", type=float, default=30.0)
+            p.add_argument("--timeout", type=_positive_float, default=30.0,
+                           help="seconds per http planner request")
             p.add_argument("--max-retries", dest="max_retries",
                            type=_int_at_least(0), default=2)
 
@@ -305,8 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "planner", None) == "http" and not args.endpoint:
-        parser.error("--planner http needs --endpoint")
+    if getattr(args, "planner", None) is not None:
+        if args.planner == "http" and not args.endpoint:
+            parser.error("--planner http needs --endpoint")
+        try:
+            args.planner_cfg = PlannerConfig(
+                backend=args.planner,
+                endpoint=args.endpoint,
+                model=args.model,
+                timeout_s=args.timeout,
+                max_retries=args.max_retries,
+            )
+        except ValueError as exc:  # an endpoint that is not an http(s) URL
+            parser.error(str(exc))
     try:
         return args.func(args)
     except (InputError, RandomizationFailure) as exc:

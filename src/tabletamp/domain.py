@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .geometry import Pose6D
 from .twin import _is_number
@@ -177,25 +178,23 @@ def primitive_definitions_text() -> str:
     return "\n".join(lines)
 
 
+# what each precondition label of PRIMITIVE_SCHEMAS requires of the step's
+# object and the state; "(o)" in a label stands for the step's object id
+_PRECONDITION_HOLDS: dict[str, Callable[[ObjectState, SymbolicState], bool]] = {
+    "gripper_free": lambda obj, state: state.gripper_free,
+    "held(o)": lambda obj, state: obj.held,
+    "not held(o)": lambda obj, state: not obj.held,
+    "gripper_free or tool held": lambda obj, state: state.hand_usable(),
+}
+
+
 def _check_preconditions(step: PrimitiveInstance, state: SymbolicState) -> list[str]:
-    failures = []
     obj = state.objects.get(step.object_id)
     if obj is None:
         return [f"unknown object '{step.object_id}'"]
-    if step.kind is PrimitiveKind.GRASP:
-        if not state.gripper_free:
-            failures.append("gripper_free")
-        if obj.held:
-            failures.append(f"not held({step.object_id})")
-    elif step.kind in (PrimitiveKind.MOVETO, PrimitiveKind.RELEASE):
-        if not obj.held:
-            failures.append(f"held({step.object_id})")
-    else:  # push / rotate
-        if obj.held:
-            failures.append(f"not held({step.object_id})")
-        if not state.hand_usable():
-            failures.append("gripper_free or tool held")
-    return failures
+    return [label.replace("(o)", f"({step.object_id})")
+            for label in PRIMITIVE_SCHEMAS[step.kind]["preconditions"]
+            if not _PRECONDITION_HOLDS[label](obj, state)]
 
 
 def apply_effects(step: PrimitiveInstance, state: SymbolicState) -> SymbolicState:

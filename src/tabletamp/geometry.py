@@ -615,8 +615,10 @@ class Obb:
 
     @derived
     def xy_bounds(self) -> tuple[float, float, float, float]:
-        """Bounding box of ``xy_hull`` as (xmin, xmax, ymin, ymax)."""
-        return ring_bounds(self.xy_hull)
+        """Bounding box of the corners' xy projection as (xmin, xmax, ymin,
+        ymax). It contains ``xy_hull``'s bounds, which lie an ulp or so
+        inside it where the hull drops a near-duplicate corner."""
+        return ring_bounds(self._corners)
 
     def corners(self) -> list[Vec3]:
         return list(self._corners)

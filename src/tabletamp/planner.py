@@ -20,7 +20,8 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
+from urllib.parse import urlsplit
 
 from .control import ErrorKind, ExecError
 from .domain import (
@@ -35,9 +36,6 @@ from .domain import (
     validate_skeleton,
 )
 from .geometry import Pose6D, derived, quat_from_yaw
-
-if TYPE_CHECKING:
-    import requests
 
 API_KEY_ENV = "TABLETAMP_API_KEY"
 _PROMPTS_DIR = Path(__file__).parent / "prompts"
@@ -100,8 +98,16 @@ class PlannerConfig:
     def __post_init__(self):
         if self.backend not in ("scripted", "http"):
             raise ValueError(f"unknown planner backend {self.backend!r}")
-        if self.backend == "http" and not self.endpoint:
-            raise ValueError("http backend requires an endpoint URL")
+        if self.backend == "http":
+            if not self.endpoint:
+                raise ValueError("http backend requires an endpoint URL")
+            # urllib would also open file:, ftp: and data: URLs
+            url = urlsplit(self.endpoint)
+            if url.scheme not in ("http", "https") or not url.netloc:
+                raise ValueError(f"endpoint must be an http or https URL with a "
+                                 f"host, got {self.endpoint!r}")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout_s}")
 
 
 # insight strings keyed by (error kind, failed primitive kind)
@@ -287,17 +293,10 @@ class HttpPlanner:
     from the environment and is never logged.
     """
 
-    def __init__(self, cfg: PlannerConfig, session: requests.Session | None = None):
+    def __init__(self, cfg: PlannerConfig):
         if cfg.backend != "http":
             raise ValueError("HttpPlanner requires an http backend config")
         self.cfg = cfg
-        if session is None:
-            # imported here: only the http planner needs it, and it is a
-            # large share of the package's import time
-            import requests
-
-            session = requests.Session()
-        self._session = session
         self.last_attempts = 0
 
     def _headers(self) -> dict:
@@ -318,12 +317,25 @@ class HttpPlanner:
             "messages": [{"role": "user", "content": content}],
             "temperature": 0.0,
         }
-        resp = self._session.post(
-            self.cfg.endpoint, json=payload, headers=self._headers(),
-            timeout=self.cfg.timeout_s,
+        # imported here: only the http planner needs it, and it would add about
+        # a third to the package's import time
+        import urllib.request
+
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            # urllib would follow a 301, 302 or 303 as a GET that carries the
+            # Authorization header to whatever host the Location names; with
+            # no new request, the default handler raises HTTPError instead
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                return None
+
+        request = urllib.request.Request(
+            self.cfg.endpoint, data=json.dumps(payload).encode("utf-8"),
+            headers=self._headers(), method="POST",
         )
-        resp.raise_for_status()
-        data = resp.json()
+        # a status outside 2xx raises HTTPError
+        with urllib.request.build_opener(NoRedirect).open(
+                request, timeout=self.cfg.timeout_s) as resp:
+            data = json.loads(resp.read())
         return data["choices"][0]["message"]["content"]
 
     def _request_skeleton(self, prompt: str, images: list[str],

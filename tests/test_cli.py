@@ -642,8 +642,27 @@ class TestBadArgumentValues:
          "argument --max-retries: must be >= 0 (got -1)"),
         (["run", "--scenario", "box", "--planner", "http"],
          "--planner http needs --endpoint"),
+        (["run", "--scenario", "box", "--timeout", "-1"],
+         "argument --timeout: must be finite and > 0 (got -1.0)"),
+        (["sample", "--scenario", "box", "--timeout", "0"],
+         "argument --timeout: must be finite and > 0 (got 0.0)"),
+        (["bench", "--timeout", "nan"],
+         "argument --timeout: must be finite and > 0 (got nan)"),
+        (["run", "--scenario", "box", "--timeout", "inf"],
+         "argument --timeout: must be finite and > 0 (got inf)"),
+        (["run", "--scenario", "box", "--timeout", "soon"],
+         "argument --timeout: invalid float value: 'soon'"),
+        (["run", "--scenario", "box", "--planner", "http",
+          "--endpoint", "file:///etc/hostname", "--max-retries", "0"],
+         "endpoint must be an http or https URL with a host, "
+         "got 'file:///etc/hostname'"),
+        (["sample", "--scenario", "box", "--planner", "http",
+          "--endpoint", "ftp://127.0.0.1/v1"],
+         "endpoint must be an http or https URL with a host, "
+         "got 'ftp://127.0.0.1/v1'"),
     ], ids=["run-seed", "sample-seed", "seed-text", "trials", "max-retries",
-            "no-endpoint"])
+            "no-endpoint", "timeout-negative", "timeout-zero", "timeout-nan",
+            "timeout-inf", "timeout-text", "endpoint-file", "endpoint-ftp"])
     def test_rejected_value_is_usage_error(self, tmp_path, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(tmp_path / "out")])

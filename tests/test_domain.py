@@ -12,6 +12,7 @@ from tabletamp.domain import (
     RegionDescriptor,
     SkeletonParseError,
     SymbolicState,
+    _check_preconditions,
     apply_effects,
     parse_skeleton,
     serialize_skeleton,
@@ -70,6 +71,38 @@ class TestPrimitiveSchema:
         st = state(objects=("box", "cup"), held="cup")
         violations = validate_skeleton(sk, st)
         assert any("tool" in v.predicate for v in violations)
+
+    # the hand-written precondition branches the schema replaced, as an oracle
+    @staticmethod
+    def ref_preconditions(kind, oid, st):
+        obj = st.objects[oid]
+        failures = []
+        if kind is PrimitiveKind.GRASP:
+            if not st.gripper_free:
+                failures.append("gripper_free")
+            if obj.held:
+                failures.append(f"not held({oid})")
+        elif kind in (PrimitiveKind.MOVETO, PrimitiveKind.RELEASE):
+            if not obj.held:
+                failures.append(f"held({oid})")
+        else:
+            if obj.held:
+                failures.append(f"not held({oid})")
+            if not st.hand_usable():
+                failures.append("gripper_free or tool held")
+        return failures
+
+    @pytest.mark.parametrize("kind", list(PrimitiveKind))
+    @pytest.mark.parametrize("held", [None, "box", "cup", "hook"])
+    @pytest.mark.parametrize("box_is_tool", [False, True])
+    def test_violations_are_schema_preconditions(self, kind, held, box_is_tool):
+        tools = ("hook", "box") if box_is_tool else ("hook",)
+        st = state(objects=("box", "cup", "hook"), held=held, tools=tools)
+        found = _check_preconditions(step(kind), st)
+        labels = [label.replace("(o)", "(box)")
+                  for label in PRIMITIVE_SCHEMAS[kind]["preconditions"]]
+        assert found == [label for label in labels if label in found]
+        assert found == self.ref_preconditions(kind, "box", st)
 
 
 class TestValidateSkeleton:

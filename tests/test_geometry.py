@@ -29,6 +29,7 @@ from tabletamp.geometry import (
     quat_rotate,
     rect_polygon,
     ring_area,
+    ring_bounds,
     se2_error,
     signed_interior_margin,
     wrap_angle,
@@ -616,10 +617,32 @@ class TestObb:
             assert box.bottom_z() == min(c[2] for c in corners)
             assert box.top_z() == max(c[2] for c in corners)
             assert box.footprint() == Polygon2(tuple(hull))
-            assert box.xy_bounds == Polygon2(tuple(hull)).bounds
+            assert box.xy_bounds == (min(c[0] for c in corners), max(c[0] for c in corners),
+                                     min(c[1] for c in corners), max(c[1] for c in corners))
             # a second read gives the same values
             assert box.footprint() == Polygon2(tuple(hull))
             assert box.bottom_z() == min(c[2] for c in corners)
+
+    def test_xy_bounds_contain_the_hull_bounds(self):
+        # a box tipped onto a side projects its corners in near-duplicate
+        # pairs, of which the hull may keep either: the corners' bounds can
+        # lie an ulp or so outside the hull's, never inside them
+        rng = np.random.default_rng(107)
+        boxes = list(self.seeded_boxes(200, 109))
+        for i in range(600):
+            axis = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))[i % 2]
+            tip = quat_from_axis_angle(axis, (math.pi / 2, -math.pi / 2, math.pi)[i % 3])
+            yaw = quat_from_yaw(rng.uniform(-math.pi, math.pi))
+            pose = Pose6D(tuple(rng.uniform(-1.0, 1.0, size=3)), quat_mul(yaw, tip))
+            boxes.append(Obb(pose, tuple(rng.uniform(0.005, 0.2, size=3))))
+        wider = 0
+        for box in boxes:
+            xmin, xmax, ymin, ymax = box.xy_bounds
+            hxmin, hxmax, hymin, hymax = ring_bounds(box.xy_hull)
+            assert xmin <= hxmin and hxmax <= xmax and ymin <= hymin and hymax <= ymax
+            assert max(hxmin - xmin, xmax - hxmax, hymin - ymin, ymax - hymax) <= 1e-15
+            wider += (xmin, xmax, ymin, ymax) != (hxmin, hxmax, hymin, hymax)
+        assert wider > 100
 
     # The down face, its edges and the largest face come from the cached
     # corners; these are the formulas they replaced, kept as references.

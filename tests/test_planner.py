@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import os
 import subprocess
 import sys
@@ -172,6 +173,11 @@ def svg_payload(uri):
 
 
 class TestHttpPlanner:
+    @pytest.fixture(autouse=True)
+    def _no_requests(self, monkeypatch):
+        # the client is standard library only: importing requests fails here
+        monkeypatch.setitem(sys.modules, "requests", None)
+
     def test_parses_fenced_reply(self, stub_server):
         url, handler = stub_server
         handler.replies = [f"Here is my plan:\n```json\n{GOOD_SKELETON}\n```"]
@@ -260,6 +266,37 @@ class TestHttpPlanner:
         planner.plan(obs)
         out = capsys.readouterr()
         assert "sk-secret-123" not in out.out + out.err
+        assert handler.calls == [("POST", "/v1/chat/completions", "Bearer sk-secret-123")]
+
+    def test_server_error_is_retried_then_unavailable(self, stub_server):
+        url, handler = stub_server
+        handler.status = 500
+        handler.replies = [f"```json\n{GOOD_SKELETON}\n```"] * 2
+        cfg = PlannerConfig(backend="http", endpoint=url, model="stub", max_retries=1)
+        planner = HttpPlanner(cfg)
+        _, obs = edge_observation()
+        with pytest.raises(PlannerUnavailable, match="HTTP Error 500") as exc:
+            planner.plan(obs)
+        assert "after 2 attempts" in str(exc.value)
+        assert len(handler.requests_seen) == planner.last_attempts == 2
+
+    # urllib follows a 301-303 POST as a GET that carries every header but
+    # the body's to the new URL, Authorization included
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, stub_server, monkeypatch, status):
+        url, handler = stub_server
+        handler.status = status
+        # another host name for the same server: a followed redirect lands here
+        handler.location = url.replace("127.0.0.1", "localhost") + "/elsewhere"
+        handler.replies = [f"```json\n{GOOD_SKELETON}\n```"] * 4
+        monkeypatch.setenv("TABLETAMP_API_KEY", "sk-secret-123")
+        cfg = PlannerConfig(backend="http", endpoint=url, model="stub", max_retries=1)
+        planner = HttpPlanner(cfg)
+        _, obs = edge_observation()
+        with pytest.raises(PlannerUnavailable, match=f"HTTP Error {status}"):
+            planner.plan(obs)
+        assert handler.calls == [("POST", "/v1/chat/completions",
+                                  "Bearer sk-secret-123")] * 2
 
     def test_episode_sends_rendering_without_render_flag(self, stub_server):
         # the first plan's grasp fails on the flat card, so the reflection
@@ -318,6 +355,21 @@ class TestHttpPlanner:
         with pytest.raises(ValueError):
             PlannerConfig(backend="http")
 
+    @pytest.mark.parametrize("endpoint", [
+        "file:///etc/hostname", "ftp://127.0.0.1/v1", "data:,{}",
+        "127.0.0.1:8000/v1", "http:///v1/chat/completions",
+    ])
+    def test_http_backend_requires_an_http_url(self, endpoint):
+        with pytest.raises(ValueError, match="endpoint must be an http or https URL"):
+            PlannerConfig(backend="http", endpoint=endpoint)
+
+    @pytest.mark.parametrize("backend", ["scripted", "http"])
+    @pytest.mark.parametrize("timeout_s", [-1.0, 0.0, 0, math.nan, math.inf])
+    def test_timeout_must_be_finite_and_positive(self, backend, timeout_s):
+        with pytest.raises(ValueError, match="timeout must be finite and > 0"):
+            PlannerConfig(backend=backend, endpoint="https://127.0.0.1/v1",
+                          timeout_s=timeout_s)
+
 
 class TestMakePlanner:
     def test_scripted_needs_fallbacks(self):
@@ -330,20 +382,20 @@ class TestMakePlanner:
                          templates=scenario.fallback_templates)
         assert isinstance(p, ScriptedPlanner)
 
-    def test_package_import_leaves_requests_unloaded(self):
-        # only an HttpPlanner without a session of its own imports requests
+    def test_cli_import_and_http_planner_load_no_http_client(self):
+        # the http client modules load on the first request, not before
         import tabletamp
 
         src = str(Path(tabletamp.__file__).resolve().parent.parent)
         code = ("import sys, tabletamp.cli; "
-                "print('requests' in sys.modules); "
                 "from tabletamp.planner import HttpPlanner, PlannerConfig; "
-                "p = HttpPlanner(PlannerConfig(backend='http', endpoint='http://127.0.0.1:9')); "
-                "print(type(p._session).__module__)")
+                "HttpPlanner(PlannerConfig(backend='http', endpoint='http://127.0.0.1:9')); "
+                "print([m for m in ('requests', 'urllib.request', 'http.client') "
+                "if m in sys.modules])")
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout.split()
-        assert out == ["False", "requests.sessions"]
+                             capture_output=True, text=True).stdout
+        assert out == "[]\n"
 
 
 class TestPromptRegions:
