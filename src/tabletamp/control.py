@@ -25,6 +25,7 @@ from .geometry import (
     Vec3,
     boundary_contacts,
     clip_convex,
+    face_normal,
     farthest_point_sample,
     geodesic_angle,
     point_in_polygon,
@@ -54,7 +55,7 @@ from .twin import (
     overlapping_object,
     pivot_rotate,
     place_at,
-    settle,
+    settle_in_place,
     support_cells,
     support_height_at,
 )
@@ -250,9 +251,7 @@ def assess_grasp(scene: TwinScene, object_id: str) -> GraspAssessment:
     footprint = box.footprint()
     min_width = _min_footprint_width(footprint)
     down_axis, down_sign = box.down_face()
-    local = [0.0, 0.0, 0.0]
-    local[down_axis] = down_sign
-    n_world = quat_rotate(obj.world_obb().center_pose.orientation, tuple(local))
+    n_world = face_normal(box.center_pose.orientation, down_axis, down_sign)
     top_is_flat = n_world[2] < -math.cos(math.radians(8.0))
 
     if not top_is_flat:
@@ -318,8 +317,7 @@ def _surface_contact(obj: RigidObject, direction: Vec2) -> Vec3:
     """Boundary point antipodal to the push direction, exactly on the box."""
     q = obj.pose.orientation
     inv_q = (q[0], -q[1], -q[2], -q[3])
-    d_local = quat_rotate(inv_q, (-direction[0], -direction[1], 0.0))
-    dx, dy = d_local[0], d_local[1]
+    dx, dy, _ = quat_rotate(inv_q, (-direction[0], -direction[1], 0.0))
     n = math.hypot(dx, dy)
     if n < 1e-9:
         dx, dy = 1.0, 0.0
@@ -517,9 +515,9 @@ def _clamp_to_surface(obj: RigidObject, point: Vec3) -> Vec3:
     q = obj.pose.orientation
     inv_q = (q[0], -q[1], -q[2], -q[3])
     rel = (point[0] - obj.pose.x, point[1] - obj.pose.y, point[2] - obj.pose.z)
-    local = quat_rotate(inv_q, rel)
+    in_body = quat_rotate(inv_q, rel)
     h = obj.half_extents
-    clamped = tuple(max(-h[i], min(h[i], local[i])) for i in range(3))
+    clamped = tuple(max(-h[i], min(h[i], in_body[i])) for i in range(3))
     return obj.pose.transform_point(clamped)
 
 
@@ -722,10 +720,6 @@ def exec_release(scene: TwinScene) -> tuple[TwinScene, ExecTrace]:
     if scene.held_id is None:
         raise ValueError("no object is held")
     object_id = scene.held_id
-    released = scene.with_held(None)
-    outcome = settle(released, object_id)
-    released = released.replace_object(
-        released.object(object_id).at_pose(outcome.final_pose)
-    )
+    released, _ = settle_in_place(scene.with_held(None), object_id)
     trace.snapshots += 1
     return released, trace

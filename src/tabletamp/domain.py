@@ -212,15 +212,16 @@ def apply_effects(step: PrimitiveInstance, state: SymbolicState) -> SymbolicStat
 def validate_skeleton(skeleton: PlanSkeleton, initial: SymbolicState) -> list[Violation]:
     """Simulate effects step by step, collecting every precondition failure.
 
-    Returns an empty list when the skeleton is symbolically executable.
-    Violations are data, not errors.
+    A step whose preconditions fail leaves the state as it was. Returns an
+    empty list when the skeleton is symbolically executable. Violations are
+    data, not errors.
     """
     violations: list[Violation] = []
     state = initial
     for i, step in enumerate(skeleton.steps):
-        for predicate in _check_preconditions(step, state):
-            violations.append(Violation(i, predicate))
-        if step.object_id in state.objects:
+        failed = _check_preconditions(step, state)
+        violations.extend(Violation(i, predicate) for predicate in failed)
+        if not failed:
             state = apply_effects(step, state)
     return violations
 

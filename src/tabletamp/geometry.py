@@ -242,17 +242,41 @@ def _segments_properly_intersect(p0, p1, q0, q1) -> bool:
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
-def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
-    ax, ay = a
-    bx, by = b
+def nearest_edge(p: Vec2, verts) -> tuple[float, int, Vec2 | None]:
+    """(distance, index, point) of the edge of a closed vertex ring nearest
+    to p: index i names the edge from vertex i to vertex i + 1, and point is
+    the closest point on it. The first of equally near edges wins, and an
+    edge shorter than 1e-15 counts as its start vertex. A NaN coordinate
+    gives (inf, -1, None).
+
+    Written out, with no call per edge: this is point_in_polygon's inner
+    loop.
+    """
     px, py = p
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    if L2 < 1e-30:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / L2
-    t = max(0.0, min(1.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+    ax, ay = verts[0]
+    best = math.inf
+    best_i = -1
+    best_t = 0.0
+    i = 0
+    for bx, by in verts[1:] + verts[:1]:
+        dx, dy = bx - ax, by - ay
+        L2 = dx * dx + dy * dy
+        if L2 < 1e-30:
+            t = 0.0
+            d = math.hypot(px - ax, py - ay)
+        else:
+            t = ((px - ax) * dx + (py - ay) * dy) / L2
+            t = t if t < 1.0 else 1.0  # max(0.0, min(1.0, t))
+            t = t if t > 0.0 else 0.0
+            d = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+        if d < best:
+            best, best_i, best_t = d, i, t
+        ax, ay = bx, by
+        i += 1
+    if best_i < 0:
+        return best, -1, None
+    (ax, ay), (bx, by) = verts[best_i], verts[(best_i + 1) % len(verts)]
+    return best, best_i, (ax + best_t * (bx - ax), ay + best_t * (by - ay))
 
 
 @dataclass(frozen=True)
@@ -305,45 +329,10 @@ class Polygon2:
             yield self.vertices[i], self.vertices[(i + 1) % n]
 
     def boundary_distance(self, p: Vec2) -> float:
-        # _point_segment_distance over each edge, written out: this is the
-        # innermost loop of point_in_polygon.
-        px, py = p
-        verts = self.vertices
-        ax, ay = verts[0]
-        best = math.inf
-        for bx, by in verts[1:] + verts[:1]:
-            dx, dy = bx - ax, by - ay
-            L2 = dx * dx + dy * dy
-            if L2 < 1e-30:
-                d = math.hypot(px - ax, py - ay)
-            else:
-                t = ((px - ax) * dx + (py - ay) * dy) / L2
-                t = t if t < 1.0 else 1.0  # max(0.0, min(1.0, t))
-                t = t if t > 0.0 else 0.0
-                d = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-            if d < best:
-                best = d
-            ax, ay = bx, by
-        return best
+        return nearest_edge(p, self.vertices)[0]
 
     def closest_boundary_point(self, p: Vec2) -> Vec2:
-        best = None
-        best_d = math.inf
-        px, py = p
-        for a, b in self.edges():
-            ax, ay = a
-            bx, by = b
-            dx, dy = bx - ax, by - ay
-            L2 = dx * dx + dy * dy
-            t = 0.0 if L2 < 1e-30 else max(
-                0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / L2)
-            )
-            qx, qy = ax + t * dx, ay + t * dy
-            d = math.hypot(px - qx, py - qy)
-            if d < best_d:
-                best_d = d
-                best = (qx, qy)
-        return best  # type: ignore[return-value]
+        return nearest_edge(p, self.vertices)[2]  # type: ignore[return-value]
 
     def translated(self, dx: float, dy: float) -> "Polygon2":
         return Polygon2(tuple((x + dx, y + dy) for x, y in self.vertices))
@@ -575,6 +564,14 @@ def down_face(q: Quat) -> tuple[int, float]:
     return best  # type: ignore[return-value]
 
 
+def face_normal(q: Quat, axis: int, sign: float) -> Vec3:
+    """World outward normal of the local face (axis index, sign) of a box
+    with orientation ``q``."""
+    local = [0.0, 0.0, 0.0]
+    local[axis] = sign
+    return quat_rotate(q, tuple(local))
+
+
 def largest_face_axis(h: Vec3) -> int:
     """Local axis of a box with half extents h whose two faces have the
     largest area."""
@@ -774,7 +771,8 @@ def contact_normals(footprint: Polygon2, samples: list[Vec2]) -> list[Vec2]:
 
     out: list[Vec2] = []
     for p in samples:
-        if footprint.boundary_distance(p) > 1e-6:
+        d, edge, _ = nearest_edge(p, verts)
+        if d > 1e-6:
             raise ValueError(f"sample {p} is not on the polygon boundary")
         vertex_idx = None
         for i, v in enumerate(verts):
@@ -788,12 +786,5 @@ def contact_normals(footprint: Polygon2, samples: list[Vec2]) -> list[Vec2]:
             L = math.hypot(bx, by)
             out.append((bx / L, by / L))
             continue
-        best_edge = 0
-        best_d = math.inf
-        for i in range(n):
-            d = _point_segment_distance(p, verts[i], verts[(i + 1) % n])
-            if d < best_d:
-                best_d = d
-                best_edge = i
-        out.append(edge_normals[best_edge])
+        out.append(edge_normals[edge])
     return out

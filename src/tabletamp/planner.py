@@ -108,6 +108,9 @@ class PlannerConfig:
                                  f"host, got {self.endpoint!r}")
         if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout_s}")
+        if (isinstance(self.max_retries, bool) or not isinstance(self.max_retries, int)
+                or self.max_retries < 0):
+            raise ValueError(f"max_retries must be an int >= 0, got {self.max_retries!r}")
 
 
 # insight strings keyed by (error kind, failed primitive kind)

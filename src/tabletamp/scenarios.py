@@ -28,6 +28,7 @@ from .geometry import (
     Polygon2,
     Pose6D,
     Vec3,
+    nearest_edge,
     point_in_polygon,
     quat_from_axis_angle,
     quat_from_yaw,
@@ -461,22 +462,16 @@ def _push_path_clear(scene: TwinScene, object_id: str, target) -> bool:
     sx, sy = obj.pose.x, obj.pose.y
     dist = math.hypot(target[0] - sx, target[1] - sy)
     steps = max(2, int(dist / 0.02))
-    blockers = [
-        s for s in scene.terrain.solids
+    rings = [
+        s.polygon for s in scene.terrain.solids
         if s.z1 > table_h + 0.005 and s.z0 < table_h + 0.05
-    ]
-    slopes = scene.terrain.slopes
+    ] + [cell.polygon for cell in scene.terrain.slopes]
     for i in range(steps + 1):
         t = i / steps
         if t * dist < 0.08:
             continue  # escaping from contact with a blocker is fine
         px, py = sx + (target[0] - sx) * t, sy + (target[1] - sy) * t
-        for solid in blockers:
-            ring = solid.polygon
-            if ring.boundary_distance((px, py)) < margin or point_in_polygon((px, py), ring):
-                return False
-        for cell in slopes:
-            ring = cell.polygon
+        for ring in rings:
             if ring.boundary_distance((px, py)) < margin or point_in_polygon((px, py), ring):
                 return False
     return True
@@ -495,9 +490,7 @@ def build_region_registry(scenario: Scenario, goal: Goal) -> RegionRegistry:
         # clear to push and leave the follow-up grasp contact in reach
         obj = scene.object(object_id)
         table = _table_of(scene)
-        xs = [v[0] for v in table.footprint.vertices]
-        ys = [v[1] for v in table.footprint.vertices]
-        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        x0, x1, y0, y1 = table.footprint.bounds
         px = min(max(obj.pose.x, x0), x1)
         py = min(max(obj.pose.y, y0), y1)
         options = [(px, y0), (px, y1), (x0, py), (x1, py)]
@@ -535,8 +528,7 @@ def build_region_registry(scenario: Scenario, goal: Goal) -> RegionRegistry:
             raise KeyError("scene has no walls")
         best, best_d = None, math.inf
         for w in walls:
-            p = w.footprint.closest_boundary_point((obj.pose.x, obj.pose.y))
-            d = math.hypot(p[0] - obj.pose.x, p[1] - obj.pose.y)
+            d, _, p = nearest_edge((obj.pose.x, obj.pose.y), w.footprint.vertices)
             if d < best_d:
                 best, best_d = p, d
         cx, cy = _table_of(scene).footprint.centroid

@@ -39,7 +39,6 @@ from .geometry import (
     Vec2,
     Vec3,
     _BOUNDARY_TOL,
-    _point_segment_distance,
     _from_checked,
     _signed_area,
     bounds_disjoint,
@@ -49,9 +48,11 @@ from .geometry import (
     convex_hull,
     derived,
     down_face,
+    face_normal,
     geodesic_angle,
     hull_polygon,
     largest_face_axis,
+    nearest_edge,
     obbs_overlap,
     point_in_polygon,
     quat_from_axis_angle,
@@ -595,9 +596,7 @@ def _snap_face_down(q: Quat) -> Quat:
 
 def _face_down_orientation(q: Quat, axis: int, sign: float) -> Quat:
     """Rotate q so the given local face points straight down (minimal rotation)."""
-    local = [0.0, 0.0, 0.0]
-    local[axis] = sign
-    n = quat_rotate(q, tuple(local))
+    n = face_normal(q, axis, sign)
     dot = max(-1.0, min(1.0, -n[2]))
     angle = math.acos(dot)
     if angle < 1e-12:
@@ -688,10 +687,9 @@ def rest_on_support(scene: TwinScene, object_id: str,
         placed = place_at(scene, object_id, pose)
     except PlacementCollision:
         return None
-    outcome = settle(placed, object_id)
+    rested, outcome = settle_in_place(placed, object_id)
     if outcome.status != "stable":
         return None
-    rested = placed.replace_object(placed.object(object_id).at_pose(outcome.final_pose))
     if not raised_support(rested, object_id):
         return None
     return rested, outcome
@@ -826,6 +824,13 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     return _ground_rest(scene, obj, pose, "fell_off")
 
 
+def settle_in_place(scene: TwinScene, object_id: str) -> tuple[TwinScene, SettleOutcome]:
+    """The scene with the object moved to the pose settle finds for it, and
+    settle's outcome."""
+    outcome = settle(scene, object_id)
+    return scene.replace_object(scene.object(object_id).at_pose(outcome.final_pose)), outcome
+
+
 def _support_polygon(pieces) -> tuple[float, list[Vec2]]:
     """The highest height among (height, cell, piece) triples, and the convex
     hull of the pieces within 2 mm of it: the polygon an object rests on."""
@@ -941,17 +946,14 @@ def _ground_height(scene: TwinScene) -> float:
 def _topple_once(obj: RigidObject, pose: Pose6D, support_hull: list[Vec2],
                  h_star: float) -> tuple[Pose6D, Vec2]:
     com = (pose.x, pose.y)
-    if len(support_hull) >= 2:
-        best_a, best_b, best_d = support_hull[0], support_hull[-1], math.inf
-        n = len(support_hull)
-        for i in range(n if n > 2 else 1):
-            a = support_hull[i]
-            b = support_hull[(i + 1) % n]
-            d = _point_segment_distance(com, a, b)
-            if d < best_d:
-                best_d = d
-                best_a, best_b = a, b
-        edge_a, edge_b = best_a, best_b
+    n = len(support_hull)
+    if n == 2:
+        # its one edge: the closing edge's distance can be an ulp less, and
+        # choosing it would reverse the edge
+        edge_a, edge_b = support_hull
+    elif n > 2:
+        i = nearest_edge(com, support_hull)[1]
+        edge_a, edge_b = support_hull[i], support_hull[(i + 1) % n]
     else:
         p = support_hull[0] if support_hull else com
         edge_a, edge_b = (p[0], p[1] - 0.05), (p[0], p[1] + 0.05)
@@ -985,10 +987,7 @@ def _topple_once(obj: RigidObject, pose: Pose6D, support_hull: list[Vec2],
 
 
 def _down_sign(q: Quat, axis: int) -> float:
-    local = [0.0, 0.0, 0.0]
-    local[axis] = 1.0
-    n = quat_rotate(q, tuple(local))
-    return 1.0 if n[2] < 0 else -1.0
+    return 1.0 if face_normal(q, axis, 1.0)[2] < 0 else -1.0
 
 
 def _flip_sign(edge_dir: Vec2, outward: Vec2) -> float:
@@ -1121,8 +1120,7 @@ def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
 
     moved = scene.replace_object(full if frac == 1.0 else obj.at_pose(
         _pose_after_planar_motion(obj.pose, tx * frac, ty * frac, dyaw * frac)))
-    outcome = settle(moved, object_id)
-    settled = moved.replace_object(moved.object(object_id).at_pose(outcome.final_pose))
+    settled, outcome = settle_in_place(moved, object_id)
     delta = PushDelta(tx * frac, ty * frac, dyaw * frac, outcome.status)
     return settled, delta
 
@@ -1229,15 +1227,10 @@ def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3]
 
     balance = _balance_angle(obj, p0, axis)
     if abs(angle) + 1e-9 < balance:
-        outcome = settle(scene, object_id)
-        settled = scene.replace_object(obj.at_pose(outcome.final_pose))
-        return settled, outcome
+        return settle_in_place(scene, object_id)
 
     flipped = _rotate_pose_about_line(obj.pose, p0, axis, math.copysign(math.pi / 2, angle))
-    moved = scene.replace_object(obj.at_pose(flipped))
-    outcome = settle(moved, object_id)
-    settled = moved.replace_object(moved.object(object_id).at_pose(outcome.final_pose))
-    return settled, outcome
+    return settle_in_place(scene.replace_object(obj.at_pose(flipped)), object_id)
 
 
 def _dist3(a: Vec3, b: Vec3) -> float:

@@ -272,6 +272,15 @@ class TestCmdValidate:
         assert code == 1
         assert capsys.readouterr().out == "step 0: held(card)\n"
 
+    def test_second_grasp_is_a_violation(self, tmp_path, capsys):
+        doc = {"steps": [{"kind": "grasp", "object_id": "puck"},
+                         {"kind": "grasp", "object_id": "hook"}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = main(["validate", "--scenario", "tool_hook", "--skeleton", str(path)])
+        assert code == 1
+        assert capsys.readouterr().out == "step 1: gripper_free\n"
+
     def test_unknown_primitive_exit_two(self, tmp_path):
         doc = {"steps": [{"kind": "slide", "object_id": "card"}]}
         path = tmp_path / "bad.json"

@@ -12,6 +12,7 @@ from tabletamp.domain import (
     RegionDescriptor,
     SkeletonParseError,
     SymbolicState,
+    Violation,
     _check_preconditions,
     apply_effects,
     parse_skeleton,
@@ -149,6 +150,25 @@ class TestValidateSkeleton:
                 for cut in range(1, n + 1):
                     prefix = PlanSkeleton(steps[:cut])
                     assert validate_skeleton(prefix, state()) == []
+
+    @pytest.mark.parametrize("held", [None, "box", "cup", "hook"])
+    def test_every_two_step_sequence_reports_and_never_raises(self, held):
+        # a step whose preconditions fail leaves the state as it was, so the
+        # next step is checked against it
+        objects = ("box", "cup", "hook")
+        st = state(objects=objects, held=held, tools=("hook",))
+        for first_kind in PrimitiveKind:
+            for second_kind in PrimitiveKind:
+                for a in objects:
+                    for b in objects:
+                        first, second = step(first_kind, a), step(second_kind, b)
+                        found = validate_skeleton(PlanSkeleton((first, second)), st)
+                        failed = _check_preconditions(first, st)
+                        after = st if failed else apply_effects(first, st)
+                        assert found == (
+                            [Violation(0, p) for p in failed]
+                            + [Violation(1, p) for p in _check_preconditions(second, after)]
+                        )
 
     def test_grasp_release_restores_state(self):
         st = state()

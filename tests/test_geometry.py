@@ -17,10 +17,12 @@ from tabletamp.geometry import (
     contact_normals,
     convex_hull,
     down_face,
+    face_normal,
     farthest_point_sample,
     geodesic_angle,
     hull_polygon,
     largest_face_axis,
+    nearest_edge,
     obbs_overlap,
     point_in_polygon,
     quat_from_axis_angle,
@@ -1179,6 +1181,153 @@ class TestFlatKernelOracles:
                 for k in {1, min(2, k_max), k_max}:
                     assert (farthest_point_sample(pts, k, start)
                             == ref_farthest_point_sample(pts, k, start))
+
+
+# The bodies nearest_edge replaced, as they were, over a vertex ring.
+
+def ref_boundary_distance_body(verts, p):
+    """Polygon2.boundary_distance."""
+    px, py = p
+    ax, ay = verts[0]
+    best = math.inf
+    for bx, by in verts[1:] + verts[:1]:
+        dx, dy = bx - ax, by - ay
+        L2 = dx * dx + dy * dy
+        if L2 < 1e-30:
+            d = math.hypot(px - ax, py - ay)
+        else:
+            t = ((px - ax) * dx + (py - ay) * dy) / L2
+            t = t if t < 1.0 else 1.0  # max(0.0, min(1.0, t))
+            t = t if t > 0.0 else 0.0
+            d = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+        if d < best:
+            best = d
+        ax, ay = bx, by
+    return best
+
+
+def ref_closest_boundary_point_body(verts, p):
+    """Polygon2.closest_boundary_point."""
+    best = None
+    best_d = math.inf
+    px, py = p
+    for a, b in ref_edges(verts):
+        ax, ay = a
+        bx, by = b
+        dx, dy = bx - ax, by - ay
+        L2 = dx * dx + dy * dy
+        t = 0.0 if L2 < 1e-30 else max(
+            0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / L2)
+        )
+        qx, qy = ax + t * dx, ay + t * dy
+        d = math.hypot(px - qx, py - qy)
+        if d < best_d:
+            best_d = d
+            best = (qx, qy)
+    return best
+
+
+def ref_nearest_edge_index(verts, p):
+    """contact_normals' argmin over the edges."""
+    n = len(verts)
+    best_edge = 0
+    best_d = math.inf
+    for i in range(n):
+        d = ref_point_segment_distance(p, verts[i], verts[(i + 1) % n])
+        if d < best_d:
+            best_d = d
+            best_edge = i
+    return best_edge
+
+
+def nearest_edge_rings():
+    """Polygon rings, rings with repeated vertices and edges shorter than
+    1e-15, and 2-point rings."""
+    rng = np.random.default_rng(191)
+    rings = [poly.vertices for poly in oracle_polygons()]
+    rings += [
+        ((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+        ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.0, 1.0 + 1e-16), (0.0, 1.0)),
+        ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
+        ((0.0, 0.0), (1e-16, -1e-16), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+        ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)),
+        ((0.0, 0.0), (1.0, 0.0)),
+        ((0.3, 0.3), (0.3, 0.3)),
+    ]
+    for _ in range(20):
+        a, b = (tuple(float(c) for c in rng.uniform(-1.0, 1.0, size=2)) for _ in range(2))
+        rings.append((a, b))
+        ring = list(rings[rng.integers(len(rings))])
+        k = int(rng.integers(len(ring)))
+        ring.insert(k, ring[k])  # a zero-length edge
+        rings.append(tuple(ring))
+    return rings
+
+
+def nearest_edge_points(rng, verts):
+    """Vertices, points on, beside and past each edge, points about as far
+    from two edges (on the bisectors at a vertex and between edge
+    midpoints), -0.0 coordinates and random points."""
+    pts = [(-0.0, -0.0), (0.0, -0.0)]
+    n = len(verts)
+    for i in range(n):
+        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
+        dx, dy = bx - ax, by - ay
+        pts.append((ax, ay))
+        for t in (0.5, 1.0 / 3.0, -0.25, 1.25):
+            ex, ey = ax + t * dx, ay + t * dy
+            pts += [(ex, ey), (ex + 1e-3 * dy, ey - 1e-3 * dx), (ex - 0.2 * dy, ey + 0.2 * dx)]
+        cx, cy = verts[(i + 2) % n]
+        mx, my = 0.5 * (ax + cx), 0.5 * (ay + cy)
+        pts += [(mx, my), (2.0 * bx - mx, 2.0 * by - my), (0.5 * (mx + bx), 0.5 * (my + by))]
+    xs = [v[0] for v in verts]
+    ys = [v[1] for v in verts]
+    cx, cy = sum(xs) / n, sum(ys) / n
+    pts += [(cx, cy), (cx, -cy), (cy, cx)]
+    for x, y in rng.uniform(-1.5, 1.5, size=(30, 2)):
+        pts.append((float(x), float(y)))
+    return pts
+
+
+class TestNearestEdge:
+    def test_equals_the_bodies_it_replaced(self):
+        rng = np.random.default_rng(193)
+        ties = 0
+        for verts in nearest_edge_rings():
+            for p in nearest_edge_points(rng, verts):
+                d, i, q = nearest_edge(p, verts)
+                assert_identical(d, ref_boundary_distance_body(verts, p))
+                assert_identical(q, ref_closest_boundary_point_body(verts, p))
+                assert i == ref_nearest_edge_index(verts, p)
+                dists = [ref_point_segment_distance(p, a, b) for a, b in ref_edges(verts)]
+                ties += dists.count(d) > 1
+        assert ties >= 100  # the first of equally near edges is tested
+
+    def test_polygon_queries_are_the_kernel(self):
+        rng = np.random.default_rng(197)
+        for poly in oracle_polygons():
+            for p in nearest_edge_points(rng, poly.vertices):
+                d, _, q = nearest_edge(p, poly.vertices)
+                assert_identical(poly.boundary_distance(p), d)
+                assert_identical(poly.closest_boundary_point(p), q)
+
+    def test_nan_point_has_no_nearest_edge(self):
+        square = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+        assert nearest_edge((math.nan, 0.5), square) == (math.inf, -1, None)
+        assert ref_closest_boundary_point_body(square, (math.nan, 0.5)) is None
+
+
+class TestFaceNormal:
+    def test_equals_the_rotated_local_axis(self):
+        def ref(q, axis, sign):
+            local = [0.0, 0.0, 0.0]
+            local[axis] = sign
+            return quat_rotate(q, tuple(local))
+
+        quats = list(oracle_quats(600, 199)) + [IDENTITY, (1.0, -0.0, 0.0, -0.0)]
+        for q in quats:
+            for axis, sign in _LOCAL_FACES:
+                assert_identical(face_normal(q, axis, sign), ref(q, axis, sign))
 
 
 def own_vertex_normals(poly, spacing):

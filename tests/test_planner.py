@@ -370,6 +370,14 @@ class TestHttpPlanner:
             PlannerConfig(backend=backend, endpoint="https://127.0.0.1/v1",
                           timeout_s=timeout_s)
 
+    @pytest.mark.parametrize("max_retries", [-1, 1.0, True, "2", None])
+    def test_max_retries_must_be_a_non_negative_int(self, max_retries):
+        # -1 would make the http planner raise after no request at all
+        with pytest.raises(ValueError, match="max_retries must be an int >= 0"):
+            PlannerConfig(backend="http", endpoint="https://127.0.0.1/v1",
+                          max_retries=max_retries)
+        assert PlannerConfig(max_retries=0).max_retries == 0
+
 
 class TestMakePlanner:
     def test_scripted_needs_fallbacks(self):

@@ -46,7 +46,7 @@ from tabletamp.twin import (
     support_cells,
 )
 
-from tests.test_geometry import oracle_quats
+from tests.test_geometry import oracle_quats, ref_point_segment_distance
 
 TABLE_H = 0.4
 TABLE_HALF = 0.4
@@ -1181,6 +1181,95 @@ class TestSupportPolygon:
         for scene, object_id in rested:
             assert repr(stability_margin(scene, object_id)) == repr(
                 ref_stability_margin(scene, object_id))
+
+
+def ref_topple_once(obj, pose, support_hull, h_star):
+    """twin._topple_once as it was before the nearest-edge kernel."""
+    def down_sign(q, axis):
+        local = [0.0, 0.0, 0.0]
+        local[axis] = 1.0
+        n = quat_rotate(q, tuple(local))
+        return 1.0 if n[2] < 0 else -1.0
+
+    com = (pose.x, pose.y)
+    if len(support_hull) >= 2:
+        best_a, best_b, best_d = support_hull[0], support_hull[-1], math.inf
+        n = len(support_hull)
+        for i in range(n if n > 2 else 1):
+            a = support_hull[i]
+            b = support_hull[(i + 1) % n]
+            d = ref_point_segment_distance(com, a, b)
+            if d < best_d:
+                best_d = d
+                best_a, best_b = a, b
+        edge_a, edge_b = best_a, best_b
+    else:
+        p = support_hull[0] if support_hull else com
+        edge_a, edge_b = (p[0], p[1] - 0.05), (p[0], p[1] + 0.05)
+
+    ex, ey = edge_b[0] - edge_a[0], edge_b[1] - edge_a[1]
+    L = math.hypot(ex, ey) or 1.0
+    ex, ey = ex / L, ey / L
+    ox, oy = com[0] - edge_a[0], com[1] - edge_a[1]
+    t = ox * ex + oy * ey
+    px, py = edge_a[0] + t * ex, edge_a[1] + t * ey
+    dx, dy = com[0] - px, com[1] - py
+    dn = math.hypot(dx, dy)
+    if dn < 1e-9:
+        dx, dy = -ey, ex
+        dn = 1.0
+    dx, dy = dx / dn, dy / dn
+
+    largest_axis = twin.largest_face_axis(obj.half_extents)
+    q1 = quat_from_axis_angle((ex, ey, 0.0), twin._flip_sign((ex, ey), (dx, dy)))
+    q_flipped = quat_mul(q1, pose.orientation)
+    q_final = _face_down_orientation(q_flipped, largest_axis,
+                                     down_sign(q_flipped, largest_axis))
+    flipped = twin.box_corners((0.0, 0.0, 0.0), twin.unit_quat(q_final), obj.half_extents)
+    e_out = max(abs(c[0] * dx + c[1] * dy) for c in flipped)
+    new_center = (px + dx * (e_out + 1e-4), py + dy * (e_out + 1e-4))
+    z = h_star + twin._half_height(obj, q_final)
+    return Pose6D((new_center[0], new_center[1], z), q_final), (dx, dy)
+
+
+class TestToppleOnce:
+    def test_equals_the_loop_it_replaced(self):
+        # random hulls with points near an edge, a vertex or as far from two
+        # edges; 2-point hulls, whose closing edge may be an ulp nearer than
+        # the edge the topple takes; and 0- and 1-point hulls
+        rng = np.random.default_rng(211)
+        square = [(-0.05, -0.05), (0.05, -0.05), (0.05, 0.05), (-0.05, 0.05)]
+        cases = []
+        for i in range(400):
+            kind = i % 4
+            if kind == 0:
+                hull = convex_hull([tuple(p) for p in rng.uniform(-0.1, 0.1, size=(7, 2))])
+            elif kind == 1:
+                hull = [tuple(float(c) for c in rng.uniform(-0.1, 0.1, size=2))
+                        for _ in range(2)]
+            elif kind == 2:
+                hull = square
+            else:
+                hull = [tuple(float(c) for c in rng.uniform(-0.1, 0.1, size=2))][:i % 8 // 4]
+            if kind == 2:
+                u = float(rng.uniform(-0.2, 0.2))
+                com = [(u, u), (u, -u), (0.0, 0.0), (0.07, 0.07)][i % 16 // 4]
+            else:
+                com = tuple(float(c) for c in rng.uniform(-0.15, 0.15, size=2))
+            cases.append((hull, com))
+        closer_closing_edge = 0
+        for hull, com in cases:
+            if len(hull) == 2:
+                a, b = hull
+                closer_closing_edge += (ref_point_segment_distance(com, b, a)
+                                        < ref_point_segment_distance(com, a, b))
+            obj = make_box(half=tuple(float(c) for c in rng.uniform(0.01, 0.1, size=3)))
+            q = quat_from_yaw(float(rng.uniform(-math.pi, math.pi)))
+            pose = Pose6D((com[0], com[1], 0.5), q)
+            h_star = float(rng.uniform(0.0, 0.5))
+            assert repr(twin._topple_once(obj, pose, hull, h_star)) == repr(
+                ref_topple_once(obj, pose, hull, h_star))
+        assert closer_closing_edge > 0
 
 
 class TestApplyPush:
