@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .domain import PrimitiveInstance
 from .geometry import (
@@ -388,51 +389,60 @@ def exec_push(scene: TwinScene, object_id: str,
     target_yaw = subgoal.yaw
     prev_pos_err: float | None = None
     stall = 0
+    last = None  # the object that the values below were derived from
 
     for it in range(_MAX_PUSH_ITERS):
         obj = scene.object(object_id)
-        pos_err, yaw_err = se2_error(obj.pose, subgoal)
         trace.iterations = it
-        if pos_err <= _POS_TOL and yaw_err <= _YAW_TOL_DEG:
-            break
+        # a stalled step hands back the same object: its errors, contact,
+        # reach test and approach test depend only on that object, the
+        # subgoal and the other objects, which apply_push leaves as they were
+        if obj is not last:
+            last = obj
+            pose = obj.pose
+            vx = subgoal.x - pose.x
+            vy = subgoal.y - pose.y
+            pos_err = math.hypot(vx, vy)
+            remaining = wrap_angle(target_yaw - pose.yaw)
+            yaw_err = abs(math.degrees(remaining))  # as se2_error gives it
+            if pos_err <= _POS_TOL and yaw_err <= _YAW_TOL_DEG:
+                break
 
-        yaw_phase = yaw_err > _YAW_TOL_DEG and (
-            pos_err <= _POS_BAND or pos_err >= _YAW_EARLY_DIST
-        )
+            yaw_phase = yaw_err > _YAW_TOL_DEG and (
+                pos_err <= _POS_BAND or pos_err >= _YAW_EARLY_DIST
+            )
+            if not yaw_phase:
+                direction = (vx / pos_err, vy / pos_err)
+                contact = _surface_contact(obj, direction)
+            else:
+                direction, contact, arm = _yaw_contact(obj, remaining, (vx, vy))
+                if arm is None:
+                    return scene, trace.fail(
+                        ErrorKind.CONVERGENCE_TIMEOUT,
+                        "no rotating contact available for yaw alignment",
+                    )
+                push_step = max(1e-4, min(
+                    PUSH_STEP_CAP,
+                    _YAW_STEP_CAP,
+                    _KP * abs(remaining) / (PUSH_KAPPA * max(abs(arm), 1e-4)),
+                ))
+
+            if not _reach_ok((contact[0], contact[1]), tool):
+                return scene, trace.fail(
+                    ErrorKind.OUT_OF_REACH,
+                    f"push contact at ({contact[0]:.2f}, {contact[1]:.2f}) is outside "
+                    f"the reach annulus",
+                )
+            blocker = _approach_blocked(scene, object_id, contact, direction)
+            if blocker is not None and blocker not in ("table", "ground"):
+                return scene, trace.fail(ErrorKind.COLLISION,
+                                         f"push approach sweeps through {blocker}")
+
         if not yaw_phase:
-            vx = subgoal.x - obj.pose.x
-            vy = subgoal.y - obj.pose.y
-            direction = (vx / pos_err, vy / pos_err)
-            contact = _surface_contact(obj, direction)
             derr = 0.0 if prev_pos_err is None else pos_err - prev_pos_err
             raw = _KP * pos_err + _KD * derr
             push_step = max(1e-4, min(PUSH_STEP_CAP, raw))
             prev_pos_err = pos_err
-        else:
-            remaining = wrap_angle(target_yaw - obj.pose.yaw)
-            to_goal = (subgoal.x - obj.pose.x, subgoal.y - obj.pose.y)
-            direction, contact, arm = _yaw_contact(obj, remaining, to_goal)
-            if arm is None:
-                return scene, trace.fail(
-                    ErrorKind.CONVERGENCE_TIMEOUT,
-                    "no rotating contact available for yaw alignment",
-                )
-            push_step = max(1e-4, min(
-                PUSH_STEP_CAP,
-                _YAW_STEP_CAP,
-                _KP * abs(remaining) / (PUSH_KAPPA * max(abs(arm), 1e-4)),
-            ))
-
-        if not _reach_ok((contact[0], contact[1]), tool):
-            return scene, trace.fail(
-                ErrorKind.OUT_OF_REACH,
-                f"push contact at ({contact[0]:.2f}, {contact[1]:.2f}) is outside "
-                f"the reach annulus",
-            )
-        blocker = _approach_blocked(scene, object_id, contact, direction)
-        if blocker is not None and blocker not in ("table", "ground"):
-            return scene, trace.fail(ErrorKind.COLLISION,
-                                     f"push approach sweeps through {blocker}")
 
         scene, delta = apply_push(scene, object_id, contact, direction, push_step)
         trace.snapshots += 1
@@ -478,15 +488,13 @@ def _yaw_contact(obj: RigidObject, remaining: float, to_goal: Vec2):
     k = min(_FPS_K, len(pts))
     idx = farthest_point_sample(pts, k, 0)
     need = 1.0 if remaining > 0 else -1.0
+    ox, oy = obj.pose.x, obj.pose.y
+    arms = [(p[0] - ox) * n[1] - (p[1] - oy) * n[0] for p, n in zip(pts, normals)]
 
     def score(indices):
-        out = []
-        for i in indices:
-            p, n = pts[i], normals[i]
-            rx, ry = p[0] - obj.pose.x, p[1] - obj.pose.y
-            arm = rx * n[1] - ry * n[0]
-            out.append((need * arm, arm, p, n))
-        out.sort(key=lambda s: -s[0])
+        out = [(need * arms[i], arms[i], pts[i], normals[i]) for i in indices]
+        # stable, so equal scores keep their index order, as with key=-s[0]
+        out.sort(key=itemgetter(0), reverse=True)
         return out
 
     scored = score(idx)

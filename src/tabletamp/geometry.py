@@ -81,6 +81,15 @@ def quat_mul(a: Quat, b: Quat) -> Quat:
     )
 
 
+# The input and result of unit_quat's last call on a tuple. Most calls
+# normalize the orientation of a pose that the call before normalized too,
+# and the result is a function of the input's floats alone. The input is
+# compared by identity: a tuple cannot change, and the entry holds it, so its
+# id is not reused. A list can change between calls, so it is never stored.
+# The entry is one tuple replaced whole, so it needs no lock.
+_last_unit: tuple[tuple, Quat] | None = None
+
+
 def unit_quat(q) -> Quat:
     """q as four floats divided by its norm; raises ValueError when it is
     not 4 long or its norm is more than 1e-6 off 1 or not finite.
@@ -88,14 +97,21 @@ def unit_quat(q) -> Quat:
     Written out because ``Pose6D`` calls it on every controller step: the
     same norm expression as quat_norm.
     """
-    q = tuple(map(float, q))
-    if len(q) != 4:
+    global _last_unit
+    last = _last_unit
+    if last is not None and last[0] is q:
+        return last[1]
+    floats = tuple(map(float, q))
+    if len(floats) != 4:
         raise ValueError("orientation must have 4 components (w, x, y, z)")
-    w, x, y, z = q
+    w, x, y, z = floats
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if not abs(n - 1.0) <= _UNIT_TOL:  # a NaN or infinite norm fails too
-        raise ValueError(f"orientation is not unit norm ({abs(n - 1.0):.2e} off): {q}")
-    return (w / n, x / n, y / n, z / n)
+        raise ValueError(f"orientation is not unit norm ({abs(n - 1.0):.2e} off): {floats}")
+    unit = (w / n, x / n, y / n, z / n)
+    if type(q) is tuple:
+        _last_unit = (q, unit)
+    return unit
 
 
 def quat_from_axis_angle(axis: Vec3, angle: float) -> Quat:
@@ -171,22 +187,25 @@ def yaw_free_angle(q: Quat, target: Quat) -> float:
 # poses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pose6D:
     """Rigid transform in SE(3): position in meters + unit quaternion (wxyz)."""
 
     position: Vec3
     orientation: Quat = (1.0, 0.0, 0.0, 0.0)
 
-    def __post_init__(self):
-        # Built on every controller step, so the checks are written out.
-        p = tuple(map(float, self.position))
+    def __init__(self, position: Vec3, orientation: Quat = (1.0, 0.0, 0.0, 0.0)):
+        # Built on every controller step, so the checks are written out and
+        # the fields go straight into the instance dict, past the frozen
+        # __setattr__.
+        p = tuple(map(float, position))
         if len(p) != 3 or not (
             math.isfinite(p[0]) and math.isfinite(p[1]) and math.isfinite(p[2])
         ):
-            raise ValueError(f"position must be 3 finite floats, got {self.position}")
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "orientation", unit_quat(self.orientation))
+            raise ValueError(f"position must be 3 finite floats, got {position}")
+        fields = self.__dict__
+        fields["position"] = p
+        fields["orientation"] = unit_quat(orientation)
 
     @property
     def x(self) -> float:

@@ -589,9 +589,23 @@ def overlapping_object(scene: TwinScene, box: Obb, object_id: str) -> RigidObjec
 # orientation helpers
 # ---------------------------------------------------------------------------
 
+# The last input and result of _snap_face_down, and of _half_height, kept
+# like unit_quat's: the inputs are tuples compared by identity, which the
+# entry holds, and each entry is one tuple replaced whole.
+_last_snap: tuple[tuple, Quat] | None = None
+_last_half_height: tuple[tuple, tuple, float] | None = None
+
+
 def _snap_face_down(q: Quat) -> Quat:
     """Minimal world rotation making the current down face exactly horizontal."""
-    return _face_down_orientation(q, *down_face(unit_quat(q)))
+    global _last_snap
+    last = _last_snap
+    if last is not None and last[0] is q:
+        return last[1]
+    snapped = _face_down_orientation(q, *down_face(unit_quat(q)))
+    if type(q) is tuple:
+        _last_snap = (q, snapped)
+    return snapped
 
 
 def _face_down_orientation(q: Quat, axis: int, sign: float) -> Quat:
@@ -650,7 +664,15 @@ def flat_pose_on_support(scene: TwinScene, obj: RigidObject, x: float, y: float,
 
 def _half_height(obj: RigidObject, q: Quat) -> float:
     """Height of the object's centre above its lowest corner at orientation q."""
-    return -min(box_corner_heights(0.0, unit_quat(q), obj.half_extents))
+    global _last_half_height
+    h = obj.half_extents
+    last = _last_half_height
+    if last is not None and last[0] is q and last[1] is h:
+        return last[2]
+    half = -min(box_corner_heights(0.0, unit_quat(q), h))
+    if type(q) is tuple and type(h) is tuple:
+        _last_half_height = (q, h, half)
+    return half
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +773,13 @@ def _support_pieces(scene: TwinScene, object_id: str, hull: tuple[Vec2, ...],
 # replaced whole, so it needs no lock.
 _last_settle: tuple[RigidObject, tuple, SettleOutcome] | None = None
 
+# The support pieces of settle's last flat rest test, with the polygon of
+# the hull that _support_polygon gives for their raised pieces (None under 3
+# vertices), kept when none of those is a slope piece. stability_margin asks
+# for that polygon again when it is handed the same pieces tuple, compared
+# by identity. The entry is one tuple replaced whole, so it needs no lock.
+_last_polygon: tuple[tuple, Polygon2 | None] | None = None
+
 
 def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     """Drop an object to rest and classify the outcome.
@@ -762,7 +791,7 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     edge, largest face down; with no raised support at all it lands on the
     ground and reports fell_off.
     """
-    global _last_settle
+    global _last_settle, _last_polygon
     obj = scene.object(object_id)
     pose = obj.pose
     status = "stable"
@@ -803,8 +832,17 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
         if not flat and slope_cells:
             return _settle_on_slope(scene, obj, pose, slope_cells[0], status)
 
-        h_star, hull = _support_polygon(flat)
-        inside = len(hull) >= 3 and point_in_polygon(com, hull_polygon(hull))
+        if (len(flat) == 1 and len(face) == 4 and len(flat[0][2]) == 4
+                and all(a is b for a, b in zip(flat[0][2], face))):
+            # the one piece is the whole face, which _float_hull made from
+            # these four points: its hull is the face itself
+            h_star, hull = flat[0][0], list(face)
+        else:
+            h_star, hull = _support_polygon(flat)
+        polygon = hull_polygon(hull) if len(hull) >= 3 else None
+        if not slope_cells:
+            _last_polygon = (scored, polygon)
+        inside = polygon is not None and point_in_polygon(com, polygon)
 
         if inside:
             z = h_star + _half_height(obj, flat_q)
@@ -1000,15 +1038,20 @@ def stability_margin(scene: TwinScene, object_id: str) -> float:
     """Signed COM-inside-support-polygon margin at the object's current pose."""
     obj = scene.object(object_id)
     scored = _support_pieces(scene, obj.id, obj.world_obb().resting_face())
-    raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
-    if not raised:
-        raised = scored  # resting on bare ground
-    if not raised:
+    last = _last_polygon
+    if last is not None and last[0] is scored:
+        polygon = last[1]
+    else:
+        raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
+        if not raised:
+            raised = scored  # resting on bare ground
+        if not raised:
+            return -math.inf
+        _, hull = _support_polygon(raised)
+        polygon = hull_polygon(hull) if len(hull) >= 3 else None
+    if polygon is None:
         return -math.inf
-    _, hull = _support_polygon(raised)
-    if len(hull) < 3:
-        return -math.inf
-    return signed_interior_margin((obj.pose.x, obj.pose.y), hull_polygon(hull))
+    return signed_interior_margin((obj.pose.x, obj.pose.y), polygon)
 
 
 def raised_support(scene: TwinScene, object_id: str) -> bool:

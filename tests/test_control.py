@@ -17,6 +17,8 @@ from tabletamp.control import (
     IK_FAILURE_MESSAGE,
 )
 from tabletamp.geometry import Pose6D, geodesic_angle, quat_from_yaw, rect_polygon, se2_error
+from tabletamp.harness import randomize
+from tabletamp.scenarios import build_scenario
 from tabletamp.twin import REACH_MAX, ROBOT_BASE, TerrainFeature, ToolSpec, settle
 
 from tests.test_twin import TABLE_H, base_scene, make_box
@@ -164,6 +166,19 @@ class TestPushApproach:
         out, trace = exec_push(base_scene([card]), "card", goal)
         assert trace.ok, trace.result
         assert se2_error(out.object("card").pose, goal)[0] <= 0.01
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the solids are tested in order and the table comes first: a thin "
+        "card's contact lies within 1 cm of the table top, so the test answers "
+        "'table', which exec_push treats as clear, though every approach sample "
+        "lies on the raised pad too; a fix moves the trace digests"))
+    def test_pad_beside_the_table_blocks_a_thin_card(self):
+        # a push of the card in the edge scenario's execution scene at trial
+        # seed 0 under the full ablation
+        scene = randomize(build_scenario("edge"), 0)
+        contact = (0.18004834973237482, 0.09040061264260049, 0.404)
+        direction = (-0.7860588935816667, -0.6181516123259455)
+        assert control._approach_blocked(scene, "card", contact, direction) == "pad"
 
 
 class TestExecRotate:
