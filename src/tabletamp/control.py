@@ -46,6 +46,8 @@ from .twin import (
     REACH_MAX,
     REACH_MIN,
     ROBOT_BASE,
+    SWEEP_MARGIN,
+    PivotSweep,
     PlacementCollision,
     RigidObject,
     SweptCollision,
@@ -59,6 +61,7 @@ from .twin import (
     settle_in_place,
     support_cells,
     support_height_at,
+    sweep_is_clear,
 )
 
 IK_FAILURE_MESSAGE = "Unable to solve an IK solution"
@@ -597,13 +600,14 @@ def exec_rotate(scene: TwinScene, object_id: str,
 
     inc = math.radians(_INCREMENT_DEG)
     # every increment pivots the same object about the same edge of the same
-    # scene, so a sweep angle one increment found clear is clear for the next
-    swept_clear: set[float] = set()
+    # scene, so a sweep angle one increment found clear is clear for the
+    # next, and the quarter turn's broad phase is derived once
+    sweep = PivotSweep()
     for i in range(1, _MAX_INCREMENTS + 1):
         angle = min(i * inc, math.pi / 2)
         try:
             new_scene, outcome = pivot_rotate(scene, object_id, best_edge, angle,
-                                              swept_clear)
+                                              sweep)
         except SweptCollision as exc:
             return scene, trace.fail(ErrorKind.COLLISION, str(exc))
         except ValueError as exc:
@@ -678,7 +682,13 @@ def exec_grasp(scene: TwinScene, object_id: str) -> tuple[TwinScene, ExecTrace]:
 
 def exec_moveto(scene: TwinScene, subgoal: Pose6D) -> tuple[TwinScene, ExecTrace]:
     """Transport the held object on a straight line at hover height, then
-    lower it onto the sub-goal pose (still held)."""
+    lower it onto the sub-goal pose (still held).
+
+    The path is checked against walls and other objects at 2 cm waypoints.
+    Every waypoint box has the sub-goal orientation and the hover height, so
+    the bounds of the first and last, grown by SWEEP_MARGIN (1e-7 m), hold
+    them all; when ``sweep_is_clear`` finds nothing within that bound, no
+    waypoint box is built."""
     trace = ExecTrace()
     if scene.held_id is None:
         raise ValueError("no object is held")
@@ -695,23 +705,33 @@ def exec_moveto(scene: TwinScene, subgoal: Pose6D) -> tuple[TwinScene, ExecTrace
     hover_z = max(start.z, subgoal.z) + _HOVER
     dist = math.hypot(subgoal.x - start.x, subgoal.y - start.y)
     steps = max(2, int(dist / 0.02))
-    for i in range(steps + 1):
-        t = i / steps
+
+    def hover_box(t: float):
         x = start.x + (subgoal.x - start.x) * t
         y = start.y + (subgoal.y - start.y) * t
-        hover_pose = Pose6D((x, y, hover_z), subgoal.orientation)
-        hover_box = obj.at_pose(hover_pose).world_obb()
-        solid = box_hits_solids(scene, hover_box, include_slopes=False)
-        if solid is not None:
-            return scene, trace.fail(
-                ErrorKind.COLLISION,
-                f"transport path crosses {solid.label or 'terrain'}",
-            )
-        other = overlapping_object(scene, hover_box, object_id)
-        if other is not None:
-            return scene, trace.fail(ErrorKind.COLLISION,
-                                     f"transport path crosses {other.id}")
-        trace.snapshots += 1
+        return obj.at_pose(Pose6D((x, y, hover_z), subgoal.orientation)).world_obb()
+
+    first, last = hover_box(0.0), hover_box(1.0)
+    (ax0, ax1, ay0, ay1), (bx0, bx1, by0, by1) = first.xy_bounds, last.xy_bounds
+    m = SWEEP_MARGIN
+    bound = (min(ax0, bx0) - m, max(ax1, bx1) + m, min(ay0, by0) - m,
+             max(ay1, by1) + m, first.bottom_z() - m, first.top_z() + m)
+    if sweep_is_clear(scene, object_id, bound, tol=1e-6, include_slopes=False):
+        trace.snapshots += steps + 1
+    else:
+        for i in range(steps + 1):
+            box = hover_box(i / steps)
+            solid = box_hits_solids(scene, box, include_slopes=False)
+            if solid is not None:
+                return scene, trace.fail(
+                    ErrorKind.COLLISION,
+                    f"transport path crosses {solid.label or 'terrain'}",
+                )
+            other = overlapping_object(scene, box, object_id)
+            if other is not None:
+                return scene, trace.fail(ErrorKind.COLLISION,
+                                         f"transport path crosses {other.id}")
+            trace.snapshots += 1
 
     try:
         lowered = place_at(scene, object_id, subgoal)

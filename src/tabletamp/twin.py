@@ -81,6 +81,10 @@ TERRAIN_KINDS = tuple(_EXTRA_KEYS)
 
 _CONTACT_TOL = 1e-6
 _AREA_TOL = 1e-8
+_OVERLAP_TOL = 1e-7  # z and area overlap that makes two objects collide
+# Growth of a swept motion's bound over the exact one, m: the boxes a sweep
+# builds round about 1e-14 m from their exact corners.
+SWEEP_MARGIN = 1e-7
 _WALL_THICKNESS = 0.012
 _CEILING_SLAB = 0.02
 
@@ -580,9 +584,39 @@ def overlapping_object(scene: TwinScene, box: Obb, object_id: str) -> RigidObjec
     for other in scene.objects:
         if other.id == object_id or other.id == scene.held_id:
             continue
-        if obbs_overlap(box, other.world_obb(), tol=1e-7):
+        if obbs_overlap(box, other.world_obb(), tol=_OVERLAP_TOL):
             return other
     return None
+
+
+def sweep_is_clear(scene: TwinScene, object_id: str,
+                   bound: tuple[float, float, float, float, float, float],
+                   tol: float, include_slopes: bool = True) -> bool:
+    """True when no box inside ``bound`` = (xlo, xhi, ylo, yhi, zlo, zhi)
+    can meet anything: ``box_hits_solids`` with ``tol`` and
+    ``overlapping_object`` for ``object_id`` return None for every such box.
+    Each solid, slope cell and other object fails a first test that those
+    two make, applied to the bound: a solid the z test with ``tol`` or
+    ``bounds_disjoint``, a slope cell ``bounds_disjoint`` with its
+    ``_near_box``, an object ``obbs_overlap``'s z test or
+    ``bounds_disjoint``."""
+    xy, zlo, zhi = bound[:4], bound[4], bound[5]
+    for solid in scene.terrain.solids:
+        if not (zlo >= solid.z1 - tol or zhi <= solid.z0 + tol
+                or bounds_disjoint(xy, solid.polygon.bounds)):
+            return False
+    if include_slopes:
+        for cell in scene.terrain.slopes:
+            if not bounds_disjoint(xy, cell._near_box):
+                return False
+    for other in scene.objects:
+        if other.id == object_id or other.id == scene.held_id:
+            continue
+        box = other.world_obb()
+        if not (zlo >= box.top_z() - _OVERLAP_TOL or box.bottom_z() >= zhi - _OVERLAP_TOL
+                or bounds_disjoint(xy, box.xy_bounds)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1194,22 +1228,72 @@ def _balance_angle(obj: RigidObject, p0: Vec3, axis: Vec3) -> float:
     return math.atan2(horiz, max(vert, 1e-9))
 
 
+@dataclass
+class PivotSweep:
+    """What pivots of one object about one edge of an unchanged scene found:
+    the sweep angles found clear, and for each rotation sign whether any
+    solid, slope or other object is within the quarter turn's reach."""
+
+    clear: set[float] = field(default_factory=set)
+    reachable: dict[float, bool] = field(default_factory=dict)
+
+
+def _quarter_turn_bound(box: Obb, p0: Vec3, axis: Vec3, sign: float
+                        ) -> tuple[float, float, float, float, float, float]:
+    """(xlo, xhi, ylo, yhi, zlo, zhi) of ``box`` turned about the line
+    through ``p0`` along the unit ``axis`` by every angle from 0 to
+    ``sign * pi / 2``, grown by SWEEP_MARGIN. A corner ``p0 + v`` runs the
+    arc ``c + w cos(phi) + u sin(phi)`` over phi in [0, pi/2], with
+    ``c = p0 + (v . axis) axis``, ``w = v - (v . axis) axis`` and
+    ``u = sign * (axis x v)``; each coordinate spans the arc's two ends and,
+    where ``w`` and ``u`` share a sign, its extremum ``c +- hypot(w, u)``."""
+    lo = [math.inf] * 3
+    hi = [-math.inf] * 3
+    kx, ky, kz = axis
+    for cx, cy, cz in box.corners():
+        v = (cx - p0[0], cy - p0[1], cz - p0[2])
+        d = v[0] * kx + v[1] * ky + v[2] * kz
+        u = (sign * (ky * v[2] - kz * v[1]), sign * (kz * v[0] - kx * v[2]),
+             sign * (kx * v[1] - ky * v[0]))
+        for j in range(3):
+            c = p0[j] + d * axis[j]
+            w = v[j] - d * axis[j]
+            uj = u[j]
+            low, high = c + w, c + uj
+            if low > high:
+                low, high = high, low
+            if w > 0.0 and uj > 0.0:
+                high = c + math.hypot(w, uj)
+            elif w < 0.0 and uj < 0.0:
+                low = c - math.hypot(w, uj)
+            if low < lo[j]:
+                lo[j] = low
+            if high > hi[j]:
+                hi[j] = high
+    m = SWEEP_MARGIN
+    return lo[0] - m, hi[0] + m, lo[1] - m, hi[1] + m, lo[2] - m, hi[2] + m
+
+
 def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3],
-                 angle: float, swept_clear: set[float] | None = None
+                 angle: float, sweep: PivotSweep | None = None
                  ) -> tuple[TwinScene, SettleOutcome]:
     """Rotate an object rigidly about a bottom edge, then settle.
 
     Below the balance point the object relaxes back to its original rest;
     past it the flip completes onto the adjacent face. The swept volume is
     collision-checked against terrain solids and other objects in 5-degree
-    increments; a hit raises SweptCollision.
+    increments; a hit raises SweptCollision. A broad phase comes first: the
+    exact bound of the box over the whole quarter turn in the rotation's
+    sign, grown by SWEEP_MARGIN (1e-7 m, over 10^6 times the increment
+    boxes' rounding), goes to ``sweep_is_clear``, and when nothing is within
+    it no increment box is built, since none could hit.
 
-    ``swept_clear``, when given, holds sweep angles already found clear for
-    this scene, object and edge: they are skipped, and each angle found
-    clear is added. A caller that pivots the same object about the same
-    edge of an unchanged scene at growing angles passes one set to every
-    call, so each distinct angle is checked once and the first hit is the
-    same.
+    ``sweep``, when given, holds what earlier calls found for this scene,
+    object and edge: angles already found clear are skipped, each angle
+    found clear is added, and the broad phase is derived once per sign. A
+    caller that pivots the same object about the same edge of an unchanged
+    scene at growing angles passes one ``PivotSweep`` to every call, so each
+    distinct angle is checked once and the first hit is the same.
     """
     obj = scene.object(object_id)
     if abs(angle) > math.pi / 2 + 1e-9:
@@ -1249,24 +1333,33 @@ def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3]
     if probe.z < obj.pose.z - 1e-9:
         angle = -angle  # requested direction would drive the object into the support
 
+    sign = math.copysign(1.0, angle)
+    reachable = None if sweep is None else sweep.reachable.get(sign)
+    if reachable is None:
+        bound = _quarter_turn_bound(box, p0, axis, sign)
+        reachable = not sweep_is_clear(scene, object_id, bound, tol=2e-3)
+        if sweep is not None:
+            sweep.reachable[sign] = reachable
+
     steps = max(1, int(math.ceil(abs(angle) / math.radians(5.0))))
     for i in range(1, steps + 1):
         a = angle * i / steps
-        if swept_clear is not None and a in swept_clear:
+        if sweep is not None and a in sweep.clear:
             continue
-        pose_i = _rotate_pose_about_line(obj.pose, p0, axis, a)
-        box_i = obj.at_pose(pose_i).world_obb()
-        solid = box_hits_solids(scene, box_i, tol=2e-3)
-        if solid is not None:
-            raise SweptCollision(
-                f"pivot sweep of {object_id} hits {solid.label or 'terrain'} at "
-                f"{math.degrees(a):.0f} deg"
-            )
-        other = overlapping_object(scene, box_i, object_id)
-        if other is not None:
-            raise SweptCollision(f"pivot sweep of {object_id} hits {other.id}")
-        if swept_clear is not None:
-            swept_clear.add(a)
+        if reachable:
+            pose_i = _rotate_pose_about_line(obj.pose, p0, axis, a)
+            box_i = obj.at_pose(pose_i).world_obb()
+            solid = box_hits_solids(scene, box_i, tol=2e-3)
+            if solid is not None:
+                raise SweptCollision(
+                    f"pivot sweep of {object_id} hits {solid.label or 'terrain'} at "
+                    f"{math.degrees(a):.0f} deg"
+                )
+            other = overlapping_object(scene, box_i, object_id)
+            if other is not None:
+                raise SweptCollision(f"pivot sweep of {object_id} hits {other.id}")
+        if sweep is not None:
+            sweep.clear.add(a)
 
     balance = _balance_angle(obj, p0, axis)
     if abs(angle) + 1e-9 < balance:

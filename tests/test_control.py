@@ -213,9 +213,9 @@ class TestExecRotate:
         assert not trace.ok
         assert trace.result.kind is ErrorKind.COLLISION
 
-    # exec_rotate hands pivot_rotate the set of sweep angles its earlier
-    # increments found clear; these compare it with the loop that re-sweeps
-    # every angle on every increment.
+    # exec_rotate hands pivot_rotate the PivotSweep of its earlier
+    # increments; these compare it with the loop that re-sweeps every angle
+    # on every increment.
 
     @staticmethod
     def rail_scene(rail_y):
@@ -236,13 +236,13 @@ class TestExecRotate:
             sweeps.append(tol)
             return original(scene, box, tol=tol, **kwargs)
 
-        def without_swept_set(scene, object_id, edge, angle, swept_clear=None):
+        def without_sweep(scene, object_id, edge, angle, sweep=None):
             return twin.pivot_rotate(scene, object_id, edge, angle)
 
         with monkeypatch.context() as m:
             m.setattr(twin, "box_hits_solids", counted)
             if not reuse:
-                m.setattr(control, "pivot_rotate", without_swept_set)
+                m.setattr(control, "pivot_rotate", without_sweep)
             out, trace = exec_rotate(scene, "plank", goal)
         return out, trace, sweeps.count(2e-3)  # pivot_rotate's sweep tolerance
 
@@ -263,7 +263,9 @@ class TestExecRotate:
         out, got, sweeps = self.rotate_counting_sweeps(monkeypatch, scene, reuse=True)
         assert ref.ok and got.ok and got.snapshots == ref.snapshots
         assert repr(out.object("plank").pose) == repr(ref_out.object("plank").pose)
-        assert sweeps < ref_sweeps
+        # the rail lies outside the quarter turn's reach, so the broad phase
+        # clears the sweep and neither side builds an increment box
+        assert sweeps == 0 and ref_sweeps == 0
 
 
 class TestExecGrasp:
@@ -342,6 +344,19 @@ class TestExecMoveto:
         assert trace.ok
         return scene
 
+    @staticmethod
+    def waypoint_boxes(monkeypatch):
+        """The waypoint boxes exec_moveto tests against the terrain."""
+        boxes = []
+        original = control.box_hits_solids
+
+        def logged(scene, box, *args, **kwargs):
+            boxes.append(box)
+            return original(scene, box, *args, **kwargs)
+
+        monkeypatch.setattr(control, "box_hits_solids", logged)
+        return boxes
+
     def test_transport_to_free_point(self):
         scene = self.held_scene()
         goal = flat_pose(0.2, -0.1, half_z=0.05)
@@ -349,6 +364,9 @@ class TestExecMoveto:
         assert trace.ok, trace.result
         assert out.object("cube").pose.position == goal.position
         assert out.held_id == "cube"
+        # one snapshot per waypoint (11 gaps of about 2 cm), one for lowering
+        steps = int(math.hypot(0.2, 0.1) / 0.02)
+        assert steps == 11 and trace.snapshots == steps + 2
 
     def test_beyond_reach_is_ik_failure_with_verbatim_message(self):
         scene = self.held_scene()
@@ -368,6 +386,34 @@ class TestExecMoveto:
         out, trace = exec_moveto(scene, flat_pose(0.3, -0.2, half_z=0.05))
         assert not trace.ok
         assert trace.result.kind is ErrorKind.COLLISION
+        assert trace.result.message == "transport path crosses barrier"
+
+    def test_object_mid_path_blocks_transport(self):
+        # a post halfway along the path reaches hover height; the goal is free
+        post = make_box("post", half=(0.02, 0.02, 0.15), x=0.1, y=-0.15)
+        cube = make_box("cube", half=(0.035, 0.035, 0.05), y=-0.2)
+        scene, trace = exec_grasp(base_scene([cube, post]), "cube")
+        assert trace.ok
+        out, trace = exec_moveto(scene, flat_pose(0.2, -0.1, half_z=0.05))
+        assert not trace.ok
+        assert trace.result.kind is ErrorKind.COLLISION
+        assert trace.result.message == "transport path crosses post"
+        assert trace.snapshots > 0  # the waypoints before the post were clear
+
+    def test_low_wall_under_the_hover_stays_clear(self, monkeypatch):
+        # the wall lies across the path, inside its xy bound, but its top is
+        # under the hovering box, so the bound clears it without a waypoint box
+        wall = TerrainFeature("wall", rect_polygon(0.1, -0.15, 0.01, 0.25), TABLE_H,
+                              {"height": 0.1}, name="low")
+        cube = make_box("cube", half=(0.035, 0.035, 0.05), y=-0.2)
+        scene, trace = exec_grasp(base_scene([cube], terrain_extra=[wall]), "cube")
+        assert trace.ok
+        boxes = self.waypoint_boxes(monkeypatch)
+        out, trace = exec_moveto(scene, flat_pose(0.2, -0.1, half_z=0.05))
+        assert trace.ok, trace.result
+        assert trace.snapshots == int(math.hypot(0.2, 0.1) / 0.02) + 2
+        assert boxes == []
+        assert out.object("cube").pose.position == (0.2, -0.1, TABLE_H + 0.05)
 
     def test_placement_collision(self):
         blocker = make_box("blocker", half=(0.05, 0.05, 0.05), x=0.2, y=-0.1)
