@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 Vec2 = tuple[float, float]
 Vec3 = tuple[float, float, float]
@@ -429,7 +430,34 @@ def _float_hull(points: set[Vec2]) -> list[Vec2]:
                 break
             upper.pop()
         upper.append(p)
-    return lower[:-1] + upper[:-1]
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        # the 1e-15 cut pops real corners when points an ulp apart make the
+        # float turns round to nothing; exact turns keep them
+        return _exact_hull(pts)
+    return hull
+
+
+def _exact_hull(pts: list[Vec2]) -> list[Vec2]:
+    """Monotone chain over sorted distinct float pairs, with each turn
+    computed exactly in Fractions (Shewchuk, DCG 1997); it pops only
+    collinear or clockwise turns."""
+    exact = [(Fraction(x), Fraction(y)) for x, y in pts]
+
+    def chain(order) -> list[int]:
+        out: list[int] = []
+        for i in order:
+            px, py = exact[i]
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = exact[out[-2]], exact[out[-1]]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    n = len(pts)
+    return [pts[i] for i in chain(range(n))[:-1] + chain(reversed(range(n)))[:-1]]
 
 
 def hull_polygon(hull) -> Polygon2:

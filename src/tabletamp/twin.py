@@ -79,7 +79,6 @@ _EXTRA_KEYS = {
 }
 TERRAIN_KINDS = tuple(_EXTRA_KEYS)
 
-_CONTACT_TOL = 1e-6
 _AREA_TOL = 1e-8
 _OVERLAP_TOL = 1e-7  # z and area overlap that makes two objects collide
 # Growth of a swept motion's bound over the exact one, m: the boxes a sweep
@@ -623,11 +622,10 @@ def sweep_is_clear(scene: TwinScene, object_id: str,
 # orientation helpers
 # ---------------------------------------------------------------------------
 
-# The last input and result of _snap_face_down, and of _half_height, kept
-# like unit_quat's: the inputs are tuples compared by identity, which the
-# entry holds, and each entry is one tuple replaced whole.
+# The last input and result of _snap_face_down, kept like unit_quat's: the
+# input is a tuple compared by identity, which the entry holds, and the entry
+# is one tuple replaced whole.
 _last_snap: tuple[tuple, Quat] | None = None
-_last_half_height: tuple[tuple, tuple, float] | None = None
 
 
 def _snap_face_down(q: Quat) -> Quat:
@@ -698,15 +696,7 @@ def flat_pose_on_support(scene: TwinScene, obj: RigidObject, x: float, y: float,
 
 def _half_height(obj: RigidObject, q: Quat) -> float:
     """Height of the object's centre above its lowest corner at orientation q."""
-    global _last_half_height
-    h = obj.half_extents
-    last = _last_half_height
-    if last is not None and last[0] is q and last[1] is h:
-        return last[2]
-    half = -min(box_corner_heights(0.0, unit_quat(q), h))
-    if type(q) is tuple and type(h) is tuple:
-        _last_half_height = (q, h, half)
-    return half
+    return -min(box_corner_heights(0.0, unit_quat(q), obj.half_extents))
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,11 @@ from tabletamp.scenarios import Goal, all_scenarios, build_scenario
 from tabletamp.subgoal import NoFeasiblePose, filter_and_rank
 from tabletamp.twin import settle
 
+from tests.test_pins import PINS
 from tests.test_twin import TABLE_H, base_scene, make_box
 
 ABLATION_TASKS = ("book", "wall", "slot", "tool_hook")
-PINNED_TRACES_SHA256 = "22d8b50b2ab147e004fa08d047f0f13c549f0d37584dac32b442a71aea080780"
+PINNED_TRACES_SHA256 = PINS["benchmark_traces_sha256"]
 
 
 def verdict(num: int, ok: bool, detail: str):

@@ -7,6 +7,8 @@ import pytest
 
 from tabletamp.cli import main
 
+from tests.test_pins import PINS
+
 
 class TestCmdRun:
     def test_success_exit_zero_and_trace_written(self, tmp_path):
@@ -59,8 +61,7 @@ class TestCmdRun:
         digest = hashlib.sha256()
         for rel in paths:
             digest.update(rel.encode() + b"\0" + (tmp_path / rel).read_bytes())
-        assert digest.hexdigest() == (
-            "2acc709d348f0845176827005ce139683ccb606e9a3913170df49b281cd842c0")
+        assert digest.hexdigest() == PINS["render_sha256"]
 
     def test_scenario_file_round_trip(self, tmp_path):
         code = main(["export", "--out", str(tmp_path / "defs")])

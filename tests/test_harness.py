@@ -19,6 +19,8 @@ from tabletamp.harness import (
 from tabletamp.scenarios import SCENARIO_IDS, Goal, build_scenario
 from tabletamp.twin import settle
 
+from tests.test_pins import PINS
+
 
 class TestRandomize:
     def test_deterministic(self):
@@ -164,10 +166,7 @@ class TestRunEpisode:
         assert isinstance(doc["attempts"], list)
 
     @pytest.mark.parametrize("name, ablation, expected", [
-        ("edge", "full",
-         [None, [0, 51], [52, 152], [153, 153], [154, 180], [181, 181]]),
-        ("wall", "no_pose",
-         [None, [0, 34], [35, 36], [37, 54], [55, 55], [56, 75], [76, 76]]),
+        (case["scenario"], case["ablation"], case["snapshots"]) for case in PINS["snapshot_ids"]
     ])
     def test_snapshot_ids_run_on_across_revisions(self, name, ablation, expected):
         # a step that made no snapshot has None; the others number the
@@ -179,12 +178,8 @@ class TestRunEpisode:
 
 
 # The benchmark runs seeds 0-9; these are the failures on the held-out seeds
-# 10-39. A change of behaviour on purpose edits this set and names the change
-# in CHANGES.md.
-HELD_OUT_FAILURES = {
-    ("edge", 10), ("edge", 17), ("edge", 18), ("edge", 32), ("edge", 34),
-    ("slot", 24), ("slot", 30),
-}
+# 10-39.
+HELD_OUT_FAILURES = {tuple(case) for case in PINS["held_out_failures"]}
 
 
 class TestHeldOutSeeds:
@@ -202,6 +197,14 @@ class TestHeldOutSeeds:
                     failed.add((sid, seed))
         assert raised == []
         assert failed == HELD_OUT_FAILURES
+
+    def test_book_seeds_with_ulp_apart_footprint_corners_run(self):
+        # a grasp probe's footprint hull lost its corners to float rounding
+        # on each of these seeds, which raised "polygon needs at least 3
+        # vertices" out of run_episode
+        sc = build_scenario("book")
+        for seed in (45, 49, 50, 64, 112, 154, 155, 199):
+            run_episode(sc, seed)
 
 
 class TestRunBenchmark:
