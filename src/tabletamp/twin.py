@@ -1137,13 +1137,22 @@ def _clip_fraction(scene: TwinScene, obj: RigidObject, full: RigidObject,
     return lo
 
 
-# The inputs of apply_push's last _clip_fraction call, and its result. A push
-# pinned against a wall repeats the same step, bit for bit, until the
-# controller's stall limit fires. The key holds every value the bisection
-# reads, so an equal key gives an equal result. The terrain is compared by
-# identity, which scene copies share, and the rest by value. The entry is
-# one tuple replaced whole, so it needs no lock.
-_last_clip: tuple[tuple, float] | None = None
+# apply_push's last step: its key, the object it placed before the settle
+# and its (dx, dy, dyaw). A push pinned against a wall repeats the same step,
+# bit for bit, until the controller's stall limit fires. Validation, the
+# motion and the clip read only the keyed values, so a repeat settles the
+# kept object again and nothing else. The terrain and each object are
+# compared by identity, which scene copies share, and the floats by their
+# bits. The entry is one tuple replaced whole, so it needs no lock.
+_last_step: tuple[tuple, RigidObject, tuple[float, float, float]] | None = None
+
+
+def _same_step(a: tuple, b: tuple) -> bool:
+    """True iff two apply_push keys hold the same terrain and objects, by
+    identity, equal ids, role and contact length, and the same float bits."""
+    return (a[0] is b[0] and len(a[1]) == len(b[1])
+            and all(x is y for x, y in zip(a[1], b[1]))
+            and a[2:6] == b[2:6] and _same_bits(a[6], b[6]))
 
 
 def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
@@ -1155,14 +1164,35 @@ def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
     ``arm`` the signed moment arm of the contact about the COM. Motion is
     clipped against terrain and other objects, then the object is settled.
     """
+    global _last_step
     obj = scene.object(object_id)
+    # the contact's length says where the flat float tuple splits
+    key = (scene.terrain, scene.objects, scene.held_id, scene.role, object_id,
+           len(contact), (*contact, *direction, step))
+    last = _last_step
+    if last is not None and _same_step(last[0], key):
+        placed, motion = last[1], last[2]
+    else:
+        placed, motion = _push_motion(scene, obj, contact, direction, step)
+        _last_step = (key, placed, motion)
+    settled, outcome = settle_in_place(
+        scene if placed is obj else scene.replace_object(placed), object_id)
+    return settled, PushDelta(*motion, outcome.status)
+
+
+def _push_motion(scene: TwinScene, obj: RigidObject, contact: Vec3,
+                 direction: Vec2, step: float
+                 ) -> tuple[RigidObject, tuple[float, float, float]]:
+    """The push step's validated, clipped motion: the object placed before
+    the settle, and its (dx, dy, dyaw)."""
     if not 0.0 < step <= PUSH_STEP_CAP + 1e-12:
         raise ValueError(f"step must be in (0, {PUSH_STEP_CAP}], got {step}")
+    # written so that a NaN fails each test
     n = math.hypot(direction[0], direction[1])
-    if abs(n - 1.0) > 1e-6:
+    if not abs(n - 1.0) <= 1e-6:
         raise ValueError("push direction must be a horizontal unit vector")
     box = obj.world_obb()
-    if _surface_distance_to_obb(box, contact) > 5e-3:
+    if not _surface_distance_to_obb(box, contact) <= 5e-3:
         raise ValueError(f"contact point {contact} is not on the object surface")
 
     gain = scene.push_gain()
@@ -1176,20 +1206,12 @@ def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
     # the whole motion: what the clip tests first, and, since tx * 1.0 == tx,
     # the moved object itself when nothing blocks it
     full = obj.at_pose(_pose_after_planar_motion(obj.pose, tx, ty, dyaw))
-    global _last_clip
-    key = (scene.terrain, scene.objects, scene.held_id, object_id, tx, ty, dyaw)
-    last = _last_clip
-    if last is not None and last[0][0] is key[0] and last[0][1:] == key[1:]:
-        frac = last[1]
-    else:
-        frac = _clip_fraction(scene, obj, full, tx, ty, dyaw)
-        _last_clip = (key, frac)
-
-    moved = scene.replace_object(full if frac == 1.0 else obj.at_pose(
-        _pose_after_planar_motion(obj.pose, tx * frac, ty * frac, dyaw * frac)))
-    settled, outcome = settle_in_place(moved, object_id)
-    delta = PushDelta(tx * frac, ty * frac, dyaw * frac, outcome.status)
-    return settled, delta
+    frac = _clip_fraction(scene, obj, full, tx, ty, dyaw)
+    if frac == 1.0:
+        return full, (tx, ty, dyaw)
+    placed = obj.at_pose(
+        _pose_after_planar_motion(obj.pose, tx * frac, ty * frac, dyaw * frac))
+    return placed, (tx * frac, ty * frac, dyaw * frac)
 
 
 # ---------------------------------------------------------------------------

@@ -1350,8 +1350,8 @@ class TestApplyPush:
         with pytest.raises(ValueError):
             apply_push(scene, "box", (-0.05, 0.0, TABLE_H + 0.05), (1.0, 0.0), 0.05)
 
-    # apply_push keeps the inputs and result of its last clip bisection and
-    # reuses them when every input is equal; these pin that reuse to exact.
+    # apply_push keeps its last step's key, placed object and motion, and
+    # reuses them when every input is the same; these pin that reuse to exact.
 
     PUSH = ((-0.05, 0.01, TABLE_H + 0.05), (1.0, 0.0), 0.02)
 
@@ -1369,7 +1369,7 @@ class TestApplyPush:
 
     @staticmethod
     def fresh_push(monkeypatch, scene, *push):
-        monkeypatch.setattr(twin, "_last_clip", None)
+        monkeypatch.setattr(twin, "_last_step", None)
         return apply_push(scene, "box", *push)
 
     def pinned_scene(self):
@@ -1387,60 +1387,172 @@ class TestApplyPush:
         first = apply_push(scene, "box", *self.PUSH)
         second = apply_push(scene, "box", *self.PUSH)
         assert first == fresh and second == fresh
+        assert push_bits(first) == push_bits(second) == push_bits(fresh)
         assert len(calls) == 1  # both repeats reused the fresh call's bisection
 
-    @pytest.mark.parametrize("change", ["other-moved", "held", "terrain-copy"])
+    def test_stalled_push_fed_back_is_answered_from_the_last_step(self, monkeypatch):
+        # the box is flush against a rail: the step clips to nothing and the
+        # settle leaves the box where it was, so the scene handed back holds
+        # the same objects and the next step has the same key
+        wall = TerrainFeature("wall", rect_polygon(0.1, 0.0, 0.01, 0.2), TABLE_H,
+                              {"height": 0.05}, name="rail")
+        scene = base_scene([make_box(x=0.04)], terrain_extra=[wall])
+        push = ((-0.01, 0.0, TABLE_H + 0.05), (1.0, 0.0), 0.02)
+        calls = self.count_bisections(monkeypatch)
+        for _ in range(3):
+            expected = push_bits(self.fresh_push(monkeypatch, scene, *push))
+            calls.clear()
+            out = apply_push(scene, "box", *push)
+            assert push_bits(out) == expected
+            assert not calls  # answered from the fresh call's step
+            assert out[0].object("box") is scene.object("box")
+            scene = out[0]
+
+    def test_a_repeat_settles_as_a_fresh_call_does(self, monkeypatch):
+        # the gated counts see one apply_push, one settle and the settle's
+        # support_cells calls per step, repeated or not
+        scene = self.pinned_scene()
+        bisections = self.count_bisections(monkeypatch)
+        settles, cells = [], []
+        settle, cells_of = twin.settle, twin.support_cells
+
+        def counted_settle(scene, object_id):
+            settles.append(object_id)
+            return settle(scene, object_id)
+
+        def counted_cells(scene, *args, **kwargs):
+            cells.append((args, kwargs))
+            return cells_of(scene, *args, **kwargs)
+
+        monkeypatch.setattr(twin, "settle", counted_settle)
+        monkeypatch.setattr(twin, "support_cells", counted_cells)
+        self.fresh_push(monkeypatch, scene, *self.PUSH)
+        fresh = (list(settles), list(cells))
+        settles.clear()
+        cells.clear()
+        bisections.clear()
+        apply_push(scene, "box", *self.PUSH)
+        assert not bisections  # a repeat
+        assert settles == ["box"]
+        assert (settles, cells) == fresh
+        assert cells
+
+    # a push with zero coordinates, whose sign the key must tell apart
+    ZERO_PUSH = ((-0.05, 0.0, TABLE_H + 0.05), (1.0, 0.0), 0.02)
+
+    @pytest.mark.parametrize("change", [
+        "other-moved", "held", "terrain-copy", "object-copy", "as-execution",
+        "as-twin", "contact-zero-sign", "direction-zero-sign"])
     def test_changed_input_misses(self, monkeypatch, change):
         scene = self.pinned_scene()
+        push = changed_push = self.PUSH
+        changed = scene
         if change == "other-moved":
             other = scene.object("other")
             changed = scene.replace_object(other.at_pose(
                 Pose6D((0.3, 0.0, other.pose.z), other.pose.orientation)))
         elif change == "held":
             changed = scene.with_held("other")
-        else:
+        elif change == "terrain-copy":
             changed = dataclasses.replace(scene, terrain=tuple(list(scene.terrain)))
             assert changed.terrain == scene.terrain
             assert changed.terrain is not scene.terrain
-        expected = self.fresh_push(monkeypatch, changed, *self.PUSH)
-        primed = self.fresh_push(monkeypatch, scene, *self.PUSH)
-        if change != "terrain-copy":
+        elif change == "object-copy":
+            box = scene.object("box")
+            copy = dataclasses.replace(box)
+            assert copy == box and copy is not box
+            changed = scene.replace_object(copy)
+        elif change == "as-execution":
+            changed = scene.as_execution()
+        elif change == "as-twin":
+            scene = scene.as_execution()
+            changed = scene.as_twin()
+        elif change == "contact-zero-sign":
+            push = self.ZERO_PUSH
+            contact = push[0]
+            changed_push = ((contact[0], -0.0, contact[2]),) + push[1:]
+        else:
+            push = self.ZERO_PUSH
+            changed_push = (push[0], (1.0, -0.0), push[2])
+        assert changed_push == push  # by value, -0.0 == 0.0
+        expected = self.fresh_push(monkeypatch, changed, *changed_push)
+        primed = self.fresh_push(monkeypatch, scene, *push)
+        if change in ("other-moved", "held", "as-execution", "as-twin"):
             assert primed[1] != expected[1]  # the change matters to the result
         calls = self.count_bisections(monkeypatch)
-        assert apply_push(changed, "box", *self.PUSH) == expected
+        out = apply_push(changed, "box", *changed_push)
+        assert out == expected and push_bits(out) == push_bits(expected)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("name", ["wall", "edge"])
-    def test_episodes_match_without_reuse(self, monkeypatch, name):
+    def test_key_tells_the_contact_from_the_direction(self, monkeypatch):
+        # the same floats split apart differently: a fourth contact value is
+        # ignored, but as the first direction value it is no unit vector
+        scene = self.pinned_scene()
+        contact, _, step = self.ZERO_PUSH
+        self.fresh_push(monkeypatch, scene, (*contact, 0.5), (1.0, 0.0), step)
+        with pytest.raises(ValueError, match="horizontal unit vector"):
+            apply_push(scene, "box", contact, (0.5, 1.0, 0.0), step)
+
+    @pytest.mark.parametrize("push", [
+        ((-0.05, 0.0, TABLE_H + 0.05), (math.nan, 0.0), 0.02),
+        ((-0.05, 0.0, TABLE_H + 0.05), (1.0, math.nan), 0.02),
+        ((math.nan, 0.0, TABLE_H + 0.05), (1.0, 0.0), 0.02),
+        ((-0.05, math.nan, TABLE_H + 0.05), (1.0, 0.0), 0.02),
+        ((-0.05, 0.0, math.nan), (1.0, 0.0), 0.02),
+        ((-0.05, 0.0, math.inf), (1.0, 0.0), 0.02),
+    ], ids=["direction-x", "direction-y", "contact-x", "contact-y", "contact-z",
+            "contact-inf"])
+    def test_non_finite_input_is_rejected_in_its_own_words(self, monkeypatch, push):
+        scene = self.pinned_scene()
+        self.fresh_push(monkeypatch, scene, *self.PUSH)
+        kept = twin._last_step
+        words = ("horizontal unit vector" if not math.isfinite(sum(push[1]))
+                 else "not on the object surface")
+        with pytest.raises(ValueError, match=words):
+            apply_push(scene, "box", *push)
+        assert twin._last_step is kept  # a rejected step is never kept
+
+    @pytest.mark.parametrize("ablation", ["full", "no_pose"])
+    def test_episodes_match_without_reuse(self, monkeypatch, ablation):
         from tabletamp import control
         from tabletamp.harness import episode_trace_json, run_episode
-        from tabletamp.scenarios import build_scenario
+        from tabletamp.scenarios import SCENARIO_IDS, build_scenario
 
         def traces():
             out = []
-            for seed in (0, 1):
-                doc = json.loads(episode_trace_json(
-                    run_episode(scenario, seed, ablation="no_pose")))
-                doc.pop("wall_ms")
-                out.append(doc)
+            for scenario in scenarios:
+                for seed in (0, 1):
+                    doc = json.loads(episode_trace_json(
+                        run_episode(scenario, seed, ablation=ablation)))
+                    doc.pop("wall_ms")
+                    out.append(doc)
             return out
 
-        scenario = build_scenario(name)
+        scenarios = [build_scenario(name) for name in SCENARIO_IDS]
         calls = self.count_bisections(monkeypatch)
-        monkeypatch.setattr(twin, "_last_clip", None)
+        monkeypatch.setattr(twin, "_last_step", None)
         with_reuse = traces()
         bisections_with_reuse = len(calls)
 
         original = control.apply_push
 
         def without_reuse(*args):
-            twin._last_clip = None
+            twin._last_step = None
             return original(*args)
 
         monkeypatch.setattr(control, "apply_push", without_reuse)
         calls.clear()
         assert traces() == with_reuse
         assert bisections_with_reuse < len(calls)  # some push repeated its inputs
+
+
+def push_bits(result):
+    """An apply_push result as ``bits``: every object's id and pose, the
+    scene's role and held id, and the delta."""
+    scene, delta = result
+    return ([[o.id, bits(o.pose.position), bits(o.pose.orientation)]
+             for o in scene.objects], scene.role, scene.held_id,
+            bits((delta.dx, delta.dy, delta.dyaw)), delta.settle_status)
 
 
 def bits(value):
