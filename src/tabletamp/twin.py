@@ -39,6 +39,8 @@ from .geometry import (
     Vec2,
     Vec3,
     _BOUNDARY_TOL,
+    _FACE_CORNERS,
+    _float_hull,
     _from_checked,
     _signed_area,
     bounds_disjoint,
@@ -676,14 +678,9 @@ def flat_pose_on_support(scene: TwinScene, obj: RigidObject, x: float, y: float,
     flat = _snap_face_down(base)
     delta = wrap_angle(yaw - yaw_of(flat))
     q = quat_mul(quat_from_yaw(delta), flat)
-    probe = obj.at_pose(Pose6D((x, y, 1.0), q))
-    hull = probe.world_obb().xy_hull
-    best_cell = None
-    best_h = -math.inf
-    for h, cell, _ in _support_pieces(scene, obj.id, hull, objects_as_support):
-        if h > best_h + 1e-9:
-            best_h = h
-            best_cell = cell
+    box = obj.at_pose(Pose6D((x, y, 1.0), q)).world_obb()
+    cells = support_cells(scene, exclude_id=obj.id, include_objects=objects_as_support)
+    best_h, best_cell = _top_support(cells, box.corners(), _footprints_clear(obj.half_extents))
     if best_cell is None:
         return Pose6D((x, y, _half_height(obj, q)), q)
     if best_cell.kind == "slope":
@@ -751,12 +748,11 @@ def rest_on_support(scene: TwinScene, object_id: str,
 _last_pieces: tuple[tuple, list, tuple] | None = None
 
 
-def _support_pieces(scene: TwinScene, object_id: str, hull: tuple[Vec2, ...],
-                    include_objects: bool = True):
-    """(height, cell, piece) for every support cell the hull overlaps, as a
-    tuple that the callers of an equal query share."""
+def _support_pieces(cells: Sequence[SupportCell], hull: tuple[Vec2, ...]):
+    """(height, cell, piece) for every one of ``cells`` (a ``support_cells``
+    list) that carries part of the hull, as a tuple that the callers of an
+    equal query share."""
     global _last_pieces
-    cells = support_cells(scene, exclude_id=object_id, include_objects=include_objects)
     hull = tuple(hull)
     last = _last_pieces
     if (last is not None and last[0] == hull and len(last[1]) == len(cells)
@@ -765,19 +761,11 @@ def _support_pieces(scene: TwinScene, object_id: str, hull: tuple[Vec2, ...],
         return last[2]
     scored: list[tuple[float, SupportCell, list[Vec2]]] = []
     bounds = ring_bounds(hull)
-    hx0, hx1, hy0, hy1 = bounds
     for cell in cells:
         if bounds_disjoint(bounds, cell.bounds):
             continue
-        cx0, cx1, cy0, cy1 = cell.bounds
-        if cell.rect and cx0 <= hx0 and hx1 <= cx1 and cy0 <= hy0 and hy1 <= cy1:
-            # for an axis-aligned edge the clip's side test is a coordinate
-            # comparison that every vertex of a contained hull passes, so
-            # the clip would return the hull unchanged
-            piece = list(hull)
-        else:
-            piece = clip_convex(hull, cell.ring)
-        if ring_area(piece) <= _AREA_TOL:
+        piece = _cell_piece(cell, hull, bounds)
+        if piece is None:
             continue
         if cell.kind != "slope":
             h = cell.height  # what height_at gives at every point
@@ -787,6 +775,89 @@ def _support_pieces(scene: TwinScene, object_id: str, hull: tuple[Vec2, ...],
     result = tuple(scored)
     _last_pieces = (hull, cells, result)
     return result
+
+
+def _cell_piece(cell: SupportCell, hull: tuple[Vec2, ...],
+                bounds: tuple[float, float, float, float]) -> list[Vec2] | None:
+    """The part of ``hull`` that ``cell`` carries, for a cell whose bounds
+    are not strictly apart from the hull's ``bounds``; None when that part
+    has no area above ``_AREA_TOL``."""
+    hx0, hx1, hy0, hy1 = bounds
+    cx0, cx1, cy0, cy1 = cell.bounds
+    if cell.rect and cx0 <= hx0 and hx1 <= cx1 and cy0 <= hy0 and hy1 <= cy1:
+        # for an axis-aligned edge the clip's side test is a coordinate
+        # comparison that every vertex of a contained hull passes, so
+        # the clip would return the hull unchanged
+        piece = list(hull)
+    else:
+        piece = clip_convex(hull, cell.ring)
+    return piece if ring_area(piece) > _AREA_TOL else None
+
+
+def _footprints_clear(half_extents: Vec3) -> bool:
+    """True when every footprint of a box with these half extents, the xy
+    hull of its corners or of its down face's corners, has an area well
+    above ``_AREA_TOL``, whatever its orientation.
+
+    With a, b the two smallest half extents, the least face is 4ab. The
+    area of a box's xy hull is the sum of its three face areas, each times
+    the |z| of the face's normal, and those |z| sum to at least 1, so it is
+    at least 4ab; the down face's normal has |z| >= 1/sqrt(3), so the down
+    face's projection is at least 2.3ab. Both are then above
+    2.3 * _AREA_TOL, and the float hull's area is off by rounding many
+    orders of magnitude smaller than that margin.
+    """
+    a, b, _ = sorted(half_extents)
+    return a * b > _AREA_TOL
+
+
+def _top_support(cells: Sequence[SupportCell],
+                 corners: Sequence[Sequence[float]],
+                 clear: bool) -> tuple[float, SupportCell | None]:
+    """The height and cell of the highest of ``cells`` that carries the xy
+    hull of ``corners``, the first of those within 1e-9 of it, or
+    (-inf, None) when none carries it: the first piece of
+    ``_support_pieces(cells, hull)`` more than 1e-9 above every earlier one.
+
+    Bounds first (an axis-aligned box broad phase): a cell strictly apart
+    from the corners' bounds carries nothing, a flat cell not 1e-9 above the
+    best so far cannot take its place, and when ``clear`` (see
+    ``_footprints_clear``) a flat rectangular cell that contains the bounds
+    carries the whole hull. The hull is derived, and clipped, only for a
+    cell the bounds leave open and for a slope cell, whose height is that
+    of its piece.
+    """
+    bx0, bx1, by0, by1 = ring_bounds(corners)
+    best_h, best = -math.inf, None
+    hull = hull_bounds = None
+    for cell in cells:
+        cx0, cx1, cy0, cy1 = cell.bounds
+        if bx1 < cx0 or cx1 < bx0 or by1 < cy0 or cy1 < by0:
+            continue
+        flat = cell.kind != "slope"
+        if flat:
+            h = cell.height
+            if not h > best_h + 1e-9:
+                continue
+            if clear and cell.rect and cx0 <= bx0 and bx1 <= cx1 and cy0 <= by0 and by1 <= cy1:
+                best_h, best = h, cell
+                continue
+        if hull is None:
+            # each hull vertex is a corner, so the hull's bounds lie within
+            # the corners': what those decided above, the hull's would too
+            hull = tuple(_float_hull({(c[0], c[1]) for c in corners}))
+            hull_bounds = ring_bounds(hull)
+        if bounds_disjoint(hull_bounds, cell.bounds):
+            continue
+        piece = _cell_piece(cell, hull, hull_bounds)
+        if piece is None:
+            continue
+        if not flat:
+            h = max(cell.height_at(p) for p in piece)
+            if not h > best_h + 1e-9:
+                continue
+        best_h, best = h, cell
+    return best_h, best
 
 
 # The object, support pieces and outcome of the last settle that found the
@@ -824,7 +895,7 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
         flat_q = _snap_face_down(pose.orientation)
         pose = Pose6D(pose.position, flat_q)
         face = obj.at_pose(pose).world_obb().resting_face()
-        scored = _support_pieces(scene, obj.id, face)
+        scored = _support_pieces(support_cells(scene, exclude_id=obj.id), face)
         if hop == 0:
             last = _last_settle
             if last is not None and last[0] is obj and last[1] is scored:
@@ -978,15 +1049,28 @@ def _settle_on_slope(scene: TwinScene, obj: RigidObject, pose: Pose6D,
 
 def _slide_clear(scene: TwinScene, obj: RigidObject, pose: Pose6D,
                  outward: Vec2) -> Pose6D:
+    """``pose`` moved in 1 cm steps along ``outward`` (+x when that is
+    zero) until no raised cell carries a piece of the object's resting
+    face, at most 80 steps, at the height and orientation of ``pose``.
+
+    Each step asks ``support_cells`` once and answers from the face's
+    corner bounds where those decide it (``_top_support``)."""
     dx, dy = outward
     if math.hypot(dx, dy) < 1e-9:
         dx, dy = 1.0, 0.0
+    # the orientation of obj.at_pose(Pose6D(p, q)).world_obb(): Pose6D
+    # normalizes q and the box normalizes it once more. box_corners adds the
+    # position last, and adding -0.0 keeps every float, zeros' signs too, so
+    # offset plus position has the bits of the box's corner
+    q = unit_quat(unit_quat(pose.orientation))
+    offsets = box_corners((-0.0, -0.0, -0.0), q, obj.half_extents)
+    face = [offsets[i] for i in _FACE_CORNERS[down_face(q)]]
+    clear = _footprints_clear(obj.half_extents)
     x, y = pose.x, pose.y
     for _ in range(80):
-        probe = Pose6D((x, y, pose.z), pose.orientation)
-        face = obj.at_pose(probe).world_obb().resting_face()
-        scored = _support_pieces(scene, obj.id, face)
-        if not any(c.kind != "ground" for _, c, _ in scored):
+        raised = [c for c in support_cells(scene, exclude_id=obj.id) if c.kind != "ground"]
+        corners = [(ox + x, oy + y) for ox, oy, _ in face]
+        if _top_support(raised, corners, clear)[1] is None:
             break
         x += dx * 0.01
         y += dy * 0.01
@@ -1061,7 +1145,8 @@ def _flip_sign(edge_dir: Vec2, outward: Vec2) -> float:
 def stability_margin(scene: TwinScene, object_id: str) -> float:
     """Signed COM-inside-support-polygon margin at the object's current pose."""
     obj = scene.object(object_id)
-    scored = _support_pieces(scene, obj.id, obj.world_obb().resting_face())
+    scored = _support_pieces(support_cells(scene, exclude_id=obj.id),
+                             obj.world_obb().resting_face())
     last = _last_polygon
     if last is not None and last[0] is scored:
         polygon = last[1]
@@ -1081,7 +1166,8 @@ def stability_margin(scene: TwinScene, object_id: str) -> float:
 def raised_support(scene: TwinScene, object_id: str) -> bool:
     """True when the object rests on something other than the bare ground."""
     obj = scene.object(object_id)
-    scored = _support_pieces(scene, obj.id, obj.world_obb().resting_face())
+    scored = _support_pieces(support_cells(scene, exclude_id=obj.id),
+                             obj.world_obb().resting_face())
     return any(c.kind != "ground" for _, c, _ in scored)
 
 

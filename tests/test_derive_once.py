@@ -68,6 +68,7 @@ from tabletamp.twin import (
     _support_polygon,
     _topple_once,
     apply_push,
+    support_cells,
 )
 
 from tests.test_geometry import oracle_quats
@@ -118,7 +119,7 @@ def ref_settle(scene, object_id):
         flat_q = ref_snap_face_down(pose.orientation)
         pose = Pose6D(pose.position, flat_q)
         face = obj.at_pose(pose).world_obb().resting_face()
-        scored = _support_pieces(scene, obj.id, face)
+        scored = _support_pieces(support_cells(scene, exclude_id=obj.id), face)
         raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
         if not raised:
             z = _ground_height(scene) + ref_half_height(obj, flat_q)
@@ -157,7 +158,8 @@ def ref_settle(scene, object_id):
 
 def ref_stability_margin(scene, object_id):
     obj = scene.object(object_id)
-    scored = _support_pieces(scene, obj.id, obj.world_obb().resting_face())
+    scored = _support_pieces(support_cells(scene, exclude_id=obj.id),
+                             obj.world_obb().resting_face())
     raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
     if not raised:
         raised = scored  # resting on bare ground
@@ -440,7 +442,8 @@ def settle_inputs(monkeypatch, seeds=range(2)):
         result = original(scene, object_id)
         obj = scene.object(object_id)
         # the pieces the margin was handed are the last ones computed
-        scored = twin._support_pieces(scene, obj.id, obj.world_obb().resting_face())
+        scored = twin._support_pieces(twin.support_cells(scene, exclude_id=obj.id),
+                                      obj.world_obb().resting_face())
         kept[0] += before is not None and before[0] is scored
         calls.append(("margin", scene, object_id, result))
         return result

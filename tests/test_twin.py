@@ -23,6 +23,8 @@ from tabletamp.geometry import (
     quat_rotate,
     rect_polygon,
     ring_area,
+    wrap_angle,
+    yaw_of,
 )
 from tabletamp.twin import (
     PlacementCollision,
@@ -502,7 +504,7 @@ class TestBoundsRejects:
                     box = beside(rng, seeded_box(rng, i, 0.5), cell.bounds)
                     skipped += bounds_disjoint(box.xy_bounds, cell.bounds)
                     expected = unfiltered_support_pieces(scene, box.xy_hull)
-                    assert list(twin._support_pieces(scene, None, list(box.xy_hull))) == expected
+                    assert list(twin._support_pieces(support_cells(scene), list(box.xy_hull))) == expected
                     checked += 1
         assert checked >= 200 and 0.2 * checked < skipped < 0.9 * checked
 
@@ -737,7 +739,7 @@ class TestClosedFormSupport:
                         start = hull[j:] + hull[:j]
                         hx0, hx1, hy0, hy1 = twin.ring_bounds(start)
                         contained += (x0 <= hx0 and hx1 <= x1 and y0 <= hy0 and hy1 <= y1)
-                        got = twin._support_pieces(scene, None, tuple(start))
+                        got = twin._support_pieces(support_cells(scene), tuple(start))
                         assert repr(list(got)) == repr(unfiltered_support_pieces(scene, start))
         assert contained > 4000
 
@@ -1146,7 +1148,8 @@ class TestSettle:
 def ref_stability_margin(scene, object_id):
     """stability_margin with a 1e-6 height band in place of settle's 2 mm."""
     obj = scene.object(object_id)
-    scored = twin._support_pieces(scene, obj.id, obj.world_obb().resting_face())
+    scored = twin._support_pieces(support_cells(scene, exclude_id=obj.id),
+                                  obj.world_obb().resting_face())
     raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"] or scored
     if not raised:
         return -math.inf
@@ -1270,6 +1273,95 @@ class TestToppleOnce:
             assert repr(twin._topple_once(obj, pose, hull, h_star)) == repr(
                 ref_topple_once(obj, pose, hull, h_star))
         assert closer_closing_edge > 0
+
+
+def raised_under(scene, obj, pose):
+    """True when a raised cell carries a piece of the object's resting face
+    at ``pose``, by ``_support_pieces``."""
+    face = obj.at_pose(pose).world_obb().resting_face()
+    pieces = twin._support_pieces(support_cells(scene, exclude_id=obj.id), face)
+    return any(cell.kind != "ground" for _, cell, _ in pieces)
+
+
+def edge_straddling_boxes(rng, scene, count):
+    """Seeded flat boxes, each centred within 5 cm of a random point on the
+    boundary of a raised cell of the scene (terrain or object), just above
+    it: many topple, and some topple twice."""
+    cells = [c for c in support_cells(scene) if c.kind != "ground"]
+    out = []
+    for i in range(count):
+        cell = cells[i % len(cells)]
+        k = int(rng.integers(len(cell.ring)))
+        (ax, ay), (bx, by) = cell.ring[k], cell.ring[(k + 1) % len(cell.ring)]
+        u = float(rng.uniform())
+        dx, dy = (float(v) for v in rng.uniform(-0.05, 0.05, size=2))
+        half = (float(rng.uniform(0.02, 0.06)), float(rng.uniform(0.01, 0.04)),
+                float(rng.uniform(0.003, 0.03)))
+        x, y = ax + u * (bx - ax) + dx, ay + u * (by - ay) + dy
+        q = quat_from_yaw(float(rng.uniform(-math.pi, math.pi)))
+        out.append(RigidObject("probe", half, Pose6D((x, y, cell.height + half[2] + 1e-3), q)))
+    return out
+
+
+class TestSlideClear:
+    """_slide_clear against its specification, on the calls settle makes
+    when a seeded box topples twice: 1 cm steps along ``outward`` (+x when
+    that is zero) until no raised cell carries a piece of the resting face,
+    at most 80, each step asking support_cells once."""
+
+    @staticmethod
+    def expected_stop(scene, obj, pose, outward, result, calls):
+        """Check one call against the specification; its step count."""
+        dx, dy = outward
+        if math.hypot(dx, dy) < 1e-9:
+            dx, dy = 1.0, 0.0
+        xs, ys = [pose.x], [pose.y]
+        for _ in range(80):
+            xs.append(xs[-1] + dx * 0.01)
+            ys.append(ys[-1] + dy * 0.01)
+        (k,) = [i for i in range(81)
+                if bits((xs[i], ys[i], pose.z)) == bits(result.position)]
+        at = [Pose6D((xs[i], ys[i], pose.z), pose.orientation) for i in range(k + 1)]
+        assert bits(result.orientation) == bits(at[k].orientation)
+        assert k >= 1
+        assert all(raised_under(scene, obj, p) for p in at[:k])
+        assert k == 80 or not raised_under(scene, obj, at[k])
+        assert calls == min(k + 1, 80)
+        return k
+
+    def test_slides_of_boxes_that_topple_twice(self, monkeypatch):
+        from tabletamp.scenarios import SCENARIO_IDS, build_scenario
+
+        rng = np.random.default_rng(83)
+        counted = [0]
+        slides = []
+
+        def counting_cells(*args, original=twin.support_cells, **kwargs):
+            counted[0] += 1
+            return original(*args, **kwargs)
+
+        def recording_slide(scene, obj, pose, outward, original=twin._slide_clear):
+            before = counted[0]
+            result = original(scene, obj, pose, outward)
+            slides.append((scene, obj, pose, outward, result, counted[0] - before))
+            return result
+
+        monkeypatch.setattr(twin, "support_cells", counting_cells)
+        monkeypatch.setattr(twin, "_slide_clear", recording_slide)
+        per_scenario = {}
+        for name in SCENARIO_IDS:
+            scene = build_scenario(name).scene_template
+            first = len(slides)
+            for probe in edge_straddling_boxes(rng, scene, 240):
+                settle(TwinScene(scene.terrain, scene.objects + (probe,)), "probe")
+            per_scenario[name] = len(slides) - first
+            # the same start with no outward direction slides along +x
+            scene, obj, pose, _, _, _ = slides[first]
+            recording_slide(scene, obj, pose, (0.0, 0.0))
+        monkeypatch.undo()
+        assert min(per_scenario.values()) >= 3, per_scenario
+        steps = [self.expected_stop(*slide) for slide in slides]
+        assert steps.count(80) >= 5 and sum(steps) > 2000
 
 
 class TestApplyPush:
@@ -1649,11 +1741,12 @@ class TestSettleReuse:
         hull = ((0.0, -0.05), (0.05, -0.05), (0.05, 0.05), (0.0, 0.05))
         flipped = tuple((-0.0 if x == 0.0 else x, y) for x, y in hull)
         assert flipped == hull
-        first = self.fresh(monkeypatch, twin._support_pieces, scene, None, hull)
-        second = twin._support_pieces(scene, None, flipped)
+        cells = support_cells(scene)
+        first = self.fresh(monkeypatch, twin._support_pieces, cells, hull)
+        second = twin._support_pieces(cells, flipped)
         assert second is not first
         assert bits(second) == bits(self.fresh(monkeypatch, twin._support_pieces,
-                                               scene, None, flipped))
+                                               cells, flipped))
         assert bits(second) != bits(first)  # the pieces carry the sign
 
     def test_equal_but_distinct_object_is_recomputed(self, monkeypatch):
@@ -1680,11 +1773,13 @@ class TestSettleReuse:
         copy = scene.replace_object(dataclasses.replace(base))
         new_cell = copy.object("base")._support_cell
         assert new_cell == scene.object("base")._support_cell
-        first = self.fresh(monkeypatch, twin._support_pieces, scene, "top", hull)
-        second = twin._support_pieces(copy, "top", hull)
+        first = self.fresh(monkeypatch, twin._support_pieces,
+                           support_cells(scene, exclude_id="top"), hull)
+        second = twin._support_pieces(support_cells(copy, exclude_id="top"), hull)
         assert second is not first and any(c is new_cell for _, c, _ in second)
         assert bits(second) == bits(self.fresh(monkeypatch, twin._support_pieces,
-                                               copy, "top", hull))
+                                               support_cells(copy, exclude_id="top"),
+                                               hull))
         # a taller base under the same top object: settle finds other pieces
         taller = scene.replace_object(make_box("base", half=(0.06, 0.06, 0.035),
                                                x=0.02, y=-0.01))
@@ -1890,6 +1985,171 @@ class TestFlatPoseOnSupport:
         assert geodesic_angle(pose.orientation, quat_from_yaw(0.0)) == pytest.approx(
             20.0, abs=1e-6
         )
+
+    @staticmethod
+    def pieces_top_support(cells, corners, clear):
+        """_top_support by its definition, with no bounds decision: the
+        first piece of _support_pieces more than 1e-9 above every earlier
+        one."""
+        best_h, best = -math.inf, None
+        hull = convex_hull([(c[0], c[1]) for c in corners])
+        for h, cell, _ in twin._support_pieces(cells, hull):
+            if h > best_h + 1e-9:
+                best_h, best = h, cell
+        return best_h, best
+
+    @staticmethod
+    def probes(rng, scene, count):
+        """(object, x, y, yaw, base orientation, objects as support): a
+        third over the table, a third within 6 cm of a point on a raised
+        terrain cell's boundary, and a third whose corner bounds lie 0 to
+        1e-9 beside or over one side of such a cell's bounds; every fourth
+        on a box tipped onto its side."""
+        cells = [c for c in scene.terrain.cells if c.kind != "ground"]
+        tipped = quat_from_axis_angle((1.0, 0.0, 0.0), math.pi / 2)
+        out = []
+        for i in range(count):
+            obj = scene.objects[i % len(scene.objects)]
+            base = quat_mul(tipped, obj.pose.orientation) if i % 4 == 2 else None
+            yaw = float(rng.uniform(-math.pi, math.pi))
+            cell = cells[int(rng.integers(len(cells)))]
+            if i % 3 == 0:
+                x, y = (float(v) for v in rng.uniform(-0.45, 0.45, size=2))
+            elif i % 3 == 1:
+                k = int(rng.integers(len(cell.ring)))
+                (ax, ay), (bx, by) = cell.ring[k], cell.ring[(k + 1) % len(cell.ring)]
+                u = float(rng.uniform())
+                dx, dy = (float(v) for v in rng.uniform(-0.06, 0.06, size=2))
+                x, y = ax + u * (bx - ax) + dx, ay + u * (by - ay) + dy
+            else:
+                # the probe's orientation as flat_pose_on_support builds it
+                flat = twin._snap_face_down(base or obj.pose.orientation)
+                q = quat_mul(quat_from_yaw(wrap_angle(yaw - yaw_of(flat))), flat)
+                ox0, ox1, oy0, oy1 = Obb(Pose6D((0.0, 0.0, 1.0), q), obj.half_extents).xy_bounds
+                cx0, cx1, cy0, cy1 = cell.bounds
+                gap = float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.0, 1e-9))
+                x = float(rng.uniform(cx0 - ox0, cx1 - ox1)) if cx1 - cx0 > ox1 - ox0 else cx0
+                y = float(rng.uniform(cy0 - oy0, cy1 - oy1)) if cy1 - cy0 > oy1 - oy0 else cy0
+                side = int(rng.integers(4))
+                if side == 0:
+                    x = cx0 - gap - ox1
+                elif side == 1:
+                    x = cx1 + gap - ox0
+                elif side == 2:
+                    y = cy0 - gap - oy1
+                else:
+                    y = cy1 + gap - oy0
+            out.append((obj, x, y, yaw, base, i % 5 != 0))
+        return out
+
+    def two_paths(self, monkeypatch, scene, probes):
+        """flat_pose_on_support's poses as they are, with the containment
+        decision off, and with every bounds decision off."""
+        def poses():
+            return [bits([p.position, p.orientation]) for p in (
+                flat_pose_on_support(scene, obj, x, y, yaw, base, objects)
+                for obj, x, y, yaw, base, objects in probes)]
+
+        fast = poses()
+        with monkeypatch.context() as m:
+            m.setattr(twin, "_footprints_clear", lambda half_extents: False)
+            uncontained = poses()
+        with monkeypatch.context() as m:
+            m.setattr(twin, "_top_support", self.pieces_top_support)
+            clipped = poses()
+        return fast, uncontained, clipped
+
+    @staticmethod
+    def straddled(scene, probes, poses):
+        """How many probe boxes' corner bounds straddle each terrain cell,
+        by (kind, feature name): neither strictly apart from nor inside the
+        cell's bounds."""
+        counts = {}
+        for (obj, *_), (position, orientation) in zip(probes, poses):
+            pose = Pose6D(tuple(map(float.fromhex, position)),
+                          tuple(map(float.fromhex, orientation)))
+            bx0, bx1, by0, by1 = obj.at_pose(pose).world_obb().xy_bounds
+            for cell in scene.terrain.cells:
+                cx0, cx1, cy0, cy1 = cell.bounds
+                inside = cx0 <= bx0 and bx1 <= cx1 and cy0 <= by0 and by1 <= cy1
+                if not inside and not bounds_disjoint((bx0, bx1, by0, by1), cell.bounds):
+                    key = (cell.kind, cell.feature.name if cell.feature else None)
+                    counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def test_bounds_decisions_change_no_pose(self, monkeypatch):
+        from tabletamp.scenarios import SCENARIO_IDS, build_scenario
+
+        rng = np.random.default_rng(89)
+        straddled = {}
+        for name in SCENARIO_IDS:
+            scene = build_scenario(name).scene_template
+            probes = self.probes(rng, scene, 240)
+            fast, uncontained, clipped = self.two_paths(monkeypatch, scene, probes)
+            assert fast == uncontained == clipped, name
+            for key, n in self.straddled(scene, probes, fast).items():
+                straddled[(name, *key)] = n
+        # the edge pad, the rails, the slot and the slope
+        for key in (("edge", "table_surface", "pad"), ("slot", "slot", "groove"),
+                    ("slope", "slope", "wedge"),
+                    *(("wall", "wall", f"rail_{side}")
+                      for side in ("front", "back", "left", "right"))):
+            assert straddled.get(key, 0) >= 5, (key, straddled)
+
+    def test_built_cells(self, monkeypatch):
+        """A rotated (non-rect) pad, a pad between a slope's foot and crest
+        heights beside its foot, and a shim 5e-10 above the table, under a
+        box and a 5 mm cube."""
+        rotated = TerrainFeature("table_surface",
+                                 rect_polygon(0.2, 0.2, 0.08, 0.05, yaw=0.4),
+                                 TABLE_H + 0.03, name="rotated")
+        slope = TerrainFeature("slope", rect_polygon(-0.2, 0.0, 0.1, 0.08), TABLE_H + 0.06,
+                               {"angle_deg": 20.0, "downhill": (0.0, -1.0)}, name="wedge")
+        step = TerrainFeature("table_surface", rect_polygon(-0.2, -0.13, 0.1, 0.05),
+                              TABLE_H + 0.03, name="step")
+        shim = TerrainFeature("table_surface", rect_polygon(0.2, -0.2, 0.06, 0.06),
+                              TABLE_H + 5e-10, name="shim")
+        objects = [make_box(half=(0.04, 0.03, 0.02), x=-0.3, y=0.3),
+                   make_box("cube", half=(0.0025, 0.0025, 0.0025), x=0.3, y=0.3)]
+        scene = base_scene(objects, terrain_extra=[rotated, slope, step, shim])
+        assert [c.rect for c in scene.terrain.cells if c.feature is rotated] == [False]
+        rng = np.random.default_rng(97)
+        probes = self.probes(rng, scene, 600)
+        fast, uncontained, clipped = self.two_paths(monkeypatch, scene, probes)
+        assert fast == uncontained == clipped
+        straddled = self.straddled(scene, probes, fast)
+        for name in ("rotated", "wedge", "step", "shim"):
+            assert sum(n for (_, key), n in straddled.items() if key == name) >= 20
+
+    def test_thin_object_takes_the_clip_path(self, monkeypatch):
+        from tabletamp import harness
+        from tabletamp.scenarios import build_scenario, scenario_from_dict, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario("edge"))
+        data["scene"]["objects"][0]["shape"]["half_extents"] = [0.05, 0.03, 1e-7]
+        scenario = scenario_from_dict(json.loads(json.dumps(data)))
+        assert harness.run_episode(scenario, 0).success
+        scene = scenario.scene_template
+        card = scene.object("card")
+        assert not twin._footprints_clear(card.half_extents)
+        # well inside the table, where the bounds decide for a thicker card
+        hulls = [0]
+
+        def counting_hull(*args, original=twin._float_hull):
+            hulls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(twin, "_float_hull", counting_hull)
+        thick = dataclasses.replace(card, half_extents=(0.05, 0.03, 0.004))
+        flat_pose_on_support(scene, thick, -0.1, -0.1, 0.3)
+        assert hulls[0] == 0
+        pose = flat_pose_on_support(scene, card, -0.1, -0.1, 0.3)
+        assert hulls[0] == 1 and pose.z == pytest.approx(TABLE_H + 1e-7, abs=1e-12)
+        monkeypatch.undo()
+        rng = np.random.default_rng(101)
+        probes = self.probes(rng, scene, 120)
+        fast, uncontained, clipped = self.two_paths(monkeypatch, scene, probes)
+        assert fast == uncontained == clipped
 
 
 def _random_unit_quats(count, seed):
