@@ -36,11 +36,10 @@ from tabletamp.scenarios import Goal, all_scenarios, build_scenario
 from tabletamp.subgoal import NoFeasiblePose, filter_and_rank
 from tabletamp.twin import settle
 
-from tests.test_pins import PINS
+from tests.test_pins import PINS, assert_pinned
 from tests.test_twin import TABLE_H, base_scene, make_box
 
 ABLATION_TASKS = ("book", "wall", "slot", "tool_hook")
-PINNED_TRACES_SHA256 = PINS["benchmark_traces_sha256"]
 
 
 def verdict(num: int, ok: bool, detail: str):
@@ -307,8 +306,8 @@ class TestAcceptance:
             del trace["wall_ms"]
             digest.update(json.dumps(trace, sort_keys=True).encode() + b"\n")
         got = digest.hexdigest()
-        verdict(9, got == PINNED_TRACES_SHA256,
-                f"8x10 traces sha256 {got[:8]}..., pinned {PINNED_TRACES_SHA256[:8]}...")
+        assert_pinned("benchmark_traces_sha256", got, PINS["benchmark_traces_sha256"])
+        verdict(9, True, f"8x10 traces sha256 {got[:8]}... equals its pin")
 
     def test_10_error_taxonomy_coverage(self, full_bench):
         _, results, _ = full_bench

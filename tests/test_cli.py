@@ -7,7 +7,7 @@ import pytest
 
 from tabletamp.cli import main
 
-from tests.test_pins import PINS
+from tests.test_pins import PINS, assert_pinned
 
 
 class TestCmdRun:
@@ -61,7 +61,7 @@ class TestCmdRun:
         digest = hashlib.sha256()
         for rel in paths:
             digest.update(rel.encode() + b"\0" + (tmp_path / rel).read_bytes())
-        assert digest.hexdigest() == PINS["render_sha256"]
+        assert_pinned("render_sha256", digest.hexdigest(), PINS["render_sha256"])
 
     def test_scenario_file_round_trip(self, tmp_path):
         code = main(["export", "--out", str(tmp_path / "defs")])

@@ -50,6 +50,14 @@ def random_unit_quat(rng):
     return tuple(q)
 
 
+def drawn_quat(rng):
+    """A unit quaternion from a ``tabletamp._rng`` stream, which no numpy
+    release moves: four uniforms on [-1, 1), normalized."""
+    q = rng.uniform(-1.0, 1.0, 4)
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return (q[0] / n, q[1] / n, q[2] / n, q[3] / n)
+
+
 def quat_to_matrix_np(q):
     w, x, y, z = q
     return np.array(

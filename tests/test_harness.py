@@ -19,7 +19,7 @@ from tabletamp.harness import (
 from tabletamp.scenarios import SCENARIO_IDS, Goal, build_scenario
 from tabletamp.twin import settle
 
-from tests.test_pins import PINS
+from tests.test_pins import PINS, assert_pinned
 
 
 class TestRandomize:
@@ -174,12 +174,7 @@ class TestRunEpisode:
         r = run_episode(build_scenario(name), 0, ablation=ablation)
         assert r.replans_used >= 1
         got = [o["snapshots"] for a in r.attempts for o in a["outcomes"]]
-        assert got == expected
-
-
-# The benchmark runs seeds 0-9; these are the failures on the held-out seeds
-# 10-39.
-HELD_OUT_FAILURES = {tuple(case) for case in PINS["held_out_failures"]}
+        assert_pinned(f"snapshot_ids ({name}, {ablation}) snapshots", got, expected)
 
 
 class TestHeldOutSeeds:
@@ -196,7 +191,9 @@ class TestHeldOutSeeds:
                 if not result.success:
                     failed.add((sid, seed))
         assert raised == []
-        assert failed == HELD_OUT_FAILURES
+        # the benchmark runs seeds 0-9; the pin lists the held-out failures
+        assert_pinned("held_out_failures", sorted(map(list, failed)),
+                      PINS["held_out_failures"])
 
     def test_book_seeds_with_ulp_apart_footprint_corners_run(self):
         # a grasp probe's footprint hull lost its corners to float rounding

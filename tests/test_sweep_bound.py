@@ -1,7 +1,7 @@
 """Oracle tests for the swept-motion broad phase: the quarter-turn bound that
 ``pivot_rotate`` derives, the ``sweep_is_clear`` test it and ``exec_moveto``
-make, and both callers compared call for call with verbatim copies of the
-bodies that built a box at every increment and waypoint."""
+make, and both callers' outputs over the episodes' calls and near walls and
+objects, checked against their pinned call digests in ``tests/pins.json``."""
 
 import math
 
@@ -9,16 +9,7 @@ import numpy as np
 import pytest
 
 from tabletamp import control, harness, subgoal, twin
-from tabletamp.control import (
-    _HOVER,
-    IK_FAILURE_MESSAGE,
-    ErrorKind,
-    ExecTrace,
-    _grip_point_for,
-    _reach_ok,
-    current_tool,
-    exec_grasp,
-)
+from tabletamp.control import ErrorKind, exec_grasp
 from tabletamp.geometry import (
     Pose6D,
     quat_from_axis_angle,
@@ -29,147 +20,18 @@ from tabletamp.geometry import (
 from tabletamp.scenarios import SCENARIO_IDS, build_scenario
 from tabletamp.twin import (
     SWEEP_MARGIN,
-    PlacementCollision,
-    SettleOutcome,
     SweptCollision,
     TerrainFeature,
-    _balance_angle,
-    _dist3,
     _quarter_turn_bound,
     _rotate_pose_about_line,
     box_hits_solids,
     overlapping_object,
-    place_at,
-    settle_in_place,
     slope_orientation,
-    support_cells,
-    support_height_at,
     sweep_is_clear,
 )
 
+from tests.test_pins import assert_call_digest
 from tests.test_twin import TABLE_H, base_scene, make_box
-
-
-# ---------------------------------------------------------------------------
-# the bodies the broad phase went into, copied verbatim
-# ---------------------------------------------------------------------------
-
-def ref_pivot_rotate(scene, object_id, pivot_edge, angle, swept_clear=None):
-    obj = scene.object(object_id)
-    if abs(angle) > math.pi / 2 + 1e-9:
-        raise ValueError("pivot angle magnitude must be <= pi/2")
-    p0, p1 = pivot_edge
-    box = obj.world_obb()
-    edge_ok = False
-    for a, b in box.bottom_edges():
-        if (_dist3(p0, a) < 5e-3 and _dist3(p1, b) < 5e-3) or (
-            _dist3(p0, b) < 5e-3 and _dist3(p1, a) < 5e-3
-        ):
-            edge_ok = True
-            break
-    if not edge_ok:
-        raise ValueError("pivot_edge is not a bottom edge of the object's box")
-    support = support_height_at(scene.terrain.cells,
-                                (0.5 * (p0[0] + p1[0]), 0.5 * (p0[1] + p1[1])))
-    edge_z = 0.5 * (p0[2] + p1[2])
-    if support is None or abs(edge_z - support) > 5e-3:
-        # a lip: the support under one of the edge's ends carries it
-        cells = support_cells(scene, exclude_id=object_id)
-        ends = [support_height_at(cells, (p[0], p[1])) for p in (p0, p1)]
-        if not any(h is not None and abs(edge_z - h) <= 5e-3 for h in ends):
-            raise ValueError("pivot edge is not in contact with a surface or lip")
-
-    if abs(angle) < 1e-12:
-        return scene, SettleOutcome("stable", obj.pose)
-
-    axis = (p1[0] - p0[0], p1[1] - p0[1], p1[2] - p0[2])
-    L = math.sqrt(axis[0] ** 2 + axis[1] ** 2 + axis[2] ** 2)
-    if L < 1e-9:
-        raise ValueError("degenerate pivot edge")
-    axis = (axis[0] / L, axis[1] / L, axis[2] / L)
-
-    # choose the rotation sign that lifts the COM side over the edge
-    probe = _rotate_pose_about_line(obj.pose, p0, axis, math.copysign(0.01, angle))
-    if probe.z < obj.pose.z - 1e-9:
-        angle = -angle  # requested direction would drive the object into the support
-
-    steps = max(1, int(math.ceil(abs(angle) / math.radians(5.0))))
-    for i in range(1, steps + 1):
-        a = angle * i / steps
-        if swept_clear is not None and a in swept_clear:
-            continue
-        pose_i = _rotate_pose_about_line(obj.pose, p0, axis, a)
-        box_i = obj.at_pose(pose_i).world_obb()
-        solid = box_hits_solids(scene, box_i, tol=2e-3)
-        if solid is not None:
-            raise SweptCollision(
-                f"pivot sweep of {object_id} hits {solid.label or 'terrain'} at "
-                f"{math.degrees(a):.0f} deg"
-            )
-        other = overlapping_object(scene, box_i, object_id)
-        if other is not None:
-            raise SweptCollision(f"pivot sweep of {object_id} hits {other.id}")
-        if swept_clear is not None:
-            swept_clear.add(a)
-
-    balance = _balance_angle(obj, p0, axis)
-    if abs(angle) + 1e-9 < balance:
-        return settle_in_place(scene, object_id)
-
-    flipped = _rotate_pose_about_line(obj.pose, p0, axis, math.copysign(math.pi / 2, angle))
-    return settle_in_place(scene.replace_object(obj.at_pose(flipped)), object_id)
-
-
-def ref_exec_moveto(scene, subgoal):
-    trace = ExecTrace()
-    if scene.held_id is None:
-        raise ValueError("no object is held")
-    object_id = scene.held_id
-    obj = scene.object(object_id)
-    tool = current_tool(scene)
-
-    grip = _grip_point_for(subgoal, tool)
-    if not _reach_ok(grip):
-        return scene, trace.fail(ErrorKind.IK_FAILURE, IK_FAILURE_MESSAGE)
-
-    # hover sweep along the straight line against walls and other objects
-    start = obj.pose
-    hover_z = max(start.z, subgoal.z) + _HOVER
-    dist = math.hypot(subgoal.x - start.x, subgoal.y - start.y)
-    steps = max(2, int(dist / 0.02))
-    for i in range(steps + 1):
-        t = i / steps
-        x = start.x + (subgoal.x - start.x) * t
-        y = start.y + (subgoal.y - start.y) * t
-        hover_pose = Pose6D((x, y, hover_z), subgoal.orientation)
-        hover_box = obj.at_pose(hover_pose).world_obb()
-        solid = box_hits_solids(scene, hover_box, include_slopes=False)
-        if solid is not None:
-            return scene, trace.fail(
-                ErrorKind.COLLISION,
-                f"transport path crosses {solid.label or 'terrain'}",
-            )
-        other = overlapping_object(scene, hover_box, object_id)
-        if other is not None:
-            return scene, trace.fail(ErrorKind.COLLISION,
-                                     f"transport path crosses {other.id}")
-        trace.snapshots += 1
-
-    try:
-        lowered = place_at(scene, object_id, subgoal)
-    except PlacementCollision as exc:
-        return scene, trace.fail(ErrorKind.COLLISION,
-                                 f"lowering onto the sub-goal collides: {exc}")
-    trace.snapshots += 1
-    return lowered, trace
-
-
-def outcome_of(call):
-    """A call's return value as its repr, or its exception's type and text."""
-    try:
-        return "ok", repr(call())
-    except (SweptCollision, ValueError) as exc:
-        return type(exc).__name__, str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +183,32 @@ class TestSweepIsClear:
 
 
 # ---------------------------------------------------------------------------
-# the callers against their old bodies
+# the callers' outputs
 # ---------------------------------------------------------------------------
 
 def episode_calls(monkeypatch, seeds=range(3)):
     """Every pivot_rotate and exec_moveto call that the episodes of all eight
     scenarios make under the full and the no-pose ablation, with the sweep's
-    clear angles before and after and the call's outcome; and each caller's
-    broad-phase verdicts."""
+    clear angles before and after and the call's result or exception; and
+    each caller's broad-phase verdicts."""
     pivots, moves = [], []
     verdicts = {"pivot": [], "moveto": []}
 
     def pivot_rotate(scene, object_id, edge, angle, sweep=None, original=twin.pivot_rotate):
         before = None if sweep is None else set(sweep.clear)
-        result = None
-
-        def call():
-            nonlocal result
+        try:
             result = original(scene, object_id, edge, angle, sweep)
-            return result
-
-        outcome = outcome_of(call)
+        except (SweptCollision, ValueError) as exc:
+            result = exc
         after = None if sweep is None else set(sweep.clear)
-        pivots.append((scene, object_id, edge, angle, before, outcome, after))
-        if result is None:
-            raise {"SweptCollision": SweptCollision, "ValueError": ValueError}[
-                outcome[0]](outcome[1])
+        pivots.append((object_id, edge, angle, before, result, after))
+        if isinstance(result, Exception):
+            raise result
         return result
 
     def exec_moveto(scene, goal, original=control.exec_moveto):
         result = original(scene, goal)
-        moves.append((scene, goal, result))
+        moves.append((goal, result))
         return result
 
     def counted(kind, original=twin.sweep_is_clear):
@@ -379,42 +236,44 @@ def calls():
         yield episode_calls(m)
 
 
-class TestOldBodies:
-    def test_pivot_rotate_equals_the_old_body(self, calls):
+class TestCallerOutputs:
+    def test_pivot_outputs_are_pinned(self, calls):
         pivots, _, verdicts = calls
         assert len(pivots) > 200
         # both branches run: sweeps the broad phase clears and sweeps that
         # build their increment boxes
         assert set(verdicts["pivot"]) == {True, False}
-        for scene, object_id, edge, angle, before, outcome, after in pivots:
-            ref_clear = None if before is None else set(before)
-            assert outcome == outcome_of(lambda: ref_pivot_rotate(
-                scene, object_id, edge, angle, ref_clear))
-            assert after == ref_clear
+        assert_call_digest("pivot_rotate_in_episodes", pivots)
 
-    def test_exec_moveto_equals_the_old_body(self, calls):
+    def test_exec_moveto_outputs_are_pinned(self, calls):
         _, moves, verdicts = calls
         assert len(moves) > 20 and True in verdicts["moveto"]
-        for scene, goal, (out, trace) in moves:
-            ref_out, ref_trace = ref_exec_moveto(scene, goal)
-            assert trace == ref_trace  # the error, its message and the snapshots
-            assert repr(out) == repr(ref_out)
+        assert_call_digest("exec_moveto_in_episodes", moves)
 
-    @pytest.mark.parametrize("extra, others", [
-        ((), ()),
-        ((TerrainFeature("wall", rect_polygon(0.1, -0.15, 0.01, 0.25), TABLE_H,
-                         {"height": 0.5}, name="barrier"),), ()),
-        ((TerrainFeature("wall", rect_polygon(0.1, -0.15, 0.01, 0.25), TABLE_H,
-                         {"height": 0.1}, name="low"),), ()),
-        ((), (make_box("post", half=(0.02, 0.02, 0.15), x=0.1, y=-0.15),)),
-        ((), (make_box("blocker", half=(0.05, 0.05, 0.05), x=0.2, y=-0.1),)),
+    @pytest.mark.parametrize("key, extra, others, error", [
+        ("exec_moveto_free", (), (), None),
+        ("exec_moveto_tall_wall",
+         (TerrainFeature("wall", rect_polygon(0.1, -0.15, 0.01, 0.25), TABLE_H,
+                         {"height": 0.5}, name="barrier"),), (), "transport path crosses barrier"),
+        ("exec_moveto_low_wall",
+         (TerrainFeature("wall", rect_polygon(0.1, -0.15, 0.01, 0.25), TABLE_H,
+                         {"height": 0.1}, name="low"),), (), None),
+        ("exec_moveto_post", (),
+         (make_box("post", half=(0.02, 0.02, 0.15), x=0.1, y=-0.15),),
+         "transport path crosses post"),
+        ("exec_moveto_blocker_at_goal", (),
+         (make_box("blocker", half=(0.05, 0.05, 0.05), x=0.2, y=-0.1),),
+         "lowering onto the sub-goal collides"),
     ], ids=["free", "tall-wall", "low-wall", "post", "blocker-at-goal"])
-    def test_exec_moveto_equals_the_old_body_near_bodies(self, extra, others):
+    def test_exec_moveto_near_bodies(self, key, extra, others, error):
         cube = make_box("cube", half=(0.035, 0.035, 0.05), y=-0.2)
         scene, trace = exec_grasp(base_scene([cube, *others], terrain_extra=extra), "cube")
         assert trace.ok
         goal = Pose6D((0.2, -0.1, TABLE_H + 0.05), quat_from_yaw(0.3))
         out, trace = control.exec_moveto(scene, goal)
-        ref_out, ref_trace = ref_exec_moveto(scene, goal)
-        assert trace == ref_trace
-        assert repr(out) == repr(ref_out)
+        if error is None:
+            assert trace.ok, trace.result
+        else:
+            assert trace.result.kind is ErrorKind.COLLISION
+            assert trace.result.message.startswith(error)
+        assert_call_digest(key, (out, trace))

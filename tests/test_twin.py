@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from tabletamp import twin
+from tabletamp import geometry, twin
+from tabletamp._rng import default_rng
 from tabletamp.geometry import (
     _BOUNDARY_TOL,
     Obb,
@@ -49,6 +50,7 @@ from tabletamp.twin import (
 )
 
 from tests.test_geometry import oracle_quats, ref_point_segment_distance
+from tests.test_pins import assert_call_digest
 
 TABLE_H = 0.4
 TABLE_HALF = 0.4
@@ -1185,94 +1187,56 @@ class TestSupportPolygon:
             assert repr(stability_margin(scene, object_id)) == repr(
                 ref_stability_margin(scene, object_id))
 
-
-def ref_topple_once(obj, pose, support_hull, h_star):
-    """twin._topple_once as it was before the nearest-edge kernel."""
-    def down_sign(q, axis):
-        local = [0.0, 0.0, 0.0]
-        local[axis] = 1.0
-        n = quat_rotate(q, tuple(local))
-        return 1.0 if n[2] < 0 else -1.0
-
-    com = (pose.x, pose.y)
-    if len(support_hull) >= 2:
-        best_a, best_b, best_d = support_hull[0], support_hull[-1], math.inf
-        n = len(support_hull)
-        for i in range(n if n > 2 else 1):
-            a = support_hull[i]
-            b = support_hull[(i + 1) % n]
-            d = ref_point_segment_distance(com, a, b)
-            if d < best_d:
-                best_d = d
-                best_a, best_b = a, b
-        edge_a, edge_b = best_a, best_b
-    else:
-        p = support_hull[0] if support_hull else com
-        edge_a, edge_b = (p[0], p[1] - 0.05), (p[0], p[1] + 0.05)
-
-    ex, ey = edge_b[0] - edge_a[0], edge_b[1] - edge_a[1]
-    L = math.hypot(ex, ey) or 1.0
-    ex, ey = ex / L, ey / L
-    ox, oy = com[0] - edge_a[0], com[1] - edge_a[1]
-    t = ox * ex + oy * ey
-    px, py = edge_a[0] + t * ex, edge_a[1] + t * ey
-    dx, dy = com[0] - px, com[1] - py
-    dn = math.hypot(dx, dy)
-    if dn < 1e-9:
-        dx, dy = -ey, ex
-        dn = 1.0
-    dx, dy = dx / dn, dy / dn
-
-    largest_axis = twin.largest_face_axis(obj.half_extents)
-    q1 = quat_from_axis_angle((ex, ey, 0.0), twin._flip_sign((ex, ey), (dx, dy)))
-    q_flipped = quat_mul(q1, pose.orientation)
-    q_final = _face_down_orientation(q_flipped, largest_axis,
-                                     down_sign(q_flipped, largest_axis))
-    flipped = twin.box_corners((0.0, 0.0, 0.0), twin.unit_quat(q_final), obj.half_extents)
-    e_out = max(abs(c[0] * dx + c[1] * dy) for c in flipped)
-    new_center = (px + dx * (e_out + 1e-4), py + dy * (e_out + 1e-4))
-    z = h_star + twin._half_height(obj, q_final)
-    return Pose6D((new_center[0], new_center[1], z), q_final), (dx, dy)
+    @pytest.mark.parametrize("below, joins", [(0.0019, True), (0.0021, False)])
+    def test_a_piece_within_2_mm_of_the_top_joins_the_hull(self, below, joins):
+        (cell,) = (c for c in support_cells(base_scene()) if c.kind != "ground")
+        top = [(0.0, 0.0), (0.1, 0.0), (0.1, 0.1), (0.0, 0.1)]
+        lower = [(0.2, 0.0), (0.3, 0.0), (0.3, 0.1), (0.2, 0.1)]
+        h_star, hull = twin._support_polygon([(TABLE_H, cell, top),
+                                              (TABLE_H - below, cell, lower)])
+        assert h_star == TABLE_H
+        right = 0.3 if joins else 0.1
+        assert hull == [(0.0, 0.0), (right, 0.0), (right, 0.1), (0.0, 0.1)]
 
 
 class TestToppleOnce:
-    def test_equals_the_loop_it_replaced(self):
+    def test_topples_are_pinned(self):
         # random hulls with points near an edge, a vertex or as far from two
         # edges; 2-point hulls, whose closing edge may be an ulp nearer than
         # the edge the topple takes; and 0- and 1-point hulls
-        rng = np.random.default_rng(211)
+        rng = default_rng(211)
         square = [(-0.05, -0.05), (0.05, -0.05), (0.05, 0.05), (-0.05, 0.05)]
         cases = []
         for i in range(400):
             kind = i % 4
             if kind == 0:
-                hull = convex_hull([tuple(p) for p in rng.uniform(-0.1, 0.1, size=(7, 2))])
+                xy = rng.uniform(-0.1, 0.1, 14)
+                hull = convex_hull(list(zip(xy[::2], xy[1::2])))
             elif kind == 1:
-                hull = [tuple(float(c) for c in rng.uniform(-0.1, 0.1, size=2))
-                        for _ in range(2)]
+                hull = [tuple(rng.uniform(-0.1, 0.1, 2)) for _ in range(2)]
             elif kind == 2:
                 hull = square
             else:
-                hull = [tuple(float(c) for c in rng.uniform(-0.1, 0.1, size=2))][:i % 8 // 4]
+                hull = [tuple(rng.uniform(-0.1, 0.1, 2))][:i % 8 // 4]
             if kind == 2:
-                u = float(rng.uniform(-0.2, 0.2))
+                u = rng.uniform(-0.2, 0.2)
                 com = [(u, u), (u, -u), (0.0, 0.0), (0.07, 0.07)][i % 16 // 4]
             else:
-                com = tuple(float(c) for c in rng.uniform(-0.15, 0.15, size=2))
+                com = tuple(rng.uniform(-0.15, 0.15, 2))
             cases.append((hull, com))
         closer_closing_edge = 0
+        topples = []
         for hull, com in cases:
             if len(hull) == 2:
                 a, b = hull
                 closer_closing_edge += (ref_point_segment_distance(com, b, a)
                                         < ref_point_segment_distance(com, a, b))
-            obj = make_box(half=tuple(float(c) for c in rng.uniform(0.01, 0.1, size=3)))
-            q = quat_from_yaw(float(rng.uniform(-math.pi, math.pi)))
+            obj = make_box(half=tuple(rng.uniform(0.01, 0.1, 3)))
+            q = quat_from_yaw(rng.uniform(-math.pi, math.pi))
             pose = Pose6D((com[0], com[1], 0.5), q)
-            h_star = float(rng.uniform(0.0, 0.5))
-            assert repr(twin._topple_once(obj, pose, hull, h_star)) == repr(
-                ref_topple_once(obj, pose, hull, h_star))
+            topples.append(twin._topple_once(obj, pose, hull, rng.uniform(0.0, 0.5)))
         assert closer_closing_edge > 0
+        assert_call_digest("topple_once", topples)
 
 
 def raised_under(scene, obj, pose):
@@ -1662,6 +1626,18 @@ def bits(value):
     return value
 
 
+def fresh(monkeypatch, function, *args):
+    """``function(*args)`` with the one-entry memos of ``unit_quat``,
+    ``_snap_face_down``, ``_support_pieces`` and ``settle`` (and settle's
+    kept polygon) cleared first, so none of them answers from an earlier
+    call."""
+    for module, name in ((geometry, "_last_unit"), (twin, "_last_snap"),
+                         (twin, "_last_pieces"), (twin, "_last_settle"),
+                         (twin, "_last_polygon")):
+        monkeypatch.setattr(module, name, None)
+    return function(*args)
+
+
 class TestSettleReuse:
     """settle and _support_pieces keep their last query and answer an equal
     one from it; every answer must be the one a fresh call gives."""
@@ -1682,17 +1658,11 @@ class TestSettleReuse:
             monkeypatch.setattr(twin, name, wrapper)
         return calls
 
-    @staticmethod
-    def fresh(monkeypatch, function, *args):
-        monkeypatch.setattr(twin, "_last_settle", None)
-        monkeypatch.setattr(twin, "_last_pieces", None)
-        return function(*args)
-
     def assert_all_fresh(self, monkeypatch, calls):
         """Every recorded result equals a fresh call's, and some were reused."""
         served = {"settle": 0, "_support_pieces": 0}
         for function, args, result, reused in list(calls):
-            assert bits(self.fresh(monkeypatch, function, *args)) == bits(result)
+            assert bits(fresh(monkeypatch, function, *args)) == bits(result)
             served[function.__name__] += reused
         return served
 
@@ -1742,10 +1712,10 @@ class TestSettleReuse:
         flipped = tuple((-0.0 if x == 0.0 else x, y) for x, y in hull)
         assert flipped == hull
         cells = support_cells(scene)
-        first = self.fresh(monkeypatch, twin._support_pieces, cells, hull)
+        first = fresh(monkeypatch, twin._support_pieces, cells, hull)
         second = twin._support_pieces(cells, flipped)
         assert second is not first
-        assert bits(second) == bits(self.fresh(monkeypatch, twin._support_pieces,
+        assert bits(second) == bits(fresh(monkeypatch, twin._support_pieces,
                                                cells, flipped))
         assert bits(second) != bits(first)  # the pieces carry the sign
 
@@ -1755,13 +1725,13 @@ class TestSettleReuse:
         twin_box = dataclasses.replace(box)
         assert twin_box == box and twin_box is not box
         copy = scene.replace_object(twin_box)
-        first = self.fresh(monkeypatch, settle, scene, "box")
+        first = fresh(monkeypatch, settle, scene, "box")
         calls = self.record(monkeypatch)
         second = twin.settle(copy, "box")
         (pieces, settled) = calls
         assert pieces[3]  # the pieces were reused: the object alone differs
         assert not settled[3] and second is not first
-        assert bits(second) == bits(self.fresh(monkeypatch, settle, copy, "box"))
+        assert bits(second) == bits(fresh(monkeypatch, settle, copy, "box"))
 
     def test_one_different_cell_is_recomputed(self, monkeypatch):
         base = make_box("base", half=(0.06, 0.06, 0.03), x=0.02, y=-0.01)
@@ -1773,21 +1743,21 @@ class TestSettleReuse:
         copy = scene.replace_object(dataclasses.replace(base))
         new_cell = copy.object("base")._support_cell
         assert new_cell == scene.object("base")._support_cell
-        first = self.fresh(monkeypatch, twin._support_pieces,
+        first = fresh(monkeypatch, twin._support_pieces,
                            support_cells(scene, exclude_id="top"), hull)
         second = twin._support_pieces(support_cells(copy, exclude_id="top"), hull)
         assert second is not first and any(c is new_cell for _, c, _ in second)
-        assert bits(second) == bits(self.fresh(monkeypatch, twin._support_pieces,
+        assert bits(second) == bits(fresh(monkeypatch, twin._support_pieces,
                                                support_cells(copy, exclude_id="top"),
                                                hull))
         # a taller base under the same top object: settle finds other pieces
         taller = scene.replace_object(make_box("base", half=(0.06, 0.06, 0.035),
                                                x=0.02, y=-0.01))
         assert taller.object("top") is top
-        first = self.fresh(monkeypatch, settle, scene, "top")
+        first = fresh(monkeypatch, settle, scene, "top")
         second = settle(taller, "top")
         assert second.final_pose.z > first.final_pose.z
-        assert bits(second) == bits(self.fresh(monkeypatch, settle, taller, "top"))
+        assert bits(second) == bits(fresh(monkeypatch, settle, taller, "top"))
 
 
 class TestPivotRotate:
