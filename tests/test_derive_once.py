@@ -27,7 +27,7 @@ from tabletamp.geometry import (
 from tabletamp.scenarios import SCENARIO_IDS, build_scenario
 from tabletamp.twin import TerrainFeature
 
-from tests.test_geometry import drawn_quat, oracle_quats
+from tests.test_geometry import drawn_quat, oracle_quats, ref_pose_fields
 from tests.test_pins import assert_call_digest
 from tests.test_twin import TABLE_H, base_scene, bits, fresh, make_box
 
@@ -122,6 +122,29 @@ class TestOrientationMemos:
 
 
 class TestPoseConstructor:
+    def test_fields_equal_the_post_init_ones(self):
+        rng = np.random.default_rng(241)
+        for q in oracle_quats(400, 251):
+            position = tuple(rng.uniform(-1.0, 1.0, 3))
+            pose = Pose6D(position, q)
+            p, o = ref_pose_fields(position, q)
+            assert bits(pose.position) == bits(p)
+            assert bits(pose.orientation) == bits(o)
+            assert Pose6D(position=list(position), orientation=list(q)) == pose
+
+    @pytest.mark.parametrize("position, orientation", [
+        ((math.nan, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+        ((0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0)),
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ], ids=["nan-position", "short-position", "not-unit", "short-orientation"])
+    def test_same_errors_and_messages(self, position, orientation):
+        with pytest.raises(ValueError) as expected:
+            ref_pose_fields(position, orientation)
+        with pytest.raises(ValueError) as got:
+            Pose6D(position, orientation)
+        assert str(got.value) == str(expected.value)
+
     def test_default_orientation_frozen_and_replace(self):
         pose = Pose6D((1, 2, 3))
         assert pose.orientation == (1.0, 0.0, 0.0, 0.0)

@@ -123,34 +123,46 @@ class TestSampleCandidates:
         assert poses[0].yaw == pytest.approx(0.4)
 
 
+SAMPLED = [
+    ("box", "sample_candidates_box"),
+    ("book", "sample_candidates_book"),
+    ("edge", "sample_candidates_edge"),
+    ("wall", "sample_candidates_wall"),
+    ("slope", "sample_candidates_slope"),
+    ("slot", "sample_candidates_slot"),
+    ("tool_hook", "sample_candidates_tool_hook"),
+    ("tool_pusher", "sample_candidates_tool_pusher"),
+]
+
+
 class TestSampleCandidatesPinned:
-    def test_sampled_poses_are_pinned(self):
-        rng = default_rng(0)
+    @pytest.mark.parametrize("scenario_id, key", SAMPLED, ids=[s for s, _ in SAMPLED])
+    def test_sampled_poses_are_pinned(self, scenario_id, key):
+        sc = build_scenario(scenario_id)
+        rng = default_rng(list(SCENARIO_IDS).index(scenario_id))
         poses = []
-        for scenario_id in SCENARIO_IDS:
-            sc = build_scenario(scenario_id)
-            for seed in range(3):
-                scene = randomize(sc, seed).as_twin()
-                registry = build_region_registry(sc, randomized_goal(sc, seed))
-                for obj in scene.objects:
-                    for name in sorted(registry):
-                        try:
-                            anchor = resolve_anchor(RegionDescriptor(name), scene,
-                                                    registry, object_id=obj.id)
-                        except UnknownRegion:
-                            continue
-                        # a tilted hint: a push keeps the object's own
-                        # orientation, a moveto takes the hint's
-                        hint = Pose6D((anchor[0] + 0.01, anchor[1] - 0.01,
-                                       anchor[2] + obj.half_extents[2]), drawn_quat(rng))
-                        for kind in (PrimitiveKind.PUSH, PrimitiveKind.MOVETO,
-                                     PrimitiveKind.ROTATE):
-                            for step in (PrimitiveInstance(kind, obj.id, RegionDescriptor(name)),
-                                         PrimitiveInstance(kind, obj.id, target_pose_hint=hint)):
-                                poses.append(sample_candidates(step, anchor, scene,
-                                                               rng_seed=seed))
-        assert len(poses) >= 8 * 3 * 3 * 6  # scenarios, seeds, anchors and steps
-        assert_call_digest("sample_candidates", poses)
+        for seed in range(3):
+            scene = randomize(sc, seed).as_twin()
+            registry = build_region_registry(sc, randomized_goal(sc, seed))
+            for obj in scene.objects:
+                for name in sorted(registry):
+                    try:
+                        anchor = resolve_anchor(RegionDescriptor(name), scene,
+                                                registry, object_id=obj.id)
+                    except UnknownRegion:
+                        continue
+                    # a tilted hint: a push keeps the object's own
+                    # orientation, a moveto takes the hint's
+                    hint = Pose6D((anchor[0] + 0.01, anchor[1] - 0.01,
+                                   anchor[2] + obj.half_extents[2]), drawn_quat(rng))
+                    for kind in (PrimitiveKind.PUSH, PrimitiveKind.MOVETO,
+                                 PrimitiveKind.ROTATE):
+                        for step in (PrimitiveInstance(kind, obj.id, RegionDescriptor(name)),
+                                     PrimitiveInstance(kind, obj.id, target_pose_hint=hint)):
+                            poses.append(sample_candidates(step, anchor, scene,
+                                                           rng_seed=seed))
+        assert len(poses) >= 3 * 3 * 6  # seeds, anchors and steps
+        assert_call_digest(key, poses)
 
     @pytest.mark.parametrize("kind", [PrimitiveKind.GRASP, PrimitiveKind.RELEASE],
                              ids=["grasp", "release"])
