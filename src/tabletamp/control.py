@@ -47,7 +47,6 @@ from .twin import (
     REACH_MIN,
     ROBOT_BASE,
     SWEEP_MARGIN,
-    PivotSweep,
     PlacementCollision,
     RigidObject,
     SweptCollision,
@@ -600,14 +599,13 @@ def exec_rotate(scene: TwinScene, object_id: str,
 
     inc = math.radians(_INCREMENT_DEG)
     # every increment pivots the same object about the same edge of the same
-    # scene, so a sweep angle one increment found clear is clear for the
-    # next, and the quarter turn's broad phase is derived once
-    sweep = PivotSweep()
+    # scene, so the quarter turn's broad phase is derived once per sign
+    reachable: dict[float, bool] = {}
     for i in range(1, _MAX_INCREMENTS + 1):
         angle = min(i * inc, math.pi / 2)
         try:
             new_scene, outcome = pivot_rotate(scene, object_id, best_edge, angle,
-                                              sweep)
+                                              reachable)
         except SweptCollision as exc:
             return scene, trace.fail(ErrorKind.COLLISION, str(exc))
         except ValueError as exc:

@@ -635,7 +635,7 @@ class Obb:
 
     def __post_init__(self):
         h = tuple(float(c) for c in self.half_extents)
-        if len(h) != 3 or any(c <= 0.0 for c in h):
+        if len(h) != 3 or not all(0.0 < c < math.inf for c in h):
             raise ValueError(f"half extents must be strictly positive, got {h}")
         object.__setattr__(self, "half_extents", h)
 

@@ -129,9 +129,10 @@ class TerrainFeature:
     def __post_init__(self):
         if self.kind not in TERRAIN_KINDS:
             raise ValueError(f"unknown terrain kind {self.kind!r}")
-        if self.height < 0.0:
+        # each check is written so that a NaN or an infinity fails it
+        if not 0.0 <= self.height < math.inf:
             raise ValueError("terrain height must be >= 0")
-        if self.kind == "wall" and self.extra.get("height", 0.0) <= 0.0:
+        if self.kind == "wall" and not 0.0 < self.extra.get("height", 0.0) < math.inf:
             raise ValueError("wall needs extra['height'] > 0")
         if self.kind == "slope":
             angle = self.extra.get("angle_deg", 0.0)
@@ -145,10 +146,10 @@ class TerrainFeature:
             ex["downhill"] = (d[0] / n, d[1] / n)
             object.__setattr__(self, "extra", ex)
         if self.kind == "slot":
-            if self.extra.get("depth", 0.0) <= 0.0:
+            if not 0.0 < self.extra.get("depth", 0.0) < math.inf:
                 raise ValueError("slot needs extra['depth'] > 0")
         if self.kind == "shelf":
-            if self.extra.get("clearance", 0.0) <= 0.0:
+            if not 0.0 < self.extra.get("clearance", 0.0) < math.inf:
                 raise ValueError("shelf needs extra['clearance'] > 0")
 
 
@@ -161,7 +162,7 @@ class ToolSpec:
     def __post_init__(self):
         if self.kind not in ("hook", "pusher"):
             raise ValueError(f"unknown tool kind {self.kind!r}")
-        if self.effective_length <= 0.0:
+        if not 0.0 < self.effective_length < math.inf:
             raise ValueError("tool effective_length must be > 0")
 
 
@@ -176,7 +177,8 @@ class RigidObject:
         # at_pose builds an object on every controller step, so the check
         # is written out
         h = tuple(map(float, self.half_extents))
-        if len(h) != 3 or not (h[0] > 0.0 and h[1] > 0.0 and h[2] > 0.0):
+        if len(h) != 3 or not (0.0 < h[0] < math.inf and 0.0 < h[1] < math.inf
+                               and 0.0 < h[2] < math.inf):
             raise ValueError(f"object {self.id!r} half extents must be 3 positive "
                              f"numbers, got {h}")
         object.__setattr__(self, "half_extents", h)
@@ -266,12 +268,18 @@ class TwinScene:
         raise KeyError(f"no object {object_id!r} in scene")
 
     def replace_object(self, obj: RigidObject) -> "TwinScene":
-        new = tuple(obj if o.id == obj.id else o for o in self.objects)
-        if all(o is not obj for o in new):
-            raise KeyError(f"no object {obj.id!r} in scene")
-        # the ids, and with them the held id, are those of this scene
-        return _from_checked(TwinScene, terrain=self.terrain, objects=new,
-                             role=self.role, held_id=self.held_id)
+        """This scene with ``obj`` in place of the object of its id: the
+        scene itself when it holds ``obj`` already, as ``at_pose`` hands back
+        the object itself for its own pose."""
+        for i, o in enumerate(self.objects):
+            if o.id == obj.id:
+                if o is obj:
+                    return self
+                # the ids, and with them the held id, are those of this scene
+                new = (*self.objects[:i], obj, *self.objects[i + 1:])
+                return _from_checked(TwinScene, terrain=self.terrain, objects=new,
+                                     role=self.role, held_id=self.held_id)
+        raise KeyError(f"no object {obj.id!r} in scene")
 
     def with_held(self, object_id: str | None) -> "TwinScene":
         return replace(self, held_id=object_id)
@@ -738,20 +746,47 @@ def rest_on_support(scene: TwinScene, object_id: str,
     return rested, outcome
 
 
-# The hull, cells and result of _support_pieces' last call. A re-settle of an
+class SupportPieces(tuple):
+    """``_support_pieces``' answer: (height, cell, piece) for every cell
+    that carries part of a hull, with what is derived from those pieces.
+
+    ``rest`` is (object, outcome) of the last ``settle`` that found the
+    object stable where it stands on these pieces. From there on, that
+    outcome is a function of the object and the pieces, so a settle of the
+    same object, by identity, handed this answer returns it. It is one tuple
+    replaced whole, so it needs no lock.
+    """
+
+    rest: tuple[RigidObject, SettleOutcome] | None = None
+
+    @derived
+    def polygon(self) -> Polygon2 | None:
+        """The polygon an object rests on: the hull that
+        ``_support_polygon`` gives for the raised pieces, or for the ground
+        pieces when none is raised; None under 3 vertices. ``settle`` stores
+        the one it computes in a flat rest test."""
+        raised = [(h, c, p) for h, c, p in self if c.kind != "ground"] or self
+        if not raised:
+            return None
+        hull = _support_polygon(raised)[1]
+        return hull_polygon(hull) if len(hull) >= 3 else None
+
+
+# The hull, cells and answer of _support_pieces' last call. A re-settle of an
 # unchanged object (a push pinned against a wall, a pivot below its balance
-# point) asks for the same hull over the same cells, and the result is a
+# point) asks for the same hull over the same cells, and the answer is a
 # function of those alone. The hull is compared by value, and only when it
 # has no zero coordinate, since 0.0 == -0.0 while a piece carries the bits;
 # the cells, derived once per terrain and per object, by identity. The entry
 # is one tuple replaced whole, so it needs no lock.
-_last_pieces: tuple[tuple, list, tuple] | None = None
+_last_pieces: tuple[tuple, list, SupportPieces] | None = None
 
 
-def _support_pieces(cells: Sequence[SupportCell], hull: tuple[Vec2, ...]):
+def _support_pieces(cells: Sequence[SupportCell],
+                    hull: tuple[Vec2, ...]) -> SupportPieces:
     """(height, cell, piece) for every one of ``cells`` (a ``support_cells``
-    list) that carries part of the hull, as a tuple that the callers of an
-    equal query share."""
+    list) that carries part of the hull, as one answer that the callers of
+    an equal query share."""
     global _last_pieces
     hull = tuple(hull)
     last = _last_pieces
@@ -772,7 +807,7 @@ def _support_pieces(cells: Sequence[SupportCell], hull: tuple[Vec2, ...]):
         else:
             h = max(cell.height_at(p) for p in piece)
         scored.append((h, cell, piece))
-    result = tuple(scored)
+    result = SupportPieces(scored)
     _last_pieces = (hull, cells, result)
     return result
 
@@ -860,22 +895,6 @@ def _top_support(cells: Sequence[SupportCell],
     return best_h, best
 
 
-# The object, support pieces and outcome of the last settle that found the
-# object stable where it stands. From there on, that outcome is a function of
-# the object and the pieces under it, so a settle of the same object that
-# _support_pieces hands the same pieces returns it; every support_cells call
-# is still made. Both are compared by identity, and the entry is one tuple
-# replaced whole, so it needs no lock.
-_last_settle: tuple[RigidObject, tuple, SettleOutcome] | None = None
-
-# The support pieces of settle's last flat rest test, with the polygon of
-# the hull that _support_polygon gives for their raised pieces (None under 3
-# vertices), kept when none of those is a slope piece. stability_margin asks
-# for that polygon again when it is handed the same pieces tuple, compared
-# by identity. The entry is one tuple replaced whole, so it needs no lock.
-_last_polygon: tuple[tuple, Polygon2 | None] | None = None
-
-
 def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     """Drop an object to rest and classify the outcome.
 
@@ -886,7 +905,6 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     edge, largest face down; with no raised support at all it lands on the
     ground and reports fell_off.
     """
-    global _last_settle, _last_polygon
     obj = scene.object(object_id)
     pose = obj.pose
     status = "stable"
@@ -896,10 +914,10 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
         pose = Pose6D(pose.position, flat_q)
         face = obj.at_pose(pose).world_obb().resting_face()
         scored = _support_pieces(support_cells(scene, exclude_id=obj.id), face)
-        if hop == 0:
-            last = _last_settle
-            if last is not None and last[0] is obj and last[1] is scored:
-                return last[2]
+        # every support_cells call is made before the kept outcome answers
+        rest = scored.rest
+        if hop == 0 and rest is not None and rest[0] is obj:
+            return rest[1]
         raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
         if not raised:
             z = _ground_height(scene) + _half_height(obj, flat_q)
@@ -936,14 +954,15 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
             h_star, hull = _support_polygon(flat)
         polygon = hull_polygon(hull) if len(hull) >= 3 else None
         if not slope_cells:
-            _last_polygon = (scored, polygon)
+            # the raised pieces are the flat ones: this is scored.polygon
+            scored.polygon = polygon
         inside = polygon is not None and point_in_polygon(com, polygon)
 
         if inside:
             z = h_star + _half_height(obj, flat_q)
             outcome = SettleOutcome(status, Pose6D((pose.x, pose.y, z), flat_q))
             if hop == 0:
-                _last_settle = (obj, scored, outcome)
+                scored.rest = (obj, outcome)
             return outcome
 
         if hop == 0:
@@ -976,12 +995,8 @@ def cell_under(cells: Sequence[SupportCell], p: Vec2) -> SupportCell | None:
     """The cell with the highest support at a point, the first of equally
     high ones; None over the void."""
     best, best_h = None, -math.inf
-    x, y = p
     for cell in cells:
-        # most cells reject the point on their near box: test it here, before
-        # the call to contains, which tests it again
-        x0, x1, y0, y1 = cell._near_box
-        if x0 <= x <= x1 and y0 <= y <= y1 and cell.contains(p):
+        if cell.contains(p):
             h = cell.height_at(p)
             if h > best_h:
                 best, best_h = cell, h
@@ -1145,19 +1160,8 @@ def _flip_sign(edge_dir: Vec2, outward: Vec2) -> float:
 def stability_margin(scene: TwinScene, object_id: str) -> float:
     """Signed COM-inside-support-polygon margin at the object's current pose."""
     obj = scene.object(object_id)
-    scored = _support_pieces(support_cells(scene, exclude_id=obj.id),
-                             obj.world_obb().resting_face())
-    last = _last_polygon
-    if last is not None and last[0] is scored:
-        polygon = last[1]
-    else:
-        raised = [(h, c, p) for h, c, p in scored if c.kind != "ground"]
-        if not raised:
-            raised = scored  # resting on bare ground
-        if not raised:
-            return -math.inf
-        _, hull = _support_polygon(raised)
-        polygon = hull_polygon(hull) if len(hull) >= 3 else None
+    polygon = _support_pieces(support_cells(scene, exclude_id=obj.id),
+                              obj.world_obb().resting_face()).polygon
     if polygon is None:
         return -math.inf
     return signed_interior_margin((obj.pose.x, obj.pose.y), polygon)
@@ -1223,22 +1227,17 @@ def _clip_fraction(scene: TwinScene, obj: RigidObject, full: RigidObject,
     return lo
 
 
-# apply_push's last step: its key, the object it placed before the settle
-# and its (dx, dy, dyaw). A push pinned against a wall repeats the same step,
-# bit for bit, until the controller's stall limit fires. Validation, the
-# motion and the clip read only the keyed values, so a repeat settles the
-# kept object again and nothing else. The terrain and each object are
-# compared by identity, which scene copies share, and the floats by their
-# bits. The entry is one tuple replaced whole, so it needs no lock.
-_last_step: tuple[tuple, RigidObject, tuple[float, float, float]] | None = None
-
-
-def _same_step(a: tuple, b: tuple) -> bool:
-    """True iff two apply_push keys hold the same terrain and objects, by
-    identity, equal ids, role and contact length, and the same float bits."""
-    return (a[0] is b[0] and len(a[1]) == len(b[1])
-            and all(x is y for x, y in zip(a[1], b[1]))
-            and a[2:6] == b[2:6] and _same_bits(a[6], b[6]))
+# apply_push's last step: its scene, object id and contact length, its
+# floats, the object it placed before the settle and its (dx, dy, dyaw). A
+# push pinned against a wall repeats the same step, bit for bit, until the
+# controller's stall limit fires; the settle leaves the scene as it was, and
+# replace_object hands back the scene itself, so the controller feeds the
+# same scene back. Validation, the motion and the clip read only the keyed
+# values, so a repeat settles the kept object again and nothing else. The
+# scene is compared by identity and the floats by their bits. The entry is
+# one tuple replaced whole, so it needs no lock.
+_last_step: tuple[TwinScene, tuple[str, int], tuple[float, ...], RigidObject,
+                  tuple[float, float, float]] | None = None
 
 
 def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
@@ -1251,18 +1250,18 @@ def apply_push(scene: TwinScene, object_id: str, contact: Vec3,
     clipped against terrain and other objects, then the object is settled.
     """
     global _last_step
-    obj = scene.object(object_id)
     # the contact's length says where the flat float tuple splits
-    key = (scene.terrain, scene.objects, scene.held_id, scene.role, object_id,
-           len(contact), (*contact, *direction, step))
+    key = (object_id, len(contact))
+    floats = (*contact, *direction, step)
     last = _last_step
-    if last is not None and _same_step(last[0], key):
-        placed, motion = last[1], last[2]
+    if (last is not None and last[0] is scene and last[1] == key
+            and _same_bits(last[2], floats)):
+        placed, motion = last[3], last[4]
     else:
-        placed, motion = _push_motion(scene, obj, contact, direction, step)
-        _last_step = (key, placed, motion)
-    settled, outcome = settle_in_place(
-        scene if placed is obj else scene.replace_object(placed), object_id)
+        placed, motion = _push_motion(scene, scene.object(object_id), contact,
+                                      direction, step)
+        _last_step = (scene, key, floats, placed, motion)
+    settled, outcome = settle_in_place(scene.replace_object(placed), object_id)
     return settled, PushDelta(*motion, outcome.status)
 
 
@@ -1326,16 +1325,6 @@ def _balance_angle(obj: RigidObject, p0: Vec3, axis: Vec3) -> float:
     return math.atan2(horiz, max(vert, 1e-9))
 
 
-@dataclass
-class PivotSweep:
-    """What pivots of one object about one edge of an unchanged scene found:
-    the sweep angles found clear, and for each rotation sign whether any
-    solid, slope or other object is within the quarter turn's reach."""
-
-    clear: set[float] = field(default_factory=set)
-    reachable: dict[float, bool] = field(default_factory=dict)
-
-
 def _quarter_turn_bound(box: Obb, p0: Vec3, axis: Vec3, sign: float
                         ) -> tuple[float, float, float, float, float, float]:
     """(xlo, xhi, ylo, yhi, zlo, zhi) of ``box`` turned about the line
@@ -1373,7 +1362,7 @@ def _quarter_turn_bound(box: Obb, p0: Vec3, axis: Vec3, sign: float
 
 
 def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3],
-                 angle: float, sweep: PivotSweep | None = None
+                 angle: float, reachable: dict[float, bool] | None = None
                  ) -> tuple[TwinScene, SettleOutcome]:
     """Rotate an object rigidly about a bottom edge, then settle.
 
@@ -1386,12 +1375,12 @@ def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3]
     boxes' rounding), goes to ``sweep_is_clear``, and when nothing is within
     it no increment box is built, since none could hit.
 
-    ``sweep``, when given, holds what earlier calls found for this scene,
-    object and edge: angles already found clear are skipped, each angle
-    found clear is added, and the broad phase is derived once per sign. A
-    caller that pivots the same object about the same edge of an unchanged
-    scene at growing angles passes one ``PivotSweep`` to every call, so each
-    distinct angle is checked once and the first hit is the same.
+    ``reachable``, when given, holds the broad phase's verdict for each
+    rotation sign (True when something is within the quarter turn's reach)
+    that earlier calls found for this scene, object and edge, and each new
+    verdict is added. A caller that pivots the same object about the same
+    edge of an unchanged scene at growing angles passes one dict to every
+    call, so the broad phase is derived once per sign.
     """
     obj = scene.object(object_id)
     if abs(angle) > math.pi / 2 + 1e-9:
@@ -1432,19 +1421,17 @@ def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3]
         angle = -angle  # requested direction would drive the object into the support
 
     sign = math.copysign(1.0, angle)
-    reachable = None if sweep is None else sweep.reachable.get(sign)
-    if reachable is None:
+    near = None if reachable is None else reachable.get(sign)
+    if near is None:
         bound = _quarter_turn_bound(box, p0, axis, sign)
-        reachable = not sweep_is_clear(scene, object_id, bound, tol=2e-3)
-        if sweep is not None:
-            sweep.reachable[sign] = reachable
+        near = not sweep_is_clear(scene, object_id, bound, tol=2e-3)
+        if reachable is not None:
+            reachable[sign] = near
 
-    steps = max(1, int(math.ceil(abs(angle) / math.radians(5.0))))
-    for i in range(1, steps + 1):
-        a = angle * i / steps
-        if sweep is not None and a in sweep.clear:
-            continue
-        if reachable:
+    if near:
+        steps = max(1, int(math.ceil(abs(angle) / math.radians(5.0))))
+        for i in range(1, steps + 1):
+            a = angle * i / steps
             pose_i = _rotate_pose_about_line(obj.pose, p0, axis, a)
             box_i = obj.at_pose(pose_i).world_obb()
             solid = box_hits_solids(scene, box_i, tol=2e-3)
@@ -1456,8 +1443,6 @@ def pivot_rotate(scene: TwinScene, object_id: str, pivot_edge: tuple[Vec3, Vec3]
             other = overlapping_object(scene, box_i, object_id)
             if other is not None:
                 raise SweptCollision(f"pivot sweep of {object_id} hits {other.id}")
-        if sweep is not None:
-            sweep.clear.add(a)
 
     balance = _balance_angle(obj, p0, axis)
     if abs(angle) + 1e-9 < balance:

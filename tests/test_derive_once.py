@@ -165,7 +165,8 @@ class TestPoseConstructor:
 def settle_inputs(monkeypatch, seeds=range(2)):
     """The (scene, object id) of every settle and stability_margin call that
     the episodes of all eight scenarios make, in call order, with each
-    call's result, and how many margins found settle's kept polygon."""
+    call's result, and how many margins found the polygon kept on the
+    support answer they were handed."""
     calls = []
     kept = [0]
 
@@ -175,13 +176,11 @@ def settle_inputs(monkeypatch, seeds=range(2)):
         return result
 
     def stability_margin(scene, object_id, original=twin.stability_margin):
-        before = twin._last_polygon
+        last = twin._last_pieces
+        stored = last is not None and "polygon" in vars(last[2])
         result = original(scene, object_id)
-        obj = scene.object(object_id)
-        # the pieces the margin was handed are the last ones computed
-        scored = twin._support_pieces(twin.support_cells(scene, exclude_id=obj.id),
-                                      obj.world_obb().resting_face())
-        kept[0] += before is not None and before[0] is scored
+        # the memo entry stays the same tuple iff the margin was handed its answer
+        kept[0] += stored and twin._last_pieces is last
         calls.append(("margin", scene, object_id, result))
         return result
 

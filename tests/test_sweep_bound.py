@@ -188,19 +188,21 @@ class TestSweepIsClear:
 
 def episode_calls(monkeypatch, seeds=range(3)):
     """Every pivot_rotate and exec_moveto call that the episodes of all eight
-    scenarios make under the full and the no-pose ablation, with the sweep's
-    clear angles before and after and the call's result or exception; and
-    each caller's broad-phase verdicts."""
+    scenarios make under the full and the no-pose ablation, with the
+    broad-phase verdicts by sign that the call was handed and handed back
+    and the call's result or exception; and each caller's broad-phase
+    verdicts."""
     pivots, moves = [], []
     verdicts = {"pivot": [], "moveto": []}
 
-    def pivot_rotate(scene, object_id, edge, angle, sweep=None, original=twin.pivot_rotate):
-        before = None if sweep is None else set(sweep.clear)
+    def pivot_rotate(scene, object_id, edge, angle, reachable=None,
+                     original=twin.pivot_rotate):
+        before = None if reachable is None else sorted(reachable.items())
         try:
-            result = original(scene, object_id, edge, angle, sweep)
+            result = original(scene, object_id, edge, angle, reachable)
         except (SweptCollision, ValueError) as exc:
             result = exc
-        after = None if sweep is None else set(sweep.clear)
+        after = None if reachable is None else sorted(reachable.items())
         pivots.append((object_id, edge, angle, before, result, after))
         if isinstance(result, Exception):
             raise result

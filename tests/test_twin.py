@@ -251,6 +251,20 @@ class TestWorldObbCache:
         assert scene.replace_object(moved) == dataclasses.replace(
             scene, objects=(moved, scene.objects[1]))
 
+    def test_replace_object_hands_back_the_scene_that_holds_it(self):
+        obj = make_box()
+        scene = base_scene([make_box("other", x=0.2), obj])
+        assert scene.replace_object(obj) is scene
+        assert scene.replace_object(obj.at_pose(obj.pose)) is scene
+        copy = dataclasses.replace(obj)
+        assert copy == obj and copy is not obj
+        replaced = scene.replace_object(copy)
+        assert replaced is not scene and replaced == scene
+        assert replaced.object("box") is copy
+        assert replaced.object("other") is scene.object("other")
+        with pytest.raises(KeyError, match="no object 'cup'"):
+            scene.replace_object(make_box("cup"))
+
 
 def rotation_matrix(q):
     w, x, y, z = q
@@ -644,6 +658,30 @@ class TestCheckedOnce:
     def test_public_constructors_still_check(self, build, error, message):
         with pytest.raises(error, match=message):
             build()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: Obb(Pose6D((0.0, 0.0, 0.0)), (v, 0.1, 0.1)),
+         "half extents must be strictly positive"),
+        (lambda v: make_box(half=(0.1, 0.1, v), z=0.5), "half extents must be 3 positive"),
+        (lambda v: TerrainFeature("table_surface", rect_polygon(0, 0, 0.1, 0.1), v),
+         "terrain height must be >= 0"),
+        (lambda v: TerrainFeature("wall", rect_polygon(0, 0, 0.1, 0.1), TABLE_H,
+                                  {"height": v}), r"wall needs extra\['height'\] > 0"),
+        (lambda v: TerrainFeature("slot", rect_polygon(0, 0, 0.1, 0.1), TABLE_H,
+                                  {"depth": v}), r"slot needs extra\['depth'\] > 0"),
+        (lambda v: TerrainFeature("shelf", rect_polygon(0, 0, 0.1, 0.1), TABLE_H,
+                                  {"clearance": v}), r"shelf needs extra\['clearance'\] > 0"),
+        (lambda v: twin.ToolSpec("hook", v, (0.1, 0.0, 0.0)),
+         "tool effective_length must be > 0"),
+    ], ids=["obb-half", "object-half", "terrain-height", "wall-height", "slot-depth",
+            "shelf-clearance", "tool-length"])
+    def test_non_finite_sizes_are_rejected(self, build, message, value):
+        # scenario files reject these in _json_number; code that builds a
+        # scene meets the constructors' own checks, in the same words as a
+        # size <= 0
+        with pytest.raises(ValueError, match=message):
+            build(value)
 
 
 def ref_support_height_at(cells, p):
@@ -1448,21 +1486,20 @@ class TestApplyPush:
 
     def test_stalled_push_fed_back_is_answered_from_the_last_step(self, monkeypatch):
         # the box is flush against a rail: the step clips to nothing and the
-        # settle leaves the box where it was, so the scene handed back holds
-        # the same objects and the next step has the same key
+        # settle leaves the box where it was, so the scene handed back is the
+        # scene itself and the next step has the same key
         wall = TerrainFeature("wall", rect_polygon(0.1, 0.0, 0.01, 0.2), TABLE_H,
                               {"height": 0.05}, name="rail")
         scene = base_scene([make_box(x=0.04)], terrain_extra=[wall])
         push = ((-0.01, 0.0, TABLE_H + 0.05), (1.0, 0.0), 0.02)
         calls = self.count_bisections(monkeypatch)
-        for _ in range(3):
-            expected = push_bits(self.fresh_push(monkeypatch, scene, *push))
-            calls.clear()
-            out = apply_push(scene, "box", *push)
-            assert push_bits(out) == expected
-            assert not calls  # answered from the fresh call's step
-            assert out[0].object("box") is scene.object("box")
-            scene = out[0]
+        expected = push_bits(self.fresh_push(monkeypatch, scene, *push))
+        calls.clear()
+        out = apply_push(scene, "box", *push)
+        assert out[0] is scene
+        again = apply_push(out[0], "box", *push)
+        assert push_bits(out) == push_bits(again) == expected
+        assert not calls  # both answered from the fresh call's step
 
     def test_a_repeat_settles_as_a_fresh_call_does(self, monkeypatch):
         # the gated counts see one apply_push, one settle and the settle's
@@ -1497,8 +1534,8 @@ class TestApplyPush:
     ZERO_PUSH = ((-0.05, 0.0, TABLE_H + 0.05), (1.0, 0.0), 0.02)
 
     @pytest.mark.parametrize("change", [
-        "other-moved", "held", "terrain-copy", "object-copy", "as-execution",
-        "as-twin", "contact-zero-sign", "direction-zero-sign"])
+        "other-moved", "held", "terrain-copy", "object-copy", "scene-copy",
+        "as-execution", "as-twin", "contact-zero-sign", "direction-zero-sign"])
     def test_changed_input_misses(self, monkeypatch, change):
         scene = self.pinned_scene()
         push = changed_push = self.PUSH
@@ -1518,6 +1555,10 @@ class TestApplyPush:
             copy = dataclasses.replace(box)
             assert copy == box and copy is not box
             changed = scene.replace_object(copy)
+        elif change == "scene-copy":
+            # the step is keyed on the scene by identity
+            changed = dataclasses.replace(scene)
+            assert changed == scene and changed is not scene
         elif change == "as-execution":
             changed = scene.as_execution()
         elif change == "as-twin":
@@ -1628,12 +1669,12 @@ def bits(value):
 
 def fresh(monkeypatch, function, *args):
     """``function(*args)`` with the one-entry memos of ``unit_quat``,
-    ``_snap_face_down``, ``_support_pieces`` and ``settle`` (and settle's
-    kept polygon) cleared first, so none of them answers from an earlier
-    call."""
+    ``_snap_face_down`` and ``_support_pieces`` cleared first, so none of
+    them answers from an earlier call. A fresh ``_support_pieces`` answer
+    carries no kept settle outcome or polygon, so ``settle`` and
+    ``stability_margin`` compute theirs too."""
     for module, name in ((geometry, "_last_unit"), (twin, "_last_snap"),
-                         (twin, "_last_pieces"), (twin, "_last_settle"),
-                         (twin, "_last_polygon")):
+                         (twin, "_last_pieces")):
         monkeypatch.setattr(module, name, None)
     return function(*args)
 
@@ -1645,14 +1686,21 @@ class TestSettleReuse:
     @staticmethod
     def record(monkeypatch):
         """Wrap settle and _support_pieces: each call's function, arguments,
-        result, and whether the result is the one kept from before."""
+        result, and whether the result is the one kept from before: the last
+        _support_pieces answer, or the settle outcome that answer kept."""
         calls = []
-        for name, kept in (("settle", "_last_settle"), ("_support_pieces", "_last_pieces")):
-            def wrapper(*args, original=getattr(twin, name), kept=kept):
-                before = getattr(twin, kept)
+
+        def kept():
+            answer = None if twin._last_pieces is None else twin._last_pieces[2]
+            rest = None if answer is None else answer.rest
+            return {"_support_pieces": answer, "settle": None if rest is None else rest[1]}
+
+        for name in ("settle", "_support_pieces"):
+            def wrapper(*args, original=getattr(twin, name), name=name):
+                before = kept()[name]
                 result = original(*args)
                 calls.append((original, args, result,
-                              before is not None and result is before[2]))
+                              before is not None and result is before))
                 return result
 
             monkeypatch.setattr(twin, name, wrapper)
@@ -1705,6 +1753,25 @@ class TestSettleReuse:
         served = self.assert_all_fresh(monkeypatch, calls)
         # raised_support and stability_margin ask for the pieces settle found
         assert served["_support_pieces"] == 2
+
+    def test_a_fresh_answer_keeps_nothing(self, monkeypatch):
+        box = make_box(x=0.01, y=0.02)
+        scene = base_scene([box])
+        outcome = settle(scene, "box")
+        cells = support_cells(scene, exclude_id="box")
+        hull = box.world_obb().resting_face()
+        kept = twin._support_pieces(cells, hull)
+        assert outcome.status == "stable"
+        assert kept.rest[0] is box and kept.rest[1] is outcome
+        assert "polygon" in vars(kept)  # settle stored its flat rest test's polygon
+        answer = fresh(monkeypatch, twin._support_pieces, cells, hull)
+        assert answer is not kept and bits(answer) == bits(kept)
+        assert answer.rest is None and "polygon" not in vars(answer)
+        # settle is handed the fresh answer, so it computes its outcome again
+        again = settle(scene, "box")
+        assert again is not outcome and bits(again) == bits(outcome)
+        assert answer.rest[1] is again
+        assert answer.polygon == kept.polygon
 
     def test_zero_of_the_other_sign_is_recomputed(self, monkeypatch):
         scene = base_scene()
