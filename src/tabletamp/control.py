@@ -24,10 +24,8 @@ from .geometry import (
     Quat,
     Vec2,
     Vec3,
-    boundary_contacts,
     clip_convex,
     face_normal,
-    farthest_point_sample,
     geodesic_angle,
     point_in_polygon,
     quat_from_axis_angle,
@@ -114,15 +112,19 @@ _KP = 1.0
 _KD = 0.2
 _POS_TOL = 0.01
 _YAW_TOL_DEG = 5.0
-_FPS_K = 8
 _MAX_PUSH_ITERS = 300
 _STALL_ITERS = 25
-_BOUNDARY_SPACING = 0.01
+# yaw contacts sit this far in from each end of a footprint edge, or a
+# quarter of a shorter edge's length: at an edge's midpoint a rectangle's
+# moment arm is zero, so both contacts of a short edge must stay off it
+_EDGE_INSET = 0.01
 _APPROACH_LEN = 0.06
 # yaw pushes drift the object; keep them small and let position float
 # inside a hysteresis band so the phases do not thrash
 _POS_BAND = 0.04
 _YAW_STEP_CAP = 0.012
+# this many stalled yaw steps outside the band force a translate back into it
+_YAW_STALL_STEPS = 3
 # align yaw while still far from the target (safe open ground) so the
 # remaining approach is a straight shove that preserves heading
 _YAW_EARLY_DIST = 0.08
@@ -365,12 +367,15 @@ def exec_push(scene: TwinScene, object_id: str,
     """Two-phase planar push: translate toward the sub-goal, then align yaw.
 
     The translate phase pushes through the COM from the antipodal boundary
-    point, which leaves heading untouched. The yaw phase picks spread
-    boundary contacts (farthest point sampling) and pushes along their
-    inward normals, preferring contacts whose incidental translation points
-    back toward the position target so drift self-corrects. Yaw work happens
-    while the object is still far from the target or once it is within the
-    position band, never during the final approach.
+    point, which leaves heading untouched. The yaw phase pushes along a
+    footprint edge's inward normal from a contact near one of the edge's
+    ends, where the moment arm is extreme, preferring contacts whose
+    incidental translation points back toward the position target so drift
+    self-corrects. Yaw work happens while the object is still far from the
+    target or once it is within the position band, never during the final
+    approach. When 3 yaw steps in a row stall outside the band (the object
+    jammed against something), the push translates until it is back inside
+    the band and then yaws again.
     """
     trace = ExecTrace()
     obj = scene.object(object_id)
@@ -391,6 +396,8 @@ def exec_push(scene: TwinScene, object_id: str,
     target_yaw = subgoal.yaw
     prev_pos_err: float | None = None
     stall = 0
+    yaw_stall = 0  # consecutive stalled yaw steps outside the position band
+    recentre = False  # translating back into the band after yaw stalled
     last = None  # the object that the values below were derived from
 
     for it in range(_MAX_PUSH_ITERS):
@@ -410,7 +417,9 @@ def exec_push(scene: TwinScene, object_id: str,
             if pos_err <= _POS_TOL and yaw_err <= _YAW_TOL_DEG:
                 break
 
-            yaw_phase = yaw_err > _YAW_TOL_DEG and (
+            if pos_err <= _POS_BAND:
+                recentre = False
+            yaw_phase = not recentre and yaw_err > _YAW_TOL_DEG and (
                 pos_err <= _POS_BAND or pos_err >= _YAW_EARLY_DIST
             )
             if not yaw_phase:
@@ -454,7 +463,8 @@ def exec_push(scene: TwinScene, object_id: str,
                 f"object {object_id} {delta.settle_status} during pushing",
             )
         moved = math.hypot(delta.dx, delta.dy) + abs(delta.dyaw) * 0.1
-        if moved < 0.1 * push_step:
+        stalled = moved < 0.1 * push_step
+        if stalled:
             stall += 1
             if stall >= _STALL_ITERS:
                 return scene, trace.fail(
@@ -463,6 +473,13 @@ def exec_push(scene: TwinScene, object_id: str,
                 )
         else:
             stall = 0
+        if stalled and yaw_phase and pos_err > _POS_BAND:
+            yaw_stall += 1
+            if yaw_stall >= _YAW_STALL_STEPS:
+                recentre = True
+                last = None  # derive the translate step for this object
+        else:
+            yaw_stall = 0
     else:
         # success is re-derived from the final scene, never trusted from the
         # loop: a break means that scene is in tolerance, so only running out
@@ -482,30 +499,33 @@ def exec_push(scene: TwinScene, object_id: str,
 def _yaw_contact(obj: RigidObject, remaining: float, to_goal: Vec2):
     """Pick a boundary contact whose inward-normal push rotates toward the goal.
 
-    Among contacts with the right rotation sense, prefer one whose incidental
-    translation also points toward the position target, so the drift from yaw
-    alignment self-corrects instead of accumulating.
+    The moment arm ``(p - o) x n`` of a push along an edge's inward normal is
+    linear along the edge, so its extremes lie at the edge's ends (Mason,
+    IJRR 1986). Each edge offers two contacts, inset ``min(1 cm, L/4)`` from
+    its ends. Among contacts with the right rotation sense and a near-maximal
+    arm, prefer one whose incidental translation also points toward the
+    position target, so the drift from yaw alignment self-corrects instead
+    of accumulating.
     """
-    pts, normals = boundary_contacts(obj.world_obb().footprint(), _BOUNDARY_SPACING)
-    k = min(_FPS_K, len(pts))
-    idx = farthest_point_sample(pts, k, 0)
+    verts = obj.world_obb().footprint().vertices
     need = 1.0 if remaining > 0 else -1.0
     ox, oy = obj.pose.x, obj.pose.y
-    arms = [(p[0] - ox) * n[1] - (p[1] - oy) * n[0] for p, n in zip(pts, normals)]
-
-    def score(indices):
-        out = [(need * arms[i], arms[i], pts[i], normals[i]) for i in indices]
-        # stable, so equal scores keep their index order, as with key=-s[0]
-        out.sort(key=itemgetter(0), reverse=True)
-        return out
-
-    scored = score(idx)
-    # symmetric footprints put the spread contacts on or near zero-moment
-    # symmetry lines; when the best FPS arm is weak for an object this size,
-    # fall back to scanning the whole boundary
-    min_useful = 0.3 * max(obj.half_extents[0], obj.half_extents[1])
-    if scored[0][0] <= min_useful:
-        scored = score(range(len(pts)))
+    scored = []
+    for i, (ax, ay) in enumerate(verts):
+        bx, by = verts[(i + 1) % len(verts)]
+        dx, dy = bx - ax, by - ay
+        length = math.hypot(dx, dy)
+        if length < 1e-9:  # a near-repeated hull vertex has no edge normal
+            continue
+        ux, uy = dx / length, dy / length
+        n = (-uy, ux)  # the footprint is counter-clockwise: inward is left
+        inset = min(_EDGE_INSET, 0.25 * length)
+        for t in (inset, length - inset):
+            p = (ax + t * ux, ay + t * uy)
+            arm = (p[0] - ox) * n[1] - (p[1] - oy) * n[0]
+            scored.append((need * arm, arm, p, n))
+    # stable, so equal scores keep their boundary order
+    scored.sort(key=itemgetter(0), reverse=True)
     positive = [s for s in scored if s[0] > 1e-6]
     if not positive:
         return (1.0, 0.0), (obj.pose.x, obj.pose.y, obj.pose.z), None
@@ -518,7 +538,7 @@ def _yaw_contact(obj: RigidObject, remaining: float, to_goal: Vec2):
     pick = helpful[0] if helpful else positive[0]
     _, arm, p, n = pick
     contact = _clamp_to_surface(obj, (p[0], p[1], obj.pose.z))
-    return (n[0], n[1]), contact, arm
+    return n, contact, arm
 
 
 def _clamp_to_surface(obj: RigidObject, point: Vec3) -> Vec3:

@@ -716,7 +716,7 @@ def obbs_overlap(a: Obb, b: Obb, tol: float = 1e-9) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sampling and contact utilities
+# sampling utilities
 # ---------------------------------------------------------------------------
 
 def farthest_point_sample(points: list[Vec2], k: int, start: int = 0) -> list[int]:
@@ -759,79 +759,3 @@ def farthest_point_sample(points: list[Vec2], k: int, start: int = 0) -> list[in
             i += 1
         chosen.append(best_i)
     return chosen
-
-
-def boundary_contacts(footprint: Polygon2,
-                      spacing: float) -> tuple[list[Vec2], list[Vec2]]:
-    """Points along the boundary at roughly `spacing`, vertices included,
-    and the inward unit normal at each.
-
-    The normals equal ``contact_normals(footprint, points)`` for a spacing
-    far above 1e-9 on a polygon wider than that: a point inside an edge
-    takes that edge's normal, and a vertex point the bisector at the first
-    vertex within 1e-9 of it. On a hull with edges shorter than 1e-9 that
-    can be an earlier vertex than the point's own.
-    """
-    verts = footprint.vertices
-    n = len(verts)
-    edges = []
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        length = math.hypot(dx, dy)
-        # a repeated vertex (a zero-length edge) has no normal of its own
-        edges.append((a, dx, dy, length,
-                      (-dy / length, dx / length) if length else (0.0, 0.0)))
-    pts: list[Vec2] = []
-    normals: list[Vec2] = []
-    for (ax, ay), dx, dy, length, normal in edges:
-        steps = max(1, int(math.ceil(length / spacing)))
-        for k in range(steps):
-            t = k / steps
-            pts.append((ax + t * dx, ay + t * dy))
-        px, py = pts[-steps]
-        j = 0  # the point's own vertex ends this scan at the latest
-        while math.hypot(px - verts[j][0], py - verts[j][1]) > 1e-9:
-            j += 1
-        na, nb = edges[j - 1][4], edges[j][4]
-        bx, by = na[0] + nb[0], na[1] + nb[1]
-        L = math.hypot(bx, by)
-        normals.append((bx / L, by / L) if L else (0.0, 0.0))
-        normals.extend([normal] * (steps - 1))
-    return pts, normals
-
-
-def contact_normals(footprint: Polygon2, samples: list[Vec2]) -> list[Vec2]:
-    """Inward unit normals at boundary sample points.
-
-    Samples lying on an edge get that edge's inward normal; samples within
-    1e-9 of a vertex get the normalized bisector of the two adjacent edge
-    normals. Samples farther than 1e-6 from the boundary are rejected.
-    """
-    verts = footprint.vertices
-    n = len(verts)
-    edge_normals = []
-    for a, b in footprint.edges():
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        L = math.hypot(dx, dy)
-        edge_normals.append((-dy / L, dx / L))  # interior is to the left (CCW)
-
-    out: list[Vec2] = []
-    for p in samples:
-        d, edge, _ = nearest_edge(p, verts)
-        if d > 1e-6:
-            raise ValueError(f"sample {p} is not on the polygon boundary")
-        vertex_idx = None
-        for i, v in enumerate(verts):
-            if math.hypot(p[0] - v[0], p[1] - v[1]) <= 1e-9:
-                vertex_idx = i
-                break
-        if vertex_idx is not None:
-            na = edge_normals[(vertex_idx - 1) % n]
-            nb = edge_normals[vertex_idx]
-            bx, by = na[0] + nb[0], na[1] + nb[1]
-            L = math.hypot(bx, by)
-            out.append((bx / L, by / L))
-            continue
-        out.append(edge_normals[edge])
-    return out

@@ -140,6 +140,8 @@ class TerrainFeature:
                 raise ValueError("slope angle must be in (0, 60) degrees")
             d = self.extra.get("downhill", (0.0, -1.0))
             n = math.hypot(d[0], d[1])
+            if not n < math.inf:  # hypot of a NaN or infinite component
+                raise ValueError(f"slope downhill must be 2 finite numbers, got {d}")
             if n < 1e-9:
                 raise ValueError("slope downhill direction must be non-zero")
             ex = dict(self.extra)
@@ -151,6 +153,9 @@ class TerrainFeature:
         if self.kind == "shelf":
             if not 0.0 < self.extra.get("clearance", 0.0) < math.inf:
                 raise ValueError("shelf needs extra['clearance'] > 0")
+            face = self.extra.get("open_face", (0.0, -1.0))
+            if not math.hypot(face[0], face[1]) < math.inf:
+                raise ValueError(f"shelf open_face must be 2 finite numbers, got {face}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +169,9 @@ class ToolSpec:
             raise ValueError(f"unknown tool kind {self.kind!r}")
         if not 0.0 < self.effective_length < math.inf:
             raise ValueError("tool effective_length must be > 0")
+        t = self.tip_offset
+        if len(t) != 3 or not all(map(math.isfinite, t)):
+            raise ValueError(f"tool tip_offset must be 3 finite numbers, got {t}")
 
 
 @dataclass(frozen=True)
@@ -660,6 +668,10 @@ def _face_down_orientation(q: Quat, axis: int, sign: float) -> Quat:
     ax = (-n[1], n[0], 0.0)  # cross(n, (0, 0, -1))
     norm = math.sqrt(ax[0] ** 2 + ax[1] ** 2)
     if norm < 1e-12:
+        # a normal within rounding of straight down is already snapped; only
+        # one pointing straight up needs a half turn about an arbitrary axis
+        if n[2] < 0.0:
+            return q
         ax, norm = (1.0, 0.0, 0.0), 1.0
     correction = quat_from_axis_angle((ax[0] / norm, ax[1] / norm, 0.0), angle)
     return quat_mul(correction, q)

@@ -16,8 +16,16 @@ from tabletamp.control import (
     exec_rotate,
     IK_FAILURE_MESSAGE,
 )
-from tabletamp.geometry import Pose6D, geodesic_angle, quat_from_yaw, rect_polygon, se2_error
-from tabletamp.harness import randomize
+from tabletamp._rng import default_rng
+from tabletamp.geometry import (
+    Pose6D,
+    geodesic_angle,
+    point_in_polygon,
+    quat_from_yaw,
+    rect_polygon,
+    se2_error,
+)
+from tabletamp.harness import randomize, run_episode
 from tabletamp.scenarios import build_scenario
 from tabletamp.twin import REACH_MAX, ROBOT_BASE, TerrainFeature, ToolSpec, settle
 
@@ -111,6 +119,66 @@ class TestExecPush:
             assert trace.iterations <= 300
             d, y = se2_error(out.object("box").pose, goal)
             assert d <= 0.01 and y <= 5.0
+
+
+class TestYawContact:
+    def test_contact_on_the_boundary_rotates_toward_the_goal(self):
+        # Mason's voting theorem: a push along the inward normal at p turns
+        # the object in the sense of its moment arm (p - o) x n
+        rng = default_rng(271)
+        for _ in range(300):
+            obj = make_box(half=tuple(rng.uniform(0.005, 0.15, 3)),
+                           x=rng.uniform(-0.3, 0.3), y=rng.uniform(-0.4, 0.2),
+                           yaw=rng.uniform(-math.pi, math.pi))
+            remaining = rng.uniform(0.01, math.pi) * (1 if rng.uniform() < 0.5 else -1)
+            to_goal = tuple(rng.uniform(-0.1, 0.1, 2))
+            n, contact, arm = control._yaw_contact(obj, remaining, to_goal)
+            footprint = obj.world_obb().footprint()
+            p = (contact[0], contact[1])
+            assert footprint.boundary_distance(p) < 1e-9
+            assert math.hypot(*n) == pytest.approx(1.0, abs=1e-12)
+            assert point_in_polygon((p[0] + 1e-4 * n[0], p[1] + 1e-4 * n[1]), footprint)
+            assert contact[2] == obj.pose.z
+            assert arm == pytest.approx((p[0] - obj.pose.x) * n[1]
+                                        - (p[1] - obj.pose.y) * n[0], abs=1e-12)
+            assert (arm > 0) == (remaining > 0)
+
+    def test_footprint_under_two_cm_turns(self):
+        # contacts at the midpoints of a square's edges have no moment arm
+        cube = make_box(half=(0.0075, 0.0075, 0.01), y=-0.1)
+        goal = flat_pose(0.0, -0.1, yaw=math.radians(40.0), half_z=0.01)
+        out, trace = exec_push(base_scene([cube]), "box", goal)
+        assert trace.ok, trace.result
+        d, y = se2_error(out.object("box").pose, goal)
+        assert d <= 0.01 and y <= 5.0
+
+
+class TestStallAwarePush:
+    @pytest.mark.parametrize("seed", [42, 43, 44, 55])
+    def test_card_against_the_edge_pad_reaches_its_goal(self, seed):
+        # each push here once stalled 25 steps on yaw pushes that drove the
+        # card into the pad; the push now translates back inside the band
+        assert run_episode(build_scenario("edge"), seed).success
+
+    @pytest.mark.parametrize("role", ["twin", "execution"])
+    def test_yaw_only_push_stays_in_the_band(self, monkeypatch, role):
+        card = make_box("card", half=(0.05, 0.03, 0.004), x=0.05, y=-0.15,
+                        z=TABLE_H + 0.004)
+        goal = Pose6D((0.05, -0.15, TABLE_H + 0.004), quat_from_yaw(math.radians(40.0)))
+        errors = []
+
+        def logged(scene, object_id, *args):
+            errors.append(se2_error(scene.object(object_id).pose, goal)[0])
+            return twin.apply_push(scene, object_id, *args)
+
+        monkeypatch.setattr(control, "apply_push", logged)
+        out, trace = exec_push(base_scene([card], role=role), "card", goal)
+        assert trace.ok, trace.result
+        d, y = se2_error(out.object("card").pose, goal)
+        assert d <= 0.01 and y <= 5.0
+        assert len(errors) > 5
+        # the forced translate starts only outside the band
+        assert max(errors) <= control._POS_BAND
 
 
 class TestPushApproach:

@@ -12,11 +12,9 @@ from tabletamp.geometry import (
     Polygon2,
     Pose6D,
     _segments_properly_intersect,
-    boundary_contacts,
     box_corner_heights,
     box_corners,
     clip_convex,
-    contact_normals,
     convex_hull,
     down_face,
     face_normal,
@@ -261,55 +259,6 @@ class TestFarthestPointSample:
             new_start = shuffled.index(pts[5])
             idx = farthest_point_sample(shuffled, 6, new_start)
             assert {shuffled[i] for i in idx} == base_set
-
-
-# ---------------------------------------------------------------------------
-# contact normals
-# ---------------------------------------------------------------------------
-
-class TestContactNormals:
-    def test_square_edge_midpoint(self):
-        sq = rect_polygon(0.0, 0.0, 1.0, 1.0)
-        (n,) = contact_normals(sq, [(1.0, 0.0)])
-        assert n == pytest.approx((-1.0, 0.0))
-
-    def test_square_corner_bisector(self):
-        sq = rect_polygon(0.0, 0.0, 1.0, 1.0)
-        (n,) = contact_normals(sq, [(1.0, 1.0)])
-        assert n[0] == pytest.approx(-1.0 / math.sqrt(2.0))
-        assert n[1] == pytest.approx(-1.0 / math.sqrt(2.0))
-
-    def test_hexagon_edge_midpoint_matches_analytic(self):
-        verts = []
-        for i in range(6):
-            a = 2.0 * math.pi * i / 6.0
-            verts.append((math.cos(a), math.sin(a)))
-        hexagon = Polygon2(tuple(verts))
-        a, b = verts[0], verts[1]
-        mid = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
-        (n,) = contact_normals(hexagon, [mid])
-        # analytic inward normal of a regular polygon edge points at the center
-        L = math.hypot(mid[0], mid[1])
-        assert n == pytest.approx((-mid[0] / L, -mid[1] / L), abs=1e-12)
-
-    def test_off_boundary_sample_rejected(self):
-        sq = rect_polygon(0.0, 0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            contact_normals(sq, [(0.5, 0.5)])
-
-    def test_normals_unit_and_inward_for_random_convex(self):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            raw = [tuple(p) for p in rng.uniform(-1, 1, size=(12, 2))]
-            hull = convex_hull(raw)
-            if len(hull) < 3:
-                continue
-            poly = Polygon2(tuple(hull))
-            cx, cy = poly.centroid
-            samples = boundary_contacts(poly, 0.13)[0]
-            for p, n in zip(samples, contact_normals(poly, samples)):
-                assert math.hypot(*n) == pytest.approx(1.0, abs=1e-9)
-                assert n[0] * (cx - p[0]) + n[1] * (cy - p[1]) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -999,7 +948,8 @@ def ref_farthest_point_sample(points, k, start):
     return chosen
 
 
-def ref_sample_boundary(poly, spacing):
+def sample_boundary(poly, spacing):
+    """Points along the boundary at roughly ``spacing``, vertices included."""
     pts = []
     for a, b in ref_edges(poly.vertices):
         length = math.hypot(b[0] - a[0], b[1] - a[1])
@@ -1050,8 +1000,7 @@ def oracle_points(poly, rng, tol=1e-9):
 
 
 # Hull of a box tilted by ~1e-8 rad, seen in a no_pose episode: vertices 2
-# and 3, and 5 and 0, are 7.8e-10 apart, closer than contact_normals' 1e-9
-# vertex tolerance.
+# and 3, and 5 and 0, are 7.8e-10 apart.
 TILTED_BOX_HEXAGON = (
     (0.15746661412835267, 0.1093014369270095),
     (0.2084259441206997, 0.03511824013197323),
@@ -1215,8 +1164,8 @@ class TestFlatKernelOracles:
                    for x, y in rng.uniform(-1.0, 1.0, size=(rng.integers(1, 60), 2))]
             cases.append((pts, len(pts)))
         for box in TestObb.seeded_boxes(60, 157):
-            # the push controller's contact rings
-            pts = boundary_contacts(box.footprint(), 0.01)[0]
+            # rings of footprint points 1 cm apart
+            pts = sample_boundary(box.footprint(), 0.01)
             cases.append((pts, min(8, len(pts))))
         for pts, k_max in cases:
             for start in {0, len(pts) // 2, len(pts) - 1}:
@@ -1270,7 +1219,7 @@ def ref_closest_boundary_point_body(verts, p):
 
 
 def ref_nearest_edge_index(verts, p):
-    """contact_normals' argmin over the edges."""
+    """The argmin over the edges of the point-segment distance."""
     n = len(verts)
     best_edge = 0
     best_d = math.inf
@@ -1370,66 +1319,6 @@ class TestFaceNormal:
         for q in quats:
             for axis, sign in _LOCAL_FACES:
                 assert_identical(face_normal(q, axis, sign), ref(q, axis, sign))
-
-
-def own_vertex_normals(poly, spacing):
-    """The normals with each vertex sample's own vertex bisector: wrong where
-    two vertices lie within 1e-9 of each other."""
-    verts = poly.vertices
-    n = len(verts)
-    edge_normals = []
-    for a, b in ref_edges(verts):
-        L = math.hypot(b[0] - a[0], b[1] - a[1])
-        edge_normals.append((-(b[1] - a[1]) / L, (b[0] - a[0]) / L))
-    out = []
-    for i, (a, b) in enumerate(ref_edges(verts)):
-        steps = max(1, int(math.ceil(math.hypot(b[0] - a[0], b[1] - a[1]) / spacing)))
-        na, nb = edge_normals[(i - 1) % n], edge_normals[i]
-        L = math.hypot(na[0] + nb[0], na[1] + nb[1])
-        out.append(((na[0] + nb[0]) / L, (na[1] + nb[1]) / L))
-        out.extend([edge_normals[i]] * (steps - 1))
-    return out
-
-
-class TestBoundaryContacts:
-    SPACING = 0.01  # the push controller's boundary spacing
-
-    def test_equals_sample_boundary_and_contact_normals(self):
-        rng = np.random.default_rng(137)
-        short_edges = 0
-        for i in range(200):
-            q = quat_from_yaw(rng.uniform(-math.pi, math.pi))
-            if i % 2:
-                axis = (*rng.normal(size=2), 0.0)
-                tilt = 10.0 ** rng.uniform(-8.0, -3.0)
-                q = quat_mul(quat_from_axis_angle(axis, tilt), q)
-            pose = Pose6D((*rng.uniform(-0.4, 0.4, size=2), 0.45), q)
-            footprint = Obb(pose, tuple(rng.uniform(0.005, 0.15, size=3))).footprint()
-            short_edges += any(math.hypot(b[0] - a[0], b[1] - a[1]) <= 1e-9
-                               for a, b in ref_edges(footprint.vertices))
-            pts, normals = boundary_contacts(footprint, self.SPACING)
-            assert_identical(pts, ref_sample_boundary(footprint, self.SPACING))
-            assert_identical(normals, contact_normals(footprint, pts))
-        assert short_edges > 0  # the first-vertex rule is exercised
-
-    def test_tilted_box_hexagon_takes_first_vertex_within_tolerance(self):
-        hexagon = Polygon2(TILTED_BOX_HEXAGON)
-        pts, normals = boundary_contacts(hexagon, self.SPACING)
-        expected = contact_normals(hexagon, pts)
-        assert_identical(normals, expected)
-        assert own_vertex_normals(hexagon, self.SPACING) != expected
-
-    def test_sample_boundary_is_the_points(self):
-        # a vertex repeated on a straight run makes valid zero-length edges
-        repeated = [
-            Polygon2(((0.0, 0.0), *[(1.0, 0.0)] * copies, (2.0, 0.0), (2.0, 1.0),
-                      (0.0, 1.0)))
-            for copies in (2, 3)
-        ]
-        for poly in [*oracle_polygons(), *repeated]:
-            for spacing in (0.13, 0.01):
-                assert_identical(boundary_contacts(poly, spacing)[0],
-                                 ref_sample_boundary(poly, spacing))
 
 
 # ---------------------------------------------------------------------------

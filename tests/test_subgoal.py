@@ -6,7 +6,6 @@ from tabletamp._rng import default_rng
 from tabletamp.domain import PrimitiveInstance, PrimitiveKind, RegionDescriptor
 from tabletamp.geometry import (
     Pose6D,
-    boundary_contacts,
     geodesic_angle,
     quat_from_yaw,
 )
@@ -25,7 +24,7 @@ from tabletamp.subgoal import (
 )
 from tabletamp.twin import rest_on_support
 
-from tests.test_geometry import drawn_quat
+from tests.test_geometry import drawn_quat, sample_boundary
 from tests.test_pins import assert_call_digest
 from tests.test_twin import TABLE_H, base_scene, make_box
 
@@ -63,7 +62,7 @@ class TestResolveAnchor:
         # oracle: brute-force boundary sampling finds no closer point
         best = min(
             math.hypot(p[0] - 0.1, p[1] + 0.30)
-            for p in boundary_contacts(table.footprint, 0.001)[0]
+            for p in sample_boundary(table.footprint, 0.001)
         )
         got = math.hypot(anchor[0] - 0.1, anchor[1] + 0.30)
         assert got <= best + 1e-6

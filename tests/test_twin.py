@@ -683,6 +683,25 @@ class TestCheckedOnce:
         with pytest.raises(ValueError, match=message):
             build(value)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TerrainFeature("slope", rect_polygon(0, 0, 0.1, 0.1), TABLE_H,
+                                {"angle_deg": 10.0, "downhill": (math.nan, 1.0)}),
+         r"slope downhill must be 2 finite numbers, got \(nan, 1.0\)"),
+        (lambda: TerrainFeature("slope", rect_polygon(0, 0, 0.1, 0.1), TABLE_H,
+                                {"angle_deg": 10.0, "downhill": (math.inf, 0.0)}),
+         r"slope downhill must be 2 finite numbers, got \(inf, 0.0\)"),
+        (lambda: TerrainFeature("shelf", rect_polygon(0, 0, 0.1, 0.1), TABLE_H,
+                                {"clearance": 0.2, "open_face": (math.nan, 0.0)}),
+         r"shelf open_face must be 2 finite numbers, got \(nan, 0.0\)"),
+        (lambda: twin.ToolSpec("hook", 0.2, (math.nan, 0.0, 0.0)),
+         r"tool tip_offset must be 3 finite numbers, got \(nan, 0.0, 0.0\)"),
+    ], ids=["slope-downhill-nan", "slope-downhill-inf", "shelf-open-face",
+            "tool-tip-offset"])
+    def test_non_finite_directions_are_rejected(self, build, message):
+        # a NaN direction would otherwise be stored, normalized to all NaN
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 def ref_support_height_at(cells, p):
     """support_height_at without its bounding-box reject."""
@@ -2233,10 +2252,6 @@ class TestFaceDownOrientation:
             n = quat_rotate(_face_down_orientation(q, axis, sign), tuple(local))
             assert max(abs(n[0]), abs(n[1]), abs(n[2] + 1.0)) < 1e-12
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "acos(-n_z) of a normal 1 ulp off vertical is ~1.5e-8, above the 1e-12 "
-        "angle cut, so a second call tilts the pose about world x; a guard "
-        "fixes it but moves the open-table and no-pose trace digests"))
     def test_second_application_changes_nothing(self):
         for q in _random_unit_quats(500, seed=0):
             down_face = _down_face(q)
