@@ -26,9 +26,10 @@ from tabletamp.geometry import (
     se2_error,
 )
 from tabletamp.harness import randomize, run_episode
-from tabletamp.scenarios import build_scenario
+from tabletamp.scenarios import SCENARIO_IDS, build_scenario
 from tabletamp.twin import REACH_MAX, ROBOT_BASE, TerrainFeature, ToolSpec, settle
 
+from tests.test_pins import assert_call_digest
 from tests.test_twin import TABLE_H, base_scene, make_box
 
 
@@ -404,6 +405,23 @@ class TestExecGrasp:
         assert not trace.ok
         assert trace.result.kind is ErrorKind.COLLISION
         assert "ceiling" in trace.result.message
+
+    def test_overhang_edges_in_episodes_are_pinned(self, monkeypatch):
+        # every overhang the side-grasp rule measures in the episodes of all
+        # eight scenarios, rehearsal's grasp scores and the grasps alike
+        found = []
+
+        def recorded(scene, obj, original=control._overhang_edges):
+            found.append(original(scene, obj))
+            return found[-1]
+
+        monkeypatch.setattr(control, "_overhang_edges", recorded)
+        for name in SCENARIO_IDS:
+            for seed in range(2):
+                run_episode(build_scenario(name), seed)
+        monkeypatch.undo()
+        assert len(found) > 80 and sum(bool(edges) for edges in found) > 40
+        assert_call_digest("overhang_edges_in_episodes", found)
 
 
 class TestExecMoveto:

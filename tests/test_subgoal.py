@@ -9,6 +9,7 @@ from tabletamp.geometry import (
     geodesic_angle,
     quat_from_yaw,
 )
+from tabletamp import harness
 from tabletamp.harness import randomize, randomized_goal
 from tabletamp.render import render_candidates, render_scene
 from tabletamp.scenarios import SCENARIO_IDS, build_region_registry, build_scenario
@@ -241,6 +242,31 @@ class TestFilterAndRank:
                 and geodesic_angle(cand.pose.orientation, p.orientation) < 1e-7
                 for p in poses
             )
+
+
+    def test_candidate_sets_in_episodes_are_pinned(self, monkeypatch):
+        # every answer rehearsal gives the episodes of all eight scenarios,
+        # kept set or NoFeasiblePose, bit for bit
+        answers = []
+
+        def recorded(candidates, object_id, scene, original=harness.filter_and_rank):
+            try:
+                answers.append(original(candidates, object_id, scene))
+            except NoFeasiblePose as exc:
+                answers.append(exc)
+                raise
+            return answers[-1]
+
+        monkeypatch.setattr(harness, "filter_and_rank", recorded)
+        for name in SCENARIO_IDS:
+            for seed in range(2):
+                harness.run_episode(build_scenario(name), seed)
+        monkeypatch.undo()
+        sets = [a for a in answers if isinstance(a, CandidateSet)]
+        assert len(sets) > 40
+        # the kept four are not always the first four sampled survivors
+        assert any(c.source_index >= 4 for s in sets for c in s.candidates)
+        assert_call_digest("filter_and_rank_in_episodes", answers)
 
 
 def make_candidate(pose, score, margin=0.02, idx=0):
