@@ -24,6 +24,7 @@ from .geometry import (
     Quat,
     Vec2,
     Vec3,
+    bounds_disjoint,
     clip_convex,
     face_normal,
     geodesic_angle,
@@ -196,16 +197,29 @@ def _min_footprint_width(footprint: Polygon2) -> float:
     return best
 
 
-def _support_height_below(scene: TwinScene, obj_id: str, p: Vec2) -> float | None:
-    return support_height_at(support_cells(scene, exclude_id=obj_id), p)
+def _support_height_below(scene: TwinScene, obj_id: str,
+                          points: list[Vec2]) -> list[float | None]:
+    """The highest support height at each point, over every support but the
+    object's own; None over the void. One ``support_cells`` query serves
+    all the points."""
+    cells = support_cells(scene, exclude_id=obj_id)
+    return [support_height_at(cells, p) for p in points]
 
 
 def _overhang_edges(scene: TwinScene, obj: RigidObject):
     """Overhanging face edges with finger clearance below them.
 
     Returns (depth, grasp_point) candidates sorted by depth descending.
+    Each edge is probed on three lines just beyond it and marched inward in
+    2 mm steps. A march asks only the cells that can stop it: those whose
+    ``_near_box`` meets the bounds of its 40 probe points, which are its
+    first and last since each coordinate is monotone in the step, and of
+    those a flat cell only when its height gives the clearance. Some cell
+    under a probe gives the clearance iff the highest one does, since float
+    subtraction is monotone.
     """
     box = obj.world_obb()
+    cells = support_cells(scene, exclude_id=obj.id)
     results = []
     for a, b in box.bottom_edges():
         mx, my = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
@@ -219,21 +233,25 @@ def _overhang_edges(scene: TwinScene, obj: RigidObject):
         fractions = (0.3, 0.5, 0.7)
         depths = []
         for f in fractions:
-            px = a[0] + f * (b[0] - a[0]) + nx * 0.004
-            py = a[1] + f * (b[1] - a[1]) + ny * 0.004
-            below = _support_height_below(scene, obj.id, (px, py))
+            sx = a[0] + f * (b[0] - a[0])
+            sy = a[1] + f * (b[1] - a[1])
+            below = support_height_at(cells, (sx + nx * 0.004, sy + ny * 0.004))
             drop = edge_z if below is None else edge_z - below
             if drop < FINGER_CLEARANCE:
                 depths.append(0.0)
                 continue
             # march inward until support rises back near the contact height;
             # the crossing lies within the last 2 mm step, so take its midpoint
+            xs = (sx - nx * 0.002, sx - nx * (0.002 * 40))
+            ys = (sy - ny * 0.002, sy - ny * (0.002 * 40))
+            line = (min(xs), max(xs), min(ys), max(ys))
+            stops = [c for c in cells if not bounds_disjoint(line, c._near_box)
+                     and (c.kind == "slope" or edge_z - c.height < FINGER_CLEARANCE)]
             depth = 0.0
             for k in range(1, 41):
-                qx = a[0] + f * (b[0] - a[0]) - nx * (0.002 * k)
-                qy = a[1] + f * (b[1] - a[1]) - ny * (0.002 * k)
-                below_q = _support_height_below(scene, obj.id, (qx, qy))
-                if below_q is not None and edge_z - below_q < FINGER_CLEARANCE:
+                q = (sx - nx * (0.002 * k), sy - ny * (0.002 * k))
+                if any(c.contains(q) and edge_z - c.height_at(q) < FINGER_CLEARANCE
+                       for c in stops):
                     depth = 0.002 * k - 0.001
                     break
                 depth = 0.002 * k

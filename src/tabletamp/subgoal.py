@@ -150,17 +150,16 @@ def _support_drop_direction(scene: TwinScene, object_id: str, anchor: Vec3):
     Ties among equally-low probe directions (a void arc past a straight
     edge) average out to the boundary's outward normal.
     """
-    ref = _support_height_below(scene, object_id, (anchor[0], anchor[1]))
+    dirs = [(math.cos(a), math.sin(a))
+            for a in (2.0 * math.pi * k / 16.0 for k in range(16))]
+    ref, *ring = _support_height_below(
+        scene, object_id,
+        [(anchor[0], anchor[1])]
+        + [(anchor[0] + 0.02 * d[0], anchor[1] + 0.02 * d[1]) for d in dirs],
+    )
     if ref is None:
         return None
-    heights = []
-    for k in range(16):
-        a = 2.0 * math.pi * k / 16.0
-        d = (math.cos(a), math.sin(a))
-        h = _support_height_below(
-            scene, object_id, (anchor[0] + 0.02 * d[0], anchor[1] + 0.02 * d[1])
-        )
-        heights.append((-1e9 if h is None else h, d))
+    heights = [(-1e9 if h is None else h, d) for h, d in zip(ring, dirs)]
     low = min(h for h, _ in heights)
     if low > ref - 0.01:
         return None  # support is effectively flat around the anchor
@@ -240,6 +239,13 @@ class CandidateSet:
             raise ValueError("candidates must be sorted by reachability descending")
 
 
+def _reach_score(x: float, y: float) -> float:
+    """``clamp(1 - d/R, 0, 1)`` with d the horizontal distance of (x, y)
+    from the robot base and R its maximum reach."""
+    d = math.hypot(x - ROBOT_BASE[0], y - ROBOT_BASE[1])
+    return max(0.0, min(1.0, 1.0 - d / REACH_MAX))
+
+
 def filter_and_rank(
     candidates: list[Pose6D],
     object_id: str,
@@ -249,44 +255,69 @@ def filter_and_rank(
 
     Candidates that interpenetrate terrain or other objects are discarded,
     as are those that topple, fall off, or end up resting on the bare
-    ground. Survivors score ``clamp(1 - d/R, 0, 1)`` with d the horizontal
-    distance from the robot base and R its maximum reach.
+    ground. Survivors score ``_reach_score`` of where they rest. Scores
+    within 0.05 of the best survivor's form one tie band, which takes the
+    best score and keeps sampling order (anchor and probes first); the
+    survivors below it follow by score, then sampling order.
+
+    Only the candidates that decide the kept four are rested, in two walks:
+    by (score, index) until the first survivor, whose score is the best;
+    then through the band by index and the rest by (score, index) until
+    four survivors are kept. Each rest is made once, and a survivor's
+    margin is taken right after its rest, while ``_support_pieces`` still
+    holds that answer.
+
+    The walks know every score before any rest because, where no slope
+    slides, a stable rest keeps the xy it was placed at: the flat rest, the
+    kept rest, the slope tilt and the ground rest each keep the pose's x
+    and y, and a hop after a topple never ends stable. Only the slide off a
+    slope steeper than friction holds moves a rest. On such a terrain every
+    candidate is rested first and scored where it rests, and the same walks
+    then read the answers.
     """
     if not candidates:
         raise ValueError("candidate list must be non-empty")
     twin = scene.as_twin()
-    survivors: list[Candidate] = []
+    rests: dict[int, tuple[Pose6D, float] | None] = {}
+
+    def rest(i: int) -> tuple[Pose6D, float] | None:
+        """Candidate i's rested pose and stability margin, or None."""
+        if i not in rests:
+            found = rest_on_support(twin, object_id, candidates[i])
+            if found is None:
+                rests[i] = None  # collides, topples, or rests on the bare ground
+            else:
+                rested, outcome = found
+                rests[i] = outcome.final_pose, stability_margin(rested, object_id)
+        return rests[i]
+
+    slides = twin.terrain.slides
+    scores = []
     for i, pose in enumerate(candidates):
-        rest = rest_on_support(twin, object_id, pose)
-        if rest is None:
-            continue  # collides, topples, or rests on the bare ground
-        rested, outcome = rest
-        d = math.hypot(outcome.final_pose.x - ROBOT_BASE[0],
-                       outcome.final_pose.y - ROBOT_BASE[1])
-        score = max(0.0, min(1.0, 1.0 - d / REACH_MAX))
-        survivors.append(
-            Candidate(
-                pose=outcome.final_pose,
-                reachability_score=score,
-                stability_margin=stability_margin(rested, object_id),
-                source_index=i,
-            )
-        )
-    if not survivors:
+        if slides:
+            found = rest(i)
+            pose = pose if found is None else found[0]
+        scores.append(_reach_score(pose.x, pose.y))
+    by_score = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
+    best = next((scores[i] for i in by_score if rest(i) is not None), None)
+    if best is None:
         raise NoFeasiblePose(
             f"no feasible sub-goal pose for {object_id}: all {len(candidates)} "
             f"candidates toppled, fell off, or collided"
         )
-    # scores within 0.05 of the best are reachability noise: they collapse
-    # into one tie so sampling order (anchor and probes first) decides there
-    best = max(c.reachability_score for c in survivors)
-    survivors = [
-        c if c.reachability_score < best - 0.05
-        else Candidate(c.pose, best, c.stability_margin, c.source_index)
-        for c in survivors
-    ]
-    survivors.sort(key=lambda c: (-c.reachability_score, c.source_index))
-    return CandidateSet(tuple(survivors[:_MAX_KEEP]))
+    # scores within 0.05 of the best are reachability noise
+    floor = best - 0.05
+    band = [i for i in range(len(candidates)) if not scores[i] < floor]
+    kept: list[Candidate] = []
+    for i in band + [i for i in by_score if scores[i] < floor]:
+        found = rest(i)
+        if found is None:
+            continue
+        score = scores[i] if scores[i] < floor else best
+        kept.append(Candidate(found[0], score, found[1], i))
+        if len(kept) == _MAX_KEEP:
+            break
+    return CandidateSet(tuple(kept))
 
 
 # ---------------------------------------------------------------------------

@@ -546,6 +546,12 @@ class Terrain(tuple):
     def slopes(self) -> tuple[SupportCell, ...]:
         return tuple(c for c in self.cells if c.kind == "slope")
 
+    @derived
+    def slides(self) -> bool:
+        """True when some slope is too steep for ``FRICTION`` to hold an
+        object, so that ``settle`` can slide it to a new xy."""
+        return any(_slides(c.feature) for c in self.slopes)
+
 
 def support_cells(scene: TwinScene, exclude_id: str | None = None,
                   include_objects: bool = True) -> list[SupportCell]:
@@ -1037,12 +1043,16 @@ def _rest_z(scene: TwinScene, obj: RigidObject, x: float, y: float,
     return max(offsets)
 
 
+def _slides(feature: TerrainFeature) -> bool:
+    """True when friction cannot hold an object on this slope."""
+    return FRICTION < math.tan(math.radians(feature.extra["angle_deg"]))
+
+
 def _settle_on_slope(scene: TwinScene, obj: RigidObject, pose: Pose6D,
                      cell: SupportCell, status: str) -> SettleOutcome:
     feature = cell.feature
     assert feature is not None
-    theta = math.radians(feature.extra["angle_deg"])
-    if FRICTION < math.tan(theta):
+    if _slides(feature):
         # insufficient friction: slide down until the footprint leaves the slope
         d = feature.extra["downhill"]
         x, y = pose.x, pose.y

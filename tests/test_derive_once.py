@@ -29,7 +29,7 @@ from tabletamp.twin import TerrainFeature
 
 from tests.test_geometry import drawn_quat, oracle_quats, ref_pose_fields
 from tests.test_pins import assert_call_digest
-from tests.test_twin import TABLE_H, base_scene, bits, fresh, make_box
+from tests.test_twin import TABLE_H, base_scene, bits, fresh, make_box, rest_every_candidate
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,8 @@ class TestPoseConstructor:
 
 def settle_inputs(monkeypatch, seeds=range(2)):
     """The (scene, object id) of every settle and stability_margin call that
-    the episodes of all eight scenarios make, in call order, with each
+    the episodes of all eight scenarios make, with every sampled candidate
+    rested and measured (``rest_every_candidate``), in call order, with each
     call's result, and how many margins found the polygon kept on the
     support answer they were handed."""
     calls = []
@@ -186,6 +187,7 @@ def settle_inputs(monkeypatch, seeds=range(2)):
 
     monkeypatch.setattr(twin, "settle", settle)
     monkeypatch.setattr(subgoal, "stability_margin", stability_margin)
+    rest_every_candidate(monkeypatch, stability_margin)
     for name in SCENARIO_IDS:
         for seed in seeds:
             harness.run_episode(build_scenario(name), seed)

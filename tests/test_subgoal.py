@@ -8,8 +8,9 @@ from tabletamp.geometry import (
     Pose6D,
     geodesic_angle,
     quat_from_yaw,
+    rect_polygon,
 )
-from tabletamp import harness
+from tabletamp import harness, subgoal
 from tabletamp.harness import randomize, randomized_goal
 from tabletamp.render import render_candidates, render_scene
 from tabletamp.scenarios import SCENARIO_IDS, build_region_registry, build_scenario
@@ -18,12 +19,13 @@ from tabletamp.subgoal import (
     CandidateSet,
     NoFeasiblePose,
     UnknownRegion,
+    _reach_score,
     filter_and_rank,
     resolve_anchor,
     sample_candidates,
     select_subgoal,
 )
-from tabletamp.twin import rest_on_support
+from tabletamp.twin import TerrainFeature, flat_pose_on_support, rest_on_support
 
 from tests.test_geometry import drawn_quat, sample_boundary
 from tests.test_pins import assert_call_digest
@@ -243,6 +245,62 @@ class TestFilterAndRank:
                 for p in poses
             )
 
+
+    @staticmethod
+    def count_rests(monkeypatch, poses):
+        """The indices into ``poses`` of the candidates that
+        ``filter_and_rank`` rests, in call order."""
+        rested = []
+
+        def counted(scene, object_id, pose, original=subgoal.rest_on_support):
+            rested.append(next(i for i, p in enumerate(poses) if p is pose))
+            return original(scene, object_id, pose)
+
+        monkeypatch.setattr(subgoal, "rest_on_support", counted)
+        return rested
+
+    def test_rests_only_the_candidates_that_decide_the_kept_four(self, monkeypatch):
+        # nine stable cards whose scores lie 0.07 apart, the best last, and a
+        # nearer one over the void: the best survivor is the second rested,
+        # and the band holds it alone, so the next three by score complete
+        # the kept four
+        card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
+        scene = base_scene([card])
+        poses = [Pose6D((0.0, 0.3 - 0.07 * i, TABLE_H + 0.004)) for i in range(9)]
+        poses.append(Pose6D((0.0, -0.5, TABLE_H + 0.004)))
+        rested = self.count_rests(monkeypatch, poses)
+        cset = filter_and_rank(poses, "card", scene)
+        assert rested == [9, 8, 7, 6, 5]
+        assert [c.source_index for c in cset.candidates] == [8, 7, 6, 5]
+        assert [c.pose for c in cset.candidates] == [poses[i] for i in (8, 7, 6, 5)]
+
+    def test_a_sliding_slope_rests_every_candidate_and_ranks_where_they_rest(
+            self, monkeypatch):
+        # tan 30 deg > FRICTION: a card placed on the wedge slides down it
+        # toward the robot and rests on the table 1 cm past its foot, where
+        # it outranks the two cards placed on the table beside the wedge;
+        # ranked where they were placed, the wedge cards would come last
+        span = 0.2
+        wedge = TerrainFeature("slope", rect_polygon(0.0, 0.2, 0.1, span / 2),
+                               TABLE_H + span * math.tan(math.radians(30.0)),
+                               {"angle_deg": 30.0, "downhill": (0.0, -1.0)}, name="wedge")
+        card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
+        scene = base_scene([card], terrain_extra=[wedge])
+        assert scene.terrain.slides
+        poses = [Pose6D((0.38, 0.15, TABLE_H + 0.004)),
+                 Pose6D((-0.38, 0.12, TABLE_H + 0.004)),
+                 flat_pose_on_support(scene, card, 0.0, 0.25, 0.0),
+                 flat_pose_on_support(scene, card, 0.05, 0.26, 0.0)]
+        placed = [_reach_score(p.x, p.y) for p in poses]
+        assert max(placed[2:]) < min(placed[:2])
+        rested = self.count_rests(monkeypatch, poses)
+        cset = filter_and_rank(poses, "card", scene)
+        assert sorted(rested) == [0, 1, 2, 3]
+        assert [c.source_index for c in cset.candidates] == [2, 3, 1, 0]
+        slid = [c.pose for c in cset.candidates[:2]]
+        assert all(0.08 < p.y < 0.1 and p.z == pytest.approx(TABLE_H + 0.004) for p in slid)
+        best = _reach_score(slid[0].x, slid[0].y)
+        assert [c.reachability_score for c in cset.candidates] == [best, best, *placed[1::-1]]
 
     def test_candidate_sets_in_episodes_are_pinned(self, monkeypatch):
         # every answer rehearsal gives the episodes of all eight scenarios,
