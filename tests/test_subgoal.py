@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from tabletamp import harness, subgoal
 from tabletamp._rng import default_rng
 from tabletamp.domain import PrimitiveInstance, PrimitiveKind, RegionDescriptor
 from tabletamp.geometry import (
@@ -10,7 +11,6 @@ from tabletamp.geometry import (
     quat_from_yaw,
     rect_polygon,
 )
-from tabletamp import harness, subgoal
 from tabletamp.harness import randomize, randomized_goal
 from tabletamp.render import render_candidates, render_scene
 from tabletamp.scenarios import SCENARIO_IDS, build_region_registry, build_scenario
@@ -244,7 +244,6 @@ class TestFilterAndRank:
                 and geodesic_angle(cand.pose.orientation, p.orientation) < 1e-7
                 for p in poses
             )
-
 
     @staticmethod
     def count_rests(monkeypatch, poses):
