@@ -1220,11 +1220,11 @@ def ref_stability_margin(scene, object_id):
 
 
 def rest_every_candidate(monkeypatch, margin):
-    """Have each rehearsal of the episodes run after this first rest every
-    sampled candidate and hand each stable rest to ``margin(rested scene,
-    object id)`` right after it, as a rehearsal that ranks every candidate
-    would; ``filter_and_rank`` then rests only those that decide its
-    answer."""
+    """From here on, each rehearsal that ``harness`` runs first rests every
+    sampled candidate and hands each stable rest to ``margin(rested scene,
+    object id)`` right after it, as a ranking that rests every candidate
+    would, and then calls ``filter_and_rank``, which rests only the
+    candidates that decide its answer."""
     from tabletamp import harness
 
     def rehearse(candidates, object_id, scene, original=harness.filter_and_rank):
