@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ._rng import default_rng
@@ -87,12 +88,49 @@ def resolve_anchor(
 # candidate sampling
 # ---------------------------------------------------------------------------
 
+class Sample:
+    """A sampled candidate sub-goal pose: its x and y, and its ``pose``,
+    built on first use and kept.
+
+    Every pose ``sample_candidates`` builds keeps the x and y it is built
+    at, so ``filter_and_rank`` scores a sample without building it."""
+
+    __slots__ = ("x", "y", "_build", "_pose")
+
+    def __init__(self, x: float, y: float, build: Callable[[], Pose6D]):
+        self.x = float(x)
+        self.y = float(y)
+        self._build = build
+        self._pose: Pose6D | None = None
+
+    @classmethod
+    def of(cls, pose: Pose6D) -> Sample:
+        """The sample of a pose that already exists."""
+        sample = cls(pose.x, pose.y, None)
+        sample._pose = pose
+        return sample
+
+    @property
+    def pose(self) -> Pose6D:
+        if self._pose is None:
+            self._pose = self._build()
+        return self._pose
+
+
+def _flat_sample(scene: TwinScene, obj, x: float, y: float, yaw: float,
+                 base_orientation=None) -> Sample:
+    """The sample of ``flat_pose_on_support`` at (x, y, yaw), built when
+    first read; that pose keeps x and y."""
+    return Sample(x, y, partial(flat_pose_on_support, scene, obj, x, y, yaw,
+                                base_orientation=base_orientation))
+
+
 def sample_candidates(
     primitive: PrimitiveInstance,
     anchor: Vec3,
     scene: TwinScene,
     rng_seed: int = 0,
-) -> list[Pose6D]:
+) -> list[Sample]:
     """Sample candidate 6D poses under the primitive's allowed DOF.
 
     Pushes vary (x, y, yaw) with z/roll/pitch pinned to supported-flat
@@ -102,13 +140,18 @@ def sample_candidates(
     moveto's first candidate is the hint itself and a push's is the flat
     pose at the hint's xy, so rehearsal can validate the requested pose
     directly. Deterministic in rng_seed.
+
+    Every x, y and yaw is drawn here, but a flat pose (a push's or a
+    moveto's) is built only when its ``Sample.pose`` is first read, which
+    ``filter_and_rank`` does only for the candidates it rests. Rotation
+    candidates come from pivoting the object, so they are built here.
     """
     rng = default_rng(rng_seed)
     obj = scene.object(primitive.object_id)
     hint = primitive.target_pose_hint
 
     if primitive.kind is PrimitiveKind.ROTATE:
-        return _rotate_candidates(scene, primitive.object_id)
+        return [Sample.of(p) for p in _rotate_candidates(scene, primitive.object_id)]
 
     if primitive.kind not in NEEDS_TARGET:
         raise ValueError(f"{primitive.kind.value} does not take a sub-goal pose")
@@ -120,14 +163,13 @@ def sample_candidates(
     base_yaw = yaw_of(hint.orientation) if hint is not None else obj.pose.yaw
 
     if hint is None:
-        out = [flat_pose_on_support(scene, obj, anchor[0], anchor[1], base_yaw,
-                                    base_orientation=base_q)]
+        out = [_flat_sample(scene, obj, anchor[0], anchor[1], base_yaw, base_q)]
         if push:
             out.extend(_overhang_probes(scene, obj, anchor))
     elif push:
-        out = [flat_pose_on_support(scene, obj, hint.x, hint.y, base_yaw)]
+        out = [_flat_sample(scene, obj, hint.x, hint.y, base_yaw)]
     else:
-        out = [hint]
+        out = [Sample.of(hint)]
     while len(out) < _N_SAMPLES:
         r = disc * math.sqrt(rng.uniform())
         th = rng.uniform(0.0, 2.0 * math.pi)
@@ -135,12 +177,8 @@ def sample_candidates(
             yaw = base_yaw + math.radians(rng.uniform(-yaw_spread, yaw_spread))
         else:
             yaw = rng.uniform(-math.pi, math.pi)
-        out.append(
-            flat_pose_on_support(
-                scene, obj, anchor[0] + r * math.cos(th),
-                anchor[1] + r * math.sin(th), yaw, base_orientation=base_q,
-            )
-        )
+        out.append(_flat_sample(scene, obj, anchor[0] + r * math.cos(th),
+                                anchor[1] + r * math.sin(th), yaw, base_q))
     return out
 
 
@@ -172,8 +210,8 @@ def _support_drop_direction(scene: TwinScene, object_id: str, anchor: Vec3):
     return (sx / norm, sy / norm)
 
 
-def _overhang_probes(scene: TwinScene, obj, anchor: Vec3) -> list[Pose6D]:
-    """Deterministic poses whose long side juts over the falling support.
+def _overhang_probes(scene: TwinScene, obj, anchor: Vec3) -> list[Sample]:
+    """Deterministic samples whose long side juts over the falling support.
 
     Uniform sampling almost never lands in the narrow band where an edge
     overhang is deep enough to grasp yet the COM keeps a safe margin, so
@@ -196,7 +234,7 @@ def _overhang_probes(scene: TwinScene, obj, anchor: Vec3) -> list[Pose6D]:
             for overhang in (0.034, 0.026):
                 cx = anchor[0] - drop[0] * (h_lead - overhang)
                 cy = anchor[1] - drop[1] * (h_lead - overhang)
-                probes.append(flat_pose_on_support(scene, obj, cx, cy, yaw))
+                probes.append(_flat_sample(scene, obj, cx, cy, yaw))
     return probes
 
 
@@ -247,7 +285,7 @@ def _reach_score(x: float, y: float) -> float:
 
 
 def filter_and_rank(
-    candidates: list[Pose6D],
+    candidates: list[Sample],
     object_id: str,
     scene: TwinScene,
 ) -> CandidateSet:
@@ -265,15 +303,16 @@ def filter_and_rank(
     then through the band by index and the rest by (score, index) until
     four survivors are kept. Each rest is made once, and a survivor's
     margin is taken right after its rest, while ``_support_pieces`` still
-    holds that answer.
+    holds that answer. A candidate's ``Sample.pose`` is read only to rest
+    it, so the poses of the candidates left unrested are never built.
 
-    The walks know every score before any rest because, where no slope
-    slides, a stable rest keeps the xy it was placed at: the flat rest, the
-    kept rest, the slope tilt and the ground rest each keep the pose's x
-    and y, and a hop after a topple never ends stable. Only the slide off a
-    slope steeper than friction holds moves a rest. On such a terrain every
-    candidate is rested first and scored where it rests, and the same walks
-    then read the answers.
+    The walks know every score before any rest, from each sample's x and
+    y, because, where no slope slides, a stable rest keeps the xy it was
+    placed at: the flat rest, the kept rest, the slope tilt and the ground
+    rest each keep the pose's x and y, and a hop after a topple never ends
+    stable. Only the slide off a slope steeper than friction holds moves a
+    rest. On such a terrain every candidate is rested first and scored
+    where it rests, and the same walks then read the answers.
     """
     if not candidates:
         raise ValueError("candidate list must be non-empty")
@@ -283,7 +322,7 @@ def filter_and_rank(
     def rest(i: int) -> tuple[Pose6D, float] | None:
         """Candidate i's rested pose and stability margin, or None."""
         if i not in rests:
-            found = rest_on_support(twin, object_id, candidates[i])
+            found = rest_on_support(twin, object_id, candidates[i].pose)
             if found is None:
                 rests[i] = None  # collides, topples, or rests on the bare ground
             else:
@@ -293,11 +332,10 @@ def filter_and_rank(
 
     slides = twin.terrain.slides
     scores = []
-    for i, pose in enumerate(candidates):
-        if slides:
-            found = rest(i)
-            pose = pose if found is None else found[0]
-        scores.append(_reach_score(pose.x, pose.y))
+    for i, sample in enumerate(candidates):
+        found = rest(i) if slides else None
+        at = sample if found is None else found[0]
+        scores.append(_reach_score(at.x, at.y))
     by_score = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
     best = next((scores[i] for i in by_score if rest(i) is not None), None)
     if best is None:

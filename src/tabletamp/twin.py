@@ -1053,13 +1053,18 @@ def _settle_on_slope(scene: TwinScene, obj: RigidObject, pose: Pose6D,
     feature = cell.feature
     assert feature is not None
     if _slides(feature):
-        # insufficient friction: slide down until the footprint leaves the slope
+        # insufficient friction: slide down in 1 cm steps until no cell of
+        # the slope carries a piece of the resting face
         d = feature.extra["downhill"]
+        slope = [c for c in scene.terrain.slopes if c.feature is feature]
+        face = obj.at_pose(pose).world_obb().resting_face()
+        clear = _footprints_clear(obj.half_extents)
         x, y = pose.x, pose.y
         for _ in range(200):
             x += d[0] * 0.01
             y += d[1] * 0.01
-            if not point_in_polygon((x, y), feature.footprint):
+            corners = [(fx + x - pose.x, fy + y - pose.y) for fx, fy in face]
+            if _top_support(slope, corners, clear)[1] is None:
                 break
         slid = obj.at_pose(Pose6D((x, y, pose.z), pose.orientation))
         return settle(scene.replace_object(slid), obj.id)
@@ -1610,11 +1615,20 @@ def _json_extra(value, what: str, kind) -> dict:
     return extra
 
 
+# m: a pose a file gives lies within this of the origin on every axis, so
+# the geometry built on it stays far from float overflow
+_MAX_COORD = 100.0
+
+
 def _json_pose(value, what: str) -> Pose6D:
-    """The file's value for ``what``: an object with ``xyz`` and ``quat_wxyz``."""
+    """The file's value for ``what``: an object with ``xyz``, each within
+    ``_MAX_COORD`` of 0, and ``quat_wxyz``."""
     value = _json_object(value, what, ("xyz", "quat_wxyz"))
-    return Pose6D(_json_vector(value["xyz"], 3, f"{what} xyz"),
-                  _json_vector(value["quat_wxyz"], 4, f"{what} quat_wxyz"))
+    xyz = _json_vector(value["xyz"], 3, f"{what} xyz")
+    if not all(abs(v) <= _MAX_COORD for v in xyz):
+        raise ValueError(f"{what} xyz must lie within {_MAX_COORD:g} m of 0 "
+                         f"on each axis (got {value['xyz']!r})")
+    return Pose6D(xyz, _json_vector(value["quat_wxyz"], 4, f"{what} quat_wxyz"))
 
 
 def scene_from_dict(data: dict) -> TwinScene:

@@ -33,7 +33,7 @@ from tabletamp.harness import (
     run_benchmark,
 )
 from tabletamp.scenarios import Goal, all_scenarios, build_scenario
-from tabletamp.subgoal import NoFeasiblePose, filter_and_rank
+from tabletamp.subgoal import NoFeasiblePose, Sample, filter_and_rank
 from tabletamp.twin import settle
 
 from tests.test_pins import PINS, assert_pinned
@@ -127,7 +127,7 @@ class TestAcceptance:
             for i in range(0, len(batch), 50):
                 chunk = batch[i:i + 50]
                 try:
-                    cset = filter_and_rank(chunk, obj_id, scene)
+                    cset = filter_and_rank([Sample.of(p) for p in chunk], obj_id, scene)
                 except NoFeasiblePose:
                     continue
                 checked += len(chunk)

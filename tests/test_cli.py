@@ -599,6 +599,26 @@ class TestScenarioFileSteps:
         assert err == f"error: {message}"
 
 
+class TestHugeCoordinate:
+    @pytest.mark.parametrize("y", [1e308, -1e308], ids=["plus", "minus"])
+    @pytest.mark.parametrize("scenario_id", ["book", "edge", "wall", "slope", "slot"])
+    def test_object_y_past_the_bound_is_input_error(self, tmp_path, capsys,
+                                                    scenario_id, y):
+        # such a y once reached the push-path check and overflowed there
+        from tabletamp.scenarios import build_scenario, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario(scenario_id))
+        xyz = data["scene"]["objects"][0]["pose"]["xyz"]
+        xyz[1] = y
+        bad = tmp_path / "far.json"
+        bad.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err == (f"error: object 0 pose xyz must lie within 100 m of 0 on "
+                       f"each axis (got {xyz!r})")
+
+
 class TestRandomizationFailure:
     @pytest.mark.parametrize("command", [
         ["run"], ["bench", "--trials", "1", "--scenarios"], ["sample", "--step", "1"],

@@ -18,6 +18,7 @@ from tabletamp.subgoal import (
     Candidate,
     CandidateSet,
     NoFeasiblePose,
+    Sample,
     UnknownRegion,
     _reach_score,
     filter_and_rank,
@@ -81,14 +82,28 @@ class TestResolveAnchor:
         assert anchor == (0.15, -0.05, TABLE_H)
 
 
+def sliding_wedge_scene():
+    """A card on a table that carries a 30 deg wedge, whose incline rises
+    from y = 0.1 to 0.3; tan 30 deg > FRICTION, so the wedge slides what is
+    placed on it downhill, toward the robot."""
+    span = 0.2
+    wedge = TerrainFeature("slope", rect_polygon(0.0, 0.2, 0.1, span / 2),
+                           TABLE_H + span * math.tan(math.radians(30.0)),
+                           {"angle_deg": 30.0, "downhill": (0.0, -1.0)}, name="wedge")
+    card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
+    scene = base_scene([card], terrain_extra=[wedge])
+    assert scene.terrain.slides
+    return scene
+
+
 class TestSampleCandidates:
     def test_push_samples_pin_roll_pitch(self):
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
-        poses = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene,
-                                  rng_seed=3)
-        assert len(poses) == 16
-        for p in poses:
+        samples = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene,
+                                    rng_seed=3)
+        assert len(samples) == 16
+        for p in (s.pose for s in samples):
             # roll and pitch exactly zero: orientation is a pure yaw
             assert geodesic_angle(p.orientation, quat_from_yaw(p.yaw)) < 1e-9
             assert p.z == pytest.approx(TABLE_H + 0.004)
@@ -98,14 +113,15 @@ class TestSampleCandidates:
         scene = base_scene([card])
         a = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, rng_seed=7)
         b = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, rng_seed=7)
-        assert a == b
+        assert [s.pose for s in a] == [s.pose for s in b]
 
     def test_rotate_candidates_are_adjacent_flips_or_identity(self):
         plank = make_box("plank", half=(0.10, 0.05, 0.01), y=-0.2, z=TABLE_H + 0.01)
         scene = base_scene([plank])
         rot = PrimitiveInstance(PrimitiveKind.ROTATE, "plank",
                                 region=RegionDescriptor("target_zone"))
-        poses = sample_candidates(rot, (0.0, -0.2, TABLE_H), scene, rng_seed=0)
+        poses = [s.pose for s in sample_candidates(rot, (0.0, -0.2, TABLE_H), scene,
+                                                   rng_seed=0)]
         # oracle: enumerate expected face classes; flat plank has 4 adjacent
         # side faces plus the identity
         assert 2 <= len(poses) <= 5
@@ -118,11 +134,11 @@ class TestSampleCandidates:
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
         hint = Pose6D((0.1, -0.25, TABLE_H + 0.004), quat_from_yaw(0.4))
-        poses = sample_candidates(push_step(hint=hint), (0.1, -0.25, TABLE_H),
-                                  scene, rng_seed=0)
-        assert poses[0].x == pytest.approx(0.1)
-        assert poses[0].y == pytest.approx(-0.25)
-        assert poses[0].yaw == pytest.approx(0.4)
+        first = sample_candidates(push_step(hint=hint), (0.1, -0.25, TABLE_H),
+                                  scene, rng_seed=0)[0].pose
+        assert first.x == pytest.approx(0.1)
+        assert first.y == pytest.approx(-0.25)
+        assert first.yaw == pytest.approx(0.4)
 
 
 SAMPLED = [
@@ -161,8 +177,8 @@ class TestSampleCandidatesPinned:
                                  PrimitiveKind.ROTATE):
                         for step in (PrimitiveInstance(kind, obj.id, RegionDescriptor(name)),
                                      PrimitiveInstance(kind, obj.id, target_pose_hint=hint)):
-                            poses.append(sample_candidates(step, anchor, scene,
-                                                           rng_seed=seed))
+                            poses.append([s.pose for s in sample_candidates(
+                                step, anchor, scene, rng_seed=seed)])
         assert len(poses) >= 3 * 3 * 6  # seeds, anchors and steps
         assert_call_digest(key, poses)
 
@@ -182,7 +198,7 @@ class TestFilterAndRank:
         scene = base_scene([card])
         good = Pose6D((0.0, -0.3, TABLE_H + 0.004))
         void = Pose6D((0.0, -0.9, TABLE_H + 0.004))
-        cset = filter_and_rank([good, void], "card", scene)
+        cset = filter_and_rank([Sample.of(good), Sample.of(void)], "card", scene)
         assert len(cset.candidates) == 1
         assert cset.candidates[0].pose.y == pytest.approx(-0.3)
 
@@ -192,14 +208,14 @@ class TestFilterAndRank:
         scene = base_scene([card])
         unstable = Pose6D((0.0, -0.42, TABLE_H + 0.004))
         with pytest.raises(NoFeasiblePose):
-            filter_and_rank([unstable], "card", scene)
+            filter_and_rank([Sample.of(unstable)], "card", scene)
 
     def test_six_survivors_keep_top_four_sorted(self):
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
         poses = [Pose6D((0.05 * i - 0.15, -0.2 - 0.02 * i, TABLE_H + 0.004))
                  for i in range(6)]
-        cset = filter_and_rank(poses, "card", scene)
+        cset = filter_and_rank([Sample.of(p) for p in poses], "card", scene)
         assert len(cset.candidates) == 4
         scores = [c.reachability_score for c in cset.candidates]
         assert scores == sorted(scores, reverse=True)
@@ -210,7 +226,7 @@ class TestFilterAndRank:
         scene = base_scene([card, blocker])
         overlapping = Pose6D((0.2, -0.2, TABLE_H + 0.004))
         clear = Pose6D((0.0, -0.3, TABLE_H + 0.004))
-        cset = filter_and_rank([overlapping, clear], "card", scene)
+        cset = filter_and_rank([Sample.of(overlapping), Sample.of(clear)], "card", scene)
         assert len(cset.candidates) == 1
         assert cset.candidates[0].pose.x == pytest.approx(0.0)
 
@@ -218,7 +234,7 @@ class TestFilterAndRank:
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
         pose = Pose6D((0.0, -0.3, TABLE_H + 0.004))
-        cset = filter_and_rank([pose], "card", scene)
+        cset = filter_and_rank([Sample.of(pose)], "card", scene)
         # each candidate draws over the snapshot it was rehearsed in: the
         # card translucent where it was before the step, the candidate solid
         _, outcome = rest_on_support(scene, "card", pose)
@@ -234,8 +250,9 @@ class TestFilterAndRank:
         # sampler output is already at rest, so filtering must not move it
         card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
         scene = base_scene([card])
-        poses = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, rng_seed=11)
-        cset = filter_and_rank(poses, "card", scene)
+        samples = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, rng_seed=11)
+        cset = filter_and_rank(samples, "card", scene)
+        poses = [s.pose for s in samples]
         for cand in cset.candidates:
             assert any(
                 math.isclose(cand.pose.x, p.x, abs_tol=1e-9)
@@ -268,7 +285,7 @@ class TestFilterAndRank:
         poses = [Pose6D((0.0, 0.3 - 0.07 * i, TABLE_H + 0.004)) for i in range(9)]
         poses.append(Pose6D((0.0, -0.5, TABLE_H + 0.004)))
         rested = self.count_rests(monkeypatch, poses)
-        cset = filter_and_rank(poses, "card", scene)
+        cset = filter_and_rank([Sample.of(p) for p in poses], "card", scene)
         assert rested == [9, 8, 7, 6, 5]
         assert [c.source_index for c in cset.candidates] == [8, 7, 6, 5]
         assert [c.pose for c in cset.candidates] == [poses[i] for i in (8, 7, 6, 5)]
@@ -276,16 +293,12 @@ class TestFilterAndRank:
     def test_a_sliding_slope_rests_every_candidate_and_ranks_where_they_rest(
             self, monkeypatch):
         # tan 30 deg > FRICTION: a card placed on the wedge slides down it
-        # toward the robot and rests on the table 1 cm past its foot, where
-        # it outranks the two cards placed on the table beside the wedge;
-        # ranked where they were placed, the wedge cards would come last
-        span = 0.2
-        wedge = TerrainFeature("slope", rect_polygon(0.0, 0.2, 0.1, span / 2),
-                               TABLE_H + span * math.tan(math.radians(30.0)),
-                               {"angle_deg": 30.0, "downhill": (0.0, -1.0)}, name="wedge")
-        card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
-        scene = base_scene([card], terrain_extra=[wedge])
-        assert scene.terrain.slides
+        # toward the robot and rests on the table once its face clears the
+        # wedge's foot, where it outranks the two cards placed on the table
+        # beside the wedge; ranked where they were placed, the wedge cards
+        # would come last
+        scene = sliding_wedge_scene()
+        card = scene.object("card")
         poses = [Pose6D((0.38, 0.15, TABLE_H + 0.004)),
                  Pose6D((-0.38, 0.12, TABLE_H + 0.004)),
                  flat_pose_on_support(scene, card, 0.0, 0.25, 0.0),
@@ -293,13 +306,62 @@ class TestFilterAndRank:
         placed = [_reach_score(p.x, p.y) for p in poses]
         assert max(placed[2:]) < min(placed[:2])
         rested = self.count_rests(monkeypatch, poses)
-        cset = filter_and_rank(poses, "card", scene)
+        cset = filter_and_rank([Sample.of(p) for p in poses], "card", scene)
         assert sorted(rested) == [0, 1, 2, 3]
         assert [c.source_index for c in cset.candidates] == [2, 3, 1, 0]
+        # the tilted face reaches 3 cos 30 deg cm downhill of the centre, and
+        # the slide stops in the 1 cm step that takes it past the foot at
+        # y = 0.1, so the card rests flat with its whole face on the table
+        reach = 0.03 * math.cos(math.radians(30.0))
         slid = [c.pose for c in cset.candidates[:2]]
-        assert all(0.08 < p.y < 0.1 and p.z == pytest.approx(TABLE_H + 0.004) for p in slid)
+        assert all(0.1 - reach - 0.01 < p.y < 0.1 - reach
+                   and p.z == pytest.approx(TABLE_H + 0.004) for p in slid)
+        assert [c.stability_margin for c in cset.candidates[:2]] == pytest.approx([0.03, 0.03])
         best = _reach_score(slid[0].x, slid[0].y)
         assert [c.reachability_score for c in cset.candidates] == [best, best, *placed[1::-1]]
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """The poses ``subgoal`` builds with ``flat_pose_on_support`` from
+        here on, in call order, and the poses ``filter_and_rank`` rests."""
+        built, rested = [], []
+
+        def building(*args, original=subgoal.flat_pose_on_support, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        def resting(scene, object_id, pose, original=subgoal.rest_on_support):
+            rested.append(pose)
+            return original(scene, object_id, pose)
+
+        monkeypatch.setattr(subgoal, "flat_pose_on_support", building)
+        monkeypatch.setattr(subgoal, "rest_on_support", resting)
+        return built, rested
+
+    def test_builds_a_pose_only_for_the_candidates_it_rests(self, monkeypatch):
+        # a push to the table edge: the anchor, four overhang probes and
+        # eleven drawn samples, of which the ranking rests nine
+        card = make_box("card", half=(0.05, 0.03, 0.004), y=-0.2, z=TABLE_H + 0.004)
+        scene = base_scene([card])
+        built, rested = self.count_builds(monkeypatch)
+        samples = sample_candidates(push_step(), (0.0, -0.39, TABLE_H), scene, rng_seed=11)
+        assert built == []
+        filter_and_rank(samples, "card", scene)
+        assert len(samples) == 16 and len(rested) == 9
+        assert list(map(id, built)) == list(map(id, rested))
+        # the ranking scored each sample by the x and y its pose keeps
+        assert all((s.pose.x, s.pose.y) == (s.x, s.y) for s in samples)
+
+    def test_a_sliding_slope_builds_every_pose(self, monkeypatch):
+        # samples around the middle of the wedge: the ranking rests every
+        # candidate to score it where it rests, so it builds every pose
+        scene = sliding_wedge_scene()
+        built, rested = self.count_builds(monkeypatch)
+        samples = sample_candidates(push_step(), (0.0, 0.2, TABLE_H), scene, rng_seed=0)
+        assert built == []
+        filter_and_rank(samples, "card", scene)
+        assert len(built) == len(samples) == 16
+        assert list(map(id, built)) == list(map(id, rested))
 
     def test_candidate_sets_in_episodes_are_pinned(self, monkeypatch):
         # every answer rehearsal gives the episodes of all eight scenarios,
@@ -350,7 +412,7 @@ class TestSelectSubgoal:
             Pose6D((0.0, -0.4 + 0.03 - 0.030, TABLE_H + 0.004)),  # 3 cm... unstable? COM at -0.40: boundary
         ]
         poses[2] = Pose6D((0.0, -0.4 + 0.03 - 0.028, TABLE_H + 0.004))  # 2.8 cm
-        cset = filter_and_rank(poses, "card", scene)
+        cset = filter_and_rank([Sample.of(p) for p in poses], "card", scene)
         nxt = PrimitiveInstance(PrimitiveKind.GRASP, "card")
         cur = push_step()
         out = select_subgoal(cset, cur, nxt, scene)

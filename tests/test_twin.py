@@ -1229,8 +1229,8 @@ def rest_every_candidate(monkeypatch, margin):
 
     def rehearse(candidates, object_id, scene, original=harness.filter_and_rank):
         rehearsal = scene.as_twin()
-        for pose in candidates:
-            rest = twin.rest_on_support(rehearsal, object_id, pose)
+        for sample in candidates:
+            rest = twin.rest_on_support(rehearsal, object_id, sample.pose)
             if rest is not None:
                 margin(rest[0], object_id)
         return original(candidates, object_id, scene)
