@@ -231,8 +231,8 @@ class ScriptedPlanner:
     """Deterministic planner over a scenario's ordered fallback-plan list.
 
     Entry 0 is the naive direct plan; each reflection advances to the next
-    entry. A pure function of (fallback list, attempt index): identical
-    inputs give identical skeletons.
+    entry that is valid in the observed state. A pure function of (fallback
+    list, attempt index): identical inputs give identical skeletons.
     """
 
     def __init__(self, templates: tuple[tuple[dict, ...], ...]):
@@ -249,17 +249,22 @@ class ScriptedPlanner:
         return _checked(skeleton, obs, "scripted planner")
 
     def reflect(self, inp: ReflectionInput) -> tuple[str, PlanSkeleton]:
+        """The next fallback plan that is valid in the observed state; a
+        plan written for another state (one that releases an object the
+        failed grasp never picked up) is skipped."""
         insight = insight_for(inp.error)
-        self.attempt += 1
-        if self.attempt >= len(self._templates):
-            raise NoMorePlans(
-                f"fallback plans exhausted after attempt {self.attempt}"
-            )
-        skeleton = bind_template(self._templates[self.attempt], inp.observation)
-        skeleton = PlanSkeleton(skeleton.steps,
-                                revision=inp.failed_plan.revision + 1,
-                                rationale=skeleton.rationale or insight)
-        return insight, _checked(skeleton, inp.observation, "scripted reflector")
+        state = inp.observation.symbolic_state()
+        while True:
+            self.attempt += 1
+            if self.attempt >= len(self._templates):
+                raise NoMorePlans(
+                    f"fallback plans exhausted after attempt {self.attempt}"
+                )
+            skeleton = bind_template(self._templates[self.attempt], inp.observation)
+            if not validate_skeleton(skeleton, state):
+                return insight, PlanSkeleton(skeleton.steps,
+                                             revision=inp.failed_plan.revision + 1,
+                                             rationale=skeleton.rationale or insight)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .twin import (
     TerrainFeature,
     ToolSpec,
     TwinScene,
+    _MAX_COORD,
     _is_number,
     _json_object,
     _json_polygon,
@@ -656,11 +657,12 @@ def _fallback_templates(plans) -> tuple[tuple[dict, ...], ...]:
 def _check_fallback_plans(scenario: Scenario):
     """Reject a scenario file that would fail mid-episode: a scene that
     starts with an object held, a primary object missing from the scene,
-    negative jitter, an initial state other than standing or lying, no
-    fallback plan or an empty one, or a step with an unknown primitive,
-    object or hint binding, a push, rotate or moveto step that binds no
-    target, a grasp or release step that binds one, a ``tool_approach``
-    hint on an object with no tool, or a region the scene cannot resolve.
+    a negative jitter or one past its bound, an initial state other than
+    standing or lying, no fallback plan or an empty one, or a step with an
+    unknown primitive, object or hint binding, a push, rotate or moveto
+    step that binds no target, a grasp or release step that binds one, a
+    ``tool_approach`` hint on an object with no tool, or a region the scene
+    cannot resolve.
     Membership is tested in tuples, which need no hashable value."""
     held = scenario.scene_template.held_id
     if held is not None:
@@ -671,11 +673,15 @@ def _check_fallback_plans(scenario: Scenario):
     if scenario.primary_object not in object_ids:
         raise ValueError(f"primary object {scenario.primary_object!r} is not "
                          f"in the scene")
-    for name, value in (("pos_jitter", scenario.pos_jitter),
-                        ("yaw_jitter_deg", scenario.yaw_jitter_deg),
-                        ("goal_jitter", scenario.special.get("goal_jitter", 0.0))):
+    # a yaw drawn within 180 degrees either way reaches every yaw
+    for name, value, high in (("pos_jitter", scenario.pos_jitter, _MAX_COORD),
+                              ("yaw_jitter_deg", scenario.yaw_jitter_deg, 180.0),
+                              ("goal_jitter", scenario.special.get("goal_jitter", 0.0),
+                               _MAX_COORD)):
         if not _is_number(value) or value < 0:
             raise ValueError(f"{name} must be a number >= 0 (got {value!r})")
+        if value > high:
+            raise ValueError(f"{name} must be at most {high:g} (got {value!r})")
     states = scenario.special.get("initial_states", [])
     if not isinstance(states, (list, tuple)) or not all(
             s in ("standing", "lying") for s in states):

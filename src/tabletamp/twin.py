@@ -706,7 +706,7 @@ def flat_pose_on_support(scene: TwinScene, obj: RigidObject, x: float, y: float,
     q = quat_mul(quat_from_yaw(delta), flat)
     box = obj.at_pose(Pose6D((x, y, 1.0), q)).world_obb()
     cells = support_cells(scene, exclude_id=obj.id, include_objects=objects_as_support)
-    best_h, best_cell = _top_support(cells, box.corners(), _footprints_clear(obj.half_extents))
+    best_h, best_cell = _top_support(cells, box.corners())
     if best_cell is None:
         return Pose6D((x, y, _half_height(obj, q)), q)
     if best_cell.kind == "slope":
@@ -814,11 +814,19 @@ def _support_pieces(cells: Sequence[SupportCell],
         return last[2]
     scored: list[tuple[float, SupportCell, list[Vec2]]] = []
     bounds = ring_bounds(hull)
+    hx0, hx1, hy0, hy1 = bounds
     for cell in cells:
         if bounds_disjoint(bounds, cell.bounds):
             continue
-        piece = _cell_piece(cell, hull, bounds)
-        if piece is None:
+        cx0, cx1, cy0, cy1 = cell.bounds
+        if cell.rect and cx0 <= hx0 and hx1 <= cx1 and cy0 <= hy0 and hy1 <= cy1:
+            # for an axis-aligned edge the clip's side test is a coordinate
+            # comparison that every vertex of a contained hull passes, so
+            # the clip would return the hull unchanged
+            piece = list(hull)
+        else:
+            piece = clip_convex(hull, cell.ring)
+        if not ring_area(piece) > _AREA_TOL:
             continue
         if cell.kind != "slope":
             h = cell.height  # what height_at gives at every point
@@ -830,86 +838,16 @@ def _support_pieces(cells: Sequence[SupportCell],
     return result
 
 
-def _cell_piece(cell: SupportCell, hull: tuple[Vec2, ...],
-                bounds: tuple[float, float, float, float]) -> list[Vec2] | None:
-    """The part of ``hull`` that ``cell`` carries, for a cell whose bounds
-    are not strictly apart from the hull's ``bounds``; None when that part
-    has no area above ``_AREA_TOL``."""
-    hx0, hx1, hy0, hy1 = bounds
-    cx0, cx1, cy0, cy1 = cell.bounds
-    if cell.rect and cx0 <= hx0 and hx1 <= cx1 and cy0 <= hy0 and hy1 <= cy1:
-        # for an axis-aligned edge the clip's side test is a coordinate
-        # comparison that every vertex of a contained hull passes, so
-        # the clip would return the hull unchanged
-        piece = list(hull)
-    else:
-        piece = clip_convex(hull, cell.ring)
-    return piece if ring_area(piece) > _AREA_TOL else None
-
-
-def _footprints_clear(half_extents: Vec3) -> bool:
-    """True when every footprint of a box with these half extents, the xy
-    hull of its corners or of its down face's corners, has an area well
-    above ``_AREA_TOL``, whatever its orientation.
-
-    With a, b the two smallest half extents, the least face is 4ab. The
-    area of a box's xy hull is the sum of its three face areas, each times
-    the |z| of the face's normal, and those |z| sum to at least 1, so it is
-    at least 4ab; the down face's normal has |z| >= 1/sqrt(3), so the down
-    face's projection is at least 2.3ab. Both are then above
-    2.3 * _AREA_TOL, and the float hull's area is off by rounding many
-    orders of magnitude smaller than that margin.
-    """
-    a, b, _ = sorted(half_extents)
-    return a * b > _AREA_TOL
-
-
 def _top_support(cells: Sequence[SupportCell],
-                 corners: Sequence[Sequence[float]],
-                 clear: bool) -> tuple[float, SupportCell | None]:
+                 points: Sequence[Sequence[float]]) -> tuple[float, SupportCell | None]:
     """The height and cell of the highest of ``cells`` that carries the xy
-    hull of ``corners``, the first of those within 1e-9 of it, or
+    hull of ``points``, the first of those within 1e-9 of it, or
     (-inf, None) when none carries it: the first piece of
-    ``_support_pieces(cells, hull)`` more than 1e-9 above every earlier one.
-
-    Bounds first (an axis-aligned box broad phase): a cell strictly apart
-    from the corners' bounds carries nothing, a flat cell not 1e-9 above the
-    best so far cannot take its place, and when ``clear`` (see
-    ``_footprints_clear``) a flat rectangular cell that contains the bounds
-    carries the whole hull. The hull is derived, and clipped, only for a
-    cell the bounds leave open and for a slope cell, whose height is that
-    of its piece.
-    """
-    bx0, bx1, by0, by1 = ring_bounds(corners)
+    ``_support_pieces`` more than 1e-9 above every earlier one."""
     best_h, best = -math.inf, None
-    hull = hull_bounds = None
-    for cell in cells:
-        cx0, cx1, cy0, cy1 = cell.bounds
-        if bx1 < cx0 or cx1 < bx0 or by1 < cy0 or cy1 < by0:
-            continue
-        flat = cell.kind != "slope"
-        if flat:
-            h = cell.height
-            if not h > best_h + 1e-9:
-                continue
-            if clear and cell.rect and cx0 <= bx0 and bx1 <= cx1 and cy0 <= by0 and by1 <= cy1:
-                best_h, best = h, cell
-                continue
-        if hull is None:
-            # each hull vertex is a corner, so the hull's bounds lie within
-            # the corners': what those decided above, the hull's would too
-            hull = tuple(_float_hull({(c[0], c[1]) for c in corners}))
-            hull_bounds = ring_bounds(hull)
-        if bounds_disjoint(hull_bounds, cell.bounds):
-            continue
-        piece = _cell_piece(cell, hull, hull_bounds)
-        if piece is None:
-            continue
-        if not flat:
-            h = max(cell.height_at(p) for p in piece)
-            if not h > best_h + 1e-9:
-                continue
-        best_h, best = h, cell
+    for h, cell, _ in _support_pieces(cells, _float_hull({(p[0], p[1]) for p in points})):
+        if h > best_h + 1e-9:
+            best_h, best = h, cell
     return best_h, best
 
 
@@ -1058,13 +996,12 @@ def _settle_on_slope(scene: TwinScene, obj: RigidObject, pose: Pose6D,
         d = feature.extra["downhill"]
         slope = [c for c in scene.terrain.slopes if c.feature is feature]
         face = obj.at_pose(pose).world_obb().resting_face()
-        clear = _footprints_clear(obj.half_extents)
         x, y = pose.x, pose.y
         for _ in range(200):
             x += d[0] * 0.01
             y += d[1] * 0.01
             corners = [(fx + x - pose.x, fy + y - pose.y) for fx, fy in face]
-            if _top_support(slope, corners, clear)[1] is None:
+            if _top_support(slope, corners)[1] is None:
                 break
         slid = obj.at_pose(Pose6D((x, y, pose.z), pose.orientation))
         return settle(scene.replace_object(slid), obj.id)
@@ -1095,8 +1032,8 @@ def _slide_clear(scene: TwinScene, obj: RigidObject, pose: Pose6D,
     zero) until no raised cell carries a piece of the object's resting
     face, at most 80 steps, at the height and orientation of ``pose``.
 
-    Each step asks ``support_cells`` once and answers from the face's
-    corner bounds where those decide it (``_top_support``)."""
+    The scene does not change during the slide, so its raised cells come
+    from one ``support_cells`` call."""
     dx, dy = outward
     if math.hypot(dx, dy) < 1e-9:
         dx, dy = 1.0, 0.0
@@ -1107,12 +1044,11 @@ def _slide_clear(scene: TwinScene, obj: RigidObject, pose: Pose6D,
     q = unit_quat(unit_quat(pose.orientation))
     offsets = box_corners((-0.0, -0.0, -0.0), q, obj.half_extents)
     face = [offsets[i] for i in _FACE_CORNERS[down_face(q)]]
-    clear = _footprints_clear(obj.half_extents)
+    raised = [c for c in support_cells(scene, exclude_id=obj.id) if c.kind != "ground"]
     x, y = pose.x, pose.y
     for _ in range(80):
-        raised = [c for c in support_cells(scene, exclude_id=obj.id) if c.kind != "ground"]
         corners = [(ox + x, oy + y) for ox, oy, _ in face]
-        if _top_support(raised, corners, clear)[1] is None:
+        if _top_support(raised, corners)[1] is None:
             break
         x += dx * 0.01
         y += dy * 0.01
@@ -1590,13 +1526,35 @@ def _json_vector(value, n: int, what: str) -> tuple:
     return tuple(value)
 
 
+# m: every coordinate, terrain height and half extent a file gives lies
+# within this of 0, so the geometry built on it stays far from float
+# overflow
+_MAX_COORD = 100.0
+# m: the least half extent a file gives; a box much thinner has footprints
+# whose float hulls collapse
+_MIN_HALF_EXTENT = 1e-9
+
+
+def _json_within(values, what: str, raw, low: float = -_MAX_COORD,
+                 high: float = _MAX_COORD) -> None:
+    """Raise an input error that names ``what`` and the file's ``raw``
+    value unless each of ``values`` lies in [low, high]."""
+    if not all(low <= v <= high for v in values):
+        span = (f"within {high:g} m of 0 on each axis" if low == -high
+                else f"between {low:g} and {high:g} m")
+        raise ValueError(f"{what} must lie {span} (got {raw!r})")
+
+
 def _json_polygon(value, what: str) -> Polygon2:
-    """The file's value for ``what``, which must be a list of [x, y] points."""
+    """The file's value for ``what``, which must be a list of [x, y] points,
+    each within ``_MAX_COORD`` of 0."""
     if not isinstance(value, list) or not all(
         isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) for v in value
     ):
         raise ValueError(f"{what} must be a list of [x, y] points (got {value!r})")
-    return Polygon2(tuple((v[0], v[1]) for v in value))
+    polygon = Polygon2(tuple((v[0], v[1]) for v in value))
+    _json_within([c for v in value for c in v], what, value)
+    return polygon
 
 
 def _json_extra(value, what: str, kind) -> dict:
@@ -1615,19 +1573,12 @@ def _json_extra(value, what: str, kind) -> dict:
     return extra
 
 
-# m: a pose a file gives lies within this of the origin on every axis, so
-# the geometry built on it stays far from float overflow
-_MAX_COORD = 100.0
-
-
 def _json_pose(value, what: str) -> Pose6D:
     """The file's value for ``what``: an object with ``xyz``, each within
     ``_MAX_COORD`` of 0, and ``quat_wxyz``."""
     value = _json_object(value, what, ("xyz", "quat_wxyz"))
     xyz = _json_vector(value["xyz"], 3, f"{what} xyz")
-    if not all(abs(v) <= _MAX_COORD for v in xyz):
-        raise ValueError(f"{what} xyz must lie within {_MAX_COORD:g} m of 0 "
-                         f"on each axis (got {value['xyz']!r})")
+    _json_within(xyz, f"{what} xyz", value["xyz"])
     return Pose6D(xyz, _json_vector(value["quat_wxyz"], 4, f"{what} quat_wxyz"))
 
 
@@ -1639,13 +1590,16 @@ def scene_from_dict(data: dict) -> TwinScene:
     for i, t in enumerate(_json_list(data["terrain"], "scene terrain")):
         where = f"terrain {i}"
         t = _json_object(t, where, ("kind", "name", "footprint", "height", "extra"))
-        terrain.append(TerrainFeature(
+        feature = TerrainFeature(
             kind=t["kind"],
             footprint=_json_polygon(t["footprint"], f"{where} footprint"),
             height=_json_number(t["height"], f"{where} height"),
             extra=_json_extra(t.get("extra", {}), f"{where} extra", t["kind"]),
             name=_json_string(t.get("name", ""), f"{where} name"),
-        ))
+        )
+        # the constructor rejects a negative height in its own words
+        _json_within((feature.height,), f"{where} height", t["height"], 0.0)
+        terrain.append(feature)
     objects = []
     for i, o in enumerate(_json_list(data["objects"], "scene objects")):
         where = f"object {i}"
@@ -1662,15 +1616,17 @@ def scene_from_dict(data: dict) -> TwinScene:
         object_id = _json_string(o["id"], f"{where} id")
         if not object_id:
             raise ValueError(f"{where} id must not be empty")
-        objects.append(
-            RigidObject(
-                id=object_id,
-                half_extents=_json_vector(shape["half_extents"], 3,
-                                          f"{where} shape half_extents"),
-                pose=_json_pose(o["pose"], f"{where} pose"),
-                tool_spec=ts,
-            )
+        obj = RigidObject(
+            id=object_id,
+            half_extents=_json_vector(shape["half_extents"], 3,
+                                      f"{where} shape half_extents"),
+            pose=_json_pose(o["pose"], f"{where} pose"),
+            tool_spec=ts,
         )
+        # the constructor rejects a non-positive half extent in its own words
+        _json_within(obj.half_extents, f"{where} shape half_extents",
+                     shape["half_extents"], _MIN_HALF_EXTENT)
+        objects.append(obj)
     scene = TwinScene(
         terrain=terrain,
         objects=tuple(objects),

@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import json
 import math
+import random
 import sys
 
 import pytest
@@ -567,6 +569,13 @@ class TestScenarioFileSteps:
             "kind": "shelf", "footprint": [[0.2, 0.0], [0.25, 0.05], [0.2, 0.1], [0.15, 0.05]],
             "height": 0.4, "extra": {"clearance": 0.12}}),
          "shelf footprints must be axis-aligned rectangles"),
+        # a jitter past its bound once overflowed the draw of the first pose
+        (lambda d: d["randomization"].update(pos_jitter=1e308),
+         "pos_jitter must be at most 100 (got 1e+308)"),
+        (lambda d: d["randomization"].update(yaw_jitter_deg=1e308),
+         "yaw_jitter_deg must be at most 180 (got 1e+308)"),
+        (lambda d: d["special"].update(goal_jitter=100.5),
+         "goal_jitter must be at most 100 (got 100.5)"),
     ], ids=["primary", "no-plans", "empty-plan", "step-object", "pos-jitter",
             "yaw-jitter", "goal-jitter", "plans-shape", "plan-shape", "step-shape",
             "file-shape", "goal-shape", "target-shape", "scene-shape",
@@ -584,7 +593,8 @@ class TestScenarioFileSteps:
             "randomization-key", "scene-key", "terrain-key", "extra-key", "slot-width",
             "extra-other-kind", "terrain-kind",
             "object-key", "pose-key", "tool-spec-key", "step-key", "tool-hint-no-tool",
-            "slot-not-rect", "shelf-rotated"])
+            "slot-not-rect", "shelf-rotated", "huge-pos-jitter", "huge-yaw-jitter",
+            "huge-goal-jitter"])
     def test_bad_scenario_field_is_input_error(self, tmp_path, capsys, edit,
                                                message):
         from tabletamp.scenarios import build_scenario, scenario_to_dict
@@ -617,6 +627,120 @@ class TestHugeCoordinate:
         err = capsys.readouterr().err.strip()
         assert err == (f"error: object 0 pose xyz must lie within 100 m of 0 on "
                        f"each axis (got {xyz!r})")
+
+
+class TestOutOfRange:
+    """A number past its bound at each site where an exported file once
+    carried one to a traceback: each exits 2 and names its field."""
+
+    @pytest.mark.parametrize("scenario_id, field, key, value, what, span", [
+        ("wall", lambda d: d["scene"]["terrain"][1]["footprint"][0], 0, -1e308,
+         "terrain 1 footprint", "within 100 m of 0 on each axis"),
+        ("slope", lambda d: d["scene"]["terrain"][6], "height", 1e308,
+         "terrain 6 height", "between 0 and 100 m"),
+        ("slope", lambda d: d["scene"]["terrain"][6]["footprint"][2], 1, 1e308,
+         "terrain 6 footprint", "within 100 m of 0 on each axis"),
+        ("tool_pusher", lambda d: d["goal"]["zone"][0], 1, -1e308,
+         "goal zone", "within 100 m of 0 on each axis"),
+        ("tool_hook", lambda d: d["scene"]["objects"][1]["shape"]["half_extents"], 0, 1e-20,
+         "object 1 shape half_extents", "between 1e-09 and 100 m"),
+    ], ids=["wall-table-footprint", "slope-wedge-height", "slope-wedge-footprint",
+            "goal-zone", "hook-half-extent"])
+    def test_value_past_its_bound_is_input_error(self, tmp_path, capsys, scenario_id,
+                                                 field, key, value, what, span):
+        from tabletamp.scenarios import build_scenario, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario(scenario_id))
+        field(data)[key] = value
+        bad = tmp_path / "far.json"
+        bad.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error: {what} must lie {span} (got ")
+        assert repr(value) in err and "\n" not in err
+
+    def test_values_at_the_bounds_load(self):
+        from tabletamp.scenarios import build_scenario, scenario_from_dict, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario("tool_hook"))
+        data["scene"]["terrain"][0]["footprint"][0] = [-100.0, -100.0]
+        data["scene"]["terrain"][0]["height"] = 100.0
+        data["scene"]["objects"][1]["shape"]["half_extents"][1] = 1e-9
+        data["goal"]["zone"][2][0] = 100.0
+        scenario = scenario_from_dict(data)
+        assert scenario.scene_template.object("hook").half_extents[1] == 1e-9
+
+
+class TestScenarioFileFuzz:
+    """Exported files with one number set to an extreme or to a bound: a
+    run exits 0, 1 or 2 and never raises."""
+
+    VALUES = (1e308, -1e308, 1e-300, 100.0, -100.0, 1e-9)
+
+    @staticmethod
+    def number_sites(data):
+        """(container, key) of every terrain height and footprint
+        coordinate, half extent, goal number and jitter of a scenario dict."""
+        scene = data["scene"]
+        for t in scene["terrain"]:
+            yield t, "height"
+            yield from ((point, k) for point in t["footprint"] for k in (0, 1))
+        for o in scene["objects"]:
+            yield from ((o["shape"]["half_extents"], k) for k in range(3))
+        goal = data["goal"]
+        if "target" in goal:
+            yield from ((goal["target"]["xyz"], k) for k in range(3))
+            yield from ((goal["target"]["quat_wxyz"], k) for k in range(4))
+        for point in goal.get("zone", []):
+            yield from ((point, k) for k in (0, 1))
+        yield from ((data["randomization"], k) for k in ("pos_jitter", "yaw_jitter_deg"))
+
+    def test_mutated_exported_files_never_raise(self, tmp_path):
+        exported = tmp_path / "exported"
+        assert main(["export", "--out", str(exported)]) == 0
+        files = sorted(exported.glob("*.json"))
+        assert len(files) == 8
+        rng = random.Random(331)
+        codes = collections.Counter()
+        for _ in range(150):
+            path = rng.choice(files)
+            data = json.loads(path.read_text())
+            sites = list(self.number_sites(data))
+            i = rng.randrange(len(sites))
+            container, key = sites[i]
+            value = rng.choice(self.VALUES)
+            container[key] = value
+            mutated = tmp_path / path.name
+            mutated.write_text(json.dumps(data))
+            case = f"{path.name} site {i} ({key!r}) = {value!r}"
+            try:
+                code = main(["run", "--scenario", str(mutated), "--out", str(tmp_path / "out")])
+            except Exception as exc:  # the failure names the case
+                pytest.fail(f"{case} raised {exc!r}")
+            assert code in (0, 1, 2), case
+            codes[code] += 1
+        assert codes[0] > 0 and codes[2] > 0, codes
+
+
+class TestReflectorSkipsInvalidPlans:
+    def test_flat_puck_ends_as_task_failure(self, tmp_path, capsys):
+        # a puck 2 cm tall cannot be grasped, and the second fallback plan
+        # starts by releasing it: that plan is skipped, no other is left,
+        # and the run exits 1 instead of raising out of the reflector
+        from tabletamp.scenarios import build_scenario, scenario_to_dict
+
+        data = scenario_to_dict(build_scenario("tool_pusher"))
+        assert data["fallback_plans"][1][0] == {"kind": "release", "object_id": "puck"}
+        data["scene"]["objects"][0]["shape"]["half_extents"][2] = 0.01
+        flat = tmp_path / "flat_puck.json"
+        flat.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(flat), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().out.startswith("tool_pusher seed 0: failure (replans 0,")
+        trace = json.loads((tmp_path / "tool_pusher_seed0.json").read_text())
+        assert [a["insight"] for a in trace["attempts"]] == [
+            "(no revision: fallback plans exhausted after attempt 2)"]
 
 
 class TestRandomizationFailure:

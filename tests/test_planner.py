@@ -79,6 +79,21 @@ class TestScriptedPlanner:
         with pytest.raises(NoMorePlans):
             planner.reflect(reflection(ErrorKind.NO_GRASP_FOUND, plan.steps[0], obs, plan))
 
+    def test_reflection_skips_a_plan_invalid_in_the_observed_state(self):
+        # a plan that first releases the card, which the failed grasp never
+        # picked up, is skipped; with no valid plan after it the list is done
+        scenario, obs = edge_observation()
+        naive, push = scenario.fallback_templates[:2]
+        release_first = ({"kind": "release", "object_id": "card"},) + push
+        planner = ScriptedPlanner((naive, release_first, push))
+        p0 = planner.plan(obs)
+        _, p1 = planner.reflect(reflection(ErrorKind.NO_GRASP_FOUND, p0.steps[0], obs, p0))
+        assert [s.kind for s in p1.steps] == [PrimitiveKind.PUSH]
+        assert p1.revision == 1
+        planner = ScriptedPlanner((naive, release_first))
+        with pytest.raises(NoMorePlans):
+            planner.reflect(reflection(ErrorKind.NO_GRASP_FOUND, p0.steps[0], obs, p0))
+
     def test_pure_function_of_attempt_index(self):
         scenario, obs = edge_observation()
         a = ScriptedPlanner(scenario.fallback_templates)
