@@ -309,6 +309,9 @@ class Polygon2:
         verts = tuple((float(v[0]), float(v[1])) for v in self.vertices)
         if len(verts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
+        # NaN compares false, so a non-finite vertex would pass the area test
+        if not all(math.isfinite(x) and math.isfinite(y) for x, y in verts):
+            raise ValueError(f"polygon vertices must be finite, got {verts}")
         if _signed_area(verts) <= 0.0:
             raise ValueError("polygon must be counter-clockwise with positive area")
         n = len(verts)

@@ -772,7 +772,9 @@ class SupportPieces(tuple):
     object stable where it stands on these pieces. From there on, that
     outcome is a function of the object and the pieces, so a settle of the
     same object, by identity, handed this answer returns it. It is one tuple
-    replaced whole, so it needs no lock.
+    replaced whole, so it needs no lock. ``settle`` asks for the pieces only
+    when its bounds decision (``_sole_flat_cell``) declines, so a rest that
+    decision answers keeps nothing here.
     """
 
     rest: tuple[RigidObject, SettleOutcome] | None = None
@@ -851,6 +853,50 @@ def _top_support(cells: Sequence[SupportCell],
     return best_h, best
 
 
+def _sole_flat_cell(cells: Sequence[SupportCell],
+                    bounds: tuple[float, float, float, float]) -> SupportCell | None:
+    """The one non-ground, non-slope rect cell of ``cells`` whose bounds
+    contain ``bounds``, provided every other non-ground cell is
+    ``bounds_disjoint`` from ``bounds``; otherwise None.
+
+    ``settle`` asks it with the snapped box's ``xy_bounds`` and, when it
+    finds a cell C, rests the box on C without a support-piece query. That
+    answer is the full path's, bit for bit, when the down face's half
+    extents a, b and the other one, c, satisfy ``4ab >= 2 * _AREA_TOL`` and
+    ``min(a, b) >= 1e-6 * max(1, c)``, and the bounds lie within 1 km of 0:
+
+    - ``xy_bounds`` contains the resting face's bounds, since the face is
+      the hull of four of the corners. So ``_support_pieces`` gives C its
+      rect-shortcut piece, the whole face, and skips every other non-ground
+      cell as ``bounds_disjoint``.
+    - Ground pieces are ignored once a raised piece exists, so C's piece is
+      the one flat piece, and no slope piece exists.
+    - The face's area is 4ab up to rounding, so ``ring_area(face) >
+      _AREA_TOL`` holds with room to spare. Within 1 km of 0 the shoelace
+      rounds by under 1e-9 m^2.
+    - The snap leaves the face tilted by at most about the square root of
+      the few-ulp error in its normal's z, under 1e-7 rad (3e-8 rad at most
+      over 200,000 seeded orientations). So the face's centre is the COM
+      within 1e-7 * c <= min(a, b) / 10, while the face reaches min(a, b)
+      from its centre on every side: the inside test passes.
+    - ``h_star`` is C's height, the one piece's.
+
+    A settle it declines, or whose face fails those bounds, takes the
+    support-piece path unchanged.
+    """
+    found = None
+    for cell in cells:
+        if cell.kind == "ground" or bounds_disjoint(bounds, cell.bounds):
+            continue
+        if found is not None or cell.kind == "slope" or not cell.rect:
+            return None
+        x0, x1, y0, y1 = cell.bounds
+        if not (x0 <= bounds[0] and bounds[1] <= x1 and y0 <= bounds[2] and bounds[3] <= y1):
+            return None
+        found = cell
+    return found
+
+
 def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     """Drop an object to rest and classify the outcome.
 
@@ -860,6 +906,13 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     outside the support polygon the object topples over the nearest support
     edge, largest face down; with no raised support at all it lands on the
     ground and reports fell_off.
+
+    The first hop answers in this order. First the bounds decision: a box
+    whose bounds lie inside one flat rectangular cell, and apart from every
+    other raised cell's, rests level on that cell (``_sole_flat_cell``).
+    Then the kept outcome: the support-piece answer returns the last
+    stable outcome it kept for the same object (``SupportPieces.rest``).
+    Otherwise the support pieces under the resting face decide.
     """
     obj = scene.object(object_id)
     pose = obj.pose
@@ -868,8 +921,20 @@ def settle(scene: TwinScene, object_id: str) -> SettleOutcome:
     for hop in range(3):
         flat_q = _snap_face_down(pose.orientation)
         pose = Pose6D(pose.position, flat_q)
-        face = obj.at_pose(pose).world_obb().resting_face()
-        scored = _support_pieces(support_cells(scene, exclude_id=obj.id), face)
+        box = obj.at_pose(pose).world_obb()
+        cells = support_cells(scene, exclude_id=obj.id)
+        if hop == 0:
+            # a level rest on one flat cell, decided from the box's bounds
+            cell = _sole_flat_cell(cells, box.xy_bounds)
+            if cell is not None:
+                h, axis = box.half_extents, box.down_face()[0]
+                a, b, c = h[axis - 2], h[axis - 1], h[axis]  # the face's, then up
+                if (4.0 * a * b >= 2.0 * _AREA_TOL and min(a, b) >= 1e-6 * max(1.0, c)
+                        and max(map(abs, box.xy_bounds)) <= 1e3):
+                    z = cell.height + _half_height(obj, flat_q)
+                    return SettleOutcome("stable", Pose6D((pose.x, pose.y, z), flat_q))
+        face = box.resting_face()
+        scored = _support_pieces(cells, face)
         # every support_cells call is made before the kept outcome answers
         rest = scored.rest
         if hop == 0 and rest is not None and rest[0] is obj:

@@ -458,6 +458,46 @@ class TestClipConvex:
             assert ring_area(clip_convex(b, a)) == 0.0
 
 
+class TestPolygonFinite:
+    """A non-finite vertex makes the area test NaN, which fails no
+    comparison, so Polygon2 tests every vertex itself."""
+
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("where", [(0, 0), (1, 1), (2, 0)])
+    def test_vertex(self, bad, where):
+        verts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        verts[where[0]][where[1]] = bad
+        with pytest.raises(ValueError, match="polygon vertices must be finite"):
+            Polygon2(tuple(map(tuple, verts)))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_rect_polygon(self, bad):
+        for args in ((bad, 0.0, 0.1, 0.1), (0.0, 0.0, bad, 0.1)):
+            with pytest.raises(ValueError, match="polygon vertices must be finite"):
+                rect_polygon(*args)
+        # an infinite yaw already fails in math.cos, a NaN one only here
+        with pytest.raises(ValueError, match="finite" if math.isnan(bad) else "domain"):
+            rect_polygon(0.0, 0.0, 0.1, 0.1, bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_translated(self, bad):
+        square = rect_polygon(0.0, 0.0, 0.1, 0.1)
+        for offset in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="polygon vertices must be finite"):
+                square.translated(*offset)
+
+    def test_finite_polygons_and_other_checks_are_unchanged(self):
+        huge = 1e100
+        assert Polygon2(((-huge, -huge), (huge, -huge), (0.0, huge))).vertices[1] == (huge, -huge)
+        assert rect_polygon(0.0, 0.0, 0.1, 0.1, 0.3).translated(1.0, -1.0).bounds
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            Polygon2(((math.nan, 0.0), (1.0, 0.0)))
+        with pytest.raises(ValueError, match="counter-clockwise"):
+            Polygon2(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)))
+
+
 # ---------------------------------------------------------------------------
 # poses and boxes
 # ---------------------------------------------------------------------------

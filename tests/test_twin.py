@@ -1718,9 +1718,20 @@ def fresh(monkeypatch, function, *args):
     return function(*args)
 
 
+def table_leaf(cx, cy, hx, hy):
+    """A second table slab at the table's height, centred on (cx, cy): a box
+    over it and the table rests as on the table alone, but two raised cells
+    meet its bounds, so settle's bounds decision declines it and the
+    support pieces, with their kept outcome, answer."""
+    return TerrainFeature("table_surface", rect_polygon(cx, cy, hx, hy), TABLE_H,
+                          name="leaf")
+
+
 class TestSettleReuse:
     """settle and _support_pieces keep their last query and answer an equal
-    one from it; every answer must be the one a fresh call gives."""
+    one from it; every answer must be the one a fresh call gives. Each scene
+    sets its box over a table leaf, which settle's bounds decision declines,
+    so the kept answers are reached."""
 
     @staticmethod
     def record(monkeypatch):
@@ -1756,7 +1767,8 @@ class TestSettleReuse:
     def test_push_into_a_wall_until_it_stalls(self, monkeypatch):
         wall = TerrainFeature("wall", rect_polygon(0.1, 0.0, 0.01, 0.2), TABLE_H,
                               {"height": 0.05}, name="rail")
-        scene = base_scene([make_box(x=0.01, y=0.003)], terrain_extra=[wall])
+        scene = base_scene([make_box(x=0.01, y=0.003)],
+                           terrain_extra=[wall, table_leaf(0.0, 0.05, 0.3, 0.05)])
         calls = self.record(monkeypatch)
         stalled = 0
         while stalled < 4:
@@ -1774,7 +1786,8 @@ class TestSettleReuse:
         goal = Pose6D((0.0, -0.25, TABLE_H + 0.05),
                       (math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0))
         calls = self.record(monkeypatch)
-        out, trace = exec_rotate(base_scene([plank]), "plank", goal)
+        scene = base_scene([plank], terrain_extra=[table_leaf(0.0, -0.3, 0.3, 0.1)])
+        out, trace = exec_rotate(scene, "plank", goal)
         assert trace.ok, trace.result
         served = self.assert_all_fresh(monkeypatch, calls)
         # every increment below the balance point settles the same scene
@@ -1795,7 +1808,7 @@ class TestSettleReuse:
 
     def test_a_fresh_answer_keeps_nothing(self, monkeypatch):
         box = make_box(x=0.01, y=0.02)
-        scene = base_scene([box])
+        scene = base_scene([box], terrain_extra=[table_leaf(0.0, 0.1, 0.3, 0.1)])
         outcome = settle(scene, "box")
         cells = support_cells(scene, exclude_id="box")
         hull = box.world_obb().resting_face()
@@ -1827,7 +1840,7 @@ class TestSettleReuse:
 
     def test_equal_but_distinct_object_is_recomputed(self, monkeypatch):
         box = make_box(x=0.01, y=0.02)
-        scene = base_scene([box])
+        scene = base_scene([box], terrain_extra=[table_leaf(0.0, 0.1, 0.3, 0.1)])
         twin_box = dataclasses.replace(box)
         assert twin_box == box and twin_box is not box
         copy = scene.replace_object(twin_box)
@@ -1864,6 +1877,218 @@ class TestSettleReuse:
         second = settle(taller, "top")
         assert second.final_pose.z > first.final_pose.z
         assert bits(second) == bits(fresh(monkeypatch, settle, taller, "top"))
+
+
+class TestSettleBoundsDecision:
+    """settle's bounds decision (``_sole_flat_cell``) rests a box on one flat
+    cell without the support pieces. Each settle must give the bits that
+    the support-piece path gives, which ``declined`` runs."""
+
+    @staticmethod
+    def declined(settle_function, scene, object_id):
+        """``settle_function(scene, object_id)`` with the memos cleared as
+        ``fresh`` clears them and ``_sole_flat_cell`` returning None; the
+        memos and the decision are restored after."""
+        saved = (geometry._last_unit, twin._last_snap, twin._last_pieces,
+                 twin._sole_flat_cell)
+        geometry._last_unit = twin._last_snap = twin._last_pieces = None
+        twin._sole_flat_cell = lambda cells, bounds: None
+        try:
+            return settle_function(scene, object_id)
+        finally:
+            (geometry._last_unit, twin._last_snap, twin._last_pieces,
+             twin._sole_flat_cell) = saved
+
+    @staticmethod
+    def record(monkeypatch):
+        """Wrap settle where twin and the harness call it: each outermost
+        call's scene, object id, outcome, whether the bounds decision
+        answered it (``settle`` made no ``_support_pieces`` call) and
+        whether a push step made it."""
+        from tabletamp import control, harness
+
+        calls, depth, pieces, pushing = [], [0], [0], [False]
+        original, original_pieces = twin.settle, twin._support_pieces
+
+        def counted_pieces(*args):
+            pieces[0] += 1
+            return original_pieces(*args)
+
+        def recorded(scene, object_id):
+            depth[0] += 1
+            before = pieces[0]
+            try:
+                outcome = original(scene, object_id)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                calls.append((scene, object_id, outcome, pieces[0] == before, pushing[0]))
+            return outcome
+
+        def push(*args, original_push=control.apply_push):
+            pushing[0] = True
+            try:
+                return original_push(*args)
+            finally:
+                pushing[0] = False
+
+        monkeypatch.setattr(twin, "_support_pieces", counted_pieces)
+        monkeypatch.setattr(twin, "settle", recorded)
+        monkeypatch.setattr(harness, "settle", recorded)
+        monkeypatch.setattr(control, "apply_push", push)
+        return calls, original
+
+    def test_scenario_episodes(self, monkeypatch):
+        """Every settle of the eight scenarios' episodes at seeds 0 and 1,
+        under the full and the no_pose ablation."""
+        from tabletamp.harness import run_episode
+        from tabletamp.scenarios import SCENARIO_IDS, build_scenario
+
+        calls, original = self.record(monkeypatch)
+        for name in SCENARIO_IDS:
+            scenario = build_scenario(name)
+            for ablation in ("full", "no_pose"):
+                for seed in (0, 1):
+                    run_episode(scenario, seed, ablation=ablation)
+        for scene, object_id, outcome, _, _ in calls:
+            assert bits(outcome) == bits(self.declined(original, scene, object_id)), (
+                object_id, scene.object(object_id).pose)
+        answered = sum(c[3] for c in calls)
+        assert len(calls) > 1000 and len(calls) > answered > len(calls) // 3
+
+    @pytest.mark.parametrize("name", ["box", "book"])
+    def test_the_decision_answers_most_push_steps(self, monkeypatch, name):
+        """On seed 0 under no_pose, the decision answers more than half of
+        the settles that push steps make (4 of 4 on ``box``, 24 of 29 on
+        ``book``)."""
+        from tabletamp.harness import run_episode
+        from tabletamp.scenarios import build_scenario
+
+        calls, _ = self.record(monkeypatch)
+        run_episode(build_scenario(name), 0, ablation="no_pose")
+        pushed = [c for c in calls if c[4]]
+        assert pushed and 2 * sum(c[3] for c in pushed) > len(pushed)
+
+    @staticmethod
+    def placements(rng, obj, count, spread, center=(0.0, 0.0), tip=True):
+        """``obj`` at ``count`` seeded poses within ``spread`` of ``center``:
+        any yaw, every third tilted by up to 1e-3 rad so the snap turns it,
+        and with ``tip`` every fourth tipped onto a side face."""
+        tipped = quat_from_axis_angle((1.0, 0.0, 0.0), math.pi / 2)
+        out = []
+        for i in range(count):
+            x, y, yaw, tilt, ax = rng.uniform(-1.0, 1.0, 5)
+            q = quat_from_yaw(math.pi * yaw)
+            if tip and i % 4 == 3:
+                q = quat_mul(q, tipped)
+            if i % 3 == 0:
+                q = quat_mul(quat_from_axis_angle((math.cos(3.0 * ax), math.sin(3.0 * ax), 0.0),
+                                                  1e-3 * tilt), q)
+            out.append(obj.at_pose(Pose6D((center[0] + spread * x, center[1] + spread * y,
+                                           TABLE_H + 0.1), q)))
+        return out
+
+    def edge_cases(self):
+        """(case, scene, object id) for seeded boxes at the places the
+        decision has to get right."""
+        rng = default_rng(409)
+        rail = TerrainFeature("wall", rect_polygon(0.0, 0.3, 0.4, 0.01), TABLE_H,
+                              {"height": 0.05}, name="rail")
+        pad = TerrainFeature("table_surface", rect_polygon(0.2, -0.2, 0.06, 0.06),
+                             TABLE_H + 0.05, name="pad")
+        slot = TerrainFeature("slot", rect_polygon(-0.2, -0.2, 0.05, 0.04), TABLE_H,
+                              {"depth": 0.03}, name="slot")
+        slope = TerrainFeature("slope", rect_polygon(-0.2, 0.15, 0.1, 0.08), TABLE_H + 0.06,
+                               {"angle_deg": 20.0, "downhill": (0.0, -1.0)}, name="wedge")
+        box = make_box(half=(0.04, 0.03, 0.02))
+        out = []
+
+        def add(case, scene, objects):
+            for obj in objects:
+                out.append((case, scene.replace_object(obj), obj.id))
+
+        # a table whose max x is the box's, or one ulp below it; a rail
+        # whose min y is the box's max y, or one ulp above it
+        for x, y in zip(rng.uniform(-0.3, 0.3, 8), rng.uniform(-0.3, 0.3, 8)):
+            obj = box.at_pose(Pose6D((x, y, TABLE_H + 0.02), box.pose.orientation))
+            _, bx1, _, by1 = obj.world_obb().xy_bounds
+            for table_x1, rail_y0 in ((bx1, None), (math.nextafter(bx1, -1.0), None),
+                                      (0.4, by1), (0.4, math.nextafter(by1, 1.0))):
+                terrain = [TerrainFeature("ground", rect_polygon(0, 0, 1.2, 1.2), 0.0),
+                           TerrainFeature("table_surface", Polygon2(
+                               ((-0.4, -0.4), (table_x1, -0.4), (table_x1, 0.4), (-0.4, 0.4))),
+                               TABLE_H)]
+                if rail_y0 is not None:
+                    terrain.append(TerrainFeature("wall", Polygon2(
+                        ((-0.4, rail_y0), (0.4, rail_y0), (0.4, 0.5), (-0.4, 0.5))),
+                        TABLE_H, {"height": 0.05}))
+                add("touch", TwinScene(terrain=tuple(terrain), objects=(obj,)), [obj])
+        scene = base_scene([box], terrain_extra=[pad])
+        add("bridge", scene, self.placements(rng, box, 40, 0.08, (0.2, -0.2)))
+        card = make_box("card", half=(0.05, 0.03, 0.004))  # the scenarios' card
+        add("card", base_scene([card], terrain_extra=[rail, pad]),
+            self.placements(rng, card, 60, 0.35))
+        base = make_box("base", half=(0.06, 0.06, 0.03), x=0.1, y=0.1)
+        scene = base_scene([base, box])
+        add("on-object", scene, self.placements(rng, box, 40, 0.08, (0.1, 0.1)))
+        small = make_box(half=(0.02, 0.015, 0.01))
+        add("slot", base_scene([small], terrain_extra=[slot]),
+            self.placements(rng, small, 40, 0.06, (-0.2, -0.2)))
+        add("slope", base_scene([box], terrain_extra=[slope]),
+            self.placements(rng, box, 40, 0.15, (-0.2, 0.15)))
+        # cells that are the only raised one: a ramp beside the table, and
+        # a table turned so that its cell is no rect
+        ramp = TerrainFeature("slope", rect_polygon(0.7, 0.0, 0.15, 0.15), 0.1,
+                              {"angle_deg": 15.0, "downhill": (1.0, 0.0)}, name="ramp")
+        add("ramp", base_scene([box], terrain_extra=[ramp]),
+            self.placements(rng, box, 20, 0.08, (0.7, 0.0)))
+        turned = TerrainFeature("table_surface", rect_polygon(0.0, 0.0, 0.4, 0.4, yaw=0.6),
+                                TABLE_H)
+        add("turned", TwinScene(terrain=(base_scene().terrain[0], turned), objects=(box,)),
+            self.placements(rng, box, 40, 0.5))
+        for name, half in (("needle", (1e-9, 0.05, 0.05)), ("speck", (7e-5, 7e-5, 0.01))):
+            tiny = make_box(name, half=half)
+            add(name, base_scene([tiny]), self.placements(rng, tiny, 8, 0.2, tip=False))
+        # a tower 200 m tall and 2e-6 m thick, tilted 1e-8 rad, which the
+        # snap leaves: its face's centre is 2e-6 m off the COM, past an edge
+        tower = make_box("tower", half=(1e-6, 5e-3, 200.0), z=TABLE_H + 200.0,
+                         orientation=quat_from_axis_angle((0.0, 1.0, 0.0), 1e-8))
+        add("tower", base_scene([tower]), [tower])
+        # 1e4 m out, where a small face's shoelace area rounds by more than
+        # _AREA_TOL
+        far = 1e4
+        speck = make_box("speck", half=(7.1e-5, 7.1e-5, 0.01), x=far, y=far)
+        scene = TwinScene(terrain=(
+            TerrainFeature("ground", rect_polygon(far, far, 1.2, 1.2), 0.0),
+            TerrainFeature("table_surface", rect_polygon(far, far, 0.4, 0.4), TABLE_H),
+        ), objects=(speck,))
+        add("far", scene, self.placements(rng, speck, 40, 0.2, (far, far), tip=False))
+        return out
+
+    def test_edge_cases(self, monkeypatch):
+        """Each edge case, settled fresh, gives the declined path's bits, and
+        the decision answers where it should and declines where it must."""
+        answered = {}
+        calls, original = self.record(monkeypatch)
+        for case, scene, object_id in self.edge_cases():
+            calls.clear()
+            fresh(monkeypatch, twin.settle, scene, object_id)
+            ((_, _, outcome, decided, _),) = calls
+            assert bits(outcome) == bits(self.declined(original, scene, object_id)), (
+                case, scene.object(object_id).pose)
+            answered.setdefault(case, []).append(decided)
+        count = {case: (sum(d), len(d)) for case, d in answered.items()}
+        # bounds on the table's edge and one ulp clear of the rail's answer
+        assert answered["touch"] == [True, False, False, True] * 8
+        # a box on another object also meets the table's cell; a ramp is
+        # a slope and a turned table no rect; a needle's
+        # face is under 1e-6 m wide, a speck's under 2 * _AREA_TOL, a
+        # tower's under 1e-6 of its height, and a far box is beyond 1 km
+        for case in ("bridge", "on-object", "ramp", "turned", "needle", "speck", "tower",
+                     "far"):
+            assert count[case][0] == 0, count
+        for case in ("card", "slot", "slope"):
+            assert 0 < count[case][0] < count[case][1], count
 
 
 class TestPivotRotate:
